@@ -28,8 +28,16 @@ import numpy as np
 
 from . import selection
 from .geometry import grid_fraction, heap_min_entries, pow3
-from .optimizer import OptConfig, RunReport
-from .stopping import REASON_BUDGET, REASON_DIAGONAL, REASON_TARGET, target_reached
+from .optimizer import OptConfig
+from .stopping import (
+    REASON_BUDGET,
+    REASON_TARGET,
+    RunReport,
+    check_stop,
+    close_report,
+    log_history,
+    target_reached,
+)
 
 
 @dataclass(slots=True)
@@ -50,10 +58,6 @@ class CenterBox:
     @property
     def group_key(self) -> tuple[int, ...]:
         return tuple(sorted(self.depths))
-
-    @property
-    def side_lengths(self) -> tuple[float, ...]:
-        return tuple(1.0 / pow3(d) for d in self.depths)
 
 
 def _diag_d(key: tuple[int, ...]) -> float:
@@ -88,7 +92,8 @@ class _CenterState:
         f0 = self._sample((0,) * n, (0,) * n)
         self._add_box(CenterBox(1, (0,) * n, (0,) * n,
                                 self._center_point((0,) * n, (0,) * n), f0))
-        self.history.append((self.trials, self.f_min, self.max_diagonal_sq()))
+        self.initial_diag_sq = self.max_diagonal_sq()
+        log_history(self)
 
     def _select_key(self, box: CenterBox):
         if self.locally_biased:
@@ -200,27 +205,15 @@ class _CenterState:
                                 current.f_center)
         self._add_box(current)
 
-    def check_stop(self) -> None:
-        if self.stop_reason:
-            return
-        if self.trials >= self.config.p_max:
-            self.stop_reason = REASON_BUDGET
-            return
-        if self.config.diagonal is not None:
-            n = self.problem.dim
-            rel = math.sqrt(self.max_diagonal_sq() / (2.0 * _diag_d((0,) * n)))
-            if rel <= self.config.diagonal:
-                self.stop_reason = REASON_DIAGONAL
-
     def iterate(self) -> None:
         for box_id in self.select():
             self.subdivide(box_id)
             if self.stop_reason:
                 break
-            self.check_stop()
+            check_stop(self)
             if self.stop_reason:
                 break
-        self.history.append((self.trials, self.f_min, self.max_diagonal_sq()))
+        log_history(self)
 
     def snapshot_lines(self) -> list[str]:
         lines = []
@@ -230,28 +223,13 @@ class _CenterState:
             lines.append(f"{box.id} {sum(box.depths)} {a} {b}")
         return lines
 
-    def report(self, method: str) -> RunReport:
-        if not self.history or self.history[-1][0] != self.trials:
-            self.history.append((self.trials, self.f_min, self.max_diagonal_sq()))
-        return RunReport(
-            method=method,
-            trials=self.trials,
-            boxes=len(self.boxes),
-            f_min=self.f_min,
-            x_min=self.x_min,
-            stop_reason=self.stop_reason,
-            history=self.history,
-            trace=self.trace,
-            snapshot=self.snapshot_lines() if self.config.keep_trace else None,
-        )
-
 
 def _run(problem, config: OptConfig, locally_biased: bool, method: str) -> RunReport:
     state = _CenterState(problem, config, locally_biased)
-    state.check_stop()
+    check_stop(state)
     while not state.stop_reason:
         state.iterate()
-    return state.report(method)
+    return close_report(state, method, len(state.boxes), state.x_min, state.snapshot_lines)
 
 
 def direct_run(problem, config: OptConfig) -> RunReport:

@@ -5,7 +5,7 @@ the gradient's Lipschitz constant,
 
     f(x) >= f(a) + <g, x - a> - 0.5 * k * |x - a|^2   for x in the box.
 
-Minimizing the linear part over the box (attained at a vertex z) and
+Minimizing the linear part over the box (attained at a vertex) and
 relaxing the quadratic term by the squared diagonal yields the certified
 bound R(k) = F - k * d, with F the linearization minimum and d half the
 squared diagonal. F and d do not depend on k; R decreases in k.
@@ -13,70 +13,20 @@ squared diagonal. F and d do not depend on k; R decreases in k.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
-from .geometry import Box, GridVertex, VertexRecord, frac_lt
+from .geometry import Box, VertexRecord
 
 
-@dataclass(frozen=True)
-class Characteristic:
-    """Diagram coordinates of a box: its (d, F) dot and the vertex z."""
+def characterize(box: Box, rec: VertexRecord) -> float:
+    """F: the minimum of the gradient linearization over the box; F <= f(a).
 
-    z: GridVertex
-    F: float
-    d: float
-
-
-def _vertex_and_value(box: Box, grad) -> tuple[GridVertex, float]:
-    coords = []
+    Per axis the linear model f(a) + <g, x - a> decreases toward the b side
+    exactly when g_j * (b_j - a_j) < 0; summing those terms in axis order
+    gives the minimum over all box vertices.
+    """
     total = 0.0
-    for j, (pa, pb) in enumerate(zip(box.a.coords, box.b.coords)):
-        g = grad[j]
-        if frac_lt(pa, pb):
-            pick_a = g >= 0.0
-        else:
-            pick_a = g < 0.0
-        if pick_a:
-            coords.append(pa)
-        else:
-            coords.append(pb)
-            total += g * (box.b_real[j] - box.a_real[j])
-    return GridVertex(tuple(coords)), total
-
-
-def linearization_vertex(box: Box, grad) -> GridVertex:
-    """The box vertex minimizing the linear model f(a) + <grad, x - a>.
-
-    Per axis: the a-side endpoint when moving toward b would not decrease
-    the model, the b-side endpoint otherwise; a zero partial takes the
-    a-side when b > a and the b-side when b < a.
-    """
-    z, _ = _vertex_and_value(box, grad)
-    return z
-
-
-def F_value(box: Box, rec: VertexRecord) -> float:
-    """Minimum of the gradient linearization over the box; F <= f(a)."""
-    _, total = _vertex_and_value(box, rec.gradient)
+    for g, ar, br in zip(rec.gradient, box.a_real, box.b_real):
+        total += min(g * (br - ar), 0.0)
     return rec.f_value + total
-
-
-def characterize(box: Box, rec: VertexRecord) -> Characteristic:
-    """Compute the (z, F, d) triple cached on a box at creation time."""
-    z, total = _vertex_and_value(box, rec.gradient)
-    return Characteristic(z, rec.f_value + total, box.d)
-
-
-def characteristic_R(box: Box, rec: VertexRecord, khat: float) -> float:
-    """Lower bound of f over the box for gradient-Lipschitz estimate khat.
-
-    Valid (R <= min f on the box) whenever khat is at least the true
-    constant on the box.
-    """
-    if khat <= 0:
-        raise ValueError("khat must be positive")
-    return F_value(box, rec) - khat * box.d
 
 
 def eval_minorant(box: Box, rec: VertexRecord, khat: float, x) -> float:

@@ -55,12 +55,6 @@ def grid_fraction(num: int, depth: int) -> GridFraction:
     return GridFraction(num, depth)
 
 
-def frac_lt(p: GridFraction, q: GridFraction) -> bool:
-    """Exact p < q (NamedTuple ordering would compare fields, not values)."""
-    m = max(p.depth, q.depth)
-    return p.num * pow3(m - p.depth) < q.num * pow3(m - q.depth)
-
-
 def third_points(p: GridFraction, q: GridFraction) -> tuple[GridFraction, GridFraction]:
     """The two interior points splitting [p, q] in thirds.
 
@@ -111,9 +105,9 @@ class VertexRecord:
 class Box:
     """A hyperinterval [a, b] with trial vertex ``a`` and group index ``s``.
 
-    ``d`` is half the squared real diagonal. ``F`` and ``z`` (the minimum of
-    the gradient linearization over the box and the vertex attaining it) are
-    cached once the trial record exists; they never change afterwards.
+    ``d`` is half the squared real diagonal. ``F``, the minimum of the
+    gradient linearization over the box, is cached once the trial record
+    exists; it never changes afterwards.
     """
 
     id: int
@@ -124,35 +118,6 @@ class Box:
     b_real: tuple[float, ...]
     d: float
     F: float = float("nan")
-    z: Optional[GridVertex] = None
-
-
-def longest_side(box: Box, edges: Optional[tuple[Fraction, ...]] = None) -> int:
-    """Index of the longest real side; ties go to the smallest axis index.
-
-    ``edges`` are the real domain edge lengths as Fractions; omitted means
-    all axes share one edge length (hypercube), so grid lengths decide.
-    Comparisons are exact either way.
-    """
-    if edges is None:
-        best_num = best_depth = -1
-        best_j = 0
-        for j, (pa, pb) in enumerate(zip(box.a.coords, box.b.coords)):
-            m = pa.depth if pa.depth >= pb.depth else pb.depth
-            num = abs(pa.num * pow3(m - pa.depth) - pb.num * pow3(m - pb.depth))
-            if best_num < 0 or num * pow3(best_depth) > best_num * pow3(m):
-                best_num, best_depth, best_j = num, m, j
-        return best_j
-    best = None
-    best_j = 0
-    for j, (pa, pb) in enumerate(zip(box.a.coords, box.b.coords)):
-        m = max(pa.depth, pb.depth)
-        num = abs(pa.num * pow3(m - pa.depth) - pb.num * pow3(m - pb.depth))
-        length = Fraction(num, pow3(m)) * edges[j]
-        if best is None or length > best:
-            best = length
-            best_j = j
-    return best_j
 
 
 def volume(box: Box) -> Fraction:
@@ -204,11 +169,6 @@ class Partition:
         self.lower = tuple(float(v) for v in problem.lower)
         self.upper = tuple(float(v) for v in problem.upper)
         self.edge = tuple(u - l for l, u in zip(self.lower, self.upper))
-        if any(e <= 0 for e in self.edge):
-            raise ValueError("domain must have positive edge lengths")
-        self._edge_fracs = (
-            None if len(set(self.edge)) == 1 else tuple(Fraction(e) for e in self.edge)
-        )
         self.vertex_db: dict[GridVertex, VertexRecord] = (
             vertex_db if vertex_db is not None else {}
         )
@@ -217,6 +177,9 @@ class Partition:
         self.groups: dict[int, set[int]] = {}
         self._gheaps: dict[int, list] = {}
         self._group_diag_sq: dict[int, float] = {}
+        # real side lengths of the next group to get a split axis
+        self._sides = [Fraction(e) for e in self.edge]
+        self._split_axes: list[int] = []
         self._trial_boxes: dict[GridVertex, set[int]] = {}
         self.q_inf = 0
         self.q_0 = 0
@@ -260,7 +223,7 @@ class Partition:
         plus the record of the new trial point, or None if it was reused.
         """
         box = self.boxes[t]
-        i = longest_side(box, self._edge_fracs)
+        i = self.split_axis(box.s)
         u_f, v_f = third_points(box.a.coords[i], box.b.coords[i])
         u = GridVertex(box.a.coords[:i] + (u_f,) + box.a.coords[i + 1:])
         v = GridVertex(box.b.coords[:i] + (v_f,) + box.b.coords[i + 1:])
@@ -287,11 +250,25 @@ class Partition:
             self.q_inf += 1
         return middle, low, high, new_rec
 
-    def set_characteristic(self, box_id: int, F: float, z: GridVertex) -> None:
-        """Cache (F, z) on a box and index it for group-minimum queries."""
+    def split_axis(self, s: int) -> int:
+        """The axis along which every box of group ``s`` is trisected.
+
+        Each box of group s has been split s times, always along its longest
+        real side (lowest axis on ties), so all of them share one side vector
+        and one split axis. The table grows once per new group, comparing
+        exact side lengths.
+        """
+        axes, sides = self._split_axes, self._sides
+        while len(axes) <= s:
+            i = max(range(len(sides)), key=sides.__getitem__)
+            axes.append(i)
+            sides[i] /= 3
+        return axes[s]
+
+    def set_characteristic(self, box_id: int, F: float) -> None:
+        """Cache F on a box and index it for group-minimum queries."""
         box = self.boxes[box_id]
         box.F = F
-        box.z = z
         heapq.heappush(self._gheaps.setdefault(box.s, []), (F, box_id))
 
     def group_min_entries(self, s: int) -> list[tuple[float, int]]:

@@ -18,10 +18,12 @@ from typing import Optional
 from . import bounding, selection
 from .geometry import GridVertex, Partition, VertexRecord
 from .stopping import (
-    REASON_BUDGET,
-    REASON_DIAGONAL,
     REASON_TARGET,
+    RunReport,
     StopTarget,
+    check_stop,
+    close_report,
+    log_history,
     target_reached,
 )
 
@@ -53,47 +55,6 @@ class OptConfig:
             raise ValueError("diagonal threshold must be in (0, 1]")
 
 
-def config_from_text(text: str) -> OptConfig:
-    """Parse a key=value config (newline or semicolon separated).
-
-    Keys: epsilon, pmax, start, diagonal, target_delta, target_x (comma
-    separated coordinates; requires target_delta).
-    """
-    fields: dict[str, str] = {}
-    for chunk in text.replace(";", "\n").splitlines():
-        chunk = chunk.strip()
-        if not chunk or chunk.startswith("#"):
-            continue
-        key, _, value = chunk.partition("=")
-        fields[key.strip()] = value.strip()
-    target = None
-    if "target_x" in fields:
-        x_star = tuple(float(v) for v in fields["target_x"].split(","))
-        target = StopTarget(x_star, float(fields["target_delta"]))
-    return OptConfig(
-        epsilon=float(fields.get("epsilon", 1e-4)),
-        p_max=int(fields.get("pmax", 1_000_000)),
-        start_vertex=fields.get("start", "a"),
-        target=target,
-        diagonal=float(fields["diagonal"]) if "diagonal" in fields else None,
-    )
-
-
-@dataclass
-class RunReport:
-    """Outcome of one run under the common stop rules."""
-
-    method: str
-    trials: int
-    boxes: int
-    f_min: float
-    x_min: tuple[float, ...]
-    stop_reason: str
-    history: list[tuple[int, float, float]]
-    trace: Optional[list[tuple[int, tuple[float, ...], float, float, str]]] = None
-    snapshot: Optional[list[str]] = None
-
-
 class OptState:
     """Full mutable state of one run: partition, record triple, counters."""
 
@@ -113,11 +74,14 @@ class OptState:
         self.stop_reason: Optional[str] = None
         self.history: list[tuple[int, float, float]] = []
         self.trace: Optional[list] = [] if config.keep_trace else None
-        self._initial_diag_sq = partition.max_diagonal_sq()
+        self.initial_diag_sq = partition.max_diagonal_sq()
 
     @property
     def trials(self) -> int:
         return self.partition.evals_performed
+
+    def max_diagonal_sq(self) -> float:
+        return self.partition.max_diagonal_sq()
 
 
 def initialize(problem, config: OptConfig) -> OptState:
@@ -132,8 +96,8 @@ def initialize(problem, config: OptConfig) -> OptState:
     if state.trace is not None:
         state.trace.append((rec.trial_index, x, rec.f_value, state.f_min, state.phase))
     _check_target(state, x)
-    _check_stop(state)
-    state.history.append((state.trials, state.f_min, partition.max_diagonal_sq()))
+    check_stop(state)
+    log_history(state)
     return state
 
 
@@ -163,7 +127,7 @@ def exploration_iteration(state: OptState, g_hi: int) -> None:
         _subdivide(state, box_id)
         if state.stop_reason:
             break
-    state.history.append((state.trials, state.f_min, part.max_diagonal_sq()))
+    log_history(state)
 
 
 def exploration_phase(state: OptState) -> str:
@@ -206,7 +170,7 @@ def record_phase(state: OptState) -> None:
         _subdivide(state, box.id)
         if state.stop_reason:
             return
-    state.history.append((state.trials, state.f_min, part.max_diagonal_sq()))
+    log_history(state)
 
 
 def run(problem, config: OptConfig) -> RunReport:
@@ -216,7 +180,9 @@ def run(problem, config: OptConfig) -> RunReport:
         switch = exploration_phase(state)
         if switch == "local" and not state.stop_reason:
             record_phase(state)
-    return _report(state)
+    part = state.partition
+    x_min = state.x_min.real(part.lower, part.edge)
+    return close_report(state, "new", part.m, x_min, part.snapshot_lines)
 
 
 def _improved_one_percent(f_min: float, f_prec: float) -> bool:
@@ -225,8 +191,7 @@ def _improved_one_percent(f_min: float, f_prec: float) -> bool:
 
 def _characterize(state: OptState, box) -> None:
     rec = state.partition.vertex_db[box.a]
-    ch = bounding.characterize(box, rec)
-    state.partition.set_characteristic(box.id, ch.F, ch.z)
+    state.partition.set_characteristic(box.id, bounding.characterize(box, rec))
 
 
 def _resolve_record_box(state: OptState) -> None:
@@ -252,7 +217,7 @@ def _subdivide(state: OptState, box_id: int) -> None:
             )
         _check_target(state, middle.a_real)
     _resolve_record_box(state)
-    _check_stop(state)
+    check_stop(state)
 
 
 def _check_target(state: OptState, x_real) -> None:
@@ -260,32 +225,3 @@ def _check_target(state: OptState, x_real) -> None:
     if cfg.target is not None and state.stop_reason is None:
         if target_reached(x_real, cfg.target, state.partition.lower, state.partition.upper):
             state.stop_reason = REASON_TARGET
-
-
-def _check_stop(state: OptState) -> None:
-    if state.stop_reason:
-        return
-    if state.trials >= state.config.p_max:
-        state.stop_reason = REASON_BUDGET
-        return
-    if state.config.diagonal is not None:
-        rel = math.sqrt(state.partition.max_diagonal_sq() / state._initial_diag_sq)
-        if rel <= state.config.diagonal:
-            state.stop_reason = REASON_DIAGONAL
-
-
-def _report(state: OptState) -> RunReport:
-    part = state.partition
-    if not state.history or state.history[-1][0] != state.trials:
-        state.history.append((state.trials, state.f_min, part.max_diagonal_sq()))
-    return RunReport(
-        method="new",
-        trials=state.trials,
-        boxes=part.m,
-        f_min=state.f_min,
-        x_min=state.x_min.real(part.lower, part.edge),
-        stop_reason=state.stop_reason,
-        history=state.history,
-        trace=state.trace,
-        snapshot=part.snapshot_lines() if state.config.keep_trace else None,
-    )

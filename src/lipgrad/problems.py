@@ -47,6 +47,18 @@ class Problem:
     known_K: Optional[float] = None
     f_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
+    def __post_init__(self):
+        if len(self.lower) != self.dim or len(self.upper) != self.dim:
+            raise ValueError(
+                f"{self.name}: bounds have {len(self.lower)} and {len(self.upper)} "
+                f"entries, dim is {self.dim}"
+            )
+        for j, (lo, hi) in enumerate(zip(self.lower, self.upper)):
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ValueError(
+                    f"{self.name}: axis {j} needs finite lower < upper, got [{lo}, {hi}]"
+                )
+
     @property
     def edge(self) -> tuple[float, ...]:
         return tuple(u - l for l, u in zip(self.lower, self.upper))

@@ -1,8 +1,15 @@
-"""Stop rules shared by the gradient method and the baselines."""
+"""Stop rules, history rows and the run report shared by all three methods.
+
+A run state passed to these helpers has ``config`` (an ``OptConfig``),
+``trials``, ``f_min``, ``stop_reason``, ``history``, ``trace``,
+``initial_diag_sq`` and a ``max_diagonal_sq()`` method.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Optional
 
 REASON_BUDGET = "budget"
 REASON_TARGET = "target_found"
@@ -21,6 +28,21 @@ class StopTarget:
             raise ValueError("delta must be in (0, 1]")
 
 
+@dataclass
+class RunReport:
+    """Outcome of one run under the common stop rules."""
+
+    method: str
+    trials: int
+    boxes: int
+    f_min: float
+    x_min: tuple[float, ...]
+    stop_reason: str
+    history: list[tuple[int, float, float]]
+    trace: Optional[list[tuple[int, tuple[float, ...], float, float, str]]] = None
+    snapshot: Optional[list[str]] = None
+
+
 def target_reached(x, target: StopTarget, lower, upper) -> bool:
     """True when x lies within delta^(1/N) of x* per axis, scaled by the edges."""
     n = len(target.x_star)
@@ -28,4 +50,41 @@ def target_reached(x, target: StopTarget, lower, upper) -> bool:
     return all(
         abs(xi - si) <= tol * (hi - lo)
         for xi, si, lo, hi in zip(x, target.x_star, lower, upper)
+    )
+
+
+def log_history(state) -> None:
+    """Append the (trials, f_min, largest squared diagonal) row."""
+    state.history.append((state.trials, state.f_min, state.max_diagonal_sq()))
+
+
+def check_stop(state) -> None:
+    """Apply the budget and diagonal rules unless a stop reason is already set."""
+    if state.stop_reason:
+        return
+    if state.trials >= state.config.p_max:
+        state.stop_reason = REASON_BUDGET
+    elif state.config.diagonal is not None:
+        rel = math.sqrt(state.max_diagonal_sq() / state.initial_diag_sq)
+        if rel <= state.config.diagonal:
+            state.stop_reason = REASON_DIAGONAL
+
+
+def close_report(state, method: str, boxes: int, x_min, snapshot_lines) -> RunReport:
+    """Close the history with the final trial count and build the report.
+
+    ``snapshot_lines`` is called only when the config keeps a trace.
+    """
+    if not state.history or state.history[-1][0] != state.trials:
+        log_history(state)
+    return RunReport(
+        method=method,
+        trials=state.trials,
+        boxes=boxes,
+        f_min=state.f_min,
+        x_min=x_min,
+        stop_reason=state.stop_reason,
+        history=state.history,
+        trace=state.trace,
+        snapshot=snapshot_lines() if state.config.keep_trace else None,
     )

@@ -4,14 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lipgrad.bounding import (
-    Characteristic,
-    characteristic_R,
-    characterize,
-    eval_minorant,
-    F_value,
-    linearization_vertex,
-)
+from lipgrad.bounding import characterize, eval_minorant
 from lipgrad.geometry import VertexRecord
 from lipgrad.problems import random_quadratic
 from util import make_box, make_vertex, random_box_corners
@@ -21,30 +14,15 @@ def rec(f, grad, idx=1):
     return VertexRecord(float(f), tuple(float(g) for g in grad), idx)
 
 
-def test_linearization_vertex_standard_orientation():
-    box = make_box(make_vertex(0, 0), make_vertex(1, 1))
-    assert linearization_vertex(box, (1.0, -2.0)) == make_vertex(0, 1)
-
-
-def test_linearization_vertex_reversed_orientation():
-    box = make_box(make_vertex(1, 0), make_vertex(0, 1))
-    assert linearization_vertex(box, (3.0, -1.0)) == make_vertex(0, 1)
-
-
-def test_linearization_vertex_zero_gradient():
-    box = make_box(make_vertex(0, 0), make_vertex(1, 1))
-    assert linearization_vertex(box, (0.0, 0.0)) == box.a
-    # on reversed axes the zero partial takes the b side
-    rev = make_box(make_vertex(1, 1), make_vertex(0, 0))
-    assert linearization_vertex(rev, (0.0, 0.0)) == rev.b
-
-
 def test_F_value_examples():
     box = make_box(make_vertex(0, 0), make_vertex(1, 1))
-    assert F_value(box, rec(5.0, (1.0, -2.0))) == 3.0
-    assert F_value(box, rec(5.0, (0.0, 0.0))) == 5.0
+    assert characterize(box, rec(5.0, (1.0, -2.0))) == 3.0
+    assert characterize(box, rec(5.0, (0.0, 0.0))) == 5.0
     rev = make_box(make_vertex(1, 0), make_vertex(0, 1))
-    assert F_value(rev, rec(0.0, (3.0, -1.0))) == -4.0
+    assert characterize(rev, rec(0.0, (3.0, -1.0))) == -4.0
+    # a zero partial adds nothing on either orientation
+    flipped = make_box(make_vertex(1, 1), make_vertex(0, 0))
+    assert characterize(flipped, rec(5.0, (0.0, 0.0))) == 5.0
 
 
 def test_F_never_exceeds_value_at_trial_vertex():
@@ -53,26 +31,29 @@ def test_F_never_exceeds_value_at_trial_vertex():
         a, b = random_box_corners(rng, dim=3)
         box = make_box(a, b)
         r = rec(rng.normal(), rng.normal(size=3))
-        assert F_value(box, r) <= r.f_value + 1e-15
+        assert characterize(box, r) <= r.f_value + 1e-15
+
+
+def R(box, r, khat):
+    """The certified bound F - khat * d of a box."""
+    return characterize(box, r) - khat * box.d
 
 
 def test_characteristic_R_examples():
     box = make_box(make_vertex(0, 0), make_vertex(1, 1))  # d = 1
     flat = rec(3.0, (0.0, 0.0))
-    assert characteristic_R(box, flat, 4.0) == -1.0
-    assert math.isclose(characteristic_R(box, flat, 1e-12), 3.0)
-    with pytest.raises(ValueError):
-        characteristic_R(box, flat, 0.0)
+    assert R(box, flat, 4.0) == -1.0
+    assert math.isclose(R(box, flat, 1e-12), 3.0)
 
 
 def test_characteristic_R_bounds_quadratic_on_box():
     # f(x) = |x|^2 on the unit square: f(a)=0, grad 0, R(K=2) = -2 <= min f = 0
     box = make_box(make_vertex(0, 0), make_vertex(1, 1))
     r = rec(0.0, (0.0, 0.0))
-    assert characteristic_R(box, r, 2.0) == -2.0
+    assert R(box, r, 2.0) == -2.0
     grid = np.linspace(0, 1, 50)
     grid_min = min(x * x + y * y for x in grid for y in grid)
-    assert characteristic_R(box, r, 2.0) <= grid_min + 1e-9
+    assert R(box, r, 2.0) <= grid_min + 1e-9
 
 
 def test_R_strictly_decreases_in_khat_and_F_does_not_move():
@@ -84,8 +65,8 @@ def test_R_strictly_decreases_in_khat_and_F_does_not_move():
         k1, k2 = sorted(rng.uniform(0.1, 10.0, size=2))
         if k1 == k2:
             continue
-        r1 = characteristic_R(box, r, k1)
-        r2 = characteristic_R(box, r, k2)
+        r1 = R(box, r, k1)
+        r2 = R(box, r, k2)
         assert r2 < r1
         assert math.isclose(r1 - r2, (k2 - k1) * box.d, rel_tol=1e-12, abs_tol=1e-12)
 
@@ -134,11 +115,12 @@ def test_F_matches_vertex_enumeration():
             )
             for picks in itertools.product((False, True), repeat=dim)
         )
-        assert abs(F_value(box, r) - lowest) < 1e-12
+        assert abs(characterize(box, r) - lowest) < 1e-12
 
 
 def test_characterize_caches_box_geometry():
+    # the (d, F) dot of a box: d from its corners, F from characterize
     box = make_box(make_vertex(0, 0), make_vertex(1, 1))
-    ch = characterize(box, rec(5.0, (1.0, -2.0)))
-    assert ch == Characteristic(make_vertex(0, 1), 3.0, box.d)
+    assert box.d == 1.0
+    assert characterize(box, rec(5.0, (1.0, -2.0))) == 3.0
 

@@ -10,13 +10,19 @@ from lipgrad.geometry import (
     Partition,
     diagonal_sq,
     grid_fraction,
-    longest_side,
     pow3,
     third_points,
     volume,
 )
-from lipgrad.problems import with_audit
+from lipgrad.problems import Problem, with_audit
 from util import flat_problem, make_box, make_vertex, wavy_problem
+
+
+def domain_problem(edges):
+    """Flat problem on [0, edges]: only the domain shape matters."""
+    prob = flat_problem(len(edges))
+    return Problem(prob.name, prob.dim, prob.lower, tuple(float(e) for e in edges),
+                   prob.f, prob.grad)
 
 
 def test_grid_fraction_normalizes():
@@ -58,24 +64,61 @@ def test_unit_square_measures():
 
 
 def test_longest_side_tie_breaks_to_first_axis():
-    box = make_box(make_vertex(0, 0), make_vertex(1, 1))
-    assert longest_side(box) == 0
+    # every side of the first box ties: the split axis is axis 0
+    for dim in (1, 2, 3, 4):
+        assert Partition(flat_problem(dim)).split_axis(0) == 0
+    assert Partition(domain_problem((2.0, 2.0, 1.0))).split_axis(0) == 0
 
 
 def test_longest_side_picks_strictly_longer_axis():
-    box = make_box(make_vertex(0, 0), make_vertex((1, 1), 1))
-    assert longest_side(box) == 1
+    # on a hypercube group s has split each axis s // N or s // N + 1 times,
+    # so its longest side is axis s % N
+    for dim in (1, 2, 3, 4):
+        part = Partition(flat_problem(dim))
+        assert [part.split_axis(s) for s in range(12)] == [s % dim for s in range(12)]
 
 
 def test_longest_side_reversed_diagonal_tie():
-    box = make_box(make_vertex(1, 0), make_vertex(0, 1))
-    assert longest_side(box) == 0
+    # the split axis does not depend on the orientation of the diagonal
+    prob = flat_problem(2)
+    part = Partition(prob, start_vertex="b")
+    assert part.split_axis(0) == 0
+    middle, _, _, _ = part.trisect(1, prob)
+    assert middle.a == make_vertex((1, 1), 1) and middle.b == make_vertex((2, 1), 0)
+    assert part.split_axis(1) == 1
 
 
 def test_longest_side_respects_real_edges():
-    # grid tie on both axes, but the domain is twice as long on axis 1
-    box = make_box(make_vertex(0, 0), make_vertex(1, 1))
-    assert longest_side(box, edges=(Fraction(1), Fraction(2))) == 1
+    # grid ties on every axis, but the domain is longer on axis 1
+    part = Partition(domain_problem((1.0, 2.0)))
+    # sides (1, 2) -> (1, 2/3) -> (1/3, 2/3) -> (1/3, 2/9) ...
+    assert [part.split_axis(s) for s in range(5)] == [1, 0, 1, 0, 1]
+    part = Partition(domain_problem((1.0, 3.0)))
+    # sides (1, 3) -> (1, 1) tie -> (1/3, 1) -> (1/3, 1/3) tie ...
+    assert [part.split_axis(s) for s in range(5)] == [1, 0, 1, 0, 1]
+    part = Partition(domain_problem((3.0, 1.0)))
+    assert [part.split_axis(s) for s in range(4)] == [0, 0, 1, 0]
+
+
+def test_split_axis_matches_longest_side_of_random_trisections():
+    # recompute each box's longest real side from its corners, exactly
+    rng = np.random.default_rng(10)
+    for edges in ((1.0, 1.0), (1.0, 3.0), (1.0, 2.0), (0.7, 1.1, 0.4), (2.0, 1.0, 1.0, 0.5)):
+        prob = domain_problem(edges)
+        for start in ("a", "b"):
+            part = Partition(prob, start_vertex=start)
+            for _ in range(60):
+                box = part.boxes[int(rng.choice(sorted(part.boxes)))]
+                sides = [
+                    abs(pb.as_fraction() - pa.as_fraction()) * Fraction(e)
+                    for pa, pb, e in zip(box.a.coords, box.b.coords, edges)
+                ]
+                longest = sides.index(max(sides))
+                assert part.split_axis(box.s) == longest
+                middle, *_ = part.trisect(box.id, prob)
+                split = [j for j, (pa, qa) in enumerate(zip(box.a.coords, middle.a.coords))
+                         if pa != qa]
+                assert split == [longest]
 
 
 def test_trisect_unit_square():

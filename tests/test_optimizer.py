@@ -7,7 +7,6 @@ import pytest
 from lipgrad import baselines, optimizer
 from lipgrad.optimizer import (
     OptConfig,
-    config_from_text,
     exploration_iteration,
     gradient_aligned,
     initialize,
@@ -220,11 +219,3 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OptConfig(diagonal=1.5)
 
-
-def test_config_from_text():
-    cfg = config_from_text("epsilon=1e-3; pmax=500; start=b; target_x=0.3,0.7; target_delta=1e-4")
-    assert cfg.epsilon == 1e-3
-    assert cfg.p_max == 500
-    assert cfg.start_vertex == "b"
-    assert cfg.target == StopTarget((0.3, 0.7), 1e-4)
-    assert config_from_text("").p_max == 1_000_000

@@ -185,3 +185,30 @@ def test_with_audit_counts_calls():
     p.f(x)
     p.grad(x)
     assert (audit.f_calls, audit.grad_calls) == (2, 1)
+
+
+def _sphere(x):
+    return float(np.sum(np.asarray(x) ** 2))
+
+
+def _sphere_grad(x):
+    return 2.0 * np.asarray(x)
+
+
+def test_problem_rejects_bounds_of_the_wrong_length():
+    # dim 3 with 2-D bounds used to run run and direct_run silently in 2-D
+    with pytest.raises(ValueError, match="dim is 3"):
+        problems.Problem("short", 3, (0.0, 0.0), (1.0, 1.0), _sphere, _sphere_grad)
+    with pytest.raises(ValueError, match="dim is 2"):
+        problems.Problem("long", 2, (0.0, 0.0), (1.0, 1.0, 1.0), _sphere, _sphere_grad)
+
+
+@pytest.mark.parametrize("lower,upper", [
+    ((0.0, 0.0), (1.0, -1.0)),  # upper < lower: direct_run used to accept it
+    ((0.0, 0.5), (1.0, 0.5)),
+    ((0.0, -math.inf), (1.0, 1.0)),
+    ((0.0, 0.0), (math.nan, 1.0)),
+])
+def test_problem_rejects_empty_or_nonfinite_bounds(lower, upper):
+    with pytest.raises(ValueError, match="axis"):
+        problems.Problem("bad", 2, lower, upper, _sphere, _sphere_grad)

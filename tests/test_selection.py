@@ -141,8 +141,7 @@ def test_group_representatives_reports_min_F_ties():
     for _ in range(5):
         part.trisect(min(part.boxes), prob)
     for box in part.boxes.values():
-        part.set_characteristic(box.id, characterize(box, part.vertex_db[box.a]).F,
-                                box.a)
+        part.set_characteristic(box.id, characterize(box, part.vertex_db[box.a]))
     dots = group_representatives(part, part.q_inf, part.q_0)
     seen_groups = {t.s for t in dots}
     assert seen_groups == {s for s, ids in part.groups.items() if ids}
@@ -161,7 +160,7 @@ def test_group_representatives_includes_equal_minima():
     part = Partition(prob)
     part.trisect(1, prob)
     for box in part.boxes.values():
-        part.set_characteristic(box.id, 3.5, box.a)
+        part.set_characteristic(box.id, 3.5)
     dots = group_representatives(part, 1, 1)
     assert sorted(t.box_id for t in dots) == [1, 2, 3]
 
