@@ -10,10 +10,18 @@ the same stop rules and selection machinery.
 from .baselines import direct_run, directl_run
 from .bench import run_class, run_method
 from .optimizer import OptConfig, RunReport, run
-from .problems import Problem, ProblemClass, analytic_suite, generate, problem_class
+from .problems import (
+    EvaluationError,
+    Problem,
+    ProblemClass,
+    analytic_suite,
+    generate,
+    problem_class,
+)
 from .stopping import StopTarget
 
 __all__ = [
+    "EvaluationError",
     "OptConfig",
     "Problem",
     "ProblemClass",

@@ -24,19 +24,16 @@ import heapq
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import selection
 from .geometry import grid_fraction, heap_min_entries, pow3
 from .optimizer import OptConfig
 from .stopping import (
     REASON_BUDGET,
-    REASON_TARGET,
     RunReport,
     check_stop,
     close_report,
     log_history,
-    target_reached,
+    record_trial,
 )
 
 
@@ -52,7 +49,6 @@ class CenterBox:
     id: int
     corner_nums: tuple[int, ...]
     depths: tuple[int, ...]
-    center: tuple[float, ...]
     f_center: float
 
     @property
@@ -71,8 +67,7 @@ class _CenterState:
         self.config = config
         self.locally_biased = locally_biased
         self.lower = tuple(float(v) for v in problem.lower)
-        self.upper = tuple(float(v) for v in problem.upper)
-        self.edge = tuple(u - l for l, u in zip(self.lower, self.upper))
+        self.edge = tuple(float(u) - l for l, u in zip(self.lower, problem.upper))
         self.boxes: dict[int, CenterBox] = {}
         # selection groups: sorted depth vector (DIRECT) or longest-side
         # level = min depth (locally biased)
@@ -84,14 +79,14 @@ class _CenterState:
         self.trials = 0
         self.f_min = math.inf
         self.x_min: tuple[float, ...] = ()
+        self.phase = "center"
         self.stop_reason = None
         self.history: list[tuple[int, float, float]] = []
         self.trace = [] if config.keep_trace else None
 
         n = problem.dim
         f0 = self._sample((0,) * n, (0,) * n)
-        self._add_box(CenterBox(1, (0,) * n, (0,) * n,
-                                self._center_point((0,) * n, (0,) * n), f0))
+        self._add_box(CenterBox(1, (0,) * n, (0,) * n, f0))
         self.initial_diag_sq = self.max_diagonal_sq()
         log_history(self)
 
@@ -117,16 +112,10 @@ class _CenterState:
             self.stop_reason = REASON_BUDGET
             return math.nan
         x = self._center_point(corner_nums, depths)
-        value = float(self.problem.f(np.asarray(x)))
+        value = self.problem.value(x)
         self.trials += 1
-        if value < self.f_min:
-            self.f_min = value
+        if record_trial(self, x, value):
             self.x_min = x
-        if self.trace is not None:
-            self.trace.append((self.trials, x, value, self.f_min, "center"))
-        if self.config.target is not None and self.stop_reason is None:
-            if target_reached(x, self.config.target, self.lower, self.upper):
-                self.stop_reason = REASON_TARGET
         return value
 
     def _add_box(self, box: CenterBox) -> None:
@@ -196,13 +185,10 @@ class _CenterState:
             lo_nums = current.corner_nums[:j] + (base,) + current.corner_nums[j + 1:]
             mid_nums = current.corner_nums[:j] + (base + 1,) + current.corner_nums[j + 1:]
             hi_nums = current.corner_nums[:j] + (base + 2,) + current.corner_nums[j + 1:]
-            self._add_box(CenterBox(next_id, lo_nums, deps,
-                                    self._center_point(lo_nums, deps), f_lo))
-            self._add_box(CenterBox(next_id + 1, hi_nums, deps,
-                                    self._center_point(hi_nums, deps), f_hi))
+            self._add_box(CenterBox(next_id, lo_nums, deps, f_lo))
+            self._add_box(CenterBox(next_id + 1, hi_nums, deps, f_hi))
             next_id += 2
-            current = CenterBox(current.id, mid_nums, deps, current.center,
-                                current.f_center)
+            current = CenterBox(current.id, mid_nums, deps, current.f_center)
         self._add_box(current)
 
     def iterate(self) -> None:

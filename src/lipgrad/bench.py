@@ -154,22 +154,21 @@ class ClassReport:
 
 def _run_one(args) -> dict:
     cls, index, methods, delta, p_max, epsilon = args
+    results = {}
     try:
         problem = problems.generate(cls, index)
-    except problems.GenerationError as exc:
+        target = StopTarget(problem.known_opt[0], delta)
+        for m in methods:
+            config = OptConfig(epsilon=epsilon, p_max=p_max, target=target)
+            report = run_method(m, problem, config)
+            results[m] = {
+                "trials": report.trials,
+                "boxes": report.boxes,
+                "solved": report.stop_reason == REASON_TARGET,
+                "f_min": report.f_min,
+            }
+    except (problems.GenerationError, problems.EvaluationError) as exc:
         return {"index": index, "valid": False, "error": str(exc), "results": {}}
-    x_star, _ = problem.known_opt
-    target = StopTarget(x_star, delta)
-    results = {}
-    for m in methods:
-        config = OptConfig(epsilon=epsilon, p_max=p_max, target=target)
-        report = run_method(m, problem, config)
-        results[m] = {
-            "trials": report.trials,
-            "boxes": report.boxes,
-            "solved": report.stop_reason == REASON_TARGET,
-            "f_min": report.f_min,
-        }
     return {"index": index, "valid": True, "error": "", "results": results}
 
 
@@ -203,7 +202,7 @@ def run_class(
     invalid = [(row["index"], row["error"]) for row in rows if not row["valid"]]
     valid_rows = [row for row in rows if row["valid"]]
     if not valid_rows:
-        raise problems.GenerationError("every problem of the class failed to generate")
+        raise problems.GenerationError("every problem of the class is invalid")
 
     summaries = {}
     for m in methods:

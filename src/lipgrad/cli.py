@@ -18,10 +18,6 @@ class UsageError(Exception):
     pass
 
 
-class EvaluationFailure(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); the contract wants 1
         raise UsageError(message)
@@ -79,27 +75,6 @@ def _resolve_problem(name: str) -> problems.Problem:
     )
 
 
-def _guarded(problem: problems.Problem) -> problems.Problem:
-    """Tag exceptions raised inside f/grad so they map to exit code 2."""
-
-    def f(x):
-        try:
-            return problem.f(x)
-        except Exception as exc:
-            raise EvaluationFailure(f"objective failed at {x}: {exc}") from exc
-
-    def grad(x):
-        try:
-            return problem.grad(x)
-        except Exception as exc:
-            raise EvaluationFailure(f"gradient failed at {x}: {exc}") from exc
-
-    return problems.Problem(
-        problem.name, problem.dim, problem.lower, problem.upper, f, grad,
-        known_opt=problem.known_opt, known_K=problem.known_K,
-    )
-
-
 def _cmd_solve(args) -> int:
     problem = _resolve_problem(args.problem)
     target = None
@@ -112,7 +87,7 @@ def _cmd_solve(args) -> int:
         epsilon=args.eps, p_max=args.pmax, start_vertex=args.start,
         target=target, keep_trace=args.trace is not None,
     )
-    report = bench.run_method(args.method, _guarded(problem), config)
+    report = bench.run_method(args.method, problem, config)
     if args.trace is not None:
         bench.write_trace(report, problem, args.trace)
     print(f"problem: {problem.name}")
@@ -175,10 +150,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except EvaluationFailure as exc:
-        print(f"evaluation failure: {exc}", file=sys.stderr)
-        return 2
-    except problems.GenerationError as exc:
+    except (problems.EvaluationError, problems.GenerationError) as exc:
         print(f"evaluation failure: {exc}", file=sys.stderr)
         return 2
 

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 _POW3 = [1]
 
 
@@ -98,7 +96,6 @@ class VertexRecord:
 
     f_value: float
     gradient: tuple[float, ...]
-    trial_index: int
 
 
 @dataclass(slots=True)
@@ -161,18 +158,13 @@ class Partition:
     """The live set of hyperintervals plus the shared vertex database.
 
     Confined to a single optimizer run; not safe for concurrent mutation.
-    ``vertex_db`` may be shared read/append across replays of the same
-    subdivision sequence, which then triggers zero re-evaluations.
+    Every entry of ``vertex_db`` is one trial, in evaluation order.
     """
 
-    def __init__(self, problem, start_vertex: str = "a", vertex_db=None):
+    def __init__(self, problem, start_vertex: str = "a"):
         self.lower = tuple(float(v) for v in problem.lower)
-        self.upper = tuple(float(v) for v in problem.upper)
-        self.edge = tuple(u - l for l, u in zip(self.lower, self.upper))
-        self.vertex_db: dict[GridVertex, VertexRecord] = (
-            vertex_db if vertex_db is not None else {}
-        )
-        self.evals_performed = 0
+        self.edge = tuple(float(u) - l for l, u in zip(self.lower, problem.upper))
+        self.vertex_db: dict[GridVertex, VertexRecord] = {}
         self.boxes: dict[int, Box] = {}
         self.groups: dict[int, set[int]] = {}
         self._gheaps: dict[int, list] = {}
@@ -200,19 +192,16 @@ class Partition:
         return len(self.boxes)
 
     @property
-    def eval_counter(self) -> int:
+    def trials(self) -> int:
+        """Number of trials: each distinct vertex is evaluated exactly once."""
         return len(self.vertex_db)
 
     def get_or_eval(self, v: GridVertex, problem) -> VertexRecord:
         """Read the record for ``v`` or evaluate f and f' there exactly once."""
         rec = self.vertex_db.get(v)
         if rec is None:
-            x = np.asarray(v.real(self.lower, self.edge))
-            f_val = float(problem.f(x))
-            grad = tuple(float(g) for g in problem.grad(x))
-            rec = VertexRecord(f_val, grad, len(self.vertex_db) + 1)
+            rec = VertexRecord(*problem.value_and_grad(v.real(self.lower, self.edge)))
             self.vertex_db[v] = rec
-            self.evals_performed += 1
         return rec
 
     def trisect(self, t: int, problem) -> tuple[Box, Box, Box, Optional[VertexRecord]]:

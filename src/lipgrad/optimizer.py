@@ -16,15 +16,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import bounding, selection
-from .geometry import GridVertex, Partition, VertexRecord
+from .geometry import GridVertex, Partition
 from .stopping import (
-    REASON_TARGET,
     RunReport,
     StopTarget,
     check_stop,
     close_report,
     log_history,
-    target_reached,
+    record_trial,
 )
 
 
@@ -56,7 +55,7 @@ class OptConfig:
 
 
 class OptState:
-    """Full mutable state of one run: partition, record triple, counters."""
+    """Full mutable state of one run: partition, record point and box, phase."""
 
     def __init__(self, problem, config: OptConfig, partition: Partition):
         self.problem = problem
@@ -67,9 +66,6 @@ class OptState:
         self.record_box = 1
         self.p = 0
         self.f_min_prec = math.inf
-        self.k = 1
-        self.k_g = 0
-        self.k_l = 0
         self.phase = "init"
         self.stop_reason: Optional[str] = None
         self.history: list[tuple[int, float, float]] = []
@@ -78,35 +74,26 @@ class OptState:
 
     @property
     def trials(self) -> int:
-        return self.partition.evals_performed
+        return self.partition.trials
 
     def max_diagonal_sq(self) -> float:
         return self.partition.max_diagonal_sq()
 
 
 def initialize(problem, config: OptConfig) -> OptState:
-    """Step 0: one trial at the chosen corner, a single box of group 0."""
+    """Step 0: one trial at the chosen corner, a single box of group 0.
+
+    The record point starts at that corner, the trial vertex of box 1.
+    """
     partition = Partition(problem, config.start_vertex)
     state = OptState(problem, config, partition)
     first = partition.initial_vertex
-    rec = partition.vertex_db[first]
     _characterize(state, partition.boxes[1])
-    update_record(state, first, rec)
-    x = first.real(partition.lower, partition.edge)
-    if state.trace is not None:
-        state.trace.append((rec.trial_index, x, rec.f_value, state.f_min, state.phase))
-    _check_target(state, x)
+    record_trial(state, first.real(partition.lower, partition.edge),
+                 partition.vertex_db[first].f_value)
     check_stop(state)
     log_history(state)
     return state
-
-
-def update_record(state: OptState, vtx: GridVertex, rec: VertexRecord) -> None:
-    """Adopt a strictly better record value and re-resolve the record box."""
-    if rec.f_value < state.f_min:
-        state.f_min = rec.f_value
-        state.x_min = vtx
-        _resolve_record_box(state)
 
 
 def exploration_iteration(state: OptState, g_hi: int) -> None:
@@ -122,7 +109,6 @@ def exploration_iteration(state: OptState, g_hi: int) -> None:
         hull = selection.nondominated(dots)
         xi = selection.xi_value(state.f_min, state.config.epsilon)
         chosen = selection.improvement_filter(hull, state.f_min, xi)
-    state.k += 1
     for box_id in chosen:
         _subdivide(state, box_id)
         if state.stop_reason:
@@ -134,9 +120,7 @@ def exploration_phase(state: OptState) -> str:
     """Steps 1.1-1.5; returns 'local', 're-explore' or 'stopped'."""
     state.f_min_prec = state.f_min
     state.phase = "explore"
-    n = state.problem.dim
-    for k_g in range(1, n + 1):
-        state.k_g = k_g
+    for _ in range(state.problem.dim):
         g_hi = (state.partition.q_inf + state.p + 1) // 2
         exploration_iteration(state, g_hi)
         if state.stop_reason:
@@ -158,11 +142,9 @@ def gradient_aligned(grad, a_real, b_real) -> bool:
 
 def record_phase(state: OptState) -> None:
     """Step 2: up to N trisections of the (possibly moving) record box."""
-    state.k += 1
     state.phase = "local"
     part = state.partition
-    for k_l in range(1, state.problem.dim + 1):
-        state.k_l = k_l
+    for _ in range(state.problem.dim):
         box = part.boxes[state.record_box]
         rec = part.vertex_db[box.a]
         if gradient_aligned(rec.gradient, box.a_real, box.b_real):
@@ -208,20 +190,7 @@ def _subdivide(state: OptState, box_id: int) -> None:
     middle, low, high, new_rec = part.trisect(box_id, state.problem)
     for box in (middle, low, high):
         _characterize(state, box)
-    if new_rec is not None:
-        update_record(state, middle.a, new_rec)
-        if state.trace is not None:
-            state.trace.append(
-                (new_rec.trial_index, middle.a_real, new_rec.f_value,
-                 state.f_min, state.phase)
-            )
-        _check_target(state, middle.a_real)
+    if new_rec is not None and record_trial(state, middle.a_real, new_rec.f_value):
+        state.x_min = middle.a
     _resolve_record_box(state)
     check_stop(state)
-
-
-def _check_target(state: OptState, x_real) -> None:
-    cfg = state.config
-    if cfg.target is not None and state.stop_reason is None:
-        if target_reached(x_real, cfg.target, state.partition.lower, state.partition.upper):
-            state.stop_reason = REASON_TARGET

@@ -28,13 +28,27 @@ class GenerationError(RuntimeError):
     """Problem-class parameters could not be realized (e.g. balls do not fit)."""
 
 
+class EvaluationError(RuntimeError):
+    """f or grad failed at a point, or returned something outside the contract.
+
+    ``problem`` is the problem's name and ``x`` the point, as a tuple.
+    """
+
+    def __init__(self, problem: str, x, message: str):
+        self.problem = problem
+        self.x = tuple(x)
+        super().__init__(f"{problem}: {message} at x = {self.x}")
+
+
 @dataclass(frozen=True)
 class Problem:
     """A box-constrained objective with an analytic gradient.
 
     ``f`` and ``grad`` take a length-``dim`` point; evaluations must be pure.
-    ``f_batch``, when present, evaluates an ``(M, dim)`` array of points at
-    once and exists only for test oracles and certificates.
+    The methods call them only through :meth:`value` and
+    :meth:`value_and_grad`, which check what they return. ``f_batch``, when
+    present, evaluates an ``(M, dim)`` array of points at once and exists
+    only for test oracles and certificates.
     """
 
     name: str
@@ -62,6 +76,30 @@ class Problem:
     @property
     def edge(self) -> tuple[float, ...]:
         return tuple(u - l for l, u in zip(self.lower, self.upper))
+
+    def value(self, x) -> float:
+        """f(x) as a finite float, or EvaluationError."""
+        try:
+            value = float(self.f(np.asarray(x)))
+        except Exception as exc:
+            raise EvaluationError(self.name, x, f"f failed: {exc!r}") from exc
+        if not math.isfinite(value):
+            raise EvaluationError(self.name, x, f"f returned {value!r}")
+        return value
+
+    def value_and_grad(self, x) -> tuple[float, tuple[float, ...]]:
+        """f(x), then f'(x) as ``dim`` finite floats, or EvaluationError."""
+        value = self.value(x)
+        try:
+            grad = np.asarray(self.grad(np.asarray(x)), dtype=float)
+        except Exception as exc:
+            raise EvaluationError(self.name, x, f"grad failed: {exc!r}") from exc
+        if grad.shape != (self.dim,) or not np.isfinite(grad).all():
+            raise EvaluationError(
+                self.name, x, f"grad returned {grad!r}, expected finite values "
+                f"of shape ({self.dim},)"
+            )
+        return value, tuple(grad.tolist())
 
 
 @dataclass

@@ -64,39 +64,36 @@ def nondominated(dots) -> HullResult:
     """
     if not dots:
         raise ValueError("nondominated() needs at least one dot")
-    best: dict[float, tuple[float, list[Dot]]] = {}
+    # lower chain over the distinct d, each with its lowest F and the dots
+    # tying it: in (d, F, id) order the first dot at a d has the lowest F
+    hull: list[tuple[float, float, list[Dot]]] = []
     for dot in sorted(dots, key=lambda t: (t.d, t.F, t.box_id)):
         if dot.d <= 0:
             raise ValueError(f"dot {dot.box_id} has nonpositive d")
-        cur = best.get(dot.d)
-        if cur is None or dot.F < cur[0]:
-            best[dot.d] = (dot.F, [dot])
-        elif dot.F == cur[0]:
-            cur[1].append(dot)
-
-    pts = sorted((d, F) for d, (F, _) in best.items())
-    hull: list[tuple[float, float]] = []
-    for p in pts:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) < 0:
+        if hull and dot.d == hull[-1][0]:
+            if dot.F == hull[-1][1]:
+                hull[-1][2].append(dot)
+            continue
+        while len(hull) >= 2 and _cross(hull[-2], hull[-1], (dot.d, dot.F)) < 0:
             hull.pop()
-        hull.append(p)
+        hull.append((dot.d, dot.F, [dot]))
 
     # keep the part right of the minimum-F vertex (largest d among minima);
     # anything left of it is dominated for every positive slope
-    f_min = min(F for _, F in hull)
-    start = max(i for i, (_, F) in enumerate(hull) if F == f_min)
+    f_min = min(F for _, F, _ in hull)
+    start = max(i for i, (_, F, _) in enumerate(hull) if F == f_min)
     hull = hull[start:]
 
     edge_slopes = [
-        (F2 - F1) / (d2 - d1) for (d1, F1), (d2, F2) in zip(hull, hull[1:])
+        (F2 - F1) / (d2 - d1) for (d1, F1, _), (d2, F2, _) in zip(hull, hull[1:])
     ]
     selected: list[int] = []
     sel_dots: list[Dot] = []
     slopes: list[tuple[float, float]] = []
-    for i, (d, F) in enumerate(hull):
+    for i, (_, _, ties) in enumerate(hull):
         k_lo = 0.0 if i == 0 else edge_slopes[i - 1]
         k_hi = math.inf if i == len(hull) - 1 else edge_slopes[i]
-        for dot in best[d][1]:
+        for dot in ties:
             selected.append(dot.box_id)
             sel_dots.append(dot)
             slopes.append((k_lo, k_hi))

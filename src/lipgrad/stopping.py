@@ -1,8 +1,9 @@
-"""Stop rules, history rows and the run report shared by all three methods.
+"""Trial booking, stop rules, history rows and the run report.
 
-A run state passed to these helpers has ``config`` (an ``OptConfig``),
-``trials``, ``f_min``, ``stop_reason``, ``history``, ``trace``,
-``initial_diag_sq`` and a ``max_diagonal_sq()`` method.
+All three methods share these helpers. A run state passed to them has
+``problem``, ``config`` (an ``OptConfig``), ``trials``, ``f_min``, ``phase``,
+``stop_reason``, ``history``, ``trace``, ``initial_diag_sq`` and a
+``max_diagonal_sq()`` method.
 """
 
 from __future__ import annotations
@@ -51,6 +52,25 @@ def target_reached(x, target: StopTarget, lower, upper) -> bool:
         abs(xi - si) <= tol * (hi - lo)
         for xi, si, lo, hi in zip(x, target.x_star, lower, upper)
     )
+
+
+def record_trial(state, x, value: float) -> bool:
+    """Book trial number ``state.trials``, made at ``x`` with f(x) = ``value``.
+
+    Adopts a strictly better record value, appends the trace row
+    (trial, x, value, f_min, phase) and applies the target rule. Returns
+    whether the record value improved.
+    """
+    improved = value < state.f_min
+    if improved:
+        state.f_min = value
+    if state.trace is not None:
+        state.trace.append((state.trials, x, value, state.f_min, state.phase))
+    target = state.config.target
+    if target is not None and state.stop_reason is None:
+        if target_reached(x, target, state.problem.lower, state.problem.upper):
+            state.stop_reason = REASON_TARGET
+    return improved
 
 
 def log_history(state) -> None:

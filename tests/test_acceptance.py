@@ -49,7 +49,7 @@ def test_criterion_01_minorant_validity():
             a, b = random_box_corners(rng, dim)
             box = make_box(a, b)
             x_a = np.asarray(box.a_real)
-            rec = VertexRecord(prob.f(x_a), tuple(prob.grad(x_a)), 1)
+            rec = VertexRecord(prob.f(x_a), tuple(prob.grad(x_a)))
             axes = [
                 np.linspace(min(p, q), max(p, q), 50)
                 for p, q in zip(box.a_real, box.b_real)
@@ -99,14 +99,17 @@ def test_criterion_03_vertex_reuse():
             box_id = int(rng.choice(sorted(part.boxes)))
             sequence.append(box_id)
             part.trisect(box_id, prob)
-        assert part.eval_counter < part.m
-        assert part.eval_counter == audit.f_calls
+        assert part.trials < part.m
+        assert part.trials == audit.f_calls
         assert max(len(ids) for ids in part._trial_boxes.values()) >= 3
+        # replayed over a copy of the database, nothing is evaluated again
         replay_prob, replay_audit = with_audit(wavy_problem(2))
-        replay = Partition(replay_prob, vertex_db=part.vertex_db)
+        replay = Partition(prob)
+        replay.vertex_db.update(part.vertex_db)
         for box_id in sequence:
             replay.trisect(box_id, replay_prob)
         assert replay_audit.f_calls == 0
+        assert replay.snapshot_lines() == part.snapshot_lines()
     _report(3, "100 runs of 200 subdivisions reuse vertices, replays re-evaluate nothing")
 
 

@@ -120,7 +120,7 @@ def test_center_volume_conservation():
 
 
 def test_center_box_fields():
-    box = CenterBox(4, (1, 0), (1, 0), (0.5, 0.5), 1.25)
+    box = CenterBox(4, (1, 0), (1, 0), 1.25)
     assert box.group_key == (0, 1)
 
 

@@ -10,8 +10,8 @@ from lipgrad.problems import random_quadratic
 from util import make_box, make_vertex, random_box_corners
 
 
-def rec(f, grad, idx=1):
-    return VertexRecord(float(f), tuple(float(g) for g in grad), idx)
+def rec(f, grad):
+    return VertexRecord(float(f), tuple(float(g) for g in grad))
 
 
 def test_F_value_examples():

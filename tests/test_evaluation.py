@@ -1,0 +1,138 @@
+"""The Problem contract, checked where every method evaluates f and f'.
+
+Each probe returns a bad value or gradient, or raises, only at points with
+x[0] > 0.5, so every method meets it in the middle of a run rather than at
+its first trial. The run must stop with an EvaluationError that names the
+problem and carries the first bad point.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from lipgrad import EvaluationError, bench, cli, problems
+from lipgrad.baselines import direct_run, directl_run
+from lipgrad.optimizer import OptConfig, run
+from lipgrad.problems import Problem, problem_class
+
+METHODS = [run, direct_run, directl_run]
+
+
+def probe(dim=2, f_bad=None, grad_bad=None):
+    """A bowl around 0.8 that calls ``f_bad`` or ``grad_bad`` where x[0] > 0.5.
+
+    Returns the problem and the list of points, in call order, at which a
+    bad callable ran.
+    """
+    bad = []
+    center = np.full(dim, 0.8)
+
+    def f(x):
+        if f_bad is not None and x[0] > 0.5:
+            bad.append(tuple(x.tolist()))
+            return f_bad(x)
+        return float((x - center) @ (x - center))
+
+    def grad(x):
+        if grad_bad is not None and x[0] > 0.5:
+            bad.append(tuple(x.tolist()))
+            return grad_bad(x)
+        return 2.0 * (x - center)
+
+    prob = Problem(f"probe{dim}d", dim, (0.0,) * dim, (1.0,) * dim, f, grad,
+                   known_opt=(tuple(center.tolist()), 0.0))
+    return prob, bad
+
+
+def boom(x):
+    raise ZeroDivisionError("boom")
+
+
+def raises_at_first_bad_point(method, prob, bad) -> EvaluationError:
+    with pytest.raises(EvaluationError) as info:
+        method(prob, OptConfig(p_max=200))
+    exc = info.value
+    assert exc.x == bad[0]
+    assert exc.problem == prob.name and prob.name in str(exc)
+    return exc
+
+
+def test_value_and_grad_returns_floats():
+    prob, _ = probe()
+    value, grad = prob.value_and_grad((0.5, 0.3))
+    assert value == pytest.approx(0.34)
+    assert grad == pytest.approx((-0.6, -1.0))
+    assert type(value) is float and all(type(g) is float for g in grad)
+    assert prob.value((0.8, 0.8)) == 0.0
+
+
+def test_value_and_grad_skips_grad_when_f_fails():
+    calls = []
+    prob = Problem("p", 1, (0.0,), (1.0,), lambda x: math.nan,
+                   lambda x: calls.append(x) or np.zeros(1))
+    with pytest.raises(EvaluationError):
+        prob.value_and_grad((0.5,))
+    assert calls == []
+
+
+@pytest.mark.parametrize("method", METHODS, ids=lambda m: m.__name__)
+@pytest.mark.parametrize("value", [math.nan, -math.inf], ids=["nan", "-inf"])
+def test_nonfinite_value_raises_evaluation_error(method, value):
+    prob, bad = probe(f_bad=lambda x: value)
+    raises_at_first_bad_point(method, prob, bad)
+
+
+@pytest.mark.parametrize("method", METHODS, ids=lambda m: m.__name__)
+def test_failing_objective_keeps_its_cause(method):
+    prob, bad = probe(f_bad=boom)
+    exc = raises_at_first_bad_point(method, prob, bad)
+    assert isinstance(exc.__cause__, ZeroDivisionError)
+
+
+@pytest.mark.parametrize("dim, grad_bad", [
+    (2, lambda x: np.array([math.nan, 0.0])),
+    (2, lambda x: np.array([0.0, math.inf])),
+    (2, lambda x: np.zeros(1)),
+    (2, lambda x: np.zeros(3)),
+    (1, lambda x: 2.0 * float(x[0])),
+], ids=["nan", "inf", "shape-1", "shape-3", "scalar-1d"])
+def test_bad_gradient_raises_evaluation_error(dim, grad_bad):
+    prob, bad = probe(dim, grad_bad=grad_bad)
+    raises_at_first_bad_point(run, prob, bad)
+
+
+def test_failing_gradient_keeps_its_cause():
+    prob, bad = probe(grad_bad=boom)
+    exc = raises_at_first_bad_point(run, prob, bad)
+    assert isinstance(exc.__cause__, ZeroDivisionError)
+
+
+def test_run_class_marks_a_failing_problem_invalid(monkeypatch):
+    cls = problem_class(2, "hard", seed=0, count=3)
+    methods = ["new", "direct", "directl"]
+    expected = bench.run_class(methods, cls, delta=1e-4, p_max=5000).rows
+    generate = problems.generate
+
+    def generate_with_failure(c, index):
+        if index == 2:
+            return probe(f_bad=lambda x: math.nan)[0]
+        return generate(c, index)
+
+    monkeypatch.setattr(problems, "generate", generate_with_failure)
+    report = bench.run_class(methods, cls, delta=1e-4, p_max=5000, workers=1)
+    row = report.rows[1]
+    assert row["index"] == 2 and not row["valid"] and row["results"] == {}
+    assert "probe2d" in row["error"]
+    assert report.invalid == [(2, row["error"])]
+    assert [report.rows[0], report.rows[2]] == [expected[0], expected[2]]
+
+
+def test_cli_nan_objective_exits_two(monkeypatch, capsys):
+    nan_quad = probe(f_bad=lambda x: math.nan)[0]
+    monkeypatch.setattr(cli.problems, "analytic_suite", lambda: [
+        Problem("quad2d", 2, nan_quad.lower, nan_quad.upper, nan_quad.f, nan_quad.grad)
+    ])
+    assert cli.main(["solve", "--problem", "quad2d", "--pmax", "100"]) == 2
+    err = capsys.readouterr().err
+    assert "evaluation failure" in err and "quad2d" in err

@@ -1,7 +1,8 @@
 """Search fingerprints: the runs must do exactly what they did when pinned.
 
 A fingerprint is (trials, boxes, repr(f_min), stop reason, sha256 of
-repr(history)). Any change to the order of subdivisions, to a bound or to a
+repr(history)); traced runs also pin the sha256 of repr(trace) and of
+repr(snapshot). Any change to the order of subdivisions, to a bound or to a
 box measure shows up here even when every other test still passes.
 """
 
@@ -20,20 +21,51 @@ HARD_2D = {
                   "66acb91d9d15bda3920d09d785d68ad8fbebe1be301ee117c01d1076f2ec4b41"),
 }
 
+# sha256 of repr(report.trace) and repr(report.snapshot) for the same runs
+# with keep_trace=True
+HARD_2D_TRACE = {
+    run: ("6e230ca9390750f4bdc90d40a867de44c18caf1242f5d9a5005b062dd6be8c0d",
+          "9746f152648368bb8b6dd1602e304918ecb3332a403ea6b24e5cf88f5cb401c1"),
+    direct_run: ("995d34b95e9e8d5df556c6df89f830112955e807466854d3713abacf9bd69d40",
+                 "9bdc222f395c50b1652ae7e5f41a01603d6942a840824a07442e7d4af60bf789"),
+    directl_run: ("ea07c23efc7c79737f2bed907f5986cdc3cbee2c66267269a1cdf5aebc62c06b",
+                  "fc056abd7a9386bad711964f57491aa3e5467cbf396ac7d49338ad69f4368c98"),
+}
+
 SIMPLE_4D_BUDGET = (1000, 8483, "-0.8612897978931464", "budget",
                     "4947c869beca62283bf085f6a8a4d324110fdbec109fca4dc8836f24b35ae90b")
 
 
+def sha256_repr(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
 def fingerprint(report):
-    digest = hashlib.sha256(repr(report.history).encode()).hexdigest()
-    return (report.trials, report.boxes, repr(report.f_min), report.stop_reason, digest)
+    return (report.trials, report.boxes, repr(report.f_min), report.stop_reason,
+            sha256_repr(report.history))
+
+
+def hard_2d_problem_and_config(keep_trace=False):
+    prob = generate(problem_class(2, "hard", seed=0, count=20), 1)
+    cfg = OptConfig(target=StopTarget(prob.known_opt[0], 1e-4), p_max=100_000,
+                    keep_trace=keep_trace)
+    return prob, cfg
 
 
 @pytest.mark.parametrize("method", list(HARD_2D), ids=lambda m: m.__name__)
 def test_hard_2d_target_runs_match_pinned_fingerprint(method):
-    prob = generate(problem_class(2, "hard", seed=0, count=20), 1)
-    cfg = OptConfig(target=StopTarget(prob.known_opt[0], 1e-4), p_max=100_000)
+    prob, cfg = hard_2d_problem_and_config()
     assert fingerprint(method(prob, cfg)) == HARD_2D[method]
+
+
+@pytest.mark.parametrize("method", list(HARD_2D_TRACE), ids=lambda m: m.__name__)
+def test_hard_2d_traced_runs_match_pinned_trace_and_snapshot(method):
+    # keeping the trace must not change the search, and the trace rows and
+    # final boxes must be exactly those pinned
+    prob, cfg = hard_2d_problem_and_config(keep_trace=True)
+    report = method(prob, cfg)
+    assert fingerprint(report) == HARD_2D[method]
+    assert (sha256_repr(report.trace), sha256_repr(report.snapshot)) == HARD_2D_TRACE[method]
 
 
 def test_simple_4d_budget_run_matches_pinned_fingerprint():

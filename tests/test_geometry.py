@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lipgrad.baselines import direct_run
 from lipgrad.geometry import (
     GridFraction,
     GridVertex,
@@ -14,6 +15,7 @@ from lipgrad.geometry import (
     third_points,
     volume,
 )
+from lipgrad.optimizer import OptConfig, run
 from lipgrad.problems import Problem, with_audit
 from util import flat_problem, make_box, make_vertex, wavy_problem
 
@@ -159,13 +161,12 @@ def test_trisect_reversed_diagonal():
 def test_get_or_eval_is_idempotent():
     prob, audit = with_audit(wavy_problem(2))
     part = Partition(prob)
-    assert audit.f_calls == 1 and part.eval_counter == 1
+    assert audit.f_calls == 1 and part.trials == 1
     v = make_vertex((1, 1), (2, 1))
     rec1 = part.get_or_eval(v, prob)
     rec2 = part.get_or_eval(v, prob)
     assert rec1 is rec2
-    assert audit.f_calls == 2 and part.eval_counter == 2
-    assert rec1.trial_index == 2
+    assert audit.f_calls == 2 and part.trials == 2
 
 
 def test_new_trial_point_can_land_on_existing_vertex():
@@ -216,22 +217,19 @@ def test_vertex_sharing_and_eval_savings():
     part = Partition(prob)
     for _ in range(150):
         part.trisect(int(rng.choice(sorted(part.boxes))), prob)
-    assert part.eval_counter < part.m
-    assert part.eval_counter == audit.f_calls == part.evals_performed
+    assert part.trials < part.m
+    assert part.trials == audit.f_calls == audit.grad_calls
     sharing = [len(ids) for ids in part._trial_boxes.values()]
     assert max(sharing) >= 3
     assert max(sharing) <= 2**2  # a vertex serves at most one box per orthant
-    assert part.eval_counter <= part.m + 1
+    assert part.trials <= part.m + 1
 
 
 def test_trial_indices_are_contiguous():
-    rng = np.random.default_rng(6)
-    prob = wavy_problem(2)
-    part = Partition(prob)
-    for _ in range(80):
-        part.trisect(int(rng.choice(sorted(part.boxes))), prob)
-    indices = sorted(rec.trial_index for rec in part.vertex_db.values())
-    assert indices == list(range(1, len(indices) + 1))
+    # every trial is one trace row, numbered by the trial count
+    for method in (run, direct_run):
+        report = method(wavy_problem(2), OptConfig(p_max=80, keep_trace=True))
+        assert [row[0] for row in report.trace] == list(range(1, report.trials + 1))
 
 
 def test_group_index_bounds_hold():
@@ -256,24 +254,6 @@ def test_identical_sequences_give_identical_partitions():
         return part.snapshot_lines()
 
     assert build() == build()
-
-
-def test_replay_with_shared_database_never_reevaluates():
-    rng = np.random.default_rng(9)
-    prob = wavy_problem(2)
-    part = Partition(prob)
-    sequence = []
-    for _ in range(120):
-        box_id = int(rng.choice(sorted(part.boxes)))
-        sequence.append(box_id)
-        part.trisect(box_id, prob)
-
-    replay_prob, audit = with_audit(wavy_problem(2))
-    replay = Partition(replay_prob, vertex_db=part.vertex_db)
-    for box_id in sequence:
-        replay.trisect(box_id, replay_prob)
-    assert audit.f_calls == 0
-    assert replay.snapshot_lines() == part.snapshot_lines()
 
 
 def test_start_vertex_b_mirrors_scheme():

@@ -12,12 +12,11 @@ from lipgrad.optimizer import (
     initialize,
     record_phase,
     run,
-    update_record,
     _improved_one_percent,
     _resolve_record_box,
 )
 from lipgrad.problems import Problem, quadratic, with_audit
-from lipgrad.stopping import StopTarget
+from lipgrad.stopping import StopTarget, record_trial
 from util import flat_problem, make_vertex, wavy_problem
 
 
@@ -56,14 +55,29 @@ def test_gradient_aligned_examples():
     assert gradient_aligned((0.0, 0.0), (0.0, 0.0), (1.0, -1.0))
 
 
-def test_update_record_requires_strict_improvement():
+def test_record_trial_requires_strict_improvement():
     prob = flat_problem(2)  # every value equal
     state = initialize(prob, OptConfig(p_max=100))
-    first_vertex = state.x_min
     vertex2 = make_vertex((2, 1), 0)
     rec2 = state.partition.get_or_eval(vertex2, prob)
-    update_record(state, vertex2, rec2)
-    assert state.x_min == first_vertex  # tie does not move the record
+    x2 = vertex2.real(state.partition.lower, state.partition.edge)
+    assert not record_trial(state, x2, rec2.f_value)  # a tie is no improvement
+    assert state.f_min == rec2.f_value
+    assert record_trial(state, x2, rec2.f_value - 1.0)
+    assert state.f_min == rec2.f_value - 1.0
+
+
+def test_record_trial_books_trace_row_and_target():
+    state = SimpleNamespace(
+        problem=flat_problem(2), config=OptConfig(target=StopTarget((0.5, 0.5), 1e-2)),
+        trials=3, f_min=2.0, phase="explore", trace=[], stop_reason=None,
+    )
+    assert record_trial(state, (0.9, 0.9), 1.0)
+    assert state.trace == [(3, (0.9, 0.9), 1.0, 1.0, "explore")]
+    assert state.stop_reason is None
+    assert not record_trial(state, (0.5, 0.5), 4.0)
+    assert state.trace[-1] == (3, (0.5, 0.5), 4.0, 1.0, "explore")
+    assert state.stop_reason == "target_found"
 
 
 def test_record_box_always_carries_the_record_point():
@@ -132,7 +146,6 @@ def test_exploration_iteration_single_box_is_subdivided():
     state = initialize(wavy_problem(2), OptConfig(p_max=100))
     exploration_iteration(state, 0)
     assert state.partition.m == 3
-    assert state.k == 2
 
 
 def test_record_phase_is_bounded_by_dimension():
