@@ -151,9 +151,7 @@ class _CenterState:
             for F, box_id in entries:
                 s = sum(self.boxes[box_id].depths)
                 dots.append(selection.Dot(box_id, d, F, s))
-        hull = selection.nondominated(dots)
-        xi = selection.xi_value(self.f_min, self.config.epsilon)
-        return selection.improvement_filter(hull, self.f_min, xi)
+        return selection.choose(dots, self.f_min, self.config.epsilon)
 
     def subdivide(self, box_id: int) -> None:
         """Trisect along every longest side, best-sampled axis first."""

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import baselines, optimizer, problems
 from .optimizer import OptConfig, RunReport
-from .stopping import REASON_TARGET, StopTarget, target_reached  # noqa: F401  (re-export)
+from .stopping import REASON_TARGET, StopTarget
 
 _METHOD_ORDER = ("new", "direct", "directl")
 

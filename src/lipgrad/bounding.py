@@ -13,7 +13,10 @@ squared diagonal. F and d do not depend on k; R decreases in k.
 
 from __future__ import annotations
 
-from .geometry import Box, VertexRecord
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # geometry calls characterize when it creates a box
+    from .geometry import Box, VertexRecord
 
 
 def characterize(box: Box, rec: VertexRecord) -> float:

@@ -64,10 +64,9 @@ def _resolve_problem(name: str) -> problems.Problem:
         return suite[name]
     path, _, index_s = name.partition("#")
     if Path(path).is_file():
-        cls = problems.load_manifest(path)
-        index = int(index_s) if index_s else 1
         try:
-            return problems.generate(cls, index)
+            index = int(index_s) if index_s else 1
+            return problems.generate(problems.load_manifest(path), index)
         except (ValueError, problems.GenerationError) as exc:
             raise UsageError(str(exc)) from exc
     raise UsageError(
@@ -77,16 +76,17 @@ def _resolve_problem(name: str) -> problems.Problem:
 
 def _cmd_solve(args) -> int:
     problem = _resolve_problem(args.problem)
-    target = None
-    if args.delta is not None:
-        if problem.known_opt is None:
-            raise UsageError(f"problem {problem.name} has no known minimizer; "
-                             "--delta needs one")
-        target = StopTarget(problem.known_opt[0], args.delta)
-    config = OptConfig(
-        epsilon=args.eps, p_max=args.pmax, start_vertex=args.start,
-        target=target, keep_trace=args.trace is not None,
-    )
+    if args.delta is not None and problem.known_opt is None:
+        raise UsageError(f"problem {problem.name} has no known minimizer; "
+                         "--delta needs one")
+    try:
+        target = None if args.delta is None else StopTarget(problem.known_opt[0], args.delta)
+        config = OptConfig(
+            epsilon=args.eps, p_max=args.pmax, start_vertex=args.start,
+            target=target, keep_trace=args.trace is not None,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     report = bench.run_method(args.method, problem, config)
     if args.trace is not None:
         bench.write_trace(report, problem, args.trace)
@@ -101,25 +101,31 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if Path(args.cls).is_file():
-        cls = problems.load_manifest(args.cls)
-    else:
-        try:
+    try:
+        if Path(args.cls).is_file():
+            cls = problems.load_manifest(args.cls)
+        else:
             difficulty, dim_s, count_s = args.cls.split(":")
             cls = problems.problem_class(
                 int(dim_s), difficulty, seed=args.seed, count=int(count_s)
             )
-        except ValueError as exc:
-            raise UsageError(
-                f"--class must be a manifest path or difficulty:dim:count, "
-                f"got {args.cls!r}"
-            ) from exc
+    except ValueError as exc:
+        raise UsageError(
+            f"--class must be a manifest path or difficulty:dim:count, "
+            f"got {args.cls!r} ({exc})"
+        ) from exc
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise UsageError("--methods needs at least one method")
     for m in methods:
         if m not in ("new", "direct", "directl"):
             raise UsageError(f"unknown method {m!r}")
     if args.workers < 1:
         raise UsageError("--workers must be at least 1")
+    try:  # the run parameters every problem shares, checked before any runs
+        OptConfig(epsilon=args.eps, p_max=args.pmax, target=StopTarget((), args.delta))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     report = bench.run_class(
         methods, cls, delta=args.delta, p_max=args.pmax,
         workers=args.workers, epsilon=args.eps, out_dir=args.out,

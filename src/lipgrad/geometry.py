@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
+from . import bounding
+
 _POW3 = [1]
 
 
@@ -80,11 +82,6 @@ class GridVertex(NamedTuple):
         return ",".join(str(c) for c in self.coords)
 
 
-def vertex(*pairs: tuple[int, int]) -> GridVertex:
-    """Convenience constructor from (num, depth) pairs."""
-    return GridVertex(tuple(grid_fraction(n, d) for n, d in pairs))
-
-
 def corner_vertex(dim: int, upper: bool) -> GridVertex:
     one_or_zero = grid_fraction(1 if upper else 0, 0)
     return GridVertex((one_or_zero,) * dim)
@@ -103,8 +100,8 @@ class Box:
     """A hyperinterval [a, b] with trial vertex ``a`` and group index ``s``.
 
     ``d`` is half the squared real diagonal. ``F``, the minimum of the
-    gradient linearization over the box, is cached once the trial record
-    exists; it never changes afterwards.
+    gradient linearization over the box, is set when the partition creates
+    the box and never changes afterwards.
     """
 
     id: int
@@ -184,8 +181,10 @@ class Partition:
         else:
             raise ValueError("start_vertex must be 'a' or 'b'")
         self.initial_vertex = va
-        self.get_or_eval(va, problem)
-        self._add_box(1, 0, va, vb)
+        rec = self.get_or_eval(va, problem)
+        a_real, b_real = va.real(self.lower, self.edge), vb.real(self.lower, self.edge)
+        d = 0.5 * sum((br - ar) ** 2 for ar, br in zip(a_real, b_real))
+        self._add_box(1, 0, va, vb, a_real, b_real, d, rec)
 
     @property
     def m(self) -> int:
@@ -208,8 +207,9 @@ class Partition:
         """Split box ``t`` perpendicular to its longest side into equal thirds.
 
         The middle child keeps id ``t``; the children adjacent to the old
-        ``a`` and ``b`` vertices get ids m+1 and m+2. Returns the children
-        plus the record of the new trial point, or None if it was reused.
+        ``a`` and ``b`` vertices get ids m+1 and m+2. Returns the children,
+        each with its bound F, plus the record of the new trial point, or
+        None if it was reused.
         """
         box = self.boxes[t]
         i = self.split_axis(box.s)
@@ -229,9 +229,10 @@ class Partition:
         # children share side lengths, hence one d for all three
         d = 0.5 * sum((br - ar) ** 2 for ar, br in zip(u_real, v_real))
         self._remove_box(box)
-        middle = self._add_box(t, s_child, u, v, u_real, v_real, d)
-        low = self._add_box(m + 1, s_child, box.a, v, box.a_real, v_real, d)
-        high = self._add_box(m + 2, s_child, u, box.b, u_real, box.b_real, d)
+        middle = self._add_box(t, s_child, u, v, u_real, v_real, d, rec)
+        low = self._add_box(m + 1, s_child, box.a, v, box.a_real, v_real, d,
+                            self.vertex_db[box.a])
+        high = self._add_box(m + 2, s_child, u, box.b, u_real, box.b_real, d, rec)
 
         if s_child > self.q_0:
             self.q_0 = s_child
@@ -254,19 +255,12 @@ class Partition:
             sides[i] /= 3
         return axes[s]
 
-    def set_characteristic(self, box_id: int, F: float) -> None:
-        """Cache F on a box and index it for group-minimum queries."""
-        box = self.boxes[box_id]
-        box.F = F
-        heapq.heappush(self._gheaps.setdefault(box.s, []), (F, box_id))
-
     def group_min_entries(self, s: int) -> list[tuple[float, int]]:
         """(F, id) for every box attaining the minimal F in group ``s``."""
         live = self.groups.get(s)
-        heap = self._gheaps.get(s)
-        if not live or not heap:
+        if not live:
             return []
-        return heap_min_entries(heap, live)
+        return heap_min_entries(self._gheaps[s], live)
 
     def boxes_at_vertex(self, v: GridVertex) -> set[int]:
         """Ids of live boxes whose trial vertex is ``v``."""
@@ -289,17 +283,13 @@ class Partition:
 
     def _add_box(
         self, box_id: int, s: int, a: GridVertex, b: GridVertex,
-        a_real=None, b_real=None, d=None,
+        a_real: tuple[float, ...], b_real: tuple[float, ...], d: float,
+        rec: VertexRecord,
     ) -> Box:
-        if a_real is None:
-            a_real = a.real(self.lower, self.edge)
-        if b_real is None:
-            b_real = b.real(self.lower, self.edge)
-        if any(pa == pb for pa, pb in zip(a.coords, b.coords)):
-            raise AssertionError(f"degenerate child box {box_id}")
-        if d is None:
-            d = 0.5 * sum((br - ar) ** 2 for ar, br in zip(a_real, b_real))
+        """Make and index a box with its bound F from ``rec``, the record at ``a``."""
         box = Box(box_id, s, a, b, a_real, b_real, d)
+        box.F = bounding.characterize(box, rec)
+        heapq.heappush(self._gheaps.setdefault(s, []), (box.F, box_id))
         self.boxes[box_id] = box
         self.groups.setdefault(s, set()).add(box_id)
         self._group_diag_sq.setdefault(s, 2.0 * d)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from . import bounding, selection
+from . import selection
 from .geometry import GridVertex, Partition
 from .stopping import (
     RunReport,
@@ -65,7 +65,6 @@ class OptState:
         self.x_min: GridVertex = partition.initial_vertex
         self.record_box = 1
         self.p = 0
-        self.f_min_prec = math.inf
         self.phase = "init"
         self.stop_reason: Optional[str] = None
         self.history: list[tuple[int, float, float]] = []
@@ -88,7 +87,6 @@ def initialize(problem, config: OptConfig) -> OptState:
     partition = Partition(problem, config.start_vertex)
     state = OptState(problem, config, partition)
     first = partition.initial_vertex
-    _characterize(state, partition.boxes[1])
     record_trial(state, first.real(partition.lower, partition.edge),
                  partition.vertex_db[first].f_value)
     check_stop(state)
@@ -104,11 +102,7 @@ def exploration_iteration(state: OptState, g_hi: int) -> None:
     """
     part = state.partition
     dots = selection.group_representatives(part, part.q_inf, g_hi)
-    chosen: list[int] = []
-    if dots:
-        hull = selection.nondominated(dots)
-        xi = selection.xi_value(state.f_min, state.config.epsilon)
-        chosen = selection.improvement_filter(hull, state.f_min, xi)
+    chosen = selection.choose(dots, state.f_min, state.config.epsilon) if dots else []
     for box_id in chosen:
         _subdivide(state, box_id)
         if state.stop_reason:
@@ -118,14 +112,14 @@ def exploration_iteration(state: OptState, g_hi: int) -> None:
 
 def exploration_phase(state: OptState) -> str:
     """Steps 1.1-1.5; returns 'local', 're-explore' or 'stopped'."""
-    state.f_min_prec = state.f_min
+    f_prec = state.f_min
     state.phase = "explore"
     for _ in range(state.problem.dim):
         g_hi = (state.partition.q_inf + state.p + 1) // 2
         exploration_iteration(state, g_hi)
         if state.stop_reason:
             return "stopped"
-        if _improved_one_percent(state.f_min, state.f_min_prec):
+        if _improved_one_percent(state.f_min, f_prec):
             return "local"
     exploration_iteration(state, state.p)
     if state.stop_reason:
@@ -171,11 +165,6 @@ def _improved_one_percent(f_min: float, f_prec: float) -> bool:
     return f_min <= f_prec - 0.01 * abs(f_prec)
 
 
-def _characterize(state: OptState, box) -> None:
-    rec = state.partition.vertex_db[box.a]
-    state.partition.set_characteristic(box.id, bounding.characterize(box, rec))
-
-
 def _resolve_record_box(state: OptState) -> None:
     # the record vertex always remains the trial vertex of at least one box
     part = state.partition
@@ -187,9 +176,7 @@ def _resolve_record_box(state: OptState) -> None:
 
 def _subdivide(state: OptState, box_id: int) -> None:
     part = state.partition
-    middle, low, high, new_rec = part.trisect(box_id, state.problem)
-    for box in (middle, low, high):
-        _characterize(state, box)
+    middle, _, _, new_rec = part.trisect(box_id, state.problem)
     if new_rec is not None and record_trial(state, middle.a_real, new_rec.f_value):
         state.x_min = middle.a
     _resolve_record_box(state)

@@ -73,10 +73,6 @@ class Problem:
                     f"{self.name}: axis {j} needs finite lower < upper, got [{lo}, {hi}]"
                 )
 
-    @property
-    def edge(self) -> tuple[float, ...]:
-        return tuple(u - l for l, u in zip(self.lower, self.upper))
-
     def value(self, x) -> float:
         """f(x) as a finite float, or EvaluationError."""
         try:
@@ -295,6 +291,10 @@ class ProblemClass:
     value_gap: float = 0.30
     lower: float = -1.0
     upper: float = 1.0
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError(f"a class needs at least one problem, got count={self.count}")
 
 
 _DIFFICULTY_KNOBS = {

@@ -41,7 +41,6 @@ def group_representatives(partition, s_lo: int, s_hi: int) -> list[Dot]:
     """Minimal-F dot(s) of every nonempty group with s in [s_lo, s_hi].
 
     Ties on F within a group are all included; empty groups are skipped.
-    Boxes must have been characterized (F cached) to be visible.
     """
     if s_lo > s_hi:
         raise ValueError("s_lo must not exceed s_hi")
@@ -118,6 +117,11 @@ def improvement_filter(hull: HullResult, f_min: float, xi: float) -> list[int]:
         if math.isinf(k_hi) or dot.F - k_hi * dot.d <= f_min - xi:
             keep.append(box_id)
     return keep
+
+
+def choose(dots, f_min: float, epsilon: float) -> list[int]:
+    """Boxes to subdivide: the nondominated dots that pass the margin filter."""
+    return improvement_filter(nondominated(dots), f_min, xi_value(f_min, epsilon))
 
 
 def hull_snapshot_lines(dots, hull: HullResult) -> list[str]:

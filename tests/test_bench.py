@@ -16,13 +16,12 @@ from lipgrad.bench import (
     read_trace,
     run_class,
     run_method,
-    target_reached,
     write_trace,
 )
 from lipgrad.optimizer import OptConfig, run
 from lipgrad.problems import problem_class, quadratic, with_audit, write_manifest
 from lipgrad.selection import Dot, hull_snapshot_lines, nondominated
-from lipgrad.stopping import StopTarget
+from lipgrad.stopping import StopTarget, target_reached
 from util import wavy_problem
 
 
@@ -236,13 +235,26 @@ def test_cli_solve_manifest_problem(tmp_path, capsys):
     assert "trials:" in capsys.readouterr().out
 
 
-def test_cli_usage_errors_exit_one(capsys):
-    assert cli.main(["solve", "--problem", "no-such-problem"]) == 1
-    assert cli.main(["bench", "--class", "bogus", "--delta", "1e-4"]) == 1
-    assert cli.main(["frobnicate"]) == 1
-    assert cli.main([]) == 1
-    assert cli.main(["solve", "--problem", "quad2d", "--nope"]) == 1
-    capsys.readouterr()
+def test_cli_usage_errors_exit_one(tmp_path, capsys):
+    manifest = tmp_path / "cls.json"
+    write_manifest(problem_class(2, "simple", seed=5, count=3), manifest)
+    for argv in (
+        ["solve", "--problem", f"{manifest}#x"],
+        ["solve", "--problem", "no-such-problem"],
+        ["bench", "--class", "bogus", "--delta", "1e-4"],
+        ["frobnicate"],
+        [],
+        ["solve", "--problem", "quad2d", "--nope"],
+        ["solve", "--problem", "quad2d", "--pmax", "0"],
+        ["solve", "--problem", "quad2d", "--eps", "-1"],
+        ["solve", "--problem", "quad2d", "--delta", "2"],
+        ["bench", "--class", "hard:2:2", "--delta", "0"],
+        ["bench", "--class", "hard:2:0", "--delta", "1e-2"],
+        ["bench", "--class", "hard:2:2", "--delta", "1e-2", "--methods", ","],
+    ):
+        assert cli.main(argv) == 1, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
 
 
 def test_cli_evaluation_failure_exits_two(tmp_path, capsys, monkeypatch):

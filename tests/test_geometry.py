@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lipgrad.baselines import direct_run
+from lipgrad.bounding import characterize
 from lipgrad.geometry import (
     GridFraction,
     GridVertex,
@@ -151,11 +152,29 @@ def test_trisect_reversed_diagonal():
     prob = flat_problem(2)
     part = Partition(prob)
     part._remove_box(part.boxes[1])
-    part._add_box(1, 0, make_vertex(1, 0), make_vertex(0, 1))
+    box = make_box(make_vertex(1, 0), make_vertex(0, 1))
+    part._add_box(box.id, box.s, box.a, box.b, box.a_real, box.b_real, box.d,
+                  part.get_or_eval(box.a, prob))
     middle, low, high, _ = part.trisect(1, prob)
     assert middle.a == make_vertex((1, 1), 0) and middle.b == make_vertex((2, 1), 1)
     assert low.a == make_vertex(1, 0) and low.b == make_vertex((2, 1), 1)
     assert high.a == make_vertex((1, 1), 0) and high.b == make_vertex(0, 1)
+
+
+def test_trisect_children_carry_their_bound():
+    # no caller finishes a box: trisection alone sets F and indexes it
+    rng = np.random.default_rng(12)
+    prob = wavy_problem(2)
+    part = Partition(prob)
+    for _ in range(80):
+        children = part.trisect(int(rng.choice(sorted(part.boxes))), prob)[:3]
+        for child in children:
+            assert child.F == characterize(child, part.vertex_db[child.a])
+            least = min(part.boxes[i].F for i in part.groups[child.s])
+            entries = part.group_min_entries(child.s)
+            assert all(F == least for F, _ in entries)
+            if child.F == least:
+                assert (child.F, child.id) in entries
 
 
 def test_get_or_eval_is_idempotent():

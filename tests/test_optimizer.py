@@ -194,10 +194,13 @@ def test_run_history_is_monotone():
 
 
 def test_run_diagonal_stop_rule():
-    report = run(wavy_problem(2), OptConfig(p_max=100_000, diagonal=0.2))
-    assert report.stop_reason == "diagonal"
-    rel = math.sqrt(report.history[-1][2] / report.history[0][2])
-    assert rel <= 0.2
+    # the rule is shared by all three methods
+    for method, trials in ((run, 50), (baselines.direct_run, 171),
+                           (baselines.directl_run, 149)):
+        report = method(wavy_problem(2), OptConfig(p_max=100_000, diagonal=0.2))
+        assert (report.stop_reason, report.trials) == ("diagonal", trials)
+        rel = math.sqrt(report.history[-1][2] / report.history[0][2])
+        assert rel <= 0.2
 
 
 def test_run_is_deterministic():

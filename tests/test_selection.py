@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lipgrad.geometry import Partition
-from lipgrad.bounding import characterize
 from lipgrad.selection import (
     Dot,
     group_representatives,
@@ -140,8 +139,6 @@ def test_group_representatives_reports_min_F_ties():
     part = Partition(prob)
     for _ in range(5):
         part.trisect(min(part.boxes), prob)
-    for box in part.boxes.values():
-        part.set_characteristic(box.id, characterize(box, part.vertex_db[box.a]))
     dots = group_representatives(part, part.q_inf, part.q_0)
     seen_groups = {t.s for t in dots}
     assert seen_groups == {s for s, ids in part.groups.items() if ids}
@@ -159,8 +156,6 @@ def test_group_representatives_includes_equal_minima():
     prob = flat_problem(2)  # every trial value equal -> all F equal
     part = Partition(prob)
     part.trisect(1, prob)
-    for box in part.boxes.values():
-        part.set_characteristic(box.id, 3.5)
     dots = group_representatives(part, 1, 1)
     assert sorted(t.box_id for t in dots) == [1, 2, 3]
 
