@@ -73,6 +73,9 @@ class _CenterState:
         # level = min depth (locally biased)
         self.groups: dict = {}
         self._heaps: dict = {}
+        # tied minimal (f_center, id) entries per group, dropped when they
+        # may change
+        self._mins: dict = {}
         self._d_cache: dict = {}
         # diagonal bookkeeping is always by sorted depth vector
         self._diag_counts: dict[tuple[int, ...], int] = {}
@@ -123,6 +126,9 @@ class _CenterState:
         key = self._select_key(box)
         self.groups.setdefault(key, set()).add(box.id)
         heapq.heappush(self._heaps.setdefault(key, []), (box.f_center, box.id))
+        cached = self._mins.get(key)
+        if cached is not None and box.f_center <= cached[0][0]:
+            del self._mins[key]
         if key not in self._d_cache:
             self._d_cache[key] = self._key_d(key)
         dkey = box.group_key
@@ -130,7 +136,11 @@ class _CenterState:
 
     def _remove_box(self, box: CenterBox) -> None:
         del self.boxes[box.id]
-        self.groups[self._select_key(box)].discard(box.id)
+        key = self._select_key(box)
+        self.groups[key].discard(box.id)
+        cached = self._mins.get(key)
+        if cached is not None and (box.f_center, box.id) in cached:
+            del self._mins[key]
         self._diag_counts[box.group_key] -= 1
 
     def max_diagonal_sq(self) -> float:
@@ -144,7 +154,9 @@ class _CenterState:
         for key, live in self.groups.items():
             if not live:
                 continue
-            entries = heap_min_entries(self._heaps[key], live)
+            entries = self._mins.get(key)
+            if entries is None:
+                entries = self._mins[key] = heap_min_entries(self._heaps[key], live)
             if self.locally_biased:
                 entries = entries[:1]
             d = self._d_cache[key]

@@ -87,6 +87,12 @@ def _cmd_solve(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if args.trace is not None:  # checked before any trial, written after the run
+        trace = Path(args.trace)
+        if not trace.parent.is_dir():
+            raise UsageError(f"--trace {args.trace}: no directory {trace.parent}")
+        if trace.is_dir():
+            raise UsageError(f"--trace {args.trace} is a directory")
     report = bench.run_method(args.method, problem, config)
     if args.trace is not None:
         bench.write_trace(report, problem, args.trace)
@@ -126,6 +132,11 @@ def _cmd_bench(args) -> int:
         OptConfig(epsilon=args.eps, p_max=args.pmax, target=StopTarget((), args.delta))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if args.out is not None:
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"--out {args.out}: {exc}") from exc
     report = bench.run_class(
         methods, cls, delta=args.delta, p_max=args.pmax,
         workers=args.workers, epsilon=args.eps, out_dir=args.out,

@@ -165,6 +165,8 @@ class Partition:
         self.boxes: dict[int, Box] = {}
         self.groups: dict[int, set[int]] = {}
         self._gheaps: dict[int, list] = {}
+        # tied minimal (F, id) entries per group, dropped when they may change
+        self._gmins: dict[int, list[tuple[float, int]]] = {}
         self._group_diag_sq: dict[int, float] = {}
         # real side lengths of the next group to get a split axis
         self._sides = [Fraction(e) for e in self.edge]
@@ -256,11 +258,18 @@ class Partition:
         return axes[s]
 
     def group_min_entries(self, s: int) -> list[tuple[float, int]]:
-        """(F, id) for every box attaining the minimal F in group ``s``."""
-        live = self.groups.get(s)
-        if not live:
-            return []
-        return heap_min_entries(self._gheaps[s], live)
+        """(F, id) for every box attaining the minimal F in group ``s``.
+
+        The list is cached until the group's minimum may change; callers
+        must not modify it.
+        """
+        entries = self._gmins.get(s)
+        if entries is None:
+            live = self.groups.get(s)
+            if not live:
+                return []
+            entries = self._gmins[s] = heap_min_entries(self._gheaps[s], live)
+        return entries
 
     def boxes_at_vertex(self, v: GridVertex) -> set[int]:
         """Ids of live boxes whose trial vertex is ``v``."""
@@ -290,6 +299,9 @@ class Partition:
         box = Box(box_id, s, a, b, a_real, b_real, d)
         box.F = bounding.characterize(box, rec)
         heapq.heappush(self._gheaps.setdefault(s, []), (box.F, box_id))
+        cached = self._gmins.get(s)
+        if cached is not None and box.F <= cached[0][0]:
+            del self._gmins[s]
         self.boxes[box_id] = box
         self.groups.setdefault(s, set()).add(box_id)
         self._group_diag_sq.setdefault(s, 2.0 * d)
@@ -297,6 +309,9 @@ class Partition:
         return box
 
     def _remove_box(self, box: Box) -> None:
+        cached = self._gmins.get(box.s)
+        if cached is not None and (box.F, box.id) in cached:
+            del self._gmins[box.s]
         del self.boxes[box.id]
         self.groups[box.s].discard(box.id)
         self._trial_boxes[box.a].discard(box.id)

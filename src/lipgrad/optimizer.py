@@ -176,8 +176,11 @@ def _resolve_record_box(state: OptState) -> None:
 
 def _subdivide(state: OptState, box_id: int) -> None:
     part = state.partition
-    middle, _, _, new_rec = part.trisect(box_id, state.problem)
+    middle, low, _, new_rec = part.trisect(box_id, state.problem)
     if new_rec is not None and record_trial(state, middle.a_real, new_rec.f_value):
         state.x_min = middle.a
-    _resolve_record_box(state)
+    # trisection removed a box at low.a and added boxes at middle.a and
+    # low.a; at any other record vertex the record box is as it was
+    if state.x_min == middle.a or state.x_min == low.a:
+        _resolve_record_box(state)
     check_stop(state)

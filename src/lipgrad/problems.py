@@ -44,11 +44,11 @@ class EvaluationError(RuntimeError):
 class Problem:
     """A box-constrained objective with an analytic gradient.
 
-    ``f`` and ``grad`` take a length-``dim`` point; evaluations must be pure.
-    The methods call them only through :meth:`value` and
-    :meth:`value_and_grad`, which check what they return. ``f_batch``, when
-    present, evaluates an ``(M, dim)`` array of points at once and exists
-    only for test oracles and certificates.
+    ``f`` and ``grad`` take a length-``dim`` point, which the methods pass as
+    a read-only float array; evaluations must be pure. The methods call them
+    only through :meth:`value` and :meth:`value_and_grad`, which check what
+    they return. ``f_batch``, when present, evaluates an ``(M, dim)`` array
+    of points at once and exists only for test oracles and certificates.
     """
 
     name: str
@@ -75,27 +75,43 @@ class Problem:
 
     def value(self, x) -> float:
         """f(x) as a finite float, or EvaluationError."""
+        return self._value(_read_only_point(x), x)
+
+    def value_and_grad(self, x) -> tuple[float, tuple[float, ...]]:
+        """f(x), then f'(x) as ``dim`` finite floats, or EvaluationError.
+
+        f and grad receive the same read-only float array.
+        """
+        point = _read_only_point(x)
+        value = self._value(point, x)
         try:
-            value = float(self.f(np.asarray(x)))
+            grad = np.asarray(self.grad(point), dtype=float)
+        except Exception as exc:
+            raise EvaluationError(self.name, x, f"grad failed: {exc!r}") from exc
+        if grad.shape == (self.dim,):
+            components = tuple(grad.tolist())
+            if all(map(math.isfinite, components)):
+                return value, components
+        raise EvaluationError(
+            self.name, x, f"grad returned {grad!r}, expected finite values "
+            f"of shape ({self.dim},)"
+        )
+
+    def _value(self, point: np.ndarray, x) -> float:
+        try:
+            value = float(self.f(point))
         except Exception as exc:
             raise EvaluationError(self.name, x, f"f failed: {exc!r}") from exc
         if not math.isfinite(value):
             raise EvaluationError(self.name, x, f"f returned {value!r}")
         return value
 
-    def value_and_grad(self, x) -> tuple[float, tuple[float, ...]]:
-        """f(x), then f'(x) as ``dim`` finite floats, or EvaluationError."""
-        value = self.value(x)
-        try:
-            grad = np.asarray(self.grad(np.asarray(x)), dtype=float)
-        except Exception as exc:
-            raise EvaluationError(self.name, x, f"grad failed: {exc!r}") from exc
-        if grad.shape != (self.dim,) or not np.isfinite(grad).all():
-            raise EvaluationError(
-                self.name, x, f"grad returned {grad!r}, expected finite values "
-                f"of shape ({self.dim},)"
-            )
-        return value, tuple(grad.tolist())
+
+def _read_only_point(x) -> np.ndarray:
+    """A fresh float copy of ``x`` that f and grad cannot write into."""
+    point = np.array(x, dtype=float)
+    point.flags.writeable = False
+    return point
 
 
 @dataclass
@@ -368,32 +384,40 @@ def generate(cls: ProblemClass, index: int) -> Problem:
     R = np.asarray(radii)
     R2 = R * R
 
-    def f(x):
+    # grad follows f at the same point, so the terms of the last point are
+    # kept; one slot replaced whole never mixes the terms of two points
+    last = [(None, None)]
+
+    def terms(x):
+        """(x - T, |x - T|^2, x - C, rho^2 per ball, first ball containing x or -1)."""
         x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        seen, kept = last[0]
+        if seen == key:
+            return kept
         dT = x - T
         p = float(dT @ dT)
         dx = x - C
         rho2 = np.einsum("ij,ij->i", dx, dx)
         inside = np.nonzero(rho2 < R2)[0]
-        if inside.size == 0:
+        kept = (dT, p, dx, rho2, int(inside[0]) if inside.size else -1)
+        last[0] = (key, kept)
+        return kept
+
+    def f(x):
+        _, p, _, rho2, i = terms(x)
+        if i < 0:
             return p
-        i = int(inside[0])
         u = rho2[i] / R2[i]
         w = (1.0 - u) ** 2
         h = values[i] + rho2[i]
         return p + w * (h - p)
 
     def grad(x):
-        x = np.asarray(x, dtype=float)
-        dT = x - T
-        p = float(dT @ dT)
+        dT, p, dx, rho2, i = terms(x)
         gp = 2.0 * dT
-        dx = x - C
-        rho2 = np.einsum("ij,ij->i", dx, dx)
-        inside = np.nonzero(rho2 < R2)[0]
-        if inside.size == 0:
+        if i < 0:
             return gp
-        i = int(inside[0])
         u = rho2[i] / R2[i]
         w = (1.0 - u) ** 2
         h = values[i] + rho2[i]

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Dot:
+class Dot(NamedTuple):
     box_id: int
     d: float
     F: float
@@ -51,8 +52,7 @@ def group_representatives(partition, s_lo: int, s_hi: int) -> list[Dot]:
     return dots
 
 
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+_BY_D_F_ID = itemgetter(1, 2, 0)
 
 
 def nondominated(dots) -> HullResult:
@@ -66,16 +66,22 @@ def nondominated(dots) -> HullResult:
     # lower chain over the distinct d, each with its lowest F and the dots
     # tying it: in (d, F, id) order the first dot at a d has the lowest F
     hull: list[tuple[float, float, list[Dot]]] = []
-    for dot in sorted(dots, key=lambda t: (t.d, t.F, t.box_id)):
-        if dot.d <= 0:
+    for dot in sorted(dots, key=_BY_D_F_ID):
+        _, d, F, _ = dot
+        if d <= 0:
             raise ValueError(f"dot {dot.box_id} has nonpositive d")
-        if hull and dot.d == hull[-1][0]:
-            if dot.F == hull[-1][1]:
+        if hull and d == hull[-1][0]:
+            if F == hull[-1][1]:
                 hull[-1][2].append(dot)
             continue
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], (dot.d, dot.F)) < 0:
-            hull.pop()
-        hull.append((dot.d, dot.F, [dot]))
+        # pop while the last vertex lies above the chord to (d, F)
+        while len(hull) >= 2:
+            (d1, F1, _), (d2, F2, _) = hull[-2], hull[-1]
+            if (d2 - d1) * (F - F1) - (F2 - F1) * (d - d1) < 0:
+                hull.pop()
+            else:
+                break
+        hull.append((d, F, [dot]))
 
     # keep the part right of the minimum-F vertex (largest d among minima);
     # anything left of it is dominated for every positive slope
@@ -83,19 +89,22 @@ def nondominated(dots) -> HullResult:
     start = max(i for i, (_, F, _) in enumerate(hull) if F == f_min)
     hull = hull[start:]
 
-    edge_slopes = [
-        (F2 - F1) / (d2 - d1) for (d1, F1, _), (d2, F2, _) in zip(hull, hull[1:])
-    ]
     selected: list[int] = []
     sel_dots: list[Dot] = []
     slopes: list[tuple[float, float]] = []
-    for i, (_, _, ties) in enumerate(hull):
-        k_lo = 0.0 if i == 0 else edge_slopes[i - 1]
-        k_hi = math.inf if i == len(hull) - 1 else edge_slopes[i]
+    k_lo = 0.0
+    last = len(hull) - 1
+    for i, (d1, F1, ties) in enumerate(hull):
+        if i < last:
+            d2, F2, _ = hull[i + 1]
+            k_hi = (F2 - F1) / (d2 - d1)
+        else:
+            k_hi = math.inf
         for dot in ties:
             selected.append(dot.box_id)
             sel_dots.append(dot)
             slopes.append((k_lo, k_hi))
+        k_lo = k_hi
     return HullResult(tuple(selected), tuple(sel_dots), tuple(slopes))
 
 
@@ -129,7 +138,7 @@ def hull_snapshot_lines(dots, hull: HullResult) -> list[str]:
     chosen = set(hull.selected)
     lines = [
         f"D {t.box_id} {t.d!r} {t.F!r} {t.s} {1 if t.box_id in chosen else 0}"
-        for t in sorted(dots, key=lambda t: (t.d, t.F, t.box_id))
+        for t in sorted(dots, key=_BY_D_F_ID)
     ]
     for (k_lo, k_hi), box_id in zip(hull.slopes, hull.selected):
         lines.append(f"S {box_id} {k_lo!r} {k_hi!r}")

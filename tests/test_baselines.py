@@ -3,8 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lipgrad import baselines
+from lipgrad import baselines, selection
 from lipgrad.baselines import CenterBox, _CenterState, direct_run, directl_run
+from lipgrad.geometry import heap_min_entries
 from lipgrad.optimizer import OptConfig
 from lipgrad.problems import generate, problem_class, quadratic, with_audit
 from lipgrad.stopping import StopTarget, check_stop
@@ -140,3 +141,28 @@ def test_budget_one_stops_after_first_center():
     report = direct_run(wavy_problem(2), OptConfig(p_max=1))
     assert report.trials == 1 and report.stop_reason == "budget"
     assert report.boxes == 1
+
+
+def rescanned_select(state: _CenterState) -> list[int]:
+    """select() without the cached minima: every group's heap is rescanned."""
+    dots = []
+    for key, live in state.groups.items():
+        if not live:
+            continue
+        entries = heap_min_entries(list(state._heaps[key]), live)
+        if state.locally_biased:
+            entries = entries[:1]
+        for F, box_id in entries:
+            dots.append(selection.Dot(box_id, state._d_cache[key], F,
+                                      sum(state.boxes[box_id].depths)))
+    return selection.choose(dots, state.f_min, state.config.epsilon)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("locally_biased", [False, True], ids=["direct", "directl"])
+def test_cached_select_matches_a_rescan(dim, locally_biased):
+    state = _CenterState(wavy_problem(dim), OptConfig(p_max=1500), locally_biased)
+    check_stop(state)
+    while not state.stop_reason:
+        assert state.select() == rescanned_select(state)
+        state.iterate()

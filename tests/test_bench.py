@@ -251,6 +251,10 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
         ["bench", "--class", "hard:2:2", "--delta", "0"],
         ["bench", "--class", "hard:2:0", "--delta", "1e-2"],
         ["bench", "--class", "hard:2:2", "--delta", "1e-2", "--methods", ","],
+        ["solve", "--problem", "quad2d", "--pmax", "5", "--trace",
+         str(tmp_path / "nonexistent" / "t")],
+        ["bench", "--class", "hard:2:2", "--delta", "1e-2", "--pmax", "200",
+         "--out", str(manifest)],
     ):
         assert cli.main(argv) == 1, argv
         err = capsys.readouterr().err.splitlines()

@@ -76,6 +76,26 @@ def test_value_and_grad_skips_grad_when_f_fails():
     assert calls == []
 
 
+@pytest.mark.parametrize("writer", ["f", "grad"])
+def test_objective_writing_into_its_point_raises(writer):
+    # f and grad share one read-only array per point
+    def f(x):
+        if writer == "f":
+            x[0] = 0.0
+        return float(x @ x)
+
+    def grad(x):
+        if writer == "grad":
+            x[0] = 0.0
+        return 2.0 * x
+
+    prob = Problem("scribble", 2, (0.0, 0.0), (1.0, 1.0), f, grad)
+    with pytest.raises(EvaluationError, match=f"{writer} failed") as info:
+        prob.value_and_grad((0.5, 0.25))
+    assert info.value.x == (0.5, 0.25)
+    assert isinstance(info.value.__cause__, ValueError)
+
+
 @pytest.mark.parametrize("method", METHODS, ids=lambda m: m.__name__)
 @pytest.mark.parametrize("value", [math.nan, -math.inf], ids=["nan", "-inf"])
 def test_nonfinite_value_raises_evaluation_error(method, value):

@@ -10,7 +10,16 @@ import hashlib
 
 import pytest
 
-from lipgrad import OptConfig, StopTarget, direct_run, directl_run, generate, problem_class, run
+from lipgrad import (
+    OptConfig,
+    StopTarget,
+    direct_run,
+    directl_run,
+    generate,
+    problem_class,
+    run,
+    run_class,
+)
 
 HARD_2D = {
     run: (52, 161, "-0.8380273754537348", "target_found",
@@ -34,6 +43,10 @@ HARD_2D_TRACE = {
 
 SIMPLE_4D_BUDGET = (1000, 8483, "-0.8612897978931464", "budget",
                     "4947c869beca62283bf085f6a8a4d324110fdbec109fca4dc8836f24b35ae90b")
+
+# sha256 of report.json from run_class(new, direct, directl) on hard:2:20,
+# seed 0, delta 1e-4, p_max 100_000: all 60 runs of the class comparison
+HARD_2D_CLASS_REPORT = "927c67d9f89426b3816878994ad42f9e670ca1e1c984ae186d1ca43c052a9aae"
 
 
 def sha256_repr(value) -> str:
@@ -71,3 +84,11 @@ def test_hard_2d_traced_runs_match_pinned_trace_and_snapshot(method):
 def test_simple_4d_budget_run_matches_pinned_fingerprint():
     prob = generate(problem_class(4, "simple", seed=11, count=20), 1)
     assert fingerprint(run(prob, OptConfig(p_max=1000))) == SIMPLE_4D_BUDGET
+
+
+def test_hard_2d_class_report_matches_pinned_hash(tmp_path):
+    cls = problem_class(2, "hard", seed=0, count=20)
+    run_class(["new", "direct", "directl"], cls, delta=1e-4, p_max=100_000,
+              workers=1, out_dir=tmp_path)
+    payload = (tmp_path / "report.json").read_bytes()
+    assert hashlib.sha256(payload).hexdigest() == HARD_2D_CLASS_REPORT

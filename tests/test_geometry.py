@@ -12,6 +12,7 @@ from lipgrad.geometry import (
     Partition,
     diagonal_sq,
     grid_fraction,
+    heap_min_entries,
     pow3,
     third_points,
     volume,
@@ -175,6 +176,21 @@ def test_trisect_children_carry_their_bound():
             assert all(F == least for F, _ in entries)
             if child.F == least:
                 assert (child.F, child.id) in entries
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("make", [wavy_problem, flat_problem], ids=["wavy", "flat"])
+def test_cached_group_minima_match_a_fresh_heap_scan(dim, make):
+    # every cached minimum equals a rescan of a copy of the group's heap;
+    # the flat problem ties every F, so ties join and leave the cache too
+    rng = np.random.default_rng(dim)
+    prob = make(dim)
+    part = Partition(prob)
+    for _ in range(150):
+        part.trisect(int(rng.choice(sorted(part.boxes))), prob)
+        for s in sorted(part.groups):
+            fresh = heap_min_entries(list(part._gheaps[s]), part.groups[s])
+            assert part.group_min_entries(s) == fresh, s
 
 
 def test_get_or_eval_is_idempotent():

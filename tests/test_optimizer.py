@@ -15,7 +15,7 @@ from lipgrad.optimizer import (
     _improved_one_percent,
     _resolve_record_box,
 )
-from lipgrad.problems import Problem, quadratic, with_audit
+from lipgrad.problems import Problem, generate, problem_class, quadratic, with_audit
 from lipgrad.stopping import StopTarget, record_trial
 from util import flat_problem, make_vertex, wavy_problem
 
@@ -108,6 +108,28 @@ def test_record_box_tie_resolution_rule():
     state = SimpleNamespace(partition=part, x_min="v", record_box=None, p=None)
     _resolve_record_box(state)
     assert state.record_box == 1 and state.p == 3
+
+
+@pytest.mark.parametrize("make", [
+    lambda: wavy_problem(2),
+    lambda: wavy_problem(4),
+    lambda: generate(problem_class(2, "hard", seed=0, count=20), 1),
+], ids=["wavy2d", "wavy4d", "hard2d"])
+def test_record_box_after_every_subdivision_matches_a_full_resolve(monkeypatch, make):
+    # _subdivide resolves the record box only when the boxes at x_min changed
+    subdivide = optimizer._subdivide
+    checked = []
+
+    def checked_subdivide(state, box_id):
+        subdivide(state, box_id)
+        kept = (state.record_box, state.p)
+        _resolve_record_box(state)
+        assert kept == (state.record_box, state.p)
+        checked.append(box_id)
+
+    monkeypatch.setattr(optimizer, "_subdivide", checked_subdivide)
+    run(make(), OptConfig(p_max=2000))
+    assert len(checked) > 1000
 
 
 def test_exploration_phase_group_ranges(monkeypatch):

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -144,6 +146,62 @@ def test_generated_problems_pass_fd_check():
     cls = problem_class(2, "hard", seed=7, count=5)
     for index in range(1, 6):
         assert fd_check(generate(cls, index), samples=30) < 1e-5
+
+
+def ball_and_random_points(prob, rng, n):
+    """n points inside the global ball, where f is deformed, and n anywhere."""
+    x_star = np.asarray(prob.known_opt[0])
+    inside = [x_star + rng.uniform(-0.03, 0.03, prob.dim) for _ in range(n)]
+    anywhere = [rng.uniform(prob.lower, prob.upper) for _ in range(n)]
+    return inside + anywhere
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_generated_grad_after_f_at_another_point_is_exact(dim):
+    # f and grad share the terms of the last point; grad(x1) after f(x2)
+    # must recompute them and give the bits of a fresh evaluation
+    cls = problem_class(dim, "hard", seed=0, count=5)
+    prob = generate(cls, 1)
+    points = ball_and_random_points(prob, np.random.default_rng(dim), 10)
+    for x1, x2 in zip(points, points[1:] + points[:1]):
+        f1 = prob.f(x1)
+        prob.f(x2)
+        fresh = generate(cls, 1)
+        assert prob.grad(x1).tobytes() == fresh.grad(x1).tobytes()
+        assert f1 == generate(cls, 1).f(x1)
+
+
+def test_generated_problem_is_exact_under_interleaved_threads():
+    cls = problem_class(2, "hard", seed=0, count=5)
+    prob = generate(cls, 1)
+    points = ball_and_random_points(prob, np.random.default_rng(7), 20)
+    oracle = generate(cls, 1)
+    expected = [(oracle.f(x), oracle.grad(x).tobytes()) for x in points]
+    rounds = 5000
+    done, wrong = [], []
+    start = threading.Barrier(4)
+
+    def worker(offset):
+        start.wait(timeout=60)
+        for k in range(rounds):
+            j = (offset + k) % len(points)
+            value = prob.f(points[j])
+            if (value, prob.grad(points[j]).tobytes()) != expected[j]:
+                wrong.append(j)
+        done.append(offset)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(7 * i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(done) == 4 and wrong == []
 
 
 def test_generate_validates_index():
