@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from . import selection
-from .geometry import grid_fraction, heap_min_entries, pow3
+from .geometry import grid_fraction, heap_min_entries, pow3, vertex_str
 from .optimizer import OptConfig
 from .stopping import (
     REASON_BUDGET,
@@ -124,13 +124,16 @@ class _CenterState:
     def _add_box(self, box: CenterBox) -> None:
         self.boxes[box.id] = box
         key = self._select_key(box)
-        self.groups.setdefault(key, set()).add(box.id)
-        heapq.heappush(self._heaps.setdefault(key, []), (box.f_center, box.id))
+        live = self.groups.get(key)
+        if live is None:  # the group's first box
+            live = self.groups[key] = set()
+            self._heaps[key] = []
+            self._d_cache[key] = self._key_d(key)
+        live.add(box.id)
+        heapq.heappush(self._heaps[key], (box.f_center, box.id))
         cached = self._mins.get(key)
         if cached is not None and box.f_center <= cached[0][0]:
             del self._mins[key]
-        if key not in self._d_cache:
-            self._d_cache[key] = self._key_d(key)
         dkey = box.group_key
         self._diag_counts[dkey] = self._diag_counts.get(dkey, 0) + 1
 
@@ -214,8 +217,9 @@ class _CenterState:
     def snapshot_lines(self) -> list[str]:
         lines = []
         for box in sorted(self.boxes.values(), key=lambda b: b.id):
-            a = ",".join(str(grid_fraction(n, d)) for n, d in zip(box.corner_nums, box.depths))
-            b = ",".join(str(grid_fraction(n + 1, d)) for n, d in zip(box.corner_nums, box.depths))
+            corner = list(zip(box.corner_nums, box.depths))
+            a = vertex_str(tuple(grid_fraction(n, d) for n, d in corner))
+            b = vertex_str(tuple(grid_fraction(n + 1, d) for n, d in corner))
             lines.append(f"{box.id} {sum(box.depths)} {a} {b}")
         return lines
 

@@ -24,11 +24,15 @@ def characterize(box: Box, rec: VertexRecord) -> float:
 
     Per axis the linear model f(a) + <g, x - a> decreases toward the b side
     exactly when g_j * (b_j - a_j) < 0; summing those terms in axis order
-    gives the minimum over all box vertices.
+    gives the minimum over all box vertices. The sum starts at +0.0, so
+    skipping the other terms equals adding min(term, 0.0) for every finite
+    term, bit for bit.
     """
     total = 0.0
     for g, ar, br in zip(rec.gradient, box.a_real, box.b_real):
-        total += min(g * (br - ar), 0.0)
+        t = g * (br - ar)
+        if t < 0.0:
+            total += t
     return rec.f_value + total
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import bounding
 
@@ -28,21 +28,20 @@ def pow3(k: int) -> int:
     return _POW3[k]
 
 
-class GridFraction(NamedTuple):
-    """num / 3**depth in [0, 1], kept in normalized form."""
+# A grid coordinate num / 3**depth in [0, 1], as a normalized (num, depth)
+# pair, and a grid point: one coordinate per axis, relative to the domain.
+# Both are plain tuples of ints, which the garbage collector stops tracking;
+# it never untracks a tuple subclass such as a NamedTuple.
+GridFraction = tuple[int, int]
+GridVertex = tuple[GridFraction, ...]
 
-    num: int
-    depth: int
 
-    @property
-    def value(self) -> float:
-        return self.num / pow3(self.depth)
+def fraction_str(c: GridFraction) -> str:
+    return f"{c[0]}/{pow3(c[1])}"
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, pow3(self.depth))
 
-    def __str__(self) -> str:
-        return f"{self.num}/{pow3(self.depth)}"
+def vertex_str(v: GridVertex) -> str:
+    return ",".join(map(fraction_str, v))
 
 
 def grid_fraction(num: int, depth: int) -> GridFraction:
@@ -52,7 +51,7 @@ def grid_fraction(num: int, depth: int) -> GridFraction:
     while depth > 0 and num % 3 == 0:
         num //= 3
         depth -= 1
-    return GridFraction(num, depth)
+    return (num, depth)
 
 
 def third_points(p: GridFraction, q: GridFraction) -> tuple[GridFraction, GridFraction]:
@@ -61,30 +60,23 @@ def third_points(p: GridFraction, q: GridFraction) -> tuple[GridFraction, GridFr
     Returns ((p + 2q)/3, (2p + q)/3): the first lies two thirds of the way
     from p to q, the second one third of the way.
     """
-    m = max(p.depth, q.depth)
-    pn = p.num * pow3(m - p.depth)
-    qn = q.num * pow3(m - q.depth)
+    (pn, pd), (qn, qd) = p, q
+    m = max(pd, qd)
+    pn *= pow3(m - pd)
+    qn *= pow3(m - qd)
     return grid_fraction(pn + 2 * qn, m + 1), grid_fraction(2 * pn + qn, m + 1)
 
 
-class GridVertex(NamedTuple):
-    """A grid point: one GridFraction per axis, relative to the domain."""
-
-    coords: tuple[GridFraction, ...]
-
-    def real(self, lower, edge) -> tuple[float, ...]:
-        return tuple(
-            lo + c.num / pow3(c.depth) * ed
-            for c, lo, ed in zip(self.coords, lower, edge)
-        )
-
-    def __str__(self) -> str:
-        return ",".join(str(c) for c in self.coords)
+def vertex_real(v: GridVertex, lower, edge) -> tuple[float, ...]:
+    """Real coordinates of a grid point on the domain ``lower + [0, edge]``."""
+    return tuple(
+        lo + num / pow3(depth) * ed
+        for (num, depth), lo, ed in zip(v, lower, edge)
+    )
 
 
 def corner_vertex(dim: int, upper: bool) -> GridVertex:
-    one_or_zero = grid_fraction(1 if upper else 0, 0)
-    return GridVertex((one_or_zero,) * dim)
+    return (grid_fraction(1 if upper else 0, 0),) * dim
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,9 +109,9 @@ class Box:
 def volume(box: Box) -> Fraction:
     """Exact box volume in grid coordinates (domain scaled to the unit cube)."""
     v = Fraction(1)
-    for pa, pb in zip(box.a.coords, box.b.coords):
-        m = max(pa.depth, pb.depth)
-        num = abs(pa.num * pow3(m - pa.depth) - pb.num * pow3(m - pb.depth))
+    for (na, da), (nb, db) in zip(box.a, box.b):
+        m = max(da, db)
+        num = abs(na * pow3(m - da) - nb * pow3(m - db))
         if num == 0:
             raise ValueError(f"degenerate box {box.id}")
         v *= Fraction(num, pow3(m))
@@ -183,8 +175,9 @@ class Partition:
         else:
             raise ValueError("start_vertex must be 'a' or 'b'")
         self.initial_vertex = va
-        rec = self.get_or_eval(va, problem)
-        a_real, b_real = va.real(self.lower, self.edge), vb.real(self.lower, self.edge)
+        a_real = vertex_real(va, self.lower, self.edge)
+        b_real = vertex_real(vb, self.lower, self.edge)
+        rec = self.get_or_eval(va, a_real, problem)
         d = 0.5 * sum((br - ar) ** 2 for ar, br in zip(a_real, b_real))
         self._add_box(1, 0, va, vb, a_real, b_real, d, rec)
 
@@ -197,11 +190,15 @@ class Partition:
         """Number of trials: each distinct vertex is evaluated exactly once."""
         return len(self.vertex_db)
 
-    def get_or_eval(self, v: GridVertex, problem) -> VertexRecord:
-        """Read the record for ``v`` or evaluate f and f' there exactly once."""
+    def get_or_eval(self, v: GridVertex, x: tuple[float, ...], problem) -> VertexRecord:
+        """Read the record for ``v`` or evaluate f and f' there exactly once.
+
+        ``x`` must be ``vertex_real(v, self.lower, self.edge)``; callers
+        already hold it.
+        """
         rec = self.vertex_db.get(v)
         if rec is None:
-            rec = VertexRecord(*problem.value_and_grad(v.real(self.lower, self.edge)))
+            rec = VertexRecord(*problem.value_and_grad(x))
             self.vertex_db[v] = rec
         return rec
 
@@ -215,15 +212,17 @@ class Partition:
         """
         box = self.boxes[t]
         i = self.split_axis(box.s)
-        u_f, v_f = third_points(box.a.coords[i], box.b.coords[i])
-        u = GridVertex(box.a.coords[:i] + (u_f,) + box.a.coords[i + 1:])
-        v = GridVertex(box.b.coords[:i] + (v_f,) + box.b.coords[i + 1:])
+        a, b = box.a, box.b
+        u_f, v_f = third_points(a[i], b[i])
+        u = a[:i] + (u_f,) + a[i + 1:]
+        v = b[:i] + (v_f,) + b[i + 1:]
         lo_i, ed_i = self.lower[i], self.edge[i]
-        u_real = box.a_real[:i] + (lo_i + u_f.value * ed_i,) + box.a_real[i + 1:]
-        v_real = box.b_real[:i] + (lo_i + v_f.value * ed_i,) + box.b_real[i + 1:]
+        # the same expression as vertex_real, on the split axis only
+        u_real = box.a_real[:i] + (lo_i + u_f[0] / pow3(u_f[1]) * ed_i,) + box.a_real[i + 1:]
+        v_real = box.b_real[:i] + (lo_i + v_f[0] / pow3(v_f[1]) * ed_i,) + box.b_real[i + 1:]
 
         before = len(self.vertex_db)
-        rec = self.get_or_eval(u, problem)
+        rec = self.get_or_eval(u, u_real, problem)
         new_rec = rec if len(self.vertex_db) > before else None
 
         s_child = box.s + 1
@@ -232,9 +231,9 @@ class Partition:
         d = 0.5 * sum((br - ar) ** 2 for ar, br in zip(u_real, v_real))
         self._remove_box(box)
         middle = self._add_box(t, s_child, u, v, u_real, v_real, d, rec)
-        low = self._add_box(m + 1, s_child, box.a, v, box.a_real, v_real, d,
-                            self.vertex_db[box.a])
-        high = self._add_box(m + 2, s_child, u, box.b, u_real, box.b_real, d, rec)
+        low = self._add_box(m + 1, s_child, a, v, box.a_real, v_real, d,
+                            self.vertex_db[a])
+        high = self._add_box(m + 2, s_child, u, b, u_real, box.b_real, d, rec)
 
         if s_child > self.q_0:
             self.q_0 = s_child
@@ -286,7 +285,7 @@ class Partition:
     def snapshot_lines(self) -> list[str]:
         """One line per box: id, s, a-coords, b-coords as exact fractions."""
         return [
-            f"{b.id} {b.s} {b.a} {b.b}"
+            f"{b.id} {b.s} {vertex_str(b.a)} {vertex_str(b.b)}"
             for b in sorted(self.boxes.values(), key=lambda b: b.id)
         ]
 
@@ -297,15 +296,23 @@ class Partition:
     ) -> Box:
         """Make and index a box with its bound F from ``rec``, the record at ``a``."""
         box = Box(box_id, s, a, b, a_real, b_real, d)
-        box.F = bounding.characterize(box, rec)
-        heapq.heappush(self._gheaps.setdefault(s, []), (box.F, box_id))
+        F = box.F = bounding.characterize(box, rec)
+        live = self.groups.get(s)
+        if live is None:  # the group's first box
+            live = self.groups[s] = set()
+            self._gheaps[s] = []
+            self._group_diag_sq[s] = 2.0 * d
+        heapq.heappush(self._gheaps[s], (F, box_id))
         cached = self._gmins.get(s)
-        if cached is not None and box.F <= cached[0][0]:
+        if cached is not None and F <= cached[0][0]:
             del self._gmins[s]
         self.boxes[box_id] = box
-        self.groups.setdefault(s, set()).add(box_id)
-        self._group_diag_sq.setdefault(s, 2.0 * d)
-        self._trial_boxes.setdefault(a, set()).add(box_id)
+        live.add(box_id)
+        at_a = self._trial_boxes.get(a)
+        if at_a is None:
+            self._trial_boxes[a] = {box_id}
+        else:
+            at_a.add(box_id)
         return box
 
     def _remove_box(self, box: Box) -> None:

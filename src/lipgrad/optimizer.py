@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import selection
-from .geometry import GridVertex, Partition
+from .geometry import GridVertex, Partition, vertex_real
 from .stopping import (
     RunReport,
     StopTarget,
@@ -44,8 +44,8 @@ class OptConfig:
     keep_trace: bool = False
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and nonnegative")
         if self.p_max < 1:
             raise ValueError("p_max must be at least 1")
         if self.start_vertex not in ("a", "b"):
@@ -86,9 +86,8 @@ def initialize(problem, config: OptConfig) -> OptState:
     """
     partition = Partition(problem, config.start_vertex)
     state = OptState(problem, config, partition)
-    first = partition.initial_vertex
-    record_trial(state, first.real(partition.lower, partition.edge),
-                 partition.vertex_db[first].f_value)
+    first = partition.boxes[1]
+    record_trial(state, first.a_real, partition.vertex_db[first.a].f_value)
     check_stop(state)
     log_history(state)
     return state
@@ -157,7 +156,7 @@ def run(problem, config: OptConfig) -> RunReport:
         if switch == "local" and not state.stop_reason:
             record_phase(state)
     part = state.partition
-    x_min = state.x_min.real(part.lower, part.edge)
+    x_min = vertex_real(state.x_min, part.lower, part.edge)
     return close_report(state, "new", part.m, x_min, part.snapshot_lines)
 
 

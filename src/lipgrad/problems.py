@@ -475,18 +475,22 @@ def write_manifest(cls: ProblemClass, path) -> None:
     Path(path).write_text(json.dumps(class_manifest(cls), indent=1, sort_keys=True))
 
 
+_MANIFEST_KEYS = ("seed", "dim", "count", "difficulty", "n_minima", "global_radius",
+                  "radius_range", "value_gap", "lower", "upper")
+
+
 def load_manifest(path) -> ProblemClass:
-    """Rebuild the class descriptor from a manifest file."""
+    """Rebuild the class descriptor from a manifest file.
+
+    Raises ValueError for a file that is not JSON, not a JSON object, or
+    lacks one of the class knobs.
+    """
     data = json.loads(Path(path).read_text())
-    return ProblemClass(
-        seed=data["seed"],
-        dim=data["dim"],
-        count=data["count"],
-        difficulty=data["difficulty"],
-        n_minima=data["n_minima"],
-        global_radius=data["global_radius"],
-        radius_range=tuple(data["radius_range"]),
-        value_gap=data["value_gap"],
-        lower=data["lower"],
-        upper=data["upper"],
-    )
+    if not isinstance(data, dict):
+        raise ValueError(f"manifest {path}: expected a JSON object, got {type(data).__name__}")
+    missing = [k for k in _MANIFEST_KEYS if k not in data]
+    if missing:
+        raise ValueError(f"manifest {path}: missing {', '.join(missing)}")
+    knobs = {k: data[k] for k in _MANIFEST_KEYS}
+    knobs["radius_range"] = tuple(knobs["radius_range"])
+    return ProblemClass(**knobs)

@@ -110,8 +110,8 @@ def nondominated(dots) -> HullResult:
 
 def xi_value(f_min: float, epsilon: float) -> float:
     """Improvement margin xi = epsilon * |f_min| (the DIRECT convention)."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be finite and nonnegative")
     return epsilon * abs(f_min)
 
 

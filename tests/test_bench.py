@@ -238,8 +238,20 @@ def test_cli_solve_manifest_problem(tmp_path, capsys):
 def test_cli_usage_errors_exit_one(tmp_path, capsys):
     manifest = tmp_path / "cls.json"
     write_manifest(problem_class(2, "simple", seed=5, count=3), manifest)
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
     for argv in (
         ["solve", "--problem", f"{manifest}#x"],
+        ["solve", "--problem", str(empty)],
+        ["bench", "--class", str(empty), "--delta", "1e-2"],
+        ["solve", "--problem", str(listed)],
+        ["bench", "--class", str(listed), "--delta", "1e-2"],
+        ["solve", "--problem", "quad2d", "--pmax", "5", "--eps", "nan"],
+        ["solve", "--problem", "quad2d", "--pmax", "5", "--eps", "inf"],
+        ["bench", "--class", "hard:2:2", "--delta", "1e-2", "--eps", "nan"],
+        ["bench", "--class", "hard:2:2", "--delta", "1e-2", "--eps", "inf"],
         ["solve", "--problem", "no-such-problem"],
         ["bench", "--class", "bogus", "--delta", "1e-4"],
         ["frobnicate"],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lipgrad.bounding import characterize, eval_minorant
-from lipgrad.geometry import VertexRecord
+from lipgrad.geometry import Box, VertexRecord
 from lipgrad.problems import random_quadratic
 from util import make_box, make_vertex, random_box_corners
 
@@ -124,3 +124,40 @@ def test_characterize_caches_box_geometry():
     assert box.d == 1.0
     assert characterize(box, rec(5.0, (1.0, -2.0))) == 3.0
 
+
+
+def characterize_with_min(box, r):
+    """F as first written: min(term, 0.0) added on every axis."""
+    total = 0.0
+    for g, ar, br in zip(r.gradient, box.a_real, box.b_real):
+        total += min(g * (br - ar), 0.0)
+    return r.f_value + total
+
+
+def test_characterize_matches_the_min_sum_bit_for_bit():
+    def box_at(a_real, b_real):
+        return Box(1, 0, (), (), tuple(map(float, a_real)), tuple(map(float, b_real)), 0.0)
+
+    cases = [
+        # zero gradient components and zero-width sides: products of +-0.0
+        ((0.0, 1.0), (1.0, 0.0), rec(5.0, (0.0, -0.0))),
+        ((0.0, 1.0), (0.0, 1.0), rec(5.0, (-1.0, 1.0))),
+        ((1.0, 0.0), (1.0, 0.0), rec(-0.0, (-2.0, 3.0))),
+        ((0.5, 0.5), (0.0, 1.0), rec(-0.0, (-0.0, 0.0))),
+        # reversed boxes, both signs of the gradient
+        ((1.0, 1.0), (0.0, 0.0), rec(0.0, (3.0, -1.0))),
+        ((0.7, 0.2, 0.9), (0.1, 0.8, 0.3), rec(-2.5, (1e-3, -4.0, 7.5))),
+        # products that overflow to +inf (dropped) and -inf (kept)
+        ((0.0, 0.0), (1e10, 1.0), rec(1.0, (1e300, -1.0))),
+        ((0.0, 0.0), (-1e10, 1.0), rec(1.0, (1e300, 2.0))),
+        ((1e308, 0.0), (-1e308, 1.0), rec(1.0, (-2.0, -3.0))),
+    ]
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        dim = int(rng.integers(1, 6))
+        a, b = rng.normal(size=dim), rng.normal(size=dim)
+        grad = rng.normal(size=dim) * rng.choice([0.0, 1.0, 1e-300, 1e300], size=dim)
+        cases.append((a, b, rec(rng.normal(), grad)))
+    for a_real, b_real, r in cases:
+        box = box_at(a_real, b_real)
+        assert repr(characterize(box, r)) == repr(characterize_with_min(box, r)), (box, r)

@@ -1,25 +1,27 @@
+import dataclasses
+import gc
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from lipgrad import optimizer
 from lipgrad.baselines import direct_run
 from lipgrad.bounding import characterize
 from lipgrad.geometry import (
-    GridFraction,
-    GridVertex,
     Partition,
     diagonal_sq,
     grid_fraction,
     heap_min_entries,
     pow3,
     third_points,
+    vertex_real,
     volume,
 )
 from lipgrad.optimizer import OptConfig, run
-from lipgrad.problems import Problem, with_audit
-from util import flat_problem, make_box, make_vertex, wavy_problem
+from lipgrad.problems import Problem, generate, problem_class, quadratic, with_audit
+from util import as_fraction, flat_problem, make_box, make_vertex, wavy_problem
 
 
 def domain_problem(edges):
@@ -30,10 +32,10 @@ def domain_problem(edges):
 
 
 def test_grid_fraction_normalizes():
-    assert grid_fraction(3, 2) == GridFraction(1, 1)
-    assert grid_fraction(9, 2) == GridFraction(1, 0)
-    assert grid_fraction(0, 5) == GridFraction(0, 0)
-    assert grid_fraction(2, 3) == GridFraction(2, 3)
+    assert grid_fraction(3, 2) == (1, 1)
+    assert grid_fraction(9, 2) == (1, 0)
+    assert grid_fraction(0, 5) == (0, 0)
+    assert grid_fraction(2, 3) == (2, 3)
 
 
 @pytest.mark.parametrize("num,depth", [(-1, 0), (2, 0), (28, 3), (1, -1)])
@@ -50,7 +52,7 @@ def test_grid_fraction_equality_matches_value():
         n2 = int(rng.integers(0, pow3(int(d2)) + 1))
         p = grid_fraction(n1, int(d1))
         q = grid_fraction(n2, int(d2))
-        assert (p == q) == (p.as_fraction() == q.as_fraction())
+        assert (p == q) == (as_fraction(p) == as_fraction(q))
 
 
 def test_third_points_unit_interval():
@@ -114,13 +116,13 @@ def test_split_axis_matches_longest_side_of_random_trisections():
             for _ in range(60):
                 box = part.boxes[int(rng.choice(sorted(part.boxes)))]
                 sides = [
-                    abs(pb.as_fraction() - pa.as_fraction()) * Fraction(e)
-                    for pa, pb, e in zip(box.a.coords, box.b.coords, edges)
+                    abs(as_fraction(pb) - as_fraction(pa)) * Fraction(e)
+                    for pa, pb, e in zip(box.a, box.b, edges)
                 ]
                 longest = sides.index(max(sides))
                 assert part.split_axis(box.s) == longest
                 middle, *_ = part.trisect(box.id, prob)
-                split = [j for j, (pa, qa) in enumerate(zip(box.a.coords, middle.a.coords))
+                split = [j for j, (pa, qa) in enumerate(zip(box.a, middle.a))
                          if pa != qa]
                 assert split == [longest]
 
@@ -155,7 +157,7 @@ def test_trisect_reversed_diagonal():
     part._remove_box(part.boxes[1])
     box = make_box(make_vertex(1, 0), make_vertex(0, 1))
     part._add_box(box.id, box.s, box.a, box.b, box.a_real, box.b_real, box.d,
-                  part.get_or_eval(box.a, prob))
+                  part.get_or_eval(box.a, box.a_real, prob))
     middle, low, high, _ = part.trisect(1, prob)
     assert middle.a == make_vertex((1, 1), 0) and middle.b == make_vertex((2, 1), 1)
     assert low.a == make_vertex(1, 0) and low.b == make_vertex((2, 1), 1)
@@ -198,8 +200,9 @@ def test_get_or_eval_is_idempotent():
     part = Partition(prob)
     assert audit.f_calls == 1 and part.trials == 1
     v = make_vertex((1, 1), (2, 1))
-    rec1 = part.get_or_eval(v, prob)
-    rec2 = part.get_or_eval(v, prob)
+    x = vertex_real(v, part.lower, part.edge)
+    rec1 = part.get_or_eval(v, x, prob)
+    rec2 = part.get_or_eval(v, x, prob)
     assert rec1 is rec2
     assert audit.f_calls == 2 and part.trials == 2
 
@@ -301,8 +304,8 @@ def test_start_vertex_b_mirrors_scheme():
 
 def test_vertex_real_coordinates_scale_to_domain():
     v = make_vertex((2, 1), (1, 1))
-    assert v.real((0.0, 0.0), (1.0, 1.0)) == (2.0 / 3.0, 1.0 / 3.0)
-    assert v.real((-1.0, 2.0), (2.0, 4.0)) == (-1.0 + 2.0 * 2.0 / 3.0, 2.0 + 4.0 / 3.0)
+    assert vertex_real(v, (0.0, 0.0), (1.0, 1.0)) == (2.0 / 3.0, 1.0 / 3.0)
+    assert vertex_real(v, (-1.0, 2.0), (2.0, 4.0)) == (-1.0 + 2.0 * 2.0 / 3.0, 2.0 + 4.0 / 3.0)
 
 
 def test_snapshot_lines_format():
@@ -313,3 +316,58 @@ def test_snapshot_lines_format():
     assert lines[0] == "1 1 2/3,0/1 1/3,1/1"
     assert lines[1] == "2 1 0/1,0/1 1/3,1/1"
     assert lines[2] == "3 1 2/3,0/1 1/1,1/1"
+
+
+def run_keeping_partition(monkeypatch, prob, config):
+    """``run`` that also returns the partition it searched."""
+    parts = []
+
+    class KeptPartition(Partition):
+        def __init__(self, *args):
+            super().__init__(*args)
+            parts.append(self)
+
+    monkeypatch.setattr(optimizer, "Partition", KeptPartition)
+    report = run(prob, config)
+    return report, parts[0]
+
+
+@pytest.mark.parametrize("dim,difficulty,seed,p_max", [(4, "simple", 11, 1000), (2, "hard", 0, 2000)])
+def test_partition_geometry_is_not_tracked_by_the_collector(monkeypatch, dim, difficulty, seed, p_max):
+    # vertices, real corners and heap entries are plain tuples of ints and
+    # floats, so a collection untracks them and later ones skip them
+    prob = generate(problem_class(dim, difficulty, seed=seed, count=1), 1)
+    report, part = run_keeping_partition(monkeypatch, prob, OptConfig(p_max=p_max))
+    assert report.trials == p_max
+    gc.collect()
+    gc.collect()
+    for box in part.boxes.values():
+        for t in (box.a, box.b, box.a_real, box.b_real):
+            assert not gc.is_tracked(t), (box.id, t)
+    assert not any(map(gc.is_tracked, part.vertex_db))
+    for heap in part._gheaps.values():
+        assert not any(map(gc.is_tracked, heap))
+
+
+@pytest.mark.parametrize("start", ["a", "b"])
+@pytest.mark.parametrize("make", [
+    lambda: generate(problem_class(2, "hard", seed=0, count=1), 1),
+    lambda: generate(problem_class(4, "simple", seed=11, count=1), 1),
+    lambda: quadratic((0.1, 1.2, 2.3), lower=(-1.0, 0.5, 2.0), upper=(0.3, 2.0, 2.7)),
+], ids=["hard2d", "simple4d", "unequal-edges"])
+def test_each_trial_evaluates_the_real_point_of_its_vertex(monkeypatch, make, start):
+    # the point handed to f is built once per trial, by trisect; it must be
+    # the vertex's real coordinates bit for bit
+    prob = make()
+    seen = []
+
+    def f(x):
+        seen.append(tuple(x.tolist()))
+        return prob.f(x)
+
+    recording = dataclasses.replace(prob, f=f, f_batch=None)
+    report, part = run_keeping_partition(
+        monkeypatch, recording, OptConfig(p_max=400, start_vertex=start))
+    expected = [vertex_real(v, part.lower, part.edge) for v in part.vertex_db]
+    assert len(seen) == report.trials == len(expected)
+    assert [tuple(map(float.hex, x)) for x in seen] == [tuple(map(float.hex, x)) for x in expected]

@@ -15,6 +15,7 @@ from lipgrad.optimizer import (
     _improved_one_percent,
     _resolve_record_box,
 )
+from lipgrad.geometry import vertex_real
 from lipgrad.problems import Problem, generate, problem_class, quadratic, with_audit
 from lipgrad.stopping import StopTarget, record_trial
 from util import flat_problem, make_vertex, wavy_problem
@@ -59,8 +60,8 @@ def test_record_trial_requires_strict_improvement():
     prob = flat_problem(2)  # every value equal
     state = initialize(prob, OptConfig(p_max=100))
     vertex2 = make_vertex((2, 1), 0)
-    rec2 = state.partition.get_or_eval(vertex2, prob)
-    x2 = vertex2.real(state.partition.lower, state.partition.edge)
+    x2 = vertex_real(vertex2, state.partition.lower, state.partition.edge)
+    rec2 = state.partition.get_or_eval(vertex2, x2, prob)
     assert not record_trial(state, x2, rec2.f_value)  # a tie is no improvement
     assert state.f_min == rec2.f_value
     assert record_trial(state, x2, rec2.f_value - 1.0)
@@ -248,8 +249,9 @@ def test_run_alternates_phases():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        OptConfig(epsilon=-1.0)
+    for eps in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            OptConfig(epsilon=eps)
     with pytest.raises(ValueError):
         OptConfig(p_max=0)
     with pytest.raises(ValueError):

@@ -236,6 +236,20 @@ def test_manifest_round_trip(tmp_path):
     assert tuple(data["problems"][2]["x_star"]) == p3.known_opt[0]
 
 
+def test_manifest_missing_keys_or_not_an_object_is_a_value_error(tmp_path):
+    path = tmp_path / "class.json"
+    problems.write_manifest(problem_class(2, "hard", seed=9, count=4), path)
+    data = json.loads(path.read_text())
+    del data["seed"], data["value_gap"]
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="missing seed, value_gap$"):
+        problems.load_manifest(path)
+    for text in ("[]", "3", "null"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="expected a JSON object"):
+            problems.load_manifest(path)
+
+
 def test_with_audit_counts_calls():
     p, audit = with_audit(quadratic([0.5, 0.5]))
     x = np.array([0.25, 0.25])

@@ -130,8 +130,9 @@ def test_xi_value():
     assert xi_value(-2.5, 1e-4) == 2.5e-4
     assert xi_value(0.0, 1e-4) == 0.0
     assert xi_value(-7.0, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        xi_value(1.0, -1e-3)
+    for eps in (-1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            xi_value(1.0, eps)
 
 
 def test_group_representatives_reports_min_F_ties():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from lipgrad.geometry import Box, GridVertex, grid_fraction
+from lipgrad.geometry import Box, GridFraction, GridVertex, grid_fraction, pow3
 from lipgrad.problems import Problem
 from lipgrad.selection import Dot
 
@@ -37,6 +37,14 @@ def wavy_problem(dim: int = 2) -> Problem:
     return Problem(f"wavy{dim}d", dim, (0.0,) * dim, (1.0,) * dim, f, grad)
 
 
+def fraction_value(c: GridFraction) -> float:
+    return c[0] / pow3(c[1])
+
+
+def as_fraction(c: GridFraction) -> Fraction:
+    return Fraction(c[0], pow3(c[1]))
+
+
 def make_vertex(*coords) -> GridVertex:
     """Vertex from per-axis (num, depth) pairs or plain integers 0/1."""
     fracs = []
@@ -45,13 +53,13 @@ def make_vertex(*coords) -> GridVertex:
             fracs.append(grid_fraction(*c))
         else:
             fracs.append(grid_fraction(int(c), 0))
-    return GridVertex(tuple(fracs))
+    return tuple(fracs)
 
 
 def make_box(a: GridVertex, b: GridVertex, box_id: int = 1, s: int = 0) -> Box:
     """Standalone box on the unit-cube domain (real coords = grid values)."""
-    a_real = tuple(c.value for c in a.coords)
-    b_real = tuple(c.value for c in b.coords)
+    a_real = tuple(map(fraction_value, a))
+    b_real = tuple(map(fraction_value, b))
     d = 0.5 * sum((q - p) ** 2 for p, q in zip(a_real, b_real))
     return Box(box_id, s, a, b, a_real, b_real, d)
 
