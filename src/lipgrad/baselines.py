@@ -7,12 +7,13 @@ improvement margin as the gradient method, and trisect selected boxes along
 all of their longest sides, best-sampled axis first. Neither method ever
 reads gradients.
 
-DIRECT measures boxes by half their squared diagonal and admits every
-minimal-value tie of a diagonal group into the diagram. The locally-biased
-variant measures by the longest side, which merges boxes of different
-shapes into far fewer groups, and admits exactly one representative per
-group (lowest center value, ties to the lower id), the bias that keeps it
-from spraying subdivisions across many near-optimal boxes.
+Both group boxes by their sorted depth vector, so each group holds boxes
+of one shape. DIRECT measures a group by half its squared diagonal and
+admits every minimal-value tie of the group into the diagram. The
+locally-biased variant measures by the longest side, which merges the
+groups of one longest-side level into a single dot: the level's lowest
+center value, ties to the lower id. That bias keeps it from spraying
+subdivisions across many near-optimal boxes.
 
 Internal measures (group sizes, history diagonals) are in normalized
 coordinates.
@@ -20,12 +21,11 @@ coordinates.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 from . import selection
-from .geometry import grid_fraction, heap_min_entries, pow3, vertex_str
+from .geometry import Group, grid_fraction, heap_min_entries, pow3, vertex_str
 from .optimizer import OptConfig
 from .stopping import (
     REASON_BUDGET,
@@ -69,16 +69,7 @@ class _CenterState:
         self.lower = tuple(float(v) for v in problem.lower)
         self.edge = tuple(float(u) - l for l, u in zip(self.lower, problem.upper))
         self.boxes: dict[int, CenterBox] = {}
-        # selection groups: sorted depth vector (DIRECT) or longest-side
-        # level = min depth (locally biased)
-        self.groups: dict = {}
-        self._heaps: dict = {}
-        # tied minimal (f_center, id) entries per group, dropped when they
-        # may change
-        self._mins: dict = {}
-        self._d_cache: dict = {}
-        # diagonal bookkeeping is always by sorted depth vector
-        self._diag_counts: dict[tuple[int, ...], int] = {}
+        self.groups: dict[tuple[int, ...], Group] = {}  # by sorted depth vector
         self.trials = 0
         self.f_min = math.inf
         self.x_min: tuple[float, ...] = ()
@@ -92,16 +83,6 @@ class _CenterState:
         self._add_box(CenterBox(1, (0,) * n, (0,) * n, f0))
         self.initial_diag_sq = self.max_diagonal_sq()
         log_history(self)
-
-    def _select_key(self, box: CenterBox):
-        if self.locally_biased:
-            return min(box.depths)
-        return box.group_key
-
-    def _key_d(self, key) -> float:
-        if self.locally_biased:
-            return 0.5 / pow3(2 * key)  # half squared longest side
-        return _diag_d(key)
 
     def _center_point(self, corner_nums, depths) -> tuple[float, ...]:
         return tuple(
@@ -123,49 +104,38 @@ class _CenterState:
 
     def _add_box(self, box: CenterBox) -> None:
         self.boxes[box.id] = box
-        key = self._select_key(box)
-        live = self.groups.get(key)
-        if live is None:  # the group's first box
-            live = self.groups[key] = set()
-            self._heaps[key] = []
-            self._d_cache[key] = self._key_d(key)
-        live.add(box.id)
-        heapq.heappush(self._heaps[key], (box.f_center, box.id))
-        cached = self._mins.get(key)
-        if cached is not None and box.f_center <= cached[0][0]:
-            del self._mins[key]
-        dkey = box.group_key
-        self._diag_counts[dkey] = self._diag_counts.get(dkey, 0) + 1
+        key = box.group_key
+        group = self.groups.get(key)
+        if group is None:  # the group's first box
+            group = self.groups[key] = Group(_diag_d(key))
+        group.add(box.f_center, box.id)
 
     def _remove_box(self, box: CenterBox) -> None:
         del self.boxes[box.id]
-        key = self._select_key(box)
-        self.groups[key].discard(box.id)
-        cached = self._mins.get(key)
-        if cached is not None and (box.f_center, box.id) in cached:
-            del self._mins[key]
-        self._diag_counts[box.group_key] -= 1
+        self.groups[box.group_key].discard(box.f_center, box.id)
 
     def max_diagonal_sq(self) -> float:
-        return 2.0 * max(
-            _diag_d(key) for key, count in self._diag_counts.items() if count
-        )
+        return 2.0 * max(g.d for g in self.groups.values() if g.live)
 
     def select(self) -> list[int]:
         """Potentially optimal boxes: group minima -> hull -> margin filter."""
         dots = []
-        for key, live in self.groups.items():
-            if not live:
+        levels = {}  # locally biased: least (f_center, id) per longest-side level
+        for key, group in self.groups.items():
+            if not group.live:
                 continue
-            entries = self._mins.get(key)
+            entries = group.mins
             if entries is None:
-                entries = self._mins[key] = heap_min_entries(self._heaps[key], live)
+                entries = group.mins = heap_min_entries(group.heap, group.live)
             if self.locally_biased:
-                entries = entries[:1]
-            d = self._d_cache[key]
+                if key[0] not in levels or entries[0] < levels[key[0]]:
+                    levels[key[0]] = entries[0]
+                continue
             for F, box_id in entries:
-                s = sum(self.boxes[box_id].depths)
-                dots.append(selection.Dot(box_id, d, F, s))
+                dots.append(selection.Dot(box_id, group.d, F, sum(self.boxes[box_id].depths)))
+        for level, (F, box_id) in levels.items():  # d: half squared longest side
+            dots.append(selection.Dot(box_id, 0.5 / pow3(2 * level), F,
+                                      sum(self.boxes[box_id].depths)))
         return selection.choose(dots, self.f_min, self.config.epsilon)
 
     def subdivide(self, box_id: int) -> None:
@@ -238,5 +208,5 @@ def direct_run(problem, config: OptConfig) -> RunReport:
 
 
 def directl_run(problem, config: OptConfig) -> RunReport:
-    """Locally-biased DIRECT: longest-side groups, one representative each."""
+    """Locally-biased DIRECT: one representative per longest-side level."""
     return _run(problem, config, locally_biased=True, method="directl")

@@ -30,6 +30,19 @@ def run_method(name: str, problem: problems.Problem, config: OptConfig) -> RunRe
     raise ValueError(f"unknown method {name!r} (expected new, direct or directl)")
 
 
+def check_methods(methods) -> list[str]:
+    """The methods as a list; ValueError if none, or one is unknown or repeated."""
+    methods = list(methods)
+    if not methods:
+        raise ValueError("need at least one method")
+    for i, m in enumerate(methods):
+        if m not in _METHOD_ORDER:
+            raise ValueError(f"unknown method {m!r}")
+        if m in methods[:i]:
+            raise ValueError(f"method {m!r} given twice")
+    return methods
+
+
 def criterion_C1(trials: list[int], solved: list[bool]) -> tuple[int, int, int]:
     """Worst-case trial count: (max, 1-based index of first max, #unsolved).
 
@@ -182,12 +195,7 @@ def run_class(
     out_dir=None,
 ) -> ClassReport:
     """Run every method on every problem of the class and aggregate C1-C4."""
-    methods = list(methods)
-    if not methods:
-        raise ValueError("need at least one method")
-    for m in methods:
-        if m not in _METHOD_ORDER:
-            raise ValueError(f"unknown method {m!r}")
+    methods = check_methods(methods)
     jobs = [
         (cls, index, tuple(methods), delta, p_max, epsilon)
         for index in range(1, cls.count + 1)

@@ -120,12 +120,10 @@ def _cmd_bench(args) -> int:
             f"--class must be a manifest path or difficulty:dim:count, "
             f"got {args.cls!r} ({exc})"
         ) from exc
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods:
-        raise UsageError("--methods needs at least one method")
-    for m in methods:
-        if m not in ("new", "direct", "directl"):
-            raise UsageError(f"unknown method {m!r}")
+    try:
+        methods = bench.check_methods(m.strip() for m in args.methods.split(",") if m.strip())
+    except ValueError as exc:
+        raise UsageError(f"--methods: {exc}") from exc
     if args.workers < 1:
         raise UsageError("--workers must be at least 1")
     try:  # the run parameters every problem shares, checked before any runs

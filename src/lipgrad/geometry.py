@@ -12,7 +12,7 @@ the coordinates of ``b`` need not be larger than those of ``a``.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -143,6 +143,33 @@ def heap_min_entries(heap: list, live) -> list:
     return out
 
 
+@dataclass(slots=True, eq=False)
+class Group:
+    """A group of equal-size boxes: the unit every method selects among.
+
+    ``live`` holds the ids of the group's boxes and ``heap`` a lazy-deletion
+    heap of their ``(value, id)`` entries; ``mins`` caches the tied minimal
+    entries and is None when they may have changed. ``d`` is the half
+    squared diagonal the group stands for.
+    """
+
+    d: float
+    live: set[int] = field(default_factory=set)
+    heap: list[tuple[float, int]] = field(default_factory=list)
+    mins: Optional[list[tuple[float, int]]] = None
+
+    def add(self, value: float, ident: int) -> None:
+        heapq.heappush(self.heap, (value, ident))
+        if self.mins is not None and value <= self.mins[0][0]:
+            self.mins = None
+        self.live.add(ident)
+
+    def discard(self, value: float, ident: int) -> None:
+        if self.mins is not None and (value, ident) in self.mins:
+            self.mins = None
+        self.live.discard(ident)
+
+
 class Partition:
     """The live set of hyperintervals plus the shared vertex database.
 
@@ -155,17 +182,13 @@ class Partition:
         self.edge = tuple(float(u) - l for l, u in zip(self.lower, problem.upper))
         self.vertex_db: dict[GridVertex, VertexRecord] = {}
         self.boxes: dict[int, Box] = {}
-        self.groups: dict[int, set[int]] = {}
-        self._gheaps: dict[int, list] = {}
-        # tied minimal (F, id) entries per group, dropped when they may change
-        self._gmins: dict[int, list[tuple[float, int]]] = {}
-        self._group_diag_sq: dict[int, float] = {}
+        # group s holds the boxes split s times; none is ever deleted
+        self.groups: list[Group] = []
         # real side lengths of the next group to get a split axis
         self._sides = [Fraction(e) for e in self.edge]
         self._split_axes: list[int] = []
         self._trial_boxes: dict[GridVertex, set[int]] = {}
         self.q_inf = 0
-        self.q_0 = 0
 
         dim = len(self.lower)
         if start_vertex == "a":
@@ -180,6 +203,11 @@ class Partition:
         rec = self.get_or_eval(va, a_real, problem)
         d = 0.5 * sum((br - ar) ** 2 for ar, br in zip(a_real, b_real))
         self._add_box(1, 0, va, vb, a_real, b_real, d, rec)
+
+    @property
+    def q_0(self) -> int:
+        """Index of the group of the smallest boxes."""
+        return len(self.groups) - 1
 
     @property
     def m(self) -> int:
@@ -235,9 +263,7 @@ class Partition:
                             self.vertex_db[a])
         high = self._add_box(m + 2, s_child, u, b, u_real, box.b_real, d, rec)
 
-        if s_child > self.q_0:
-            self.q_0 = s_child
-        while not self.groups.get(self.q_inf):
+        while not self.groups[self.q_inf].live:
             self.q_inf += 1
         return middle, low, high, new_rec
 
@@ -262,13 +288,12 @@ class Partition:
         The list is cached until the group's minimum may change; callers
         must not modify it.
         """
-        entries = self._gmins.get(s)
-        if entries is None:
-            live = self.groups.get(s)
-            if not live:
+        group = self.groups[s]
+        if group.mins is None:
+            if not group.live:
                 return []
-            entries = self._gmins[s] = heap_min_entries(self._gheaps[s], live)
-        return entries
+            group.mins = heap_min_entries(group.heap, group.live)
+        return group.mins
 
     def boxes_at_vertex(self, v: GridVertex) -> set[int]:
         """Ids of live boxes whose trial vertex is ``v``."""
@@ -280,7 +305,7 @@ class Partition:
         One canonical value per group: boxes of a group share their side
         lengths, so this avoids last-ulp jitter between group members.
         """
-        return self._group_diag_sq[self.q_inf]
+        return 2.0 * self.groups[self.q_inf].d
 
     def snapshot_lines(self) -> list[str]:
         """One line per box: id, s, a-coords, b-coords as exact fractions."""
@@ -297,17 +322,10 @@ class Partition:
         """Make and index a box with its bound F from ``rec``, the record at ``a``."""
         box = Box(box_id, s, a, b, a_real, b_real, d)
         F = box.F = bounding.characterize(box, rec)
-        live = self.groups.get(s)
-        if live is None:  # the group's first box
-            live = self.groups[s] = set()
-            self._gheaps[s] = []
-            self._group_diag_sq[s] = 2.0 * d
-        heapq.heappush(self._gheaps[s], (F, box_id))
-        cached = self._gmins.get(s)
-        if cached is not None and F <= cached[0][0]:
-            del self._gmins[s]
+        if s == len(self.groups):  # the group's first box
+            self.groups.append(Group(d))
+        self.groups[s].add(F, box_id)
         self.boxes[box_id] = box
-        live.add(box_id)
         at_a = self._trial_boxes.get(a)
         if at_a is None:
             self._trial_boxes[a] = {box_id}
@@ -316,9 +334,6 @@ class Partition:
         return box
 
     def _remove_box(self, box: Box) -> None:
-        cached = self._gmins.get(box.s)
-        if cached is not None and (box.F, box.id) in cached:
-            del self._gmins[box.s]
+        self.groups[box.s].discard(box.F, box.id)
         del self.boxes[box.id]
-        self.groups[box.s].discard(box.id)
         self._trial_boxes[box.a].discard(box.id)

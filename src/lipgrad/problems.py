@@ -309,8 +309,31 @@ class ProblemClass:
     upper: float = 1.0
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"a class needs at least one problem, got count={self.count}")
+        # checked, never converted: the knobs alone fix the generated floats
+        def require(name, ok, what):
+            if not ok:
+                raise ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
+
+        for name in ("seed", "dim", "count", "n_minima"):
+            v, least = getattr(self, name), 0 if name == "seed" else 1
+            require(name, type(v) is int and v >= least, f"an int >= {least}")
+        require("difficulty", type(self.difficulty) is str, "a string")
+        rr = self.radius_range
+        require("radius_range", type(rr) is tuple and len(rr) == 2
+                and all(map(_finite_float, rr)) and 0.0 < rr[0] <= rr[1],
+                "a tuple of two floats 0 < lo <= hi")
+        require("global_radius", _finite_float(self.global_radius)
+                and self.global_radius > 0.0, "a positive float")
+        # the other minima's values are drawn from [f* + value_gap, -0.05)
+        require("value_gap", _finite_float(self.value_gap)
+                and 0.0 <= self.value_gap < -0.05 - _F_STAR, "a float in [0, 0.95)")
+        require("lower", _finite_float(self.lower), "a finite float")
+        require("upper", _finite_float(self.upper) and self.upper > self.lower,
+                "a finite float above lower")
+
+
+def _finite_float(v) -> bool:
+    return isinstance(v, float) and math.isfinite(v)
 
 
 _DIFFICULTY_KNOBS = {
@@ -483,7 +506,7 @@ def load_manifest(path) -> ProblemClass:
     """Rebuild the class descriptor from a manifest file.
 
     Raises ValueError for a file that is not JSON, not a JSON object, or
-    lacks one of the class knobs.
+    lacks a class knob or holds one of the wrong type or range.
     """
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
@@ -492,5 +515,6 @@ def load_manifest(path) -> ProblemClass:
     if missing:
         raise ValueError(f"manifest {path}: missing {', '.join(missing)}")
     knobs = {k: data[k] for k in _MANIFEST_KEYS}
-    knobs["radius_range"] = tuple(knobs["radius_range"])
+    if isinstance(knobs["radius_range"], list):  # JSON has no tuples
+        knobs["radius_range"] = tuple(knobs["radius_range"])
     return ProblemClass(**knobs)

@@ -5,7 +5,6 @@ import pytest
 
 from lipgrad import baselines, selection
 from lipgrad.baselines import CenterBox, _CenterState, direct_run, directl_run
-from lipgrad.geometry import heap_min_entries
 from lipgrad.optimizer import OptConfig
 from lipgrad.problems import generate, problem_class, quadratic, with_audit
 from lipgrad.stopping import StopTarget, check_stop
@@ -144,18 +143,31 @@ def test_budget_one_stops_after_first_center():
 
 
 def rescanned_select(state: _CenterState) -> list[int]:
-    """select() without the cached minima: every group's heap is rescanned."""
+    """select() from the live boxes alone, without groups, heaps or caches.
+
+    DIRECT: every tied minimum per sorted depth vector, at its half squared
+    diagonal. DIRECT-l: the least (f, id) per minimum depth L, at 0.5 / 9^L.
+    """
+    by_key = {}
+    for box in state.boxes.values():
+        key = min(box.depths) if state.locally_biased else tuple(sorted(box.depths))
+        by_key.setdefault(key, []).append((box.f_center, box.id))
     dots = []
-    for key, live in state.groups.items():
-        if not live:
-            continue
-        entries = heap_min_entries(list(state._heaps[key]), live)
+    for key, entries in by_key.items():
+        entries.sort()
         if state.locally_biased:
-            entries = entries[:1]
-        for F, box_id in entries:
-            dots.append(selection.Dot(box_id, state._d_cache[key], F,
-                                      sum(state.boxes[box_id].depths)))
+            d, tied = 0.5 / 3 ** (2 * key), entries[:1]
+        else:
+            d = 0.5 * sum(1.0 / 3 ** (2 * dep) for dep in key)
+            tied = [e for e in entries if e[0] == entries[0][0]]
+        for F, box_id in tied:
+            dots.append(selection.Dot(box_id, d, F, sum(state.boxes[box_id].depths)))
     return selection.choose(dots, state.f_min, state.config.epsilon)
+
+
+def largest_diagonal_sq(state: _CenterState) -> float:
+    return max(sum(1.0 / 3 ** (2 * dep) for dep in sorted(box.depths))
+               for box in state.boxes.values())
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -165,4 +177,5 @@ def test_cached_select_matches_a_rescan(dim, locally_biased):
     check_stop(state)
     while not state.stop_reason:
         assert state.select() == rescanned_select(state)
+        assert state.max_diagonal_sq() == largest_diagonal_sq(state)
         state.iterate()

@@ -118,6 +118,14 @@ def test_run_class_rejects_unknown_method():
         run_class([], cls, delta=1e-4, p_max=10)
 
 
+def test_run_class_rejects_a_repeated_method():
+    # a repeat would run the method twice and print its rows twice
+    cls = problem_class(2, "simple", seed=7, count=2)
+    for methods in (["direct", "direct"], ["new", "direct", "new"]):
+        with pytest.raises(ValueError, match=f"method '{methods[0]}' given twice"):
+            run_class(methods, cls, delta=1e-4, p_max=10)
+
+
 def test_parallel_report_is_byte_identical(tmp_path):
     cls = problem_class(2, "simple", seed=3, count=6)
     seq = run_class(["new", "direct", "directl"], cls, delta=1e-4, p_max=5000,
@@ -242,7 +250,20 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
     empty.write_text("{}")
     listed = tmp_path / "list.json"
     listed.write_text("[1, 2]")
+    bad_knobs = []
+    for key, value in (("radius_range", 5), ("dim", "2"), ("count", 2.5)):
+        data = json.loads(manifest.read_text())
+        data[key] = value
+        bad_knobs.append(tmp_path / f"bad-{key}.json")
+        bad_knobs[-1].write_text(json.dumps(data))
     for argv in (
+        *(["solve", "--problem", str(path)] for path in bad_knobs),
+        *(["bench", "--class", str(path), "--delta", "1e-2"] for path in bad_knobs),
+        ["bench", "--class", "hard:2:3", "--seed", "-1", "--delta", "1e-2"],
+        ["bench", "--class", "hard:0:3", "--delta", "1e-2"],
+        ["bench", "--class", "hard:2:3", "--delta", "1e-2", "--pmax", "300",
+         "--methods", "new,direct,new"],
+        ["bench", "--class", "hard:2:3", "--delta", "1e-2", "--methods", "new,new"],
         ["solve", "--problem", f"{manifest}#x"],
         ["solve", "--problem", str(empty)],
         ["bench", "--class", str(empty), "--delta", "1e-2"],

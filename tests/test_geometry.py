@@ -173,7 +173,7 @@ def test_trisect_children_carry_their_bound():
         children = part.trisect(int(rng.choice(sorted(part.boxes))), prob)[:3]
         for child in children:
             assert child.F == characterize(child, part.vertex_db[child.a])
-            least = min(part.boxes[i].F for i in part.groups[child.s])
+            least = min(b.F for b in part.boxes.values() if b.s == child.s)
             entries = part.group_min_entries(child.s)
             assert all(F == least for F, _ in entries)
             if child.F == least:
@@ -183,16 +183,24 @@ def test_trisect_children_carry_their_bound():
 @pytest.mark.parametrize("dim", [2, 3, 4])
 @pytest.mark.parametrize("make", [wavy_problem, flat_problem], ids=["wavy", "flat"])
 def test_cached_group_minima_match_a_fresh_heap_scan(dim, make):
-    # every cached minimum equals a rescan of a copy of the group's heap;
-    # the flat problem ties every F, so ties join and leave the cache too
+    # every cached minimum equals a rescan of a copy of the group's heap and
+    # the tied minimal (F, id) of the live boxes with that s; the flat
+    # problem ties every F, so ties join and leave the cache too
     rng = np.random.default_rng(dim)
     prob = make(dim)
     part = Partition(prob)
     for _ in range(150):
         part.trisect(int(rng.choice(sorted(part.boxes))), prob)
-        for s in sorted(part.groups):
-            fresh = heap_min_entries(list(part._gheaps[s]), part.groups[s])
-            assert part.group_min_entries(s) == fresh, s
+        by_s = {}
+        for box in part.boxes.values():
+            by_s.setdefault(box.s, []).append((box.F, box.id))
+        for s, group in enumerate(part.groups):
+            entries = sorted(by_s.get(s, []))
+            expected = [e for e in entries if e[0] == entries[0][0]]
+            assert part.group_min_entries(s) == expected, s
+            assert heap_min_entries(list(group.heap), group.live) == expected, s
+        largest = max(2.0 * box.d for box in part.boxes.values())
+        assert part.max_diagonal_sq() == pytest.approx(largest, rel=1e-12, abs=0.0)
 
 
 def test_get_or_eval_is_idempotent():
@@ -240,13 +248,11 @@ def test_group_diagonals_follow_group_index():
     part = Partition(prob)
     for _ in range(120):
         part.trisect(int(rng.choice(sorted(part.boxes))), prob)
-    for s, ids in part.groups.items():
-        if not ids:
-            continue
-        q, r = divmod(s, dim)
+    for box in part.boxes.values():
+        q, r = divmod(box.s, dim)
         expect = r * 9.0 ** -(q + 1) + (dim - r) * 9.0 ** -q
-        for box_id in ids:
-            assert abs(diagonal_sq(part.boxes[box_id]) - expect) < 1e-12
+        assert abs(diagonal_sq(box) - expect) < 1e-12
+        assert abs(2.0 * part.groups[box.s].d - expect) < 1e-12
 
 
 def test_vertex_sharing_and_eval_savings():
@@ -276,10 +282,8 @@ def test_group_index_bounds_hold():
     part = Partition(prob)
     for _ in range(100):
         part.trisect(int(rng.choice(sorted(part.boxes))), prob)
-        assert part.q_inf == min(s for s, ids in part.groups.items() if ids)
-        assert part.q_0 == max(s for s, ids in part.groups.items() if ids)
-        for box in part.boxes.values():
-            assert part.q_inf <= box.s <= part.q_0
+        assert part.q_inf == min(box.s for box in part.boxes.values())
+        assert part.q_0 == max(box.s for box in part.boxes.values())
 
 
 def test_identical_sequences_give_identical_partitions():
@@ -345,8 +349,8 @@ def test_partition_geometry_is_not_tracked_by_the_collector(monkeypatch, dim, di
         for t in (box.a, box.b, box.a_real, box.b_real):
             assert not gc.is_tracked(t), (box.id, t)
     assert not any(map(gc.is_tracked, part.vertex_db))
-    for heap in part._gheaps.values():
-        assert not any(map(gc.is_tracked, heap))
+    for group in part.groups:
+        assert not any(map(gc.is_tracked, group.heap))
 
 
 @pytest.mark.parametrize("start", ["a", "b"])

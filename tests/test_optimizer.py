@@ -157,9 +157,12 @@ def test_exploration_phase_switch_after_final_iteration(monkeypatch):
     # with no record improvement the phase hands over to the record phase
     # exactly when the record box is not among the smallest
     state = initialize(flat_problem(2), OptConfig(p_max=10_000))
+    part = state.partition
+    for _ in range(3):  # each split of a smallest box makes a new group
+        part.trisect(min(part.groups[part.q_0].live), state.problem)
+    assert part.q_0 == 3
     monkeypatch.setattr(optimizer, "exploration_iteration", lambda st, g_hi: None)
     state.p = 0
-    state.partition.q_0 = 3
     assert optimizer.exploration_phase(state) == "local"
     state.p = 3
     assert optimizer.exploration_phase(state) == "re-explore"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -221,6 +222,23 @@ def test_overcrowded_class_raises_generation_error():
 def test_problem_class_rejects_unknown_difficulty():
     with pytest.raises(ValueError):
         problem_class(2, "medium")
+
+
+def test_problem_class_rejects_knobs_of_the_wrong_type_or_range():
+    # knobs are never converted: a rejected value names its knob
+    good = problem_class(2, "hard", seed=3, count=2)
+    for knob, value in (
+        ("seed", -1), ("seed", 1.0), ("seed", True), ("dim", 0), ("dim", "2"),
+        ("count", 0), ("count", 2.5), ("n_minima", 0), ("difficulty", 1),
+        ("radius_range", 5), ("radius_range", [0.06, 0.13]), ("radius_range", (0.06,)),
+        ("radius_range", (0.13, 0.06)), ("radius_range", (0.0, 0.1)),
+        ("radius_range", (0.06, math.inf)), ("global_radius", 0.0),
+        ("global_radius", 1), ("value_gap", -0.1), ("value_gap", 0.95),
+        ("value_gap", math.nan), ("lower", -1), ("upper", math.inf), ("upper", -1.0),
+    ):
+        with pytest.raises(ValueError, match=knob):
+            dataclasses.replace(good, **{knob: value})
+    assert dataclasses.replace(good, n_minima=1, value_gap=0.0).n_minima == 1
 
 
 def test_manifest_round_trip(tmp_path):

@@ -142,10 +142,9 @@ def test_group_representatives_reports_min_F_ties():
         part.trisect(min(part.boxes), prob)
     dots = group_representatives(part, part.q_inf, part.q_0)
     seen_groups = {t.s for t in dots}
-    assert seen_groups == {s for s, ids in part.groups.items() if ids}
+    assert seen_groups == {box.s for box in part.boxes.values()}
     for t in dots:
-        group_f = [part.boxes[i].F for i in part.groups[t.s]]
-        assert t.F == min(group_f)
+        assert t.F == min(box.F for box in part.boxes.values() if box.s == t.s)
     # restricting the range drops the other groups entirely
     only_top = group_representatives(part, part.q_inf, part.q_inf)
     assert {t.s for t in only_top} == {part.q_inf}
