@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from . import selection
-from .geometry import Group, grid_fraction, heap_min_entries, pow3, vertex_str
+from .geometry import Group, fraction_str, grid_fraction, heap_min_entries, pow3
 from .optimizer import OptConfig
 from .stopping import (
     REASON_BUDGET,
@@ -188,8 +188,8 @@ class _CenterState:
         lines = []
         for box in sorted(self.boxes.values(), key=lambda b: b.id):
             corner = list(zip(box.corner_nums, box.depths))
-            a = vertex_str(tuple(grid_fraction(n, d) for n, d in corner))
-            b = vertex_str(tuple(grid_fraction(n + 1, d) for n, d in corner))
+            a = ",".join(fraction_str(grid_fraction(n, d)) for n, d in corner)
+            b = ",".join(fraction_str(grid_fraction(n + 1, d)) for n, d in corner)
             lines.append(f"{box.id} {sum(box.depths)} {a} {b}")
         return lines
 

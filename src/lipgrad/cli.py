@@ -107,19 +107,22 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        if Path(args.cls).is_file():
+    if Path(args.cls).is_file():
+        try:
             cls = problems.load_manifest(args.cls)
-        else:
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+    else:
+        try:
             difficulty, dim_s, count_s = args.cls.split(":")
             cls = problems.problem_class(
                 int(dim_s), difficulty, seed=args.seed, count=int(count_s)
             )
-    except ValueError as exc:
-        raise UsageError(
-            f"--class must be a manifest path or difficulty:dim:count, "
-            f"got {args.cls!r} ({exc})"
-        ) from exc
+        except ValueError as exc:
+            raise UsageError(
+                f"--class must be a manifest path or difficulty:dim:count, "
+                f"got {args.cls!r} ({exc})"
+            ) from exc
     try:
         methods = bench.check_methods(m.strip() for m in args.methods.split(",") if m.strip())
     except ValueError as exc:

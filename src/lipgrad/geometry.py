@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import bounding
 
@@ -28,12 +28,14 @@ def pow3(k: int) -> int:
     return _POW3[k]
 
 
-# A grid coordinate num / 3**depth in [0, 1], as a normalized (num, depth)
-# pair, and a grid point: one coordinate per axis, relative to the domain.
-# Both are plain tuples of ints, which the garbage collector stops tracking;
-# it never untracks a tuple subclass such as a NamedTuple.
+# A grid coordinate num / 3**depth in [0, 1] is a normalized (num, depth)
+# pair. A grid point is one flat tuple of ints (num_0, depth_0, num_1,
+# depth_1, ...), one pair per axis, relative to the domain, so the first
+# collection that sees it untracks it. Nested pair tuples would take one
+# collection more, and so would every box holding the point: most boxes
+# would then reach the oldest generation still tracked.
 GridFraction = tuple[int, int]
-GridVertex = tuple[GridFraction, ...]
+GridVertex = tuple[int, ...]
 
 
 def fraction_str(c: GridFraction) -> str:
@@ -41,7 +43,7 @@ def fraction_str(c: GridFraction) -> str:
 
 
 def vertex_str(v: GridVertex) -> str:
-    return ",".join(map(fraction_str, v))
+    return ",".join(f"{num}/{pow3(depth)}" for num, depth in zip(v[::2], v[1::2]))
 
 
 def grid_fraction(num: int, depth: int) -> GridFraction:
@@ -71,29 +73,29 @@ def vertex_real(v: GridVertex, lower, edge) -> tuple[float, ...]:
     """Real coordinates of a grid point on the domain ``lower + [0, edge]``."""
     return tuple(
         lo + num / pow3(depth) * ed
-        for (num, depth), lo, ed in zip(v, lower, edge)
+        for num, depth, lo, ed in zip(v[::2], v[1::2], lower, edge)
     )
 
 
 def corner_vertex(dim: int, upper: bool) -> GridVertex:
-    return (grid_fraction(1 if upper else 0, 0),) * dim
+    return grid_fraction(1 if upper else 0, 0) * dim
 
 
-@dataclass(frozen=True, slots=True)
-class VertexRecord:
-    """Objective value and gradient at a vertex; written once, never updated."""
+# A vertex's record is the plain tuple (f_value, gradient) and a box the
+# plain tuple (id, s, a, b, a_real, b_real, d, F): ``a`` is the trial vertex,
+# ``d`` half the squared real diagonal and ``F`` the minimum of the gradient
+# linearization over the box, set when the partition makes the box. Every
+# item is an int, a float or a tuple of them, so a collection untracks each
+# record and box and later ones skip them; they hold no cycles.
+Record = tuple[float, tuple[float, ...]]
+BoxTuple = tuple[int, int, GridVertex, GridVertex,
+                 tuple[float, ...], tuple[float, ...], float, float]
 
-    f_value: float
-    gradient: tuple[float, ...]
 
+class Box(NamedTuple):
+    """Named view of a box tuple, made on demand by ``Box._make(raw)``.
 
-@dataclass(slots=True)
-class Box:
-    """A hyperinterval [a, b] with trial vertex ``a`` and group index ``s``.
-
-    ``d`` is half the squared real diagonal. ``F``, the minimum of the
-    gradient linearization over the box, is set when the partition creates
-    the box and never changes afterwards.
+    The partition never stores one: CPython never untracks a tuple subclass.
     """
 
     id: int
@@ -103,24 +105,7 @@ class Box:
     a_real: tuple[float, ...]
     b_real: tuple[float, ...]
     d: float
-    F: float = float("nan")
-
-
-def volume(box: Box) -> Fraction:
-    """Exact box volume in grid coordinates (domain scaled to the unit cube)."""
-    v = Fraction(1)
-    for (na, da), (nb, db) in zip(box.a, box.b):
-        m = max(da, db)
-        num = abs(na * pow3(m - da) - nb * pow3(m - db))
-        if num == 0:
-            raise ValueError(f"degenerate box {box.id}")
-        v *= Fraction(num, pow3(m))
-    return v
-
-
-def diagonal_sq(box: Box) -> float:
-    """Squared real length of the main diagonal."""
-    return sum((br - ar) ** 2 for ar, br in zip(box.a_real, box.b_real))
+    F: float
 
 
 def heap_min_entries(heap: list, live) -> list:
@@ -180,14 +165,13 @@ class Partition:
     def __init__(self, problem, start_vertex: str = "a"):
         self.lower = tuple(float(v) for v in problem.lower)
         self.edge = tuple(float(u) - l for l, u in zip(self.lower, problem.upper))
-        self.vertex_db: dict[GridVertex, VertexRecord] = {}
-        self.boxes: dict[int, Box] = {}
+        self.vertex_db: dict[GridVertex, Record] = {}
+        self.boxes: dict[int, BoxTuple] = {}
         # group s holds the boxes split s times; none is ever deleted
         self.groups: list[Group] = []
         # real side lengths of the next group to get a split axis
         self._sides = [Fraction(e) for e in self.edge]
         self._split_axes: list[int] = []
-        self._trial_boxes: dict[GridVertex, set[int]] = {}
         self.q_inf = 0
 
         dim = len(self.lower)
@@ -218,7 +202,7 @@ class Partition:
         """Number of trials: each distinct vertex is evaluated exactly once."""
         return len(self.vertex_db)
 
-    def get_or_eval(self, v: GridVertex, x: tuple[float, ...], problem) -> VertexRecord:
+    def get_or_eval(self, v: GridVertex, x: tuple[float, ...], problem) -> Record:
         """Read the record for ``v`` or evaluate f and f' there exactly once.
 
         ``x`` must be ``vertex_real(v, self.lower, self.edge)``; callers
@@ -226,11 +210,10 @@ class Partition:
         """
         rec = self.vertex_db.get(v)
         if rec is None:
-            rec = VertexRecord(*problem.value_and_grad(x))
-            self.vertex_db[v] = rec
+            rec = self.vertex_db[v] = problem.value_and_grad(x)
         return rec
 
-    def trisect(self, t: int, problem) -> tuple[Box, Box, Box, Optional[VertexRecord]]:
+    def trisect(self, t: int, problem) -> tuple[BoxTuple, BoxTuple, BoxTuple, Optional[Record]]:
         """Split box ``t`` perpendicular to its longest side into equal thirds.
 
         The middle child keeps id ``t``; the children adjacent to the old
@@ -239,29 +222,29 @@ class Partition:
         None if it was reused.
         """
         box = self.boxes[t]
-        i = self.split_axis(box.s)
-        a, b = box.a, box.b
-        u_f, v_f = third_points(a[i], b[i])
-        u = a[:i] + (u_f,) + a[i + 1:]
-        v = b[:i] + (v_f,) + b[i + 1:]
+        _, s, a, b, a_real, b_real, _, _ = box
+        i = self.split_axis(s)
+        j = 2 * i  # axis i's (num, depth) in a grid point
+        u_f, v_f = third_points(a[j:j + 2], b[j:j + 2])
+        u = a[:j] + u_f + a[j + 2:]
+        v = b[:j] + v_f + b[j + 2:]
         lo_i, ed_i = self.lower[i], self.edge[i]
         # the same expression as vertex_real, on the split axis only
-        u_real = box.a_real[:i] + (lo_i + u_f[0] / pow3(u_f[1]) * ed_i,) + box.a_real[i + 1:]
-        v_real = box.b_real[:i] + (lo_i + v_f[0] / pow3(v_f[1]) * ed_i,) + box.b_real[i + 1:]
+        u_real = a_real[:i] + (lo_i + u_f[0] / pow3(u_f[1]) * ed_i,) + a_real[i + 1:]
+        v_real = b_real[:i] + (lo_i + v_f[0] / pow3(v_f[1]) * ed_i,) + b_real[i + 1:]
 
         before = len(self.vertex_db)
         rec = self.get_or_eval(u, u_real, problem)
         new_rec = rec if len(self.vertex_db) > before else None
 
-        s_child = box.s + 1
+        s += 1
         m = len(self.boxes)
         # children share side lengths, hence one d for all three
         d = 0.5 * sum((br - ar) ** 2 for ar, br in zip(u_real, v_real))
         self._remove_box(box)
-        middle = self._add_box(t, s_child, u, v, u_real, v_real, d, rec)
-        low = self._add_box(m + 1, s_child, a, v, box.a_real, v_real, d,
-                            self.vertex_db[a])
-        high = self._add_box(m + 2, s_child, u, b, u_real, box.b_real, d, rec)
+        middle = self._add_box(t, s, u, v, u_real, v_real, d, rec)
+        low = self._add_box(m + 1, s, a, v, a_real, v_real, d, self.vertex_db[a])
+        high = self._add_box(m + 2, s, u, b, u_real, b_real, d, rec)
 
         while not self.groups[self.q_inf].live:
             self.q_inf += 1
@@ -295,10 +278,6 @@ class Partition:
             group.mins = heap_min_entries(group.heap, group.live)
         return group.mins
 
-    def boxes_at_vertex(self, v: GridVertex) -> set[int]:
-        """Ids of live boxes whose trial vertex is ``v``."""
-        return self._trial_boxes.get(v, set())
-
     def max_diagonal_sq(self) -> float:
         """Squared diagonal of the largest live boxes (group q_inf).
 
@@ -310,30 +289,24 @@ class Partition:
     def snapshot_lines(self) -> list[str]:
         """One line per box: id, s, a-coords, b-coords as exact fractions."""
         return [
-            f"{b.id} {b.s} {vertex_str(b.a)} {vertex_str(b.b)}"
-            for b in sorted(self.boxes.values(), key=lambda b: b.id)
+            f"{box_id} {s} {vertex_str(a)} {vertex_str(b)}"
+            for box_id, s, a, b, *_ in sorted(self.boxes.values())
         ]
 
     def _add_box(
         self, box_id: int, s: int, a: GridVertex, b: GridVertex,
         a_real: tuple[float, ...], b_real: tuple[float, ...], d: float,
-        rec: VertexRecord,
-    ) -> Box:
+        rec: Record,
+    ) -> BoxTuple:
         """Make and index a box with its bound F from ``rec``, the record at ``a``."""
-        box = Box(box_id, s, a, b, a_real, b_real, d)
-        F = box.F = bounding.characterize(box, rec)
+        F = bounding.characterize(rec, a_real, b_real)
         if s == len(self.groups):  # the group's first box
             self.groups.append(Group(d))
         self.groups[s].add(F, box_id)
-        self.boxes[box_id] = box
-        at_a = self._trial_boxes.get(a)
-        if at_a is None:
-            self._trial_boxes[a] = {box_id}
-        else:
-            at_a.add(box_id)
+        box = self.boxes[box_id] = (box_id, s, a, b, a_real, b_real, d, F)
         return box
 
-    def _remove_box(self, box: Box) -> None:
-        self.groups[box.s].discard(box.F, box.id)
-        del self.boxes[box.id]
-        self._trial_boxes[box.a].discard(box.id)
+    def _remove_box(self, box: BoxTuple) -> None:
+        # box[1] is s and box[7] F
+        self.groups[box[1]].discard(box[7], box[0])
+        del self.boxes[box[0]]

@@ -63,6 +63,8 @@ class OptState:
         self.partition = partition
         self.f_min = math.inf
         self.x_min: GridVertex = partition.initial_vertex
+        # the live boxes whose trial vertex is x_min, one of them the record box
+        self.record_ids: set[int] = {1}
         self.record_box = 1
         self.p = 0
         self.phase = "init"
@@ -86,8 +88,8 @@ def initialize(problem, config: OptConfig) -> OptState:
     """
     partition = Partition(problem, config.start_vertex)
     state = OptState(problem, config, partition)
-    first = partition.boxes[1]
-    record_trial(state, first.a_real, partition.vertex_db[first.a].f_value)
+    _, _, a, _, a_real, _, _, _ = partition.boxes[1]
+    record_trial(state, a_real, partition.vertex_db[a][0])
     check_stop(state)
     log_history(state)
     return state
@@ -138,11 +140,10 @@ def record_phase(state: OptState) -> None:
     state.phase = "local"
     part = state.partition
     for _ in range(state.problem.dim):
-        box = part.boxes[state.record_box]
-        rec = part.vertex_db[box.a]
-        if gradient_aligned(rec.gradient, box.a_real, box.b_real):
+        _, _, a, _, a_real, b_real, _, _ = part.boxes[state.record_box]
+        if gradient_aligned(part.vertex_db[a][1], a_real, b_real):
             break
-        _subdivide(state, box.id)
+        _subdivide(state, state.record_box)
         if state.stop_reason:
             return
     log_history(state)
@@ -165,21 +166,29 @@ def _improved_one_percent(f_min: float, f_prec: float) -> bool:
 
 
 def _resolve_record_box(state: OptState) -> None:
-    # the record vertex always remains the trial vertex of at least one box
-    part = state.partition
-    ids = part.boxes_at_vertex(state.x_min)
-    best = min(ids, key=lambda i: (part.boxes[i].F, -part.boxes[i].d, i))
+    # the record vertex always remains the trial vertex of at least one box;
+    # among them the least F, then the largest d, then the lowest id
+    boxes = state.partition.boxes
+    best = min(state.record_ids, key=lambda i: (boxes[i][7], -boxes[i][6], i))
     state.record_box = best
-    state.p = part.boxes[best].s
+    state.p = boxes[best][1]
 
 
-def _subdivide(state: OptState, box_id: int) -> None:
-    part = state.partition
-    middle, low, _, new_rec = part.trisect(box_id, state.problem)
-    if new_rec is not None and record_trial(state, middle.a_real, new_rec.f_value):
-        state.x_min = middle.a
-    # trisection removed a box at low.a and added boxes at middle.a and
-    # low.a; at any other record vertex the record box is as it was
-    if state.x_min == middle.a or state.x_min == low.a:
+def _subdivide(state: OptState, t: int) -> None:
+    middle, low, high, new_rec = state.partition.trisect(t, state.problem)
+    # box t, whose trial vertex low[2] was, is gone; its children t and
+    # high[0] have the new trial vertex u, and low[0] has low[2]
+    u = middle[2]
+    if new_rec is not None and record_trial(state, middle[4], new_rec[0]):
+        state.x_min = u  # newly evaluated, so no other box has it
+        state.record_ids = {t, high[0]}
         _resolve_record_box(state)
+    elif state.x_min == low[2]:
+        state.record_ids.discard(t)
+        state.record_ids.add(low[0])
+        _resolve_record_box(state)
+    elif state.x_min == u:
+        state.record_ids.update((t, high[0]))
+        _resolve_record_box(state)
+    # at any other record vertex the record box is as it was
     check_stop(state)

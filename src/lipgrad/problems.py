@@ -114,40 +114,6 @@ def _read_only_point(x) -> np.ndarray:
     return point
 
 
-@dataclass
-class EvalAudit:
-    """Mutable call counters attached by :func:`with_audit`."""
-
-    f_calls: int = 0
-    grad_calls: int = 0
-
-
-def with_audit(problem: Problem) -> tuple[Problem, EvalAudit]:
-    """Wrap a problem so every f / gradient call is counted."""
-    audit = EvalAudit()
-
-    def f(x):
-        audit.f_calls += 1
-        return problem.f(x)
-
-    def grad(x):
-        audit.grad_calls += 1
-        return problem.grad(x)
-
-    wrapped = Problem(
-        name=problem.name,
-        dim=problem.dim,
-        lower=problem.lower,
-        upper=problem.upper,
-        f=f,
-        grad=grad,
-        known_opt=problem.known_opt,
-        known_K=problem.known_K,
-        f_batch=None,
-    )
-    return wrapped, audit
-
-
 def quadratic(
     center,
     matrix=None,
@@ -258,35 +224,6 @@ def analytic_suite() -> list[Problem]:
         trig_separable(1),
         trig_separable(2),
     ]
-
-
-def fd_check(problem: Problem, samples: int = 100, step: float = 1e-6, seed: int = 0) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Uses per-axis steps of ``step * (upper - lower)`` at interior points;
-    errors are scaled by max(1, |grad|_inf) so near-flat regions do not blow
-    up the ratio.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    rng = np.random.default_rng(seed)
-    lo = np.asarray(problem.lower)
-    hi = np.asarray(problem.upper)
-    h = step * (hi - lo)
-    worst = 0.0
-    for _ in range(samples):
-        x = rng.uniform(lo + 2 * h, hi - 2 * h)
-        g = np.asarray(problem.grad(x), dtype=float)
-        fd = np.empty_like(g)
-        for j in range(problem.dim):
-            xp = x.copy()
-            xm = x.copy()
-            xp[j] += h[j]
-            xm[j] -= h[j]
-            fd[j] = (problem.f(xp) - problem.f(xm)) / (2.0 * h[j])
-        err = float(np.max(np.abs(fd - g))) / max(1.0, float(np.max(np.abs(g))))
-        worst = max(worst, err)
-    return worst
 
 
 @dataclass(frozen=True)
@@ -508,7 +445,10 @@ def load_manifest(path) -> ProblemClass:
     Raises ValueError for a file that is not JSON, not a JSON object, or
     lacks a class knob or holds one of the wrong type or range.
     """
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"manifest {path}: not JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ValueError(f"manifest {path}: expected a JSON object, got {type(data).__name__}")
     missing = [k for k in _MANIFEST_KEYS if k not in data]
@@ -517,4 +457,7 @@ def load_manifest(path) -> ProblemClass:
     knobs = {k: data[k] for k in _MANIFEST_KEYS}
     if isinstance(knobs["radius_range"], list):  # JSON has no tuples
         knobs["radius_range"] = tuple(knobs["radius_range"])
-    return ProblemClass(**knobs)
+    try:
+        return ProblemClass(**knobs)
+    except ValueError as exc:
+        raise ValueError(f"manifest {path}: {exc}") from None

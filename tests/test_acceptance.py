@@ -6,30 +6,29 @@ lines as they complete.
 
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
 from lipgrad import baselines, bench, optimizer, problems, selection
 from lipgrad.bounding import characterize
-from lipgrad.geometry import Partition, VertexRecord, diagonal_sq, volume
+from lipgrad.geometry import Partition
 from lipgrad.optimizer import OptConfig
-from lipgrad.problems import (
-    analytic_suite,
-    fd_check,
-    generate,
-    problem_class,
-    random_quadratic,
-    with_audit,
-)
+from lipgrad.problems import analytic_suite, generate, problem_class, random_quadratic
 from lipgrad.stopping import StopTarget
 from util import (
+    diagonal_sq,
+    fd_check,
     flat_problem,
+    live_boxes,
     make_box,
     nondominated_oracle,
     random_box_corners,
     random_dot_set,
+    volume,
     wavy_problem,
+    with_audit,
 )
 
 
@@ -49,14 +48,14 @@ def test_criterion_01_minorant_validity():
             a, b = random_box_corners(rng, dim)
             box = make_box(a, b)
             x_a = np.asarray(box.a_real)
-            rec = VertexRecord(prob.f(x_a), tuple(prob.grad(x_a)))
+            rec = (prob.f(x_a), tuple(prob.grad(x_a)))
             axes = [
                 np.linspace(min(p, q), max(p, q), 50)
                 for p, q in zip(box.a_real, box.b_real)
             ]
             grid = np.stack([m.ravel() for m in np.meshgrid(*axes)], axis=1)
             grid_min = float(np.min(prob.f_batch(grid)))
-            F = characterize(box, rec)
+            F = characterize(rec, box.a_real, box.b_real)
             for khat in (K, 2 * K, 10 * K):
                 assert F - khat * box.d <= grid_min + 1e-9
                 checked += 1
@@ -74,7 +73,7 @@ def test_criterion_02_trisection_exactness():
         part = Partition(prob)
         length = int(rng.integers(5, 31))
         for _ in range(length):
-            candidates = [i for i, b in part.boxes.items() if b.s < 30]
+            candidates = [box_id for box_id, s, *_ in part.boxes.values() if s < 30]
             box_id = int(rng.choice(candidates))
             parent_volume = volume(part.boxes[box_id])
             children = part.trisect(box_id, prob)[:3]
@@ -82,7 +81,7 @@ def test_criterion_02_trisection_exactness():
                 assert volume(child) == parent_volume / 3
         by_group: dict[int, list[float]] = {}
         for box in part.boxes.values():
-            by_group.setdefault(box.s, []).append(diagonal_sq(box))
+            by_group.setdefault(box[1], []).append(diagonal_sq(box))  # box[1] is s
         for diags in by_group.values():
             assert max(diags) - min(diags) <= 1e-12
         assert sum(volume(b) for b in part.boxes.values()) == Fraction(1)
@@ -101,7 +100,8 @@ def test_criterion_03_vertex_reuse():
             part.trisect(box_id, prob)
         assert part.trials < part.m
         assert part.trials == audit.f_calls
-        assert max(len(ids) for ids in part._trial_boxes.values()) >= 3
+        # some vertex is the trial vertex of three or more live boxes
+        assert max(Counter(box.a for box in live_boxes(part)).values()) >= 3
         # replayed over a copy of the database, nothing is evaluated again
         replay_prob, replay_audit = with_audit(wavy_problem(2))
         replay = Partition(prob)

@@ -6,9 +6,9 @@ import pytest
 from lipgrad import baselines, selection
 from lipgrad.baselines import CenterBox, _CenterState, direct_run, directl_run
 from lipgrad.optimizer import OptConfig
-from lipgrad.problems import generate, problem_class, quadratic, with_audit
+from lipgrad.problems import generate, problem_class, quadratic
 from lipgrad.stopping import StopTarget, check_stop
-from util import wavy_problem
+from util import wavy_problem, with_audit
 
 
 def test_single_box_is_potentially_optimal_and_subdivided():

@@ -19,10 +19,10 @@ from lipgrad.bench import (
     write_trace,
 )
 from lipgrad.optimizer import OptConfig, run
-from lipgrad.problems import problem_class, quadratic, with_audit, write_manifest
+from lipgrad.problems import problem_class, quadratic, write_manifest
 from lipgrad.selection import Dot, hull_snapshot_lines, nondominated
 from lipgrad.stopping import StopTarget, target_reached
-from util import wavy_problem
+from util import wavy_problem, with_audit
 
 
 def test_target_reached_examples():
@@ -292,6 +292,15 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
         assert cli.main(argv) == 1, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
+    # a manifest with a bad knob names the file and the knob, whichever
+    # command reads it, and is not mistaken for a malformed descriptor
+    for path, key in zip(bad_knobs, ("radius_range", "dim", "count")):
+        for argv in (["solve", "--problem", str(path)],
+                     ["bench", "--class", str(path), "--delta", "1e-2"]):
+            assert cli.main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: manifest {path}: {key} must be "), (argv, err)
+            assert "difficulty:dim:count" not in err, (argv, err)
 
 
 def test_cli_evaluation_failure_exits_two(tmp_path, capsys, monkeypatch):

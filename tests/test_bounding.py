@@ -4,25 +4,31 @@ import math
 import numpy as np
 import pytest
 
-from lipgrad.bounding import characterize, eval_minorant
-from lipgrad.geometry import Box, VertexRecord
+from lipgrad.bounding import characterize
+from lipgrad.geometry import Box
 from lipgrad.problems import random_quadratic
-from util import make_box, make_vertex, random_box_corners
+from util import eval_minorant, make_box, make_vertex, random_box_corners
 
 
 def rec(f, grad):
-    return VertexRecord(float(f), tuple(float(g) for g in grad))
+    """A vertex record: the plain tuple (f_value, gradient)."""
+    return (float(f), tuple(float(g) for g in grad))
+
+
+def F_of(box, r):
+    """F of a box whose trial vertex has record ``r``."""
+    return characterize(r, box.a_real, box.b_real)
 
 
 def test_F_value_examples():
     box = make_box(make_vertex(0, 0), make_vertex(1, 1))
-    assert characterize(box, rec(5.0, (1.0, -2.0))) == 3.0
-    assert characterize(box, rec(5.0, (0.0, 0.0))) == 5.0
+    assert F_of(box, rec(5.0, (1.0, -2.0))) == 3.0
+    assert F_of(box, rec(5.0, (0.0, 0.0))) == 5.0
     rev = make_box(make_vertex(1, 0), make_vertex(0, 1))
-    assert characterize(rev, rec(0.0, (3.0, -1.0))) == -4.0
+    assert F_of(rev, rec(0.0, (3.0, -1.0))) == -4.0
     # a zero partial adds nothing on either orientation
     flipped = make_box(make_vertex(1, 1), make_vertex(0, 0))
-    assert characterize(flipped, rec(5.0, (0.0, 0.0))) == 5.0
+    assert F_of(flipped, rec(5.0, (0.0, 0.0))) == 5.0
 
 
 def test_F_never_exceeds_value_at_trial_vertex():
@@ -31,12 +37,12 @@ def test_F_never_exceeds_value_at_trial_vertex():
         a, b = random_box_corners(rng, dim=3)
         box = make_box(a, b)
         r = rec(rng.normal(), rng.normal(size=3))
-        assert characterize(box, r) <= r.f_value + 1e-15
+        assert F_of(box, r) <= r[0] + 1e-15
 
 
 def R(box, r, khat):
     """The certified bound F - khat * d of a box."""
-    return characterize(box, r) - khat * box.d
+    return F_of(box, r) - khat * box.d
 
 
 def test_characteristic_R_examples():
@@ -108,35 +114,36 @@ def test_F_matches_vertex_enumeration():
         r = rec(rng.normal(), grad)
         # independent oracle: evaluate the linear model at all 2^dim vertices
         lowest = min(
-            r.f_value
+            r[0]
             + sum(
                 g * ((q if pick else p) - p)
                 for g, p, q, pick in zip(grad, box.a_real, box.b_real, picks)
             )
             for picks in itertools.product((False, True), repeat=dim)
         )
-        assert abs(characterize(box, r) - lowest) < 1e-12
+        assert abs(F_of(box, r) - lowest) < 1e-12
 
 
 def test_characterize_caches_box_geometry():
     # the (d, F) dot of a box: d from its corners, F from characterize
     box = make_box(make_vertex(0, 0), make_vertex(1, 1))
     assert box.d == 1.0
-    assert characterize(box, rec(5.0, (1.0, -2.0))) == 3.0
-
+    assert F_of(box, rec(5.0, (1.0, -2.0))) == 3.0
 
 
 def characterize_with_min(box, r):
     """F as first written: min(term, 0.0) added on every axis."""
+    f_value, gradient = r
     total = 0.0
-    for g, ar, br in zip(r.gradient, box.a_real, box.b_real):
+    for g, ar, br in zip(gradient, box.a_real, box.b_real):
         total += min(g * (br - ar), 0.0)
-    return r.f_value + total
+    return f_value + total
 
 
 def test_characterize_matches_the_min_sum_bit_for_bit():
     def box_at(a_real, b_real):
-        return Box(1, 0, (), (), tuple(map(float, a_real)), tuple(map(float, b_real)), 0.0)
+        return Box(1, 0, (), (), tuple(map(float, a_real)), tuple(map(float, b_real)), 0.0,
+                   math.nan)
 
     cases = [
         # zero gradient components and zero-width sides: products of +-0.0
@@ -160,4 +167,4 @@ def test_characterize_matches_the_min_sum_bit_for_bit():
         cases.append((a, b, rec(rng.normal(), grad)))
     for a_real, b_real, r in cases:
         box = box_at(a_real, b_real)
-        assert repr(characterize(box, r)) == repr(characterize_with_min(box, r)), (box, r)
+        assert repr(F_of(box, r)) == repr(characterize_with_min(box, r)), (box, r)

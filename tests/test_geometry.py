@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,18 +11,29 @@ from lipgrad import optimizer
 from lipgrad.baselines import direct_run
 from lipgrad.bounding import characterize
 from lipgrad.geometry import (
+    Box,
     Partition,
-    diagonal_sq,
     grid_fraction,
     heap_min_entries,
     pow3,
     third_points,
     vertex_real,
-    volume,
 )
 from lipgrad.optimizer import OptConfig, run
-from lipgrad.problems import Problem, generate, problem_class, quadratic, with_audit
-from util import as_fraction, flat_problem, make_box, make_vertex, wavy_problem
+from lipgrad.problems import Problem, generate, problem_class, quadratic
+from util import (
+    as_fraction,
+    diagonal_sq,
+    flat_problem,
+    live_boxes,
+    make_box,
+    make_vertex,
+    trisect_views,
+    vertex_fractions,
+    volume,
+    wavy_problem,
+    with_audit,
+)
 
 
 def domain_problem(edges):
@@ -89,7 +101,7 @@ def test_longest_side_reversed_diagonal_tie():
     prob = flat_problem(2)
     part = Partition(prob, start_vertex="b")
     assert part.split_axis(0) == 0
-    middle, _, _, _ = part.trisect(1, prob)
+    middle, _, _, _ = trisect_views(part, 1, prob)
     assert middle.a == make_vertex((1, 1), 1) and middle.b == make_vertex((2, 1), 0)
     assert part.split_axis(1) == 1
 
@@ -114,22 +126,23 @@ def test_split_axis_matches_longest_side_of_random_trisections():
         for start in ("a", "b"):
             part = Partition(prob, start_vertex=start)
             for _ in range(60):
-                box = part.boxes[int(rng.choice(sorted(part.boxes)))]
+                box = Box._make(part.boxes[int(rng.choice(sorted(part.boxes)))])
                 sides = [
                     abs(as_fraction(pb) - as_fraction(pa)) * Fraction(e)
-                    for pa, pb, e in zip(box.a, box.b, edges)
+                    for pa, pb, e in zip(vertex_fractions(box.a), vertex_fractions(box.b), edges)
                 ]
                 longest = sides.index(max(sides))
                 assert part.split_axis(box.s) == longest
-                middle, *_ = part.trisect(box.id, prob)
-                split = [j for j, (pa, qa) in enumerate(zip(box.a, middle.a))
+                middle, *_ = trisect_views(part, box.id, prob)
+                split = [j for j, (pa, qa) in enumerate(zip(vertex_fractions(box.a),
+                                                             vertex_fractions(middle.a)))
                          if pa != qa]
                 assert split == [longest]
 
 
 def test_trisect_unit_square():
     part = Partition(flat_problem(2))
-    middle, low, high, new_rec = part.trisect(1, flat_problem(2))
+    middle, low, high, new_rec = trisect_views(part, 1, flat_problem(2))
     assert middle.a == make_vertex((2, 1), 0) and middle.b == make_vertex((1, 1), 1)
     assert low.a == make_vertex(0, 0) and low.b == make_vertex((1, 1), 1)
     assert high.a == make_vertex((2, 1), 0) and high.b == make_vertex(1, 1)
@@ -144,7 +157,7 @@ def test_trisect_unit_square():
 def test_trisect_one_dimensional():
     prob = flat_problem(1)
     part = Partition(prob)
-    middle, low, high, _ = part.trisect(1, prob)
+    middle, low, high, _ = trisect_views(part, 1, prob)
     assert middle.a == make_vertex((2, 1)) and middle.b == make_vertex((1, 1))
     assert low.a == make_vertex(0) and low.b == make_vertex((1, 1))
     assert high.a == make_vertex((2, 1)) and high.b == make_vertex(1)
@@ -158,7 +171,7 @@ def test_trisect_reversed_diagonal():
     box = make_box(make_vertex(1, 0), make_vertex(0, 1))
     part._add_box(box.id, box.s, box.a, box.b, box.a_real, box.b_real, box.d,
                   part.get_or_eval(box.a, box.a_real, prob))
-    middle, low, high, _ = part.trisect(1, prob)
+    middle, low, high, _ = trisect_views(part, 1, prob)
     assert middle.a == make_vertex((1, 1), 0) and middle.b == make_vertex((2, 1), 1)
     assert low.a == make_vertex(1, 0) and low.b == make_vertex((2, 1), 1)
     assert high.a == make_vertex((1, 1), 0) and high.b == make_vertex(0, 1)
@@ -170,10 +183,10 @@ def test_trisect_children_carry_their_bound():
     prob = wavy_problem(2)
     part = Partition(prob)
     for _ in range(80):
-        children = part.trisect(int(rng.choice(sorted(part.boxes))), prob)[:3]
+        children = trisect_views(part, int(rng.choice(sorted(part.boxes))), prob)[:3]
         for child in children:
-            assert child.F == characterize(child, part.vertex_db[child.a])
-            least = min(b.F for b in part.boxes.values() if b.s == child.s)
+            assert child.F == characterize(part.vertex_db[child.a], child.a_real, child.b_real)
+            least = min(b.F for b in live_boxes(part) if b.s == child.s)
             entries = part.group_min_entries(child.s)
             assert all(F == least for F, _ in entries)
             if child.F == least:
@@ -192,14 +205,14 @@ def test_cached_group_minima_match_a_fresh_heap_scan(dim, make):
     for _ in range(150):
         part.trisect(int(rng.choice(sorted(part.boxes))), prob)
         by_s = {}
-        for box in part.boxes.values():
+        for box in live_boxes(part):
             by_s.setdefault(box.s, []).append((box.F, box.id))
         for s, group in enumerate(part.groups):
             entries = sorted(by_s.get(s, []))
             expected = [e for e in entries if e[0] == entries[0][0]]
             assert part.group_min_entries(s) == expected, s
             assert heap_min_entries(list(group.heap), group.live) == expected, s
-        largest = max(2.0 * box.d for box in part.boxes.values())
+        largest = max(2.0 * box.d for box in live_boxes(part))
         assert part.max_diagonal_sq() == pytest.approx(largest, rel=1e-12, abs=0.0)
 
 
@@ -237,7 +250,7 @@ def test_volume_conservation_random_runs():
         for _ in range(60):
             box_id = int(rng.choice(sorted(part.boxes)))
             part.trisect(box_id, prob)
-        assert sum(volume(b) for b in part.boxes.values()) == Fraction(1)
+        assert sum(volume(b) for b in live_boxes(part)) == Fraction(1)
 
 
 def test_group_diagonals_follow_group_index():
@@ -248,7 +261,7 @@ def test_group_diagonals_follow_group_index():
     part = Partition(prob)
     for _ in range(120):
         part.trisect(int(rng.choice(sorted(part.boxes))), prob)
-    for box in part.boxes.values():
+    for box in live_boxes(part):
         q, r = divmod(box.s, dim)
         expect = r * 9.0 ** -(q + 1) + (dim - r) * 9.0 ** -q
         assert abs(diagonal_sq(box) - expect) < 1e-12
@@ -263,7 +276,7 @@ def test_vertex_sharing_and_eval_savings():
         part.trisect(int(rng.choice(sorted(part.boxes))), prob)
     assert part.trials < part.m
     assert part.trials == audit.f_calls == audit.grad_calls
-    sharing = [len(ids) for ids in part._trial_boxes.values()]
+    sharing = Counter(box.a for box in live_boxes(part)).values()
     assert max(sharing) >= 3
     assert max(sharing) <= 2**2  # a vertex serves at most one box per orthant
     assert part.trials <= part.m + 1
@@ -282,8 +295,8 @@ def test_group_index_bounds_hold():
     part = Partition(prob)
     for _ in range(100):
         part.trisect(int(rng.choice(sorted(part.boxes))), prob)
-        assert part.q_inf == min(box.s for box in part.boxes.values())
-        assert part.q_0 == max(box.s for box in part.boxes.values())
+        assert part.q_inf == min(box.s for box in live_boxes(part))
+        assert part.q_0 == max(box.s for box in live_boxes(part))
 
 
 def test_identical_sequences_give_identical_partitions():
@@ -302,8 +315,8 @@ def test_start_vertex_b_mirrors_scheme():
     prob = wavy_problem(2)
     part = Partition(prob, start_vertex="b")
     assert part.initial_vertex == make_vertex(1, 1)
-    assert part.boxes[1].a == make_vertex(1, 1)
-    assert part.boxes[1].b == make_vertex(0, 0)
+    assert Box._make(part.boxes[1]).a == make_vertex(1, 1)
+    assert Box._make(part.boxes[1]).b == make_vertex(0, 0)
 
 
 def test_vertex_real_coordinates_scale_to_domain():
@@ -336,19 +349,37 @@ def run_keeping_partition(monkeypatch, prob, config):
     return report, parts[0]
 
 
+def tracked_reachable(root) -> list:
+    """The objects the collector tracks and walks from ``root``, classes excepted."""
+    seen, stack, found = {id(root)}, [root], [root]
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if gc.is_tracked(ref) and not isinstance(ref, type) and id(ref) not in seen:
+                seen.add(id(ref))
+                stack.append(ref)
+                found.append(ref)
+    return found
+
+
 @pytest.mark.parametrize("dim,difficulty,seed,p_max", [(4, "simple", 11, 1000), (2, "hard", 0, 2000)])
 def test_partition_geometry_is_not_tracked_by_the_collector(monkeypatch, dim, difficulty, seed, p_max):
-    # vertices, real corners and heap entries are plain tuples of ints and
-    # floats, so a collection untracks them and later ones skip them
+    # boxes, records, vertices, real corners and heap entries are plain
+    # tuples of ints and floats, so a collection untracks them and later
+    # ones skip them; what stays tracked is a fixed set of containers and a
+    # few objects per group, however many boxes and trials the run made
     prob = generate(problem_class(dim, difficulty, seed=seed, count=1), 1)
     report, part = run_keeping_partition(monkeypatch, prob, OptConfig(p_max=p_max))
     assert report.trials == p_max
     gc.collect()
     gc.collect()
-    for box in part.boxes.values():
-        for t in (box.a, box.b, box.a_real, box.b_real):
-            assert not gc.is_tracked(t), (box.id, t)
-    assert not any(map(gc.is_tracked, part.vertex_db))
+    walked = tracked_reachable(part)
+    assert len(walked) <= 20 + 5 * len(part.groups), Counter(type(o).__name__ for o in walked)
+    per_box = [t for box in part.boxes.values() for t in (box, *box[2:6])]
+    per_vertex = [t for v, rec in part.vertex_db.items() for t in (v, rec, rec[1])]
+    assert len(part.boxes) > 3 * p_max and len(per_vertex) == 3 * p_max
+    tracked = {id(o) for o in gc.get_objects()}
+    assert not any(id(t) in tracked for t in per_box + per_vertex)
+    assert not any(map(gc.is_tracked, per_box + per_vertex))
     for group in part.groups:
         assert not any(map(gc.is_tracked, group.heap))
 

@@ -15,17 +15,18 @@ from lipgrad.optimizer import (
     _improved_one_percent,
     _resolve_record_box,
 )
-from lipgrad.geometry import vertex_real
-from lipgrad.problems import Problem, generate, problem_class, quadratic, with_audit
+from lipgrad.geometry import Box, vertex_real
+from lipgrad.problems import Problem, generate, problem_class, quadratic
 from lipgrad.stopping import StopTarget, record_trial
-from util import flat_problem, make_vertex, wavy_problem
+from util import flat_problem, make_vertex, wavy_problem, with_audit
 
 
 def test_initialize_single_box():
     state = initialize(flat_problem(2, value=7.0), OptConfig(p_max=100))
     assert state.f_min == 7.0
     assert state.partition.m == 1
-    assert state.partition.boxes[1].s == 0
+    assert Box._make(state.partition.boxes[1]).s == 0
+    assert state.record_ids == {1}
     assert state.p == 0 and state.record_box == 1
     assert state.stop_reason is None
 
@@ -61,11 +62,11 @@ def test_record_trial_requires_strict_improvement():
     state = initialize(prob, OptConfig(p_max=100))
     vertex2 = make_vertex((2, 1), 0)
     x2 = vertex_real(vertex2, state.partition.lower, state.partition.edge)
-    rec2 = state.partition.get_or_eval(vertex2, x2, prob)
-    assert not record_trial(state, x2, rec2.f_value)  # a tie is no improvement
-    assert state.f_min == rec2.f_value
-    assert record_trial(state, x2, rec2.f_value - 1.0)
-    assert state.f_min == rec2.f_value - 1.0
+    f2, _ = state.partition.get_or_eval(vertex2, x2, prob)
+    assert not record_trial(state, x2, f2)  # a tie is no improvement
+    assert state.f_min == f2
+    assert record_trial(state, x2, f2 - 1.0)
+    assert state.f_min == f2 - 1.0
 
 
 def test_record_trial_books_trace_row_and_target():
@@ -92,21 +93,26 @@ def test_record_box_always_carries_the_record_point():
     state = initialize(prob, OptConfig(p_max=50))
     for _ in range(6):
         exploration_iteration(state, state.partition.q_0)
-    box = state.partition.boxes[state.record_box]
+    box = Box._make(state.partition.boxes[state.record_box])
     assert box.a == state.x_min
     assert state.p == box.s
-    assert state.f_min == min(r.f_value for r in state.partition.vertex_db.values())
+    assert state.f_min == min(f for f, _ in state.partition.vertex_db.values())
 
 
 def test_record_box_tie_resolution_rule():
-    # minimal F first, then larger d, then smaller id
-    boxes = {
-        1: SimpleNamespace(F=2.0, d=1.0, s=3),
-        2: SimpleNamespace(F=2.0, d=0.5, s=4),
-        3: SimpleNamespace(F=5.0, d=1.0, s=3),
-    }
-    part = SimpleNamespace(boxes=boxes, boxes_at_vertex=lambda v: {1, 2, 3})
-    state = SimpleNamespace(partition=part, x_min="v", record_box=None, p=None)
+    # among the live boxes at x_min: minimal F first, then larger d, then
+    # smaller id; box 4 has the least F but another trial vertex
+    v, w = make_vertex(0, 0), make_vertex(1, 1)
+    boxes = {box.id: tuple(box) for box in (
+        Box(1, 3, v, w, (), (), 1.0, 2.0),
+        Box(2, 4, v, w, (), (), 0.5, 2.0),
+        Box(3, 3, v, w, (), (), 1.0, 5.0),
+        Box(4, 2, w, v, (), (), 4.0, -1.0),
+        Box(5, 3, v, w, (), (), 1.0, 2.0),
+    )}
+    at_x_min = {i for i, box in boxes.items() if Box._make(box).a == v}
+    state = SimpleNamespace(partition=SimpleNamespace(boxes=boxes), x_min=v,
+                            record_ids=at_x_min, record_box=None, p=None)
     _resolve_record_box(state)
     assert state.record_box == 1 and state.p == 3
 
@@ -126,6 +132,30 @@ def test_record_box_after_every_subdivision_matches_a_full_resolve(monkeypatch, 
         kept = (state.record_box, state.p)
         _resolve_record_box(state)
         assert kept == (state.record_box, state.p)
+        checked.append(box_id)
+
+    monkeypatch.setattr(optimizer, "_subdivide", checked_subdivide)
+    run(make(), OptConfig(p_max=2000))
+    assert len(checked) > 1000
+
+
+@pytest.mark.parametrize("make", [
+    lambda: wavy_problem(2),
+    lambda: wavy_problem(4),
+    lambda: generate(problem_class(2, "hard", seed=0, count=20), 1),
+], ids=["wavy2d", "wavy4d", "hard2d"])
+def test_record_ids_after_every_subdivision_are_the_boxes_at_x_min(monkeypatch, make):
+    # _subdivide updates the set from the three children alone; it must
+    # equal a scan of every live box for the trial vertex x_min
+    subdivide = optimizer._subdivide
+    checked = []
+
+    def checked_subdivide(state, box_id):
+        subdivide(state, box_id)
+        x_min = state.x_min
+        # box[2] is the trial vertex a
+        at_x_min = {box[0] for box in state.partition.boxes.values() if box[2] == x_min}
+        assert state.record_ids == at_x_min, box_id
         checked.append(box_id)
 
     monkeypatch.setattr(optimizer, "_subdivide", checked_subdivide)

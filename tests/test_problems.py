@@ -11,13 +11,12 @@ from lipgrad import problems
 from lipgrad.problems import (
     GenerationError,
     analytic_suite,
-    fd_check,
     generate,
     problem_class,
     quadratic,
     trig_separable,
-    with_audit,
 )
+from util import fd_check, with_audit
 
 
 def test_quadratic_fields():

@@ -12,7 +12,7 @@ from lipgrad.selection import (
     nondominated,
     xi_value,
 )
-from util import flat_problem, nondominated_oracle, random_dot_set, wavy_problem
+from util import flat_problem, live_boxes, nondominated_oracle, random_dot_set, wavy_problem
 
 
 def dots_from(pairs):
@@ -142,9 +142,9 @@ def test_group_representatives_reports_min_F_ties():
         part.trisect(min(part.boxes), prob)
     dots = group_representatives(part, part.q_inf, part.q_0)
     seen_groups = {t.s for t in dots}
-    assert seen_groups == {box.s for box in part.boxes.values()}
+    assert seen_groups == {box.s for box in live_boxes(part)}
     for t in dots:
-        assert t.F == min(box.F for box in part.boxes.values() if box.s == t.s)
+        assert t.F == min(box.F for box in live_boxes(part) if box.s == t.s)
     # restricting the range drops the other groups entirely
     only_top = group_representatives(part, part.q_inf, part.q_inf)
     assert {t.s for t in only_top} == {part.q_inf}

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from lipgrad.geometry import Box, GridFraction, GridVertex, grid_fraction, pow3
+from lipgrad.geometry import Box, GridFraction, GridVertex, Partition, grid_fraction, pow3
 from lipgrad.problems import Problem
 from lipgrad.selection import Dot
 
@@ -47,21 +48,141 @@ def as_fraction(c: GridFraction) -> Fraction:
 
 def make_vertex(*coords) -> GridVertex:
     """Vertex from per-axis (num, depth) pairs or plain integers 0/1."""
-    fracs = []
+    v = ()
     for c in coords:
-        if isinstance(c, tuple):
-            fracs.append(grid_fraction(*c))
-        else:
-            fracs.append(grid_fraction(int(c), 0))
-    return tuple(fracs)
+        v += grid_fraction(*c) if isinstance(c, tuple) else grid_fraction(int(c), 0)
+    return v
+
+
+def vertex_fractions(v: GridVertex) -> list[GridFraction]:
+    """The per-axis (num, depth) pairs of a grid point."""
+    return list(zip(v[::2], v[1::2]))
 
 
 def make_box(a: GridVertex, b: GridVertex, box_id: int = 1, s: int = 0) -> Box:
-    """Standalone box on the unit-cube domain (real coords = grid values)."""
-    a_real = tuple(map(fraction_value, a))
-    b_real = tuple(map(fraction_value, b))
+    """Standalone box on the unit-cube domain (real coords = grid values), F unset."""
+    a_real = tuple(map(fraction_value, vertex_fractions(a)))
+    b_real = tuple(map(fraction_value, vertex_fractions(b)))
     d = 0.5 * sum((q - p) ** 2 for p, q in zip(a_real, b_real))
-    return Box(box_id, s, a, b, a_real, b_real, d)
+    return Box(box_id, s, a, b, a_real, b_real, d, math.nan)
+
+
+def live_boxes(part: Partition) -> list[Box]:
+    """Named views of the partition's live boxes, in id order."""
+    return [Box._make(raw) for raw in sorted(part.boxes.values())]
+
+
+def trisect_views(part: Partition, t: int, problem):
+    """``part.trisect`` with the three children as named views."""
+    *children, new_rec = part.trisect(t, problem)
+    return (*map(Box._make, children), new_rec)
+
+
+def volume(box) -> Fraction:
+    """Exact box volume in grid coordinates (domain scaled to the unit cube).
+
+    ``box`` is a box tuple of the partition or its named view.
+    """
+    _, _, a, b, *_ = box
+    v = Fraction(1)
+    for (na, da), (nb, db) in zip(vertex_fractions(a), vertex_fractions(b)):
+        m = max(da, db)
+        num = abs(na * pow3(m - da) - nb * pow3(m - db))
+        if num == 0:
+            raise ValueError(f"degenerate box {box[0]}")
+        v *= Fraction(num, pow3(m))
+    return v
+
+
+def diagonal_sq(box) -> float:
+    """Squared real length of the main diagonal of a box tuple or view."""
+    _, _, _, _, a_real, b_real, *_ = box
+    return sum((br - ar) ** 2 for ar, br in zip(a_real, b_real))
+
+
+def eval_minorant(box, rec, khat: float, x) -> float:
+    """The quadratic minorant Q(x, khat) at a point of the box.
+
+    ``box`` is a box tuple or view and ``rec`` the record ``(f_value,
+    gradient)`` at its trial vertex.
+    """
+    if khat <= 0:
+        raise ValueError("khat must be positive")
+    _, _, _, _, a_real, b_real, *_ = box
+    q, gradient = rec
+    norm_sq = 0.0
+    for j, (ar, br) in enumerate(zip(a_real, b_real)):
+        lo, hi = (ar, br) if ar <= br else (br, ar)
+        slack = 1e-9 * max(1.0, hi - lo)
+        if not lo - slack <= x[j] <= hi + slack:
+            raise ValueError(f"point outside box on axis {j}: {x[j]} not in [{lo}, {hi}]")
+        dx = x[j] - ar
+        q += gradient[j] * dx
+        norm_sq += dx * dx
+    return q - 0.5 * khat * norm_sq
+
+
+@dataclass
+class EvalAudit:
+    """Mutable call counters attached by :func:`with_audit`."""
+
+    f_calls: int = 0
+    grad_calls: int = 0
+
+
+def with_audit(problem: Problem) -> tuple[Problem, EvalAudit]:
+    """Wrap a problem so every f / gradient call is counted."""
+    audit = EvalAudit()
+
+    def f(x):
+        audit.f_calls += 1
+        return problem.f(x)
+
+    def grad(x):
+        audit.grad_calls += 1
+        return problem.grad(x)
+
+    wrapped = Problem(
+        name=problem.name,
+        dim=problem.dim,
+        lower=problem.lower,
+        upper=problem.upper,
+        f=f,
+        grad=grad,
+        known_opt=problem.known_opt,
+        known_K=problem.known_K,
+        f_batch=None,
+    )
+    return wrapped, audit
+
+
+def fd_check(problem: Problem, samples: int = 100, step: float = 1e-6, seed: int = 0) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    Uses per-axis steps of ``step * (upper - lower)`` at interior points;
+    errors are scaled by max(1, |grad|_inf) so near-flat regions do not blow
+    up the ratio.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    rng = np.random.default_rng(seed)
+    lo = np.asarray(problem.lower)
+    hi = np.asarray(problem.upper)
+    h = step * (hi - lo)
+    worst = 0.0
+    for _ in range(samples):
+        x = rng.uniform(lo + 2 * h, hi - 2 * h)
+        g = np.asarray(problem.grad(x), dtype=float)
+        fd = np.empty_like(g)
+        for j in range(problem.dim):
+            xp = x.copy()
+            xm = x.copy()
+            xp[j] += h[j]
+            xm[j] -= h[j]
+            fd[j] = (problem.f(xp) - problem.f(xm)) / (2.0 * h[j])
+        err = float(np.max(np.abs(fd - g))) / max(1.0, float(np.max(np.abs(g))))
+        worst = max(worst, err)
+    return worst
 
 
 def nondominated_oracle(dots: list[Dot]) -> set[int]:
