@@ -44,6 +44,20 @@ HARD_2D_TRACE = {
 SIMPLE_4D_BUDGET = (1000, 8483, "-0.8612897978931464", "budget",
                     "4947c869beca62283bf085f6a8a4d324110fdbec109fca4dc8836f24b35ae90b")
 
+# DIRECT and DIRECT-l on the same 4-D problem to a 2k-trial budget, traced:
+# fingerprint, then sha256 of repr(trace) and repr(snapshot). In 4-D one
+# split covers several axes, so each split makes children on up to four axes
+SIMPLE_4D_BASELINES = {
+    direct_run: ((2000, 1999, "7.629165126280283e-14", "budget",
+                  "987ee4907e4ba2316162407091e784cd2d66abf88b1405b1b74b998e4c8792de"),
+                 "18ff608d16c3e0fbc3f55ee1c3ad1d59c1696dad4b937887de214bc3a65029cb",
+                 "b9ee4d419424279746168dde94665e3157c19b234ecbe7d1e0cd0ce4e0c89a6f"),
+    directl_run: ((2000, 1997, "9.586841691876295e-27", "budget",
+                   "ad5b20cd1fc079b00d0563ddef98f817721496fa9c9866d45f1717f58d072235"),
+                  "99c1fee763dec7af0049b57f11e858717a70030fdc98a3f9d25d593c91b570b7",
+                  "434711f9655f920fe34a958a1617e7913154301e1d4e347578b5f8a523f9b003"),
+}
+
 # sha256 of report.json from run_class(new, direct, directl) on hard:2:20,
 # seed 0, delta 1e-4, p_max 100_000: all 60 runs of the class comparison
 HARD_2D_CLASS_REPORT = "927c67d9f89426b3816878994ad42f9e670ca1e1c984ae186d1ca43c052a9aae"
@@ -84,6 +98,15 @@ def test_hard_2d_traced_runs_match_pinned_trace_and_snapshot(method):
 def test_simple_4d_budget_run_matches_pinned_fingerprint():
     prob = generate(problem_class(4, "simple", seed=11, count=20), 1)
     assert fingerprint(run(prob, OptConfig(p_max=1000))) == SIMPLE_4D_BUDGET
+
+
+@pytest.mark.parametrize("method", list(SIMPLE_4D_BASELINES), ids=lambda m: m.__name__)
+def test_simple_4d_baseline_runs_match_pinned_trace_and_snapshot(method):
+    prob = generate(problem_class(4, "simple", seed=11, count=20), 1)
+    report = method(prob, OptConfig(p_max=2000, keep_trace=True))
+    pinned, trace, snapshot = SIMPLE_4D_BASELINES[method]
+    assert fingerprint(report) == pinned
+    assert (sha256_repr(report.trace), sha256_repr(report.snapshot)) == (trace, snapshot)
 
 
 def test_hard_2d_class_report_matches_pinned_hash(tmp_path):
