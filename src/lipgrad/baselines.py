@@ -22,7 +22,7 @@ coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import selection
 from .geometry import Group, fraction_str, grid_fraction, heap_min_entries, pow3
@@ -34,26 +34,30 @@ from .stopping import (
     close_report,
     log_history,
     record_trial,
+    target_window,
 )
 
 
-@dataclass(slots=True)
-class CenterBox:
-    """A box of the center-sampling partition.
+# A center box is the plain tuple (id, corner_nums, depths, f_center,
+# group_key): ``corner_nums[j] / 3**depths[j]`` is the normalized lower
+# corner on axis j, the box side there is 3**-depths[j], and ``group_key`` is
+# the sorted depth vector. Every item is an int, a float or a tuple of them,
+# so a collection untracks each box. The middle child of a split keeps its
+# parent's center, so that sample is never re-evaluated.
+CenterTuple = tuple[int, tuple[int, ...], tuple[int, ...], float, tuple[int, ...]]
 
-    ``corner_nums[j] / 3**depths[j]`` is the normalized lower corner on axis
-    j; the box side there is 3**-depths[j]. The middle child of a split
-    keeps its parent's center, so that sample is never re-evaluated.
+
+class CenterBox(NamedTuple):
+    """Named view of a center-box tuple, made on demand by ``CenterBox._make(raw)``.
+
+    The state never stores one: CPython never untracks a tuple subclass.
     """
 
     id: int
     corner_nums: tuple[int, ...]
     depths: tuple[int, ...]
     f_center: float
-
-    @property
-    def group_key(self) -> tuple[int, ...]:
-        return tuple(sorted(self.depths))
+    group_key: tuple[int, ...]
 
 
 def _diag_d(key: tuple[int, ...]) -> float:
@@ -65,10 +69,11 @@ class _CenterState:
     def __init__(self, problem, config: OptConfig, locally_biased: bool):
         self.problem = problem
         self.config = config
+        self.target_window = target_window(config.target, problem.lower, problem.upper)
         self.locally_biased = locally_biased
         self.lower = tuple(float(v) for v in problem.lower)
         self.edge = tuple(float(u) - l for l, u in zip(self.lower, problem.upper))
-        self.boxes: dict[int, CenterBox] = {}
+        self.boxes: dict[int, CenterTuple] = {}
         self.groups: dict[tuple[int, ...], Group] = {}  # by sorted depth vector
         self.trials = 0
         self.f_min = math.inf
@@ -78,9 +83,9 @@ class _CenterState:
         self.history: list[tuple[int, float, float]] = []
         self.trace = [] if config.keep_trace else None
 
-        n = problem.dim
-        f0 = self._sample((0,) * n, (0,) * n)
-        self._add_box(CenterBox(1, (0,) * n, (0,) * n, f0))
+        zeros = (0,) * problem.dim
+        f0 = self._sample(self._center_point(zeros, zeros))
+        self._add_box((1, zeros, zeros, f0, zeros))
         self.initial_diag_sq = self.max_diagonal_sq()
         log_history(self)
 
@@ -90,29 +95,24 @@ class _CenterState:
             for num, dep, lo, ed in zip(corner_nums, depths, self.lower, self.edge)
         )
 
-    def _sample(self, corner_nums, depths) -> float:
+    def _sample(self, x: tuple[float, ...]) -> float:
         """Evaluate f at a box center; returns nan if a stop rule fired first."""
         if self.trials >= self.config.p_max:
             self.stop_reason = REASON_BUDGET
             return math.nan
-        x = self._center_point(corner_nums, depths)
         value = self.problem.value(x)
         self.trials += 1
         if record_trial(self, x, value):
             self.x_min = x
         return value
 
-    def _add_box(self, box: CenterBox) -> None:
-        self.boxes[box.id] = box
-        key = box.group_key
+    def _add_box(self, box: CenterTuple) -> None:
+        box_id, _, _, f_center, key = box
+        self.boxes[box_id] = box
         group = self.groups.get(key)
         if group is None:  # the group's first box
             group = self.groups[key] = Group(_diag_d(key))
-        group.add(box.f_center, box.id)
-
-    def _remove_box(self, box: CenterBox) -> None:
-        del self.boxes[box.id]
-        self.groups[box.group_key].discard(box.f_center, box.id)
+        group.add(f_center, box_id)
 
     def max_diagonal_sq(self) -> float:
         return 2.0 * max(g.d for g in self.groups.values() if g.live)
@@ -132,47 +132,48 @@ class _CenterState:
                     levels[key[0]] = entries[0]
                 continue
             for F, box_id in entries:
-                dots.append(selection.Dot(box_id, group.d, F, sum(self.boxes[box_id].depths)))
+                dots.append(selection.Dot(box_id, group.d, F, sum(self.boxes[box_id][2])))
         for level, (F, box_id) in levels.items():  # d: half squared longest side
             dots.append(selection.Dot(box_id, 0.5 / pow3(2 * level), F,
-                                      sum(self.boxes[box_id].depths)))
+                                      sum(self.boxes[box_id][2])))
         return selection.choose(dots, self.f_min, self.config.epsilon)
 
     def subdivide(self, box_id: int) -> None:
         """Trisect along every longest side, best-sampled axis first."""
-        box = self.boxes[box_id]
-        dmin = min(box.depths)
-        axes = [j for j, dep in enumerate(box.depths) if dep == dmin]
+        _, nums, deps, f_center, key = self.boxes[box_id]
+        dmin = key[0]
+        side = pow3(dmin + 1)
+        center = self._center_point(nums, deps)
         samples = []
-        for j in axes:
-            nums = box.corner_nums
-            deps = box.depths
-            child_deps = deps[:j] + (deps[j] + 1,) + deps[j + 1:]
-            lo_nums = nums[:j] + (3 * nums[j],) + nums[j + 1:]
-            hi_nums = nums[:j] + (3 * nums[j] + 2,) + nums[j + 1:]
-            f_lo = self._sample(lo_nums, child_deps)
+        for j, dep in enumerate(deps):
+            if dep != dmin:
+                continue
+            # a child's center is the parent's with coordinate j replaced,
+            # computed as _center_point computes it
+            lo, ed, lo_num = self.lower[j], self.edge[j], 3 * nums[j]
+            head, tail = center[:j], center[j + 1:]
+            f_lo = self._sample(head + (lo + (lo_num + 0.5) / side * ed,) + tail)
             if self.stop_reason:
                 return
-            f_hi = self._sample(hi_nums, child_deps)
+            f_hi = self._sample(head + (lo + (lo_num + 2 + 0.5) / side * ed,) + tail)
             if self.stop_reason:
                 return
             samples.append((min(f_lo, f_hi), j, f_lo, f_hi))
         samples.sort()
 
-        current = box
-        self._remove_box(box)
+        del self.boxes[box_id]
+        self.groups[key].discard(f_center, box_id)
         next_id = len(self.boxes) + 2  # ids stay dense: parent id is reserved
         for _, j, f_lo, f_hi in samples:
-            deps = current.depths[:j] + (current.depths[j] + 1,) + current.depths[j + 1:]
-            base = 3 * current.corner_nums[j]
-            lo_nums = current.corner_nums[:j] + (base,) + current.corner_nums[j + 1:]
-            mid_nums = current.corner_nums[:j] + (base + 1,) + current.corner_nums[j + 1:]
-            hi_nums = current.corner_nums[:j] + (base + 2,) + current.corner_nums[j + 1:]
-            self._add_box(CenterBox(next_id, lo_nums, deps, f_lo))
-            self._add_box(CenterBox(next_id + 1, hi_nums, deps, f_hi))
+            deps = deps[:j] + (dmin + 1,) + deps[j + 1:]
+            key = tuple(sorted(deps))
+            lo_num = 3 * nums[j]
+            head, tail = nums[:j], nums[j + 1:]
+            self._add_box((next_id, head + (lo_num,) + tail, deps, f_lo, key))
+            self._add_box((next_id + 1, head + (lo_num + 2,) + tail, deps, f_hi, key))
             next_id += 2
-            current = CenterBox(current.id, mid_nums, deps, current.f_center)
-        self._add_box(current)
+            nums = head + (lo_num + 1,) + tail
+        self._add_box((box_id, nums, deps, f_center, key))
 
     def iterate(self) -> None:
         for box_id in self.select():
@@ -186,11 +187,11 @@ class _CenterState:
 
     def snapshot_lines(self) -> list[str]:
         lines = []
-        for box in sorted(self.boxes.values(), key=lambda b: b.id):
-            corner = list(zip(box.corner_nums, box.depths))
+        for box_id, nums, deps, _, _ in sorted(self.boxes.values()):
+            corner = list(zip(nums, deps))
             a = ",".join(fraction_str(grid_fraction(n, d)) for n, d in corner)
             b = ",".join(fraction_str(grid_fraction(n + 1, d)) for n, d in corner)
-            lines.append(f"{box.id} {sum(box.depths)} {a} {b}")
+            lines.append(f"{box_id} {sum(deps)} {a} {b}")
         return lines
 
 

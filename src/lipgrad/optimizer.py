@@ -24,6 +24,7 @@ from .stopping import (
     close_report,
     log_history,
     record_trial,
+    target_window,
 )
 
 
@@ -60,6 +61,7 @@ class OptState:
     def __init__(self, problem, config: OptConfig, partition: Partition):
         self.problem = problem
         self.config = config
+        self.target_window = target_window(config.target, problem.lower, problem.upper)
         self.partition = partition
         self.f_min = math.inf
         self.x_min: GridVertex = partition.initial_vertex

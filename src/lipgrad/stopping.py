@@ -1,7 +1,8 @@
 """Trial booking, stop rules, history rows and the run report.
 
 All three methods share these helpers. A run state passed to them has
-``problem``, ``config`` (an ``OptConfig``), ``trials``, ``f_min``, ``phase``,
+``problem``, ``config`` (an ``OptConfig``), ``target_window`` (from
+``target_window``, made once per run), ``trials``, ``f_min``, ``phase``,
 ``stop_reason``, ``history``, ``trace``, ``initial_diag_sq`` and a
 ``max_diagonal_sq()`` method.
 """
@@ -44,14 +45,24 @@ class RunReport:
     snapshot: Optional[list[str]] = None
 
 
+def target_window(target: Optional[StopTarget], lower, upper):
+    """Per-axis ``(x*_i, delta^(1/N) * edge_i)`` pairs, or None without a target."""
+    if target is None:
+        return None
+    tol = target.delta ** (1.0 / len(target.x_star))
+    return tuple((si, tol * (hi - lo)) for si, lo, hi in zip(target.x_star, lower, upper))
+
+
+def _in_window(x, window) -> bool:
+    for xi, (si, half_width) in zip(x, window):
+        if not abs(xi - si) <= half_width:
+            return False
+    return True
+
+
 def target_reached(x, target: StopTarget, lower, upper) -> bool:
     """True when x lies within delta^(1/N) of x* per axis, scaled by the edges."""
-    n = len(target.x_star)
-    tol = target.delta ** (1.0 / n)
-    return all(
-        abs(xi - si) <= tol * (hi - lo)
-        for xi, si, lo, hi in zip(x, target.x_star, lower, upper)
-    )
+    return _in_window(x, target_window(target, lower, upper))
 
 
 def record_trial(state, x, value: float) -> bool:
@@ -66,10 +77,9 @@ def record_trial(state, x, value: float) -> bool:
         state.f_min = value
     if state.trace is not None:
         state.trace.append((state.trials, x, value, state.f_min, state.phase))
-    target = state.config.target
-    if target is not None and state.stop_reason is None:
-        if target_reached(x, target, state.problem.lower, state.problem.upper):
-            state.stop_reason = REASON_TARGET
+    window = state.target_window
+    if window is not None and state.stop_reason is None and _in_window(x, window):
+        state.stop_reason = REASON_TARGET
     return improved
 
 

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,11 @@ from lipgrad.optimizer import OptConfig
 from lipgrad.problems import generate, problem_class, quadratic
 from lipgrad.stopping import StopTarget, check_stop
 from util import wavy_problem, with_audit
+
+
+def views(state: _CenterState) -> dict[int, CenterBox]:
+    """The state's boxes by id, each as a named view of its plain tuple."""
+    return {box_id: CenterBox._make(raw) for box_id, raw in state.boxes.items()}
 
 
 def test_single_box_is_potentially_optimal_and_subdivided():
@@ -57,7 +63,7 @@ def test_huge_epsilon_degenerates_to_uniform_refinement():
     while not state.stop_reason:
         assert len(state.select()) == 1
         state.iterate()
-    depth_sums = {sum(b.depths) for b in state.boxes.values()}
+    depth_sums = {sum(b.depths) for b in views(state).values()}
     assert max(depth_sums) - min(depth_sums) <= 2
     assert report.trials == state.trials
 
@@ -68,7 +74,8 @@ def test_locally_biased_selects_one_per_level():
     state.iterate()
     for _ in range(10):
         chosen = state.select()
-        levels = [min(state.boxes[i].depths) for i in chosen]
+        boxes = views(state)
+        levels = [min(boxes[i].depths) for i in chosen]
         assert len(levels) == len(set(levels))
         state.iterate()
         if state.stop_reason:
@@ -81,10 +88,11 @@ def test_locally_biased_breaks_value_ties_by_lower_id():
     state.iterate()
     # all boxes tie at f = 0; each level must contribute exactly its lowest id
     chosen = state.select()
+    boxes = views(state)
     for box_id in chosen:
-        level = min(state.boxes[box_id].depths)
+        level = min(boxes[box_id].depths)
         peers = [
-            i for i, b in state.boxes.items() if min(b.depths) == level
+            i for i, b in boxes.items() if min(b.depths) == level
         ]
         assert box_id == min(peers)
 
@@ -114,14 +122,24 @@ def test_center_volume_conservation():
     while not state.stop_reason:
         state.iterate()
     total = sum(
-        Fraction(1, 3 ** sum(b.depths)) for b in state.boxes.values()
+        Fraction(1, 3 ** sum(b.depths)) for b in views(state).values()
     )
     assert total == Fraction(1)
 
 
 def test_center_box_fields():
-    box = CenterBox(4, (1, 0), (1, 0), 1.25)
-    assert box.group_key == (0, 1)
+    # every stored box is a plain tuple, filed under its id and its sorted
+    # depth vector
+    state = _CenterState(wavy_problem(3), OptConfig(p_max=300), locally_biased=False)
+    check_stop(state)
+    while not state.stop_reason:
+        state.iterate()
+    for box_id, box in views(state).items():
+        assert type(state.boxes[box_id]) is tuple
+        assert box.id == box_id
+        assert box.group_key == tuple(sorted(box.depths))
+        assert box_id in state.groups[box.group_key].live
+        assert all(0 <= num < 3 ** dep for num, dep in zip(box.corner_nums, box.depths))
 
 
 def test_determinism_and_history_monotone():
@@ -149,7 +167,8 @@ def rescanned_select(state: _CenterState) -> list[int]:
     diagonal. DIRECT-l: the least (f, id) per minimum depth L, at 0.5 / 9^L.
     """
     by_key = {}
-    for box in state.boxes.values():
+    boxes = views(state)
+    for box in boxes.values():
         key = min(box.depths) if state.locally_biased else tuple(sorted(box.depths))
         by_key.setdefault(key, []).append((box.f_center, box.id))
     dots = []
@@ -161,13 +180,13 @@ def rescanned_select(state: _CenterState) -> list[int]:
             d = 0.5 * sum(1.0 / 3 ** (2 * dep) for dep in key)
             tied = [e for e in entries if e[0] == entries[0][0]]
         for F, box_id in tied:
-            dots.append(selection.Dot(box_id, d, F, sum(state.boxes[box_id].depths)))
+            dots.append(selection.Dot(box_id, d, F, sum(boxes[box_id].depths)))
     return selection.choose(dots, state.f_min, state.config.epsilon)
 
 
 def largest_diagonal_sq(state: _CenterState) -> float:
     return max(sum(1.0 / 3 ** (2 * dep) for dep in sorted(box.depths))
-               for box in state.boxes.values())
+               for box in views(state).values())
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -179,3 +198,24 @@ def test_cached_select_matches_a_rescan(dim, locally_biased):
         assert state.select() == rescanned_select(state)
         assert state.max_diagonal_sq() == largest_diagonal_sq(state)
         state.iterate()
+
+
+@pytest.mark.parametrize("locally_biased", [False, True], ids=["direct", "directl"])
+def test_center_boxes_are_not_tracked_by_the_collector(locally_biased):
+    # a center box and each of its items is a plain tuple of ints and
+    # floats, or an int or float, so a collection untracks it and later
+    # ones skip it however many boxes the run made
+    prob = generate(problem_class(4, "simple", seed=11, count=20), 1)
+    state = _CenterState(prob, OptConfig(p_max=3000), locally_biased)
+    check_stop(state)
+    while not state.stop_reason:
+        state.iterate()
+    assert state.trials == 3000
+    gc.collect()
+    gc.collect()
+    boxes = list(state.boxes.values())
+    assert len(boxes) > 2900
+    assert not any(map(gc.is_tracked, boxes))
+    assert not any(gc.is_tracked(item) for box in boxes for item in box)
+    for group in state.groups.values():
+        assert not any(map(gc.is_tracked, group.heap))

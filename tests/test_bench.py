@@ -1,6 +1,8 @@
 import json
+import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from lipgrad.bench import (
 from lipgrad.optimizer import OptConfig, run
 from lipgrad.problems import problem_class, quadratic, write_manifest
 from lipgrad.selection import Dot, hull_snapshot_lines, nondominated
-from lipgrad.stopping import StopTarget, target_reached
+from lipgrad.stopping import StopTarget, record_trial, target_reached, target_window
 from util import wavy_problem, with_audit
 
 
@@ -38,6 +40,61 @@ def test_target_tolerance_scales_with_domain_edges():
     lower, upper = (-10.0, -1.0), (10.0, 1.0)
     assert target_reached((0.15, 0.015), target, lower, upper)
     assert not target_reached((0.25, 0.0), target, lower, upper)
+
+
+def window_stops(window, x) -> bool:
+    """Whether booking a trial at x on a run with this target window stops it."""
+    state = SimpleNamespace(target_window=window, trials=0, f_min=0.0, phase="explore",
+                            trace=None, stop_reason=None)
+    record_trial(state, x, 1.0)
+    return state.stop_reason == "target_found"
+
+
+def edge_points(si, half_width):
+    """Per side of x*: the last float inside the window and the first outside."""
+    out = []
+    for toward in (math.inf, -math.inf):
+        x = si + half_width if toward > 0 else si - half_width
+        while abs(x - si) > half_width:
+            x = math.nextafter(x, si)
+        while abs(math.nextafter(x, toward) - si) <= half_width:
+            x = math.nextafter(x, toward)
+        out.append((x, True))
+        out.append((math.nextafter(x, toward), False))
+    return out
+
+
+@pytest.mark.parametrize("lower, upper", [
+    ((0.0, 0.0), (1.0, 1.0)),
+    ((-10.0, -1.0), (10.0, 1.0)),
+    ((-1.0, 0.5, 2.0), (0.3, 2.0, 2.7)),
+], ids=["unit", "wide", "unequal-3d"])
+@pytest.mark.parametrize("delta", [1e-4, 0.3, 1.0])
+def test_run_target_window_decides_as_target_reached(lower, upper, delta):
+    # the window made once per run must stop a run exactly where
+    # target_reached (and the per-trial formula it replaced) says the point
+    # is within delta^(1/N) of x*, edge points included
+    rng = np.random.default_rng(5)
+    x_star = tuple(rng.uniform(lower, upper).tolist())
+    target = StopTarget(x_star, delta)
+    window = target_window(target, lower, upper)
+    tol = delta ** (1.0 / len(x_star))
+
+    def oracle(x):
+        return all(abs(xi - si) <= tol * (hi - lo)
+                   for xi, si, lo, hi in zip(x, x_star, lower, upper))
+
+    points = [tuple(rng.uniform(lower, upper).tolist()) for _ in range(200)]
+    points += [tuple(x_star[i] + rng.uniform(-2.0, 2.0) * tol * (upper[i] - lower[i])
+                     for i in range(len(x_star))) for _ in range(200)]
+    for i, (si, half_width) in enumerate(window):
+        for xi, inside in edge_points(si, half_width):
+            x = x_star[:i] + (xi,) + x_star[i + 1:]
+            assert target_reached(x, target, lower, upper) is inside
+            points.append(x)
+    for x in points:
+        assert window_stops(window, x) is target_reached(x, target, lower, upper) is oracle(x)
+    assert target_window(None, lower, upper) is None
 
 
 def test_criterion_c1_examples():

@@ -17,7 +17,7 @@ from lipgrad.optimizer import (
 )
 from lipgrad.geometry import Box, vertex_real
 from lipgrad.problems import Problem, generate, problem_class, quadratic
-from lipgrad.stopping import StopTarget, record_trial
+from lipgrad.stopping import StopTarget, record_trial, target_window
 from util import flat_problem, make_vertex, wavy_problem, with_audit
 
 
@@ -70,9 +70,9 @@ def test_record_trial_requires_strict_improvement():
 
 
 def test_record_trial_books_trace_row_and_target():
+    window = target_window(StopTarget((0.5, 0.5), 1e-2), (0.0, 0.0), (1.0, 1.0))
     state = SimpleNamespace(
-        problem=flat_problem(2), config=OptConfig(target=StopTarget((0.5, 0.5), 1e-2)),
-        trials=3, f_min=2.0, phase="explore", trace=[], stop_reason=None,
+        target_window=window, trials=3, f_min=2.0, phase="explore", trace=[], stop_reason=None,
     )
     assert record_trial(state, (0.9, 0.9), 1.0)
     assert state.trace == [(3, (0.9, 0.9), 1.0, 1.0, "explore")]
