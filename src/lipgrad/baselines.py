@@ -62,7 +62,10 @@ class CenterBox(NamedTuple):
 
 def _diag_d(key: tuple[int, ...]) -> float:
     """Half squared diagonal of a sorted depth vector, normalized."""
-    return 0.5 * sum(1.0 / pow3(2 * d) for d in key)
+    total = 0.0
+    for d in key:  # left to right: sum() compensates from Python 3.12 on
+        total += 1.0 / pow3(2 * d)
+    return 0.5 * total
 
 
 class _CenterState:
@@ -131,11 +134,11 @@ class _CenterState:
                 if key[0] not in levels or entries[0] < levels[key[0]]:
                     levels[key[0]] = entries[0]
                 continue
+            d, s = group.d, sum(key)
             for F, box_id in entries:
-                dots.append(selection.Dot(box_id, group.d, F, sum(self.boxes[box_id][2])))
+                dots.append((box_id, d, F, s))
         for level, (F, box_id) in levels.items():  # d: half squared longest side
-            dots.append(selection.Dot(box_id, 0.5 / pow3(2 * level), F,
-                                      sum(self.boxes[box_id][2])))
+            dots.append((box_id, 0.5 / pow3(2 * level), F, sum(self.boxes[box_id][2])))
         return selection.choose(dots, self.f_min, self.config.epsilon)
 
     def subdivide(self, box_id: int) -> None:

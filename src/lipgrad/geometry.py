@@ -77,6 +77,19 @@ def vertex_real(v: GridVertex, lower, edge) -> tuple[float, ...]:
     )
 
 
+def half_diag_sq(a_real, b_real) -> float:
+    """Half the squared distance between two real points.
+
+    The squares are added left to right in axis order: from Python 3.12 on,
+    ``sum`` adds floats with compensation, and the last bit of ``d`` steers
+    selection.
+    """
+    total = 0.0
+    for ar, br in zip(a_real, b_real):
+        total += (br - ar) ** 2
+    return 0.5 * total
+
+
 def corner_vertex(dim: int, upper: bool) -> GridVertex:
     return grid_fraction(1 if upper else 0, 0) * dim
 
@@ -185,8 +198,7 @@ class Partition:
         a_real = vertex_real(va, self.lower, self.edge)
         b_real = vertex_real(vb, self.lower, self.edge)
         rec = self.get_or_eval(va, a_real, problem)
-        d = 0.5 * sum((br - ar) ** 2 for ar, br in zip(a_real, b_real))
-        self._add_box(1, 0, va, vb, a_real, b_real, d, rec)
+        self._add_box(1, 0, va, vb, a_real, b_real, half_diag_sq(a_real, b_real), rec)
 
     @property
     def q_0(self) -> int:
@@ -240,7 +252,7 @@ class Partition:
         s += 1
         m = len(self.boxes)
         # children share side lengths, hence one d for all three
-        d = 0.5 * sum((br - ar) ** 2 for ar, br in zip(u_real, v_real))
+        d = half_diag_sq(u_real, v_real)
         self._remove_box(box)
         middle = self._add_box(t, s, u, v, u_real, v_real, d, rec)
         low = self._add_box(m + 1, s, a, v, a_real, v_real, d, self.vertex_db[a])

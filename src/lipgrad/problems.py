@@ -343,13 +343,23 @@ def generate(cls: ProblemClass, index: int) -> Problem:
     C = np.vstack(centers)
     R = np.asarray(radii)
     R2 = R * R
+    # the per-ball tail runs on Python floats: each element-wise numpy
+    # float64 operation is the same IEEE operation as its float form
+    r2 = R2.tolist()
+    bottoms = values.tolist()
 
     # grad follows f at the same point, so the terms of the last point are
     # kept; one slot replaced whole never mixes the terms of two points
     last = [(None, None)]
 
     def terms(x):
-        """(x - T, |x - T|^2, x - C, rho^2 per ball, first ball containing x or -1)."""
+        """(x - T, |x - T|^2, x - C, rho^2 per ball, first ball containing x or -1).
+
+        The two reductions stay in numpy: its 1-D ``dot`` is a chain of fused
+        multiply-adds, and ``einsum`` adds in its own order for more than two
+        axes, so a Python sum would differ in the last bit and change the
+        search.
+        """
         x = np.asarray(x, dtype=float)
         key = x.tobytes()
         seen, kept = last[0]
@@ -359,8 +369,8 @@ def generate(cls: ProblemClass, index: int) -> Problem:
         p = float(dT @ dT)
         dx = x - C
         rho2 = np.einsum("ij,ij->i", dx, dx)
-        inside = np.nonzero(rho2 < R2)[0]
-        kept = (dT, p, dx, rho2, int(inside[0]) if inside.size else -1)
+        inside = (rho2 < R2).tolist()
+        kept = (dT, p, dx, rho2, inside.index(True) if True in inside else -1)
         last[0] = (key, kept)
         return kept
 
@@ -368,22 +378,27 @@ def generate(cls: ProblemClass, index: int) -> Problem:
         _, p, _, rho2, i = terms(x)
         if i < 0:
             return p
-        u = rho2[i] / R2[i]
+        rho2_i = float(rho2[i])
+        u = rho2_i / r2[i]
         w = (1.0 - u) ** 2
-        h = values[i] + rho2[i]
+        h = bottoms[i] + rho2_i
         return p + w * (h - p)
 
     def grad(x):
         dT, p, dx, rho2, i = terms(x)
-        gp = 2.0 * dT
         if i < 0:
-            return gp
-        u = rho2[i] / R2[i]
+            return 2.0 * dT
+        rho2_i, r2_i = float(rho2[i]), r2[i]
+        u = rho2_i / r2_i
         w = (1.0 - u) ** 2
-        h = values[i] + rho2[i]
-        gw = -2.0 * (1.0 - u) * (2.0 * dx[i] / R2[i])
-        gh = 2.0 * dx[i]
-        return gp + w * (gh - gp) + (h - p) * gw
+        h_p = bottoms[i] + rho2_i - p
+        c = -2.0 * (1.0 - u)
+        out = []
+        for t, e in zip(dT.tolist(), dx[i].tolist()):
+            gp, gh = 2.0 * t, 2.0 * e
+            # gp + w * (gh - gp) + (h - p) * gw, component by component
+            out.append(gp + w * (gh - gp) + h_p * (c * (gh / r2_i)))
+        return np.array(out)
 
     def f_batch(X):
         X = np.asarray(X, dtype=float)

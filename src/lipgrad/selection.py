@@ -11,20 +11,25 @@ center dots reuse the same machinery with F = f(center).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
+# A dot is the plain tuple (box_id, d, F, s), with s the box's group index or
+# depth sum: every method builds its dots afresh each iteration, and a plain
+# tuple is the cheapest thing to build and index.
+DotTuple = tuple[int, float, float, int]
+
 
 class Dot(NamedTuple):
+    """Named view of a dot tuple, made on demand by ``Dot._make(raw)``."""
+
     box_id: int
     d: float
     F: float
     s: int
 
 
-@dataclass(frozen=True)
-class HullResult:
+class HullResult(NamedTuple):
     """Nondominated dots ordered by increasing d.
 
     ``slopes[i]`` is the (k_lo, k_hi) interval of Lipschitz estimates for
@@ -34,11 +39,11 @@ class HullResult:
     """
 
     selected: tuple[int, ...]
-    dots: tuple[Dot, ...]
+    dots: tuple[DotTuple, ...]
     slopes: tuple[tuple[float, float], ...]
 
 
-def group_representatives(partition, s_lo: int, s_hi: int) -> list[Dot]:
+def group_representatives(partition, s_lo: int, s_hi: int) -> list[DotTuple]:
     """Minimal-F dot(s) of every nonempty group with s in [s_lo, s_hi].
 
     Ties on F within a group are all included; empty groups are skipped.
@@ -49,7 +54,7 @@ def group_representatives(partition, s_lo: int, s_hi: int) -> list[Dot]:
     boxes = partition.boxes
     for s in range(s_lo, s_hi + 1):
         for F, box_id in partition.group_min_entries(s):
-            dots.append(Dot(box_id, boxes[box_id][6], F, s))  # [6] is the box's d
+            dots.append((box_id, boxes[box_id][6], F, s))  # [6] is the box's d
     return dots
 
 
@@ -66,11 +71,12 @@ def nondominated(dots) -> HullResult:
         raise ValueError("nondominated() needs at least one dot")
     # lower chain over the distinct d, each with its lowest F and the dots
     # tying it: in (d, F, id) order the first dot at a d has the lowest F
-    hull: list[tuple[float, float, list[Dot]]] = []
-    for dot in sorted(dots, key=_BY_D_F_ID):
+    ordered = sorted(dots, key=_BY_D_F_ID)
+    if ordered[0][1] <= 0:  # the smallest d comes first
+        raise ValueError(f"dot {ordered[0][0]} has nonpositive d")
+    hull: list[tuple[float, float, list[DotTuple]]] = []
+    for dot in ordered:
         _, d, F, _ = dot
-        if d <= 0:
-            raise ValueError(f"dot {dot.box_id} has nonpositive d")
         if hull and d == hull[-1][0]:
             if F == hull[-1][1]:
                 hull[-1][2].append(dot)
@@ -84,25 +90,27 @@ def nondominated(dots) -> HullResult:
                 break
         hull.append((d, F, [dot]))
 
-    # keep the part right of the minimum-F vertex (largest d among minima);
-    # anything left of it is dominated for every positive slope
-    f_min = min(F for _, F, _ in hull)
-    start = max(i for i, (_, F, _) in enumerate(hull) if F == f_min)
-    hull = hull[start:]
+    # start at the minimum-F vertex (largest d among minima); anything left
+    # of it is dominated for every positive slope
+    start, f_min = 0, hull[0][1]
+    for i, (_, F, _) in enumerate(hull):
+        if F <= f_min:
+            start, f_min = i, F
 
     selected: list[int] = []
-    sel_dots: list[Dot] = []
+    sel_dots: list[DotTuple] = []
     slopes: list[tuple[float, float]] = []
     k_lo = 0.0
     last = len(hull) - 1
-    for i, (d1, F1, ties) in enumerate(hull):
+    for i in range(start, last + 1):
+        d1, F1, ties = hull[i]
         if i < last:
             d2, F2, _ = hull[i + 1]
             k_hi = (F2 - F1) / (d2 - d1)
         else:
             k_hi = math.inf
         for dot in ties:
-            selected.append(dot.box_id)
+            selected.append(dot[0])
             sel_dots.append(dot)
             slopes.append((k_lo, k_hi))
         k_lo = k_hi
@@ -123,8 +131,8 @@ def improvement_filter(hull: HullResult, f_min: float, xi: float) -> list[int]:
     smallest; the largest-d dot has an unbounded interval and always passes.
     """
     keep = []
-    for box_id, dot, (_, k_hi) in zip(hull.selected, hull.dots, hull.slopes):
-        if math.isinf(k_hi) or dot.F - k_hi * dot.d <= f_min - xi:
+    for (box_id, d, F, _), (_, k_hi) in zip(hull.dots, hull.slopes):
+        if math.isinf(k_hi) or F - k_hi * d <= f_min - xi:
             keep.append(box_id)
     return keep
 
@@ -138,8 +146,8 @@ def hull_snapshot_lines(dots, hull: HullResult) -> list[str]:
     """Serialized diagram: every dot with a selected flag, then the slopes."""
     chosen = set(hull.selected)
     lines = [
-        f"D {t.box_id} {t.d!r} {t.F!r} {t.s} {1 if t.box_id in chosen else 0}"
-        for t in sorted(dots, key=_BY_D_F_ID)
+        f"D {box_id} {d!r} {F!r} {s} {1 if box_id in chosen else 0}"
+        for box_id, d, F, s in sorted(dots, key=_BY_D_F_ID)
     ]
     for (k_lo, k_hi), box_id in zip(hull.slopes, hull.selected):
         lines.append(f"S {box_id} {k_lo!r} {k_hi!r}")

@@ -9,7 +9,7 @@ from lipgrad.baselines import CenterBox, _CenterState, direct_run, directl_run
 from lipgrad.optimizer import OptConfig
 from lipgrad.problems import generate, problem_class, quadratic
 from lipgrad.stopping import StopTarget, check_stop
-from util import wavy_problem, with_audit
+from util import add_left_to_right, wavy_problem, with_audit
 
 
 def views(state: _CenterState) -> dict[int, CenterBox]:
@@ -177,7 +177,7 @@ def rescanned_select(state: _CenterState) -> list[int]:
         if state.locally_biased:
             d, tied = 0.5 / 3 ** (2 * key), entries[:1]
         else:
-            d = 0.5 * sum(1.0 / 3 ** (2 * dep) for dep in key)
+            d = 0.5 * add_left_to_right(1.0 / 3 ** (2 * dep) for dep in key)
             tied = [e for e in entries if e[0] == entries[0][0]]
         for F, box_id in tied:
             dots.append(selection.Dot(box_id, d, F, sum(boxes[box_id].depths)))
@@ -185,7 +185,7 @@ def rescanned_select(state: _CenterState) -> list[int]:
 
 
 def largest_diagonal_sq(state: _CenterState) -> float:
-    return max(sum(1.0 / 3 ** (2 * dep) for dep in sorted(box.depths))
+    return max(add_left_to_right(1.0 / 3 ** (2 * dep) for dep in sorted(box.depths))
                for box in views(state).values())
 
 
@@ -198,6 +198,21 @@ def test_cached_select_matches_a_rescan(dim, locally_biased):
         assert state.select() == rescanned_select(state)
         assert state.max_diagonal_sq() == largest_diagonal_sq(state)
         state.iterate()
+
+
+@pytest.mark.parametrize("runner", [direct_run, directl_run], ids=["direct", "directl"])
+def test_select_hands_plain_tuple_dots_to_choose(monkeypatch, runner):
+    seen = []
+    choose = selection.choose
+
+    def recording_choose(dots, f_min, epsilon):
+        seen.extend(dots)
+        return choose(dots, f_min, epsilon)
+
+    monkeypatch.setattr(selection, "choose", recording_choose)
+    runner(wavy_problem(3), OptConfig(p_max=300))
+    assert len(seen) > 50
+    assert all(type(t) is tuple and len(t) == 4 for t in seen)
 
 
 @pytest.mark.parametrize("locally_biased", [False, True], ids=["direct", "directl"])

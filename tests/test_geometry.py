@@ -22,6 +22,7 @@ from lipgrad.geometry import (
 from lipgrad.optimizer import OptConfig, run
 from lipgrad.problems import Problem, generate, problem_class, quadratic
 from util import (
+    add_left_to_right,
     as_fraction,
     diagonal_sq,
     flat_problem,
@@ -251,6 +252,27 @@ def test_volume_conservation_random_runs():
             box_id = int(rng.choice(sorted(part.boxes)))
             part.trisect(box_id, prob)
         assert sum(volume(b) for b in live_boxes(part)) == Fraction(1)
+
+
+def test_box_d_adds_the_squares_left_to_right():
+    # the last bit of d steers selection, so it must not depend on how the
+    # interpreter's sum() adds floats (compensated from Python 3.12 on)
+    rng = np.random.default_rng(12)
+    for dim in (1, 2, 3, 4, 5):
+        lower = rng.uniform(-3.0, 0.0, size=dim)
+        upper = lower + rng.uniform(0.1, 5.0, size=dim)
+        prob = dataclasses.replace(flat_problem(dim), lower=tuple(lower.tolist()),
+                                   upper=tuple(upper.tolist()))
+        part = Partition(prob)
+        boxes = [Box._make(part.boxes[1])]
+        for _ in range(80):
+            # the three children share the d of the middle one's corners
+            middle, low, high, _ = trisect_views(part, int(rng.choice(sorted(part.boxes))), prob)
+            assert low.d == high.d == middle.d
+            boxes.append(middle)
+        for box in boxes:
+            squares = ((br - ar) ** 2 for ar, br in zip(box.a_real, box.b_real))
+            assert box.d == 0.5 * add_left_to_right(squares)
 
 
 def test_group_diagonals_follow_group_index():

@@ -16,7 +16,7 @@ from lipgrad.problems import (
     quadratic,
     trig_separable,
 )
-from util import fd_check, with_audit
+from util import fd_check, generated_oracle, generated_parameters, with_audit
 
 
 def test_quadratic_fields():
@@ -202,6 +202,63 @@ def test_generated_problem_is_exact_under_interleaved_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert len(done) == 4 and wrong == []
+
+
+def ball_boundary_points(C, R2, i, ulps=2):
+    """Points within ``ulps`` floats of where ball i's test ``rho^2 < R^2``
+    flips, on both sides of its center along every axis."""
+    def inside(x):
+        dx = x - C
+        return bool(np.einsum("ij,ij->i", dx, dx)[i] < R2[i])
+
+    points = []
+    for j in range(C.shape[1]):
+        for sign in (-1.0, 1.0):
+            # bisect the axis between the center (inside) and 1.5 radii out
+            x = C[i].copy()
+            lo, hi = x[j], x[j] + sign * 1.5 * math.sqrt(R2[i])
+            while True:
+                mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):
+                    break
+                x[j] = mid
+                lo, hi = (mid, hi) if inside(x) else (lo, mid)
+            # the last floats inside, then the first outside (or on it)
+            for v, towards in ((lo, -sign * math.inf), (hi, sign * math.inf)):
+                for _ in range(ulps):
+                    x[j] = v
+                    points.append(x.copy())
+                    v = np.nextafter(v, towards)
+    return points
+
+
+@pytest.mark.parametrize("difficulty", ["simple", "hard"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_generated_objective_matches_its_numpy_oracle(dim, difficulty):
+    # the per-ball tail runs on Python floats; every value and gradient must
+    # carry the bits of the numpy element-wise expressions: at each ball's
+    # center, inside it, on and next to its boundary, and outside every ball;
+    # ten balls do not fit on a 1-D domain, so 1-D classes get three
+    cls = problem_class(dim, difficulty, seed=3, count=2, n_minima=3 if dim == 1 else 10)
+    rng = np.random.default_rng([dim, len(difficulty)])
+    for index in (1, 2):
+        prob = generate(cls, index)
+        f_ref, grad_ref = generated_oracle(prob)
+        _, C, R2, _ = generated_parameters(prob)
+        points = [rng.uniform(prob.lower, prob.upper) for _ in range(40)]
+        for i, c in enumerate(C):
+            points.append(c.copy())
+            for _ in range(4):
+                v = rng.normal(size=dim)
+                scale = math.sqrt(R2[i]) * rng.uniform(0.0, 0.999) / np.linalg.norm(v)
+                points.append(c + v * scale)
+            points += ball_boundary_points(C, R2, i)
+        for x in points:
+            value = f_ref(x)
+            gradient = grad_ref(x)
+            assert repr(prob.value(x)) == repr(float(value))
+            assert repr(prob.value_and_grad(x)) == repr((float(value), tuple(gradient.tolist())))
+            assert prob.grad(x).tobytes() == gradient.tobytes()
 
 
 def test_generate_validates_index():

@@ -12,7 +12,15 @@ from lipgrad.selection import (
     nondominated,
     xi_value,
 )
-from util import flat_problem, live_boxes, nondominated_oracle, random_dot_set, wavy_problem
+from util import (
+    flat_problem,
+    live_boxes,
+    nondominated_oracle,
+    random_dot_set,
+    reference_improvement_filter,
+    reference_nondominated,
+    wavy_problem,
+)
 
 
 def dots_from(pairs):
@@ -78,6 +86,29 @@ def test_hull_matches_pairwise_oracle():
         assert set(hull.selected) == nondominated_oracle(dots)
 
 
+def test_hull_and_filter_match_the_reference_on_ties_and_mixed_dots():
+    # few distinct d and F values, so dots tie on (d, F), on d alone and on
+    # F alone; each dot is a plain tuple or a named view at random
+    rng = np.random.default_rng(45)
+    for _ in range(2000):
+        n = int(rng.integers(1, 16))
+        d_values = rng.integers(1, 7, size=n) / rng.choice([3.0, 16.0])
+        f_values = rng.integers(-4, 4, size=n) / rng.choice([7.0, 16.0])
+        dots = []
+        for box_id, d, F in zip(rng.permutation(n) + 1, d_values, f_values):
+            raw = (int(box_id), float(d), float(F), int(rng.integers(0, 4)))
+            dots.append(Dot._make(raw) if rng.random() < 0.5 else raw)
+        hull = nondominated(dots)
+        selected, ref_dots, slopes = reference_nondominated(dots)
+        assert hull.selected == selected
+        assert hull.dots == ref_dots
+        assert repr(hull.slopes) == repr(slopes)
+        f_min = float(rng.choice(f_values)) - float(rng.integers(0, 3)) / 8.0
+        for xi in (0.0, 0.1, 1.0):
+            assert improvement_filter(hull, f_min, xi) == reference_improvement_filter(
+                selected, ref_dots, slopes, f_min, xi)
+
+
 def test_extreme_dots_always_nondominated():
     rng = np.random.default_rng(43)
     for _ in range(100):
@@ -140,13 +171,15 @@ def test_group_representatives_reports_min_F_ties():
     part = Partition(prob)
     for _ in range(5):
         part.trisect(min(part.boxes), prob)
-    dots = group_representatives(part, part.q_inf, part.q_0)
+    raw = group_representatives(part, part.q_inf, part.q_0)
+    assert all(type(t) is tuple for t in raw)  # views are made on demand only
+    dots = list(map(Dot._make, raw))
     seen_groups = {t.s for t in dots}
     assert seen_groups == {box.s for box in live_boxes(part)}
     for t in dots:
         assert t.F == min(box.F for box in live_boxes(part) if box.s == t.s)
     # restricting the range drops the other groups entirely
-    only_top = group_representatives(part, part.q_inf, part.q_inf)
+    only_top = list(map(Dot._make, group_representatives(part, part.q_inf, part.q_inf)))
     assert {t.s for t in only_top} == {part.q_inf}
     with pytest.raises(ValueError):
         group_representatives(part, 2, 1)
@@ -156,7 +189,7 @@ def test_group_representatives_includes_equal_minima():
     prob = flat_problem(2)  # every trial value equal -> all F equal
     part = Partition(prob)
     part.trisect(1, prob)
-    dots = group_representatives(part, 1, 1)
+    dots = list(map(Dot._make, group_representatives(part, 1, 1)))
     assert sorted(t.box_id for t in dots) == [1, 2, 3]
 
 

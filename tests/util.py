@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from lipgrad.geometry import Box, GridFraction, GridVertex, Partition, grid_fraction, pow3
+from lipgrad.geometry import (
+    Box, GridFraction, GridVertex, Partition, grid_fraction, half_diag_sq, pow3,
+)
 from lipgrad.problems import Problem
 from lipgrad.selection import Dot
 
@@ -63,8 +66,7 @@ def make_box(a: GridVertex, b: GridVertex, box_id: int = 1, s: int = 0) -> Box:
     """Standalone box on the unit-cube domain (real coords = grid values), F unset."""
     a_real = tuple(map(fraction_value, vertex_fractions(a)))
     b_real = tuple(map(fraction_value, vertex_fractions(b)))
-    d = 0.5 * sum((q - p) ** 2 for p, q in zip(a_real, b_real))
-    return Box(box_id, s, a, b, a_real, b_real, d, math.nan)
+    return Box(box_id, s, a, b, a_real, b_real, half_diag_sq(a_real, b_real), math.nan)
 
 
 def live_boxes(part: Partition) -> list[Box]:
@@ -156,6 +158,67 @@ def with_audit(problem: Problem) -> tuple[Problem, EvalAudit]:
     return wrapped, audit
 
 
+def add_left_to_right(terms) -> float:
+    """Float sum in iteration order, as lipgrad adds: from Python 3.12 on the
+    builtin ``sum`` compensates, so its last bit can differ."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
+def generated_parameters(problem: Problem):
+    """(T, C, R2, values) of a generated problem, as numpy arrays.
+
+    T is the paraboloid's vertex, C the ball centers by row, R2 the squared
+    radii and values the ball bottoms, read from the closure of ``f_batch``.
+    """
+    params = inspect.getclosurevars(problem.f_batch).nonlocals
+    return tuple(np.asarray(params[k]) for k in ("T", "C", "R2", "values"))
+
+
+def generated_oracle(problem: Problem):
+    """(f, grad) of a generated problem as numpy element-wise expressions.
+
+    The reference for the generated objective's Python-float tail: the same
+    terms, the first containing ball found by ``np.nonzero``, and each tail
+    written on numpy scalars and arrays.
+    """
+    T, C, R2, values = generated_parameters(problem)
+
+    def terms(x):
+        x = np.asarray(x, dtype=float)
+        dT = x - T
+        p = float(dT @ dT)
+        dx = x - C
+        rho2 = np.einsum("ij,ij->i", dx, dx)
+        inside = np.nonzero(rho2 < R2)[0]
+        return dT, p, dx, rho2, int(inside[0]) if inside.size else -1
+
+    def f(x):
+        _, p, _, rho2, i = terms(x)
+        if i < 0:
+            return p
+        u = rho2[i] / R2[i]
+        w = (1.0 - u) ** 2
+        h = values[i] + rho2[i]
+        return p + w * (h - p)
+
+    def grad(x):
+        dT, p, dx, rho2, i = terms(x)
+        gp = 2.0 * dT
+        if i < 0:
+            return gp
+        u = rho2[i] / R2[i]
+        w = (1.0 - u) ** 2
+        h = values[i] + rho2[i]
+        gw = -2.0 * (1.0 - u) * (2.0 * dx[i] / R2[i])
+        gh = 2.0 * dx[i]
+        return gp + w * (gh - gp) + (h - p) * gw
+
+    return f, grad
+
+
 def fd_check(problem: Problem, samples: int = 100, step: float = 1e-6, seed: int = 0) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -214,6 +277,61 @@ def nondominated_oracle(dots: list[Dot]) -> set[int]:
         if ok and (k_hi is None or (k_lo <= k_hi and k_hi > 0)):
             selected.add(t.box_id)
     return selected
+
+
+def reference_nondominated(dots):
+    """The sorting hull on named dots: ``(selected, dots, slopes)``.
+
+    The reference for ``selection.nondominated``; dots may be ``Dot`` views
+    or plain tuples, and come back as given.
+    """
+    if not dots:
+        raise ValueError("nondominated() needs at least one dot")
+    hull = []
+    for raw in sorted(dots, key=lambda t: (t[1], t[2], t[0])):
+        dot = Dot._make(raw)
+        if dot.d <= 0:
+            raise ValueError(f"dot {dot.box_id} has nonpositive d")
+        if hull and dot.d == hull[-1][0]:
+            if dot.F == hull[-1][1]:
+                hull[-1][2].append(raw)
+            continue
+        while len(hull) >= 2:
+            (d1, F1, _), (d2, F2, _) = hull[-2], hull[-1]
+            if (d2 - d1) * (dot.F - F1) - (F2 - F1) * (dot.d - d1) < 0:
+                hull.pop()
+            else:
+                break
+        hull.append((dot.d, dot.F, [raw]))
+
+    f_min = min(F for _, F, _ in hull)
+    start = max(i for i, (_, F, _) in enumerate(hull) if F == f_min)
+    hull = hull[start:]
+
+    selected, sel_dots, slopes = [], [], []
+    k_lo = 0.0
+    last = len(hull) - 1
+    for i, (d1, F1, ties) in enumerate(hull):
+        if i < last:
+            d2, F2, _ = hull[i + 1]
+            k_hi = (F2 - F1) / (d2 - d1)
+        else:
+            k_hi = math.inf
+        for raw in ties:
+            selected.append(raw[0])
+            sel_dots.append(raw)
+            slopes.append((k_lo, k_hi))
+        k_lo = k_hi
+    return tuple(selected), tuple(sel_dots), tuple(slopes)
+
+
+def reference_improvement_filter(selected, dots, slopes, f_min: float, xi: float) -> list[int]:
+    """The margin filter on named dots, the reference for ``improvement_filter``."""
+    keep = []
+    for box_id, dot, (_, k_hi) in zip(selected, map(Dot._make, dots), slopes):
+        if math.isinf(k_hi) or dot.F - k_hi * dot.d <= f_min - xi:
+            keep.append(box_id)
+    return keep
 
 
 def random_dot_set(rng: np.random.Generator, max_dots: int = 15) -> list[Dot]:
