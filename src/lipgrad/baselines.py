@@ -74,8 +74,8 @@ class _CenterState:
         self.config = config
         self.target_window = target_window(config.target, problem.lower, problem.upper)
         self.locally_biased = locally_biased
-        self.lower = tuple(float(v) for v in problem.lower)
-        self.edge = tuple(float(u) - l for l, u in zip(self.lower, problem.upper))
+        self.lower = problem.lower
+        self.edge = tuple(u - l for l, u in zip(self.lower, problem.upper))
         self.boxes: dict[int, CenterTuple] = {}
         self.groups: dict[tuple[int, ...], Group] = {}  # by sorted depth vector
         self.trials = 0

@@ -210,7 +210,10 @@ def run_class(
     invalid = [(row["index"], row["error"]) for row in rows if not row["valid"]]
     valid_rows = [row for row in rows if row["valid"]]
     if not valid_rows:
-        raise problems.GenerationError("every problem of the class is invalid")
+        index, error = invalid[0]
+        raise problems.GenerationError(
+            f"every problem of the class is invalid; problem {index}: {error}"
+        )
 
     summaries = {}
     for m in methods:

@@ -176,8 +176,8 @@ class Partition:
     """
 
     def __init__(self, problem, start_vertex: str = "a"):
-        self.lower = tuple(float(v) for v in problem.lower)
-        self.edge = tuple(float(u) - l for l, u in zip(self.lower, problem.upper))
+        self.lower = problem.lower
+        self.edge = tuple(u - l for l, u in zip(self.lower, problem.upper))
         self.vertex_db: dict[GridVertex, Record] = {}
         self.boxes: dict[int, BoxTuple] = {}
         # group s holds the boxes split s times; none is ever deleted

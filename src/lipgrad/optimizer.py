@@ -100,13 +100,11 @@ def initialize(problem, config: OptConfig) -> OptState:
 def exploration_iteration(state: OptState, g_hi: int) -> None:
     """One selection + subdivision sweep over groups [q_inf, g_hi].
 
-    An empty selection is legal; the iteration then only advances the
-    counter.
+    Group q_inf is never empty and g_hi >= q_inf, so there is always a dot.
     """
     part = state.partition
     dots = selection.group_representatives(part, part.q_inf, g_hi)
-    chosen = selection.choose(dots, state.f_min, state.config.epsilon) if dots else []
-    for box_id in chosen:
+    for box_id in selection.choose(dots, state.f_min, state.config.epsilon):
         _subdivide(state, box_id)
         if state.stop_reason:
             break

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -47,8 +48,7 @@ class Problem:
     ``f`` and ``grad`` take a length-``dim`` point, which the methods pass as
     a read-only float array; evaluations must be pure. The methods call them
     only through :meth:`value` and :meth:`value_and_grad`, which check what
-    they return. ``f_batch``, when present, evaluates an ``(M, dim)`` array
-    of points at once and exists only for test oracles and certificates.
+    they return. ``lower`` and ``upper`` are stored as tuples of floats.
     """
 
     name: str
@@ -59,7 +59,6 @@ class Problem:
     grad: Callable[[np.ndarray], np.ndarray]
     known_opt: Optional[tuple[tuple[float, ...], float]] = None
     known_K: Optional[float] = None
-    f_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if len(self.lower) != self.dim or len(self.upper) != self.dim:
@@ -68,10 +67,17 @@ class Problem:
                 f"entries, dim is {self.dim}"
             )
         for j, (lo, hi) in enumerate(zip(self.lower, self.upper)):
+            if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real)):
+                raise ValueError(
+                    f"{self.name}: axis {j} needs real bounds, got [{lo!r}, {hi!r}]"
+                )
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(
                     f"{self.name}: axis {j} needs finite lower < upper, got [{lo}, {hi}]"
                 )
+        # a trace writes the bounds with repr, which reads back only from floats
+        object.__setattr__(self, "lower", tuple(map(float, self.lower)))
+        object.__setattr__(self, "upper", tuple(map(float, self.upper)))
 
     def value(self, x) -> float:
         """f(x) as a finite float, or EvaluationError."""
@@ -144,21 +150,10 @@ def quadratic(
         r = np.asarray(x, dtype=float) - c
         return 2.0 * (A @ r)
 
-    def f_batch(X):
-        R = np.asarray(X, dtype=float) - c
-        return np.einsum("ij,jk,ik->i", R, A, R)
-
     opt = None
     if float(np.min(eigs)) >= 0.0 and all(l <= ci <= u for l, ci, u in zip(lo, c, hi)):
         opt = (tuple(float(v) for v in c), 0.0)
-    return Problem(name, n, lo, hi, f, grad, known_opt=opt, known_K=K, f_batch=f_batch)
-
-
-def random_quadratic(rng: np.random.Generator, dim: int) -> Problem:
-    """A random (possibly indefinite) quadratic on [0, 1]^dim with known K."""
-    M = rng.uniform(-1.0, 1.0, size=(dim, dim))
-    c = rng.uniform(0.2, 0.8, size=dim)
-    return quadratic(c, M + M.T, lower=[0.0] * dim, upper=[1.0] * dim, name=f"randquad{dim}d")
+    return Problem(name, n, lo, hi, f, grad, known_opt=opt, known_K=K)
 
 
 def _trig_axis_minimum() -> tuple[float, float]:
@@ -176,9 +171,7 @@ def _trig_axis_minimum() -> tuple[float, float]:
     def dg(u):
         return 2.0 * u + 0.5 * math.pi * math.cos(5.0 * math.pi * u)
 
-    if dg(lo) > 0 or dg(hi) < 0:  # minimum at the boundary of the scan cell
-        ts = lo if g[i] > lo * lo + math.sin(5 * math.pi * lo) / 10 else t[i]
-        return float(ts), float(ts * ts + math.sin(5 * math.pi * ts) / 10.0)
+    # the scan cell brackets the root: dg(lo) = -0.025 < 0 < dg(hi) = 0.025
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if dg(mid) < 0:
@@ -201,16 +194,12 @@ def trig_separable(dim: int) -> Problem:
         x = np.asarray(x, dtype=float)
         return 2.0 * x + 0.5 * math.pi * np.cos(5.0 * math.pi * x)
 
-    def f_batch(X):
-        X = np.asarray(X, dtype=float)
-        return np.sum(X * X + np.sin(5.0 * math.pi * X) / 10.0, axis=1)
-
     # |d2/dt2| = |2 - 2.5*pi^2 sin(5 pi t)| <= 2 + 2.5*pi^2, separable
     K = 2.0 + 2.5 * math.pi * math.pi
     opt = (tuple([ts] * dim), dim * fs)
     return Problem(
         f"trig{dim}d", dim, tuple([0.0] * dim), tuple([1.0] * dim),
-        f, grad, known_opt=opt, known_K=K, f_batch=f_batch,
+        f, grad, known_opt=opt, known_K=K,
     )
 
 
@@ -300,12 +289,12 @@ _SEPARATION = 0.04
 _PLACEMENT_TRIES = 2000
 
 
-def generate(cls: ProblemClass, index: int) -> Problem:
-    """Problem number ``index`` (1-based) of the class, deterministically.
+def generated_parameters(cls: ProblemClass, index: int):
+    """The random draws behind problem number ``index`` (1-based) of the class.
 
-    The global minimum is f* = -1 at the center of the first placed ball;
-    every other deformation bottom sits at least ``value_gap`` above f*, and
-    the undeformed paraboloid never goes below 0.
+    Returns ``(C, R, T, values)`` as numpy arrays: the ball centers by row,
+    their radii, the paraboloid's vertex and the ball bottoms, the global
+    ball first. Raises GenerationError when the balls do not fit.
     """
     if not 1 <= index <= cls.count:
         raise ValueError(f"index {index} outside 1..{cls.count}")
@@ -339,9 +328,17 @@ def generate(cls: ProblemClass, index: int) -> Problem:
     values = np.empty(cls.n_minima)
     values[0] = _F_STAR
     values[1:] = rng.uniform(_F_STAR + cls.value_gap, -0.05, size=cls.n_minima - 1)
+    return np.vstack(centers), np.asarray(radii), T, values
 
-    C = np.vstack(centers)
-    R = np.asarray(radii)
+
+def generate(cls: ProblemClass, index: int) -> Problem:
+    """Problem number ``index`` (1-based) of the class, deterministically.
+
+    The global minimum is f* = -1 at the center of the first placed ball;
+    every other deformation bottom sits at least ``value_gap`` above f*, and
+    the undeformed paraboloid never goes below 0.
+    """
+    C, R, T, values = generated_parameters(cls, index)
     R2 = R * R
     # the per-ball tail runs on Python floats: each element-wise numpy
     # float64 operation is the same IEEE operation as its float form
@@ -400,28 +397,10 @@ def generate(cls: ProblemClass, index: int) -> Problem:
             out.append(gp + w * (gh - gp) + h_p * (c * (gh / r2_i)))
         return np.array(out)
 
-    def f_batch(X):
-        X = np.asarray(X, dtype=float)
-        dT = X - T
-        out = np.einsum("ij,ij->i", dT, dT)
-        for i in range(cls.n_minima):
-            dx = X - C[i]
-            rho2 = np.einsum("ij,ij->i", dx, dx)
-            mask = rho2 < R2[i]
-            if not np.any(mask):
-                continue
-            u = rho2[mask] / R2[i]
-            w = (1.0 - u) ** 2
-            h = values[i] + rho2[mask]
-            out[mask] = out[mask] + w * (h - out[mask])
-        return out
-
+    n = cls.dim
     name = f"gen-{cls.difficulty}-{n}d-s{cls.seed}-p{index}"
-    opt = (tuple(float(v) for v in centers[0]), _F_STAR)
-    return Problem(
-        name, n, tuple(lo), tuple(hi), f, grad,
-        known_opt=opt, known_K=None, f_batch=f_batch,
-    )
+    opt = (tuple(C[0].tolist()), _F_STAR)
+    return Problem(name, n, (cls.lower,) * n, (cls.upper,) * n, f, grad, known_opt=opt)
 
 
 def class_manifest(cls: ProblemClass) -> dict:

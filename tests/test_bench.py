@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -21,7 +22,7 @@ from lipgrad.bench import (
     write_trace,
 )
 from lipgrad.optimizer import OptConfig, run
-from lipgrad.problems import problem_class, quadratic, write_manifest
+from lipgrad.problems import generate, problem_class, quadratic, write_manifest
 from lipgrad.selection import Dot, hull_snapshot_lines, nondominated
 from lipgrad.stopping import StopTarget, record_trial, target_reached, target_window
 from util import wavy_problem, with_audit
@@ -135,6 +136,14 @@ def test_fifty_percent_convention():
         assert t <= max(trials)
 
 
+def test_ratio_marks_which_side_left_problems_unsolved():
+    # an unsolved side's figure is its budget, a bound on its true figure
+    assert bench._ratio(30.0, False, 10.0, False) == "3.00"
+    assert bench._ratio(30.0, True, 10.0, False) == "> 3.00"
+    assert bench._ratio(30.0, False, 10.0, True) == "< 3.00"
+    assert bench._ratio(30.0, True, 10.0, True) == "~ 3.00"
+
+
 def test_run_class_smoke(tmp_path):
     cls = problem_class(2, "simple", seed=7, count=4)
     report = run_class(["new", "direct"], cls, delta=1e-4, p_max=20_000,
@@ -228,6 +237,23 @@ def test_partition_diagram(tmp_path):
     assert svg.count("<rect") == report.boxes
     assert svg.count("<circle") == report.trials
     assert svg.count("<text") >= report.trials
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate(problem_class(2, "hard", seed=3, count=2), 1),
+    lambda: dataclasses.replace(wavy_problem(2), lower=np.full(2, -1.0), upper=np.ones(2)),
+], ids=["generated", "numpy-bounds"])
+def test_partition_diagram_of_a_problem_with_numpy_bounds(tmp_path, make):
+    # bounds given as numpy floats are stored as floats, so the trace's
+    # domain header reads back
+    prob = make()
+    report = run(prob, OptConfig(p_max=50, keep_trace=True))
+    trace_path = tmp_path / "run.trace"
+    write_trace(report, prob, trace_path)
+    data = read_trace(trace_path)
+    assert data["lower"] == (-1.0, -1.0) and data["upper"] == (1.0, 1.0)
+    out = emit_diagram(trace_path, "partition2d", tmp_path / "fig.svg")
+    assert out.read_text().count("<rect") == report.boxes
 
 
 def test_partition_diagram_requires_two_dimensions(tmp_path):

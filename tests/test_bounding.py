@@ -6,8 +6,7 @@ import pytest
 
 from lipgrad.bounding import characterize
 from lipgrad.geometry import Box
-from lipgrad.problems import random_quadratic
-from util import eval_minorant, make_box, make_vertex, random_box_corners
+from util import eval_minorant, make_box, make_vertex, random_box_corners, random_quadratic
 
 
 def rec(f, grad):
@@ -90,7 +89,7 @@ def test_minorant_stays_below_quadratics():
     rng = np.random.default_rng(2)
     for _ in range(20):
         dim = int(rng.integers(1, 4))
-        prob = random_quadratic(rng, dim)
+        prob, _ = random_quadratic(rng, dim)
         a, b = random_box_corners(rng, dim=dim)
         box = make_box(a, b)
         x_a = np.asarray(box.a_real)

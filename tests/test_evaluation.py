@@ -7,6 +7,7 @@ problem and carries the first bad point.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,19 @@ def test_run_class_marks_a_failing_problem_invalid(monkeypatch):
     assert "probe2d" in row["error"]
     assert report.invalid == [(2, row["error"])]
     assert [report.rows[0], report.rows[2]] == [expected[0], expected[2]]
+    assert f"warning: problem 2 invalid, excluded: {row['error']}" in report.to_text()
+    rows_2 = [line for line in report.to_csv().splitlines() if line.startswith("2,")]
+    assert rows_2 == [f"2,{m},,,,0" for m in methods]
+
+
+def test_a_class_without_a_valid_problem_names_the_first_failure(capsys):
+    # ten balls do not fit on the 1-D domain [-1, 1]
+    cls = problem_class(1, "hard", seed=0, count=3)
+    reason = "problem 1: could not place ball 7/10 (dim=1, radius=0.129)"
+    with pytest.raises(problems.GenerationError, match=re.escape(reason)):
+        bench.run_class(["new"], cls, delta=1e-2, p_max=100)
+    assert cli.main(["bench", "--class", "hard:1:3", "--delta", "1e-2"]) == 2
+    assert reason in capsys.readouterr().err
 
 
 def test_cli_nan_objective_exits_two(monkeypatch, capsys):

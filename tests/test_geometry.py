@@ -422,7 +422,7 @@ def test_each_trial_evaluates_the_real_point_of_its_vertex(monkeypatch, make, st
         seen.append(tuple(x.tolist()))
         return prob.f(x)
 
-    recording = dataclasses.replace(prob, f=f, f_batch=None)
+    recording = dataclasses.replace(prob, f=f)
     report, part = run_keeping_partition(
         monkeypatch, recording, OptConfig(p_max=400, start_vertex=start))
     expected = [vertex_real(v, part.lower, part.edge) for v in part.vertex_db]

@@ -16,7 +16,7 @@ from lipgrad.problems import (
     quadratic,
     trig_separable,
 )
-from util import fd_check, generated_oracle, generated_parameters, with_audit
+from util import fd_check, generated_oracle, generated_rows, with_audit
 
 
 def test_quadratic_fields():
@@ -26,7 +26,6 @@ def test_quadratic_fields():
     x = np.array([0.5, 0.5])
     assert math.isclose(p.f(x), 0.2**2 + 0.2**2)
     assert np.allclose(p.grad(x), [0.4, -0.4])
-    assert np.allclose(p.f_batch(np.stack([x, x])), [p.f(x)] * 2)
 
 
 def test_quadratic_spectral_radius_sets_K():
@@ -88,6 +87,7 @@ def test_generated_problem_optimum_certificates():
     cls = problem_class(2, "simple", seed=5, count=10)
     for index in (1, 4, 9):
         p = generate(cls, index)
+        f_rows = generated_rows(cls, index)
         x_star, f_star = p.known_opt
         x = np.asarray(x_star)
         assert p.f(x) == f_star == -1.0
@@ -96,10 +96,10 @@ def test_generated_problem_optimum_certificates():
         # dense-grid certificate: nothing falls below f*
         axes = [np.linspace(lo, hi, 200) for lo, hi in zip(p.lower, p.upper)]
         grid = np.stack([m.ravel() for m in np.meshgrid(*axes)], axis=1)
-        values = p.f_batch(grid)
+        values = f_rows(grid)
         assert values.min() >= f_star - 1e-9
         scattered = np.random.default_rng(1).uniform(-1, 1, size=(2000, 2))
-        assert all(abs(p.f(row) - v) < 1e-12 for row, v in zip(scattered[:50], p.f_batch(scattered[:50])))
+        assert all(abs(p.f(row) - v) < 1e-12 for row, v in zip(scattered[:50], f_rows(scattered[:50])))
 
 
 def test_generated_3d_certificate_by_random_sampling():
@@ -107,7 +107,7 @@ def test_generated_3d_certificate_by_random_sampling():
     p = generate(cls, 1)
     rng = np.random.default_rng(3)
     samples = rng.uniform(-1.0, 1.0, size=(1_000_000, 3))
-    assert p.f_batch(samples).min() >= p.known_opt[1] - 1e-9
+    assert generated_rows(cls, 1)(samples).min() >= p.known_opt[1] - 1e-9
 
 
 def test_every_method_solves_the_1d_quadratic():
@@ -243,8 +243,9 @@ def test_generated_objective_matches_its_numpy_oracle(dim, difficulty):
     rng = np.random.default_rng([dim, len(difficulty)])
     for index in (1, 2):
         prob = generate(cls, index)
-        f_ref, grad_ref = generated_oracle(prob)
-        _, C, R2, _ = generated_parameters(prob)
+        f_ref, grad_ref = generated_oracle(cls, index)
+        C, R, _, _ = problems.generated_parameters(cls, index)
+        R2 = R * R
         points = [rng.uniform(prob.lower, prob.upper) for _ in range(40)]
         for i, c in enumerate(C):
             points.append(c.copy())
@@ -354,6 +355,7 @@ def test_problem_rejects_bounds_of_the_wrong_length():
     ((0.0, 0.5), (1.0, 0.5)),
     ((0.0, -math.inf), (1.0, 1.0)),
     ((0.0, 0.0), (math.nan, 1.0)),
+    (("0.0", 0.0), (1.0, 1.0)),  # floats are stored, but a string is no bound
 ])
 def test_problem_rejects_empty_or_nonfinite_bounds(lower, upper):
     with pytest.raises(ValueError, match="axis"):

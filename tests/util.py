@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -12,7 +11,7 @@ import numpy as np
 from lipgrad.geometry import (
     Box, GridFraction, GridVertex, Partition, grid_fraction, half_diag_sq, pow3,
 )
-from lipgrad.problems import Problem
+from lipgrad.problems import Problem, ProblemClass, generated_parameters, quadratic
 from lipgrad.selection import Dot
 
 
@@ -153,7 +152,6 @@ def with_audit(problem: Problem) -> tuple[Problem, EvalAudit]:
         grad=grad,
         known_opt=problem.known_opt,
         known_K=problem.known_K,
-        f_batch=None,
     )
     return wrapped, audit
 
@@ -167,24 +165,59 @@ def add_left_to_right(terms) -> float:
     return total
 
 
-def generated_parameters(problem: Problem):
-    """(T, C, R2, values) of a generated problem, as numpy arrays.
+def random_quadratic(rng: np.random.Generator, dim: int):
+    """A random (possibly indefinite) quadratic on [0, 1]^dim with known K.
 
-    T is the paraboloid's vertex, C the ball centers by row, R2 the squared
-    radii and values the ball bottoms, read from the closure of ``f_batch``.
+    Returns the problem and its values over the rows of an ``(M, dim)``
+    array, computed by one numpy expression.
     """
-    params = inspect.getclosurevars(problem.f_batch).nonlocals
-    return tuple(np.asarray(params[k]) for k in ("T", "C", "R2", "values"))
+    M = rng.uniform(-1.0, 1.0, size=(dim, dim))
+    c = rng.uniform(0.2, 0.8, size=dim)
+    S = M + M.T
+    problem = quadratic(c, S, lower=[0.0] * dim, upper=[1.0] * dim, name=f"randquad{dim}d")
+    A = 0.5 * (S + S.T)  # the matrix ``quadratic`` evaluates
+
+    def f_rows(X):
+        R = np.asarray(X, dtype=float) - c
+        return np.einsum("ij,jk,ik->i", R, A, R)
+
+    return problem, f_rows
 
 
-def generated_oracle(problem: Problem):
+def generated_rows(cls: ProblemClass, index: int):
+    """The values of a generated problem over the rows of an ``(M, dim)``
+    array, computed ball by ball on whole columns."""
+    C, R, T, values = generated_parameters(cls, index)
+    R2 = R * R
+
+    def f_rows(X):
+        X = np.asarray(X, dtype=float)
+        dT = X - T
+        out = np.einsum("ij,ij->i", dT, dT)
+        for i in range(len(R)):
+            dx = X - C[i]
+            rho2 = np.einsum("ij,ij->i", dx, dx)
+            mask = rho2 < R2[i]
+            if not np.any(mask):
+                continue
+            u = rho2[mask] / R2[i]
+            w = (1.0 - u) ** 2
+            h = values[i] + rho2[mask]
+            out[mask] = out[mask] + w * (h - out[mask])
+        return out
+
+    return f_rows
+
+
+def generated_oracle(cls: ProblemClass, index: int):
     """(f, grad) of a generated problem as numpy element-wise expressions.
 
     The reference for the generated objective's Python-float tail: the same
     terms, the first containing ball found by ``np.nonzero``, and each tail
     written on numpy scalars and arrays.
     """
-    T, C, R2, values = generated_parameters(problem)
+    C, R, T, values = generated_parameters(cls, index)
+    R2 = R * R
 
     def terms(x):
         x = np.asarray(x, dtype=float)
