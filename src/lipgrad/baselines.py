@@ -22,7 +22,6 @@ coordinates.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from . import selection
 from .geometry import Group, fraction_str, grid_fraction, heap_min_entries, pow3
@@ -45,19 +44,6 @@ from .stopping import (
 # so a collection untracks each box. The middle child of a split keeps its
 # parent's center, so that sample is never re-evaluated.
 CenterTuple = tuple[int, tuple[int, ...], tuple[int, ...], float, tuple[int, ...]]
-
-
-class CenterBox(NamedTuple):
-    """Named view of a center-box tuple, made on demand by ``CenterBox._make(raw)``.
-
-    The state never stores one: CPython never untracks a tuple subclass.
-    """
-
-    id: int
-    corner_nums: tuple[int, ...]
-    depths: tuple[int, ...]
-    f_center: float
-    group_key: tuple[int, ...]
 
 
 def _diag_d(key: tuple[int, ...]) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import bounding
 
@@ -103,22 +103,6 @@ def corner_vertex(dim: int, upper: bool) -> GridVertex:
 Record = tuple[float, tuple[float, ...]]
 BoxTuple = tuple[int, int, GridVertex, GridVertex,
                  tuple[float, ...], tuple[float, ...], float, float]
-
-
-class Box(NamedTuple):
-    """Named view of a box tuple, made on demand by ``Box._make(raw)``.
-
-    The partition never stores one: CPython never untracks a tuple subclass.
-    """
-
-    id: int
-    s: int
-    a: GridVertex
-    b: GridVertex
-    a_real: tuple[float, ...]
-    b_real: tuple[float, ...]
-    d: float
-    F: float
 
 
 def heap_min_entries(heap: list, live) -> list:

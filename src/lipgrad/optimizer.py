@@ -12,6 +12,7 @@ points outward along every side of its box.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,14 +46,21 @@ class OptConfig:
     keep_trace: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon < math.inf:
-            raise ValueError("epsilon must be finite and nonnegative")
-        if self.p_max < 1:
-            raise ValueError("p_max must be at least 1")
+        if not (_number(self.epsilon) and 0.0 <= self.epsilon < math.inf):
+            raise ValueError(f"epsilon must be a finite nonnegative number, got {self.epsilon!r}")
+        if not (_number(self.p_max, numbers.Integral) and self.p_max >= 1):
+            raise ValueError(f"p_max must be an integer of at least 1, got {self.p_max!r}")
         if self.start_vertex not in ("a", "b"):
             raise ValueError("start_vertex must be 'a' or 'b'")
-        if self.diagonal is not None and not 0.0 < self.diagonal <= 1.0:
-            raise ValueError("diagonal threshold must be in (0, 1]")
+        if self.diagonal is not None and not (
+            _number(self.diagonal) and 0.0 < self.diagonal <= 1.0
+        ):
+            raise ValueError(f"diagonal must be a number in (0, 1], got {self.diagonal!r}")
+
+
+def _number(v, kind=numbers.Real) -> bool:
+    """Whether ``v`` is a number of ``kind``; a bool is never a run parameter."""
+    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 class OptState:

@@ -91,25 +91,34 @@ class Problem:
         point = _read_only_point(x)
         value = self._value(point, x)
         try:
-            grad = np.asarray(self.grad(point), dtype=float)
+            raw = self.grad(point)
+            grad = np.asarray(raw)
+            if grad.dtype.char != "d":  # one type test on the common float64 path
+                grad = grad.astype(float) if grad.dtype.kind in "biuf" else None
         except Exception as exc:
             raise EvaluationError(self.name, x, f"grad failed: {exc!r}") from exc
-        if grad.shape == (self.dim,):
+        if grad is not None and grad.shape == (self.dim,):
             components = tuple(grad.tolist())
             if all(map(math.isfinite, components)):
                 return value, components
         raise EvaluationError(
-            self.name, x, f"grad returned {grad!r}, expected finite values "
+            self.name, x, f"grad returned {raw!r}, expected finite real numbers "
             f"of shape ({self.dim},)"
         )
 
     def _value(self, point: np.ndarray, x) -> float:
         try:
-            value = float(self.f(point))
+            raw = self.f(point)
+            if type(raw) is float:  # one type test on the common path
+                value = raw
+            else:  # other reals convert; strings, bytes and complex do not
+                value = float(raw) if isinstance(raw, numbers.Real) else math.nan
         except Exception as exc:
             raise EvaluationError(self.name, x, f"f failed: {exc!r}") from exc
         if not math.isfinite(value):
-            raise EvaluationError(self.name, x, f"f returned {value!r}")
+            raise EvaluationError(
+                self.name, x, f"f returned {raw!r}, expected a finite real number"
+            )
         return value
 
 

@@ -20,15 +20,6 @@ from typing import NamedTuple
 DotTuple = tuple[int, float, float, int]
 
 
-class Dot(NamedTuple):
-    """Named view of a dot tuple, made on demand by ``Dot._make(raw)``."""
-
-    box_id: int
-    d: float
-    F: float
-    s: int
-
-
 class HullResult(NamedTuple):
     """Nondominated dots ordered by increasing d.
 

@@ -10,6 +10,7 @@ All three methods share these helpers. A run state passed to them has
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,11 +47,19 @@ class RunReport:
 
 
 def target_window(target: Optional[StopTarget], lower, upper):
-    """Per-axis ``(x*_i, delta^(1/N) * edge_i)`` pairs, or None without a target."""
+    """Per-axis ``(x*_i, delta^(1/N) * edge_i)`` pairs, or None without a target.
+
+    ``x_star`` must hold one finite real number per axis of the domain.
+    """
     if target is None:
         return None
-    tol = target.delta ** (1.0 / len(target.x_star))
-    return tuple((si, tol * (hi - lo)) for si, lo, hi in zip(target.x_star, lower, upper))
+    x_star = target.x_star
+    if len(x_star) != len(lower) or not all(
+        isinstance(v, numbers.Real) and math.isfinite(v) for v in x_star
+    ):
+        raise ValueError(f"x_star must be {len(lower)} finite numbers, got {x_star!r}")
+    tol = target.delta ** (1.0 / len(x_star))
+    return tuple((si, tol * (hi - lo)) for si, lo, hi in zip(x_star, lower, upper))
 
 
 def _in_window(x, window) -> bool:
@@ -58,11 +67,6 @@ def _in_window(x, window) -> bool:
         if not abs(xi - si) <= half_width:
             return False
     return True
-
-
-def target_reached(x, target: StopTarget, lower, upper) -> bool:
-    """True when x lies within delta^(1/N) of x* per axis, scaled by the edges."""
-    return _in_window(x, target_window(target, lower, upper))
 
 
 def record_trial(state, x, value: float) -> bool:

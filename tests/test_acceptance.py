@@ -7,13 +7,12 @@ lines as they complete.
 import math
 import time
 from collections import Counter
-from fractions import Fraction
 
 import numpy as np
 
 from lipgrad import baselines, bench, optimizer, problems, selection
 from lipgrad.bounding import characterize
-from lipgrad.geometry import Partition
+from lipgrad.geometry import Partition, pow3
 from lipgrad.optimizer import OptConfig
 from lipgrad.problems import analytic_suite, generate, problem_class
 from lipgrad.stopping import StopTarget
@@ -75,17 +74,20 @@ def test_criterion_02_trisection_exactness():
         length = int(rng.integers(5, 31))
         for _ in range(length):
             candidates = [box_id for box_id, s, *_ in part.boxes.values() if s < 30]
-            box_id = int(rng.choice(candidates))
-            parent_volume = volume(part.boxes[box_id])
+            box_id = candidates[rng.integers(len(candidates))]  # as rng.choice draws
+            parent_num, parent_e = volume(part.boxes[box_id])
             children = part.trisect(box_id, prob)[:3]
             for child in children:
-                assert volume(child) == parent_volume / 3
+                num, e = volume(child)  # num / 3^e == parent / 3
+                assert num * pow3(parent_e + 1) == parent_num * pow3(e)
         by_group: dict[int, list[float]] = {}
         for box in part.boxes.values():
             by_group.setdefault(box[1], []).append(diagonal_sq(box))  # box[1] is s
         for diags in by_group.values():
             assert max(diags) - min(diags) <= 1e-12
-        assert sum(volume(b) for b in part.boxes.values()) == Fraction(1)
+        volumes = [volume(b) for b in part.boxes.values()]
+        top = max(e for _, e in volumes)  # the volumes add up to 1 = 3^top / 3^top
+        assert sum(num * pow3(top - e) for num, e in volumes) == pow3(top)
     _report(2, f"{sequences} random subdivision sequences, volumes exact")
 
 

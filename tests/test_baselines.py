@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from lipgrad import baselines, selection
-from lipgrad.baselines import CenterBox, _CenterState, direct_run, directl_run
+from lipgrad.baselines import _CenterState, direct_run, directl_run
 from lipgrad.optimizer import OptConfig
 from lipgrad.problems import generate, problem_class, quadratic
 from lipgrad.stopping import StopTarget, check_stop
-from util import add_left_to_right, wavy_problem, with_audit
+from util import CenterBox, Dot, add_left_to_right, wavy_problem, with_audit
 
 
 def views(state: _CenterState) -> dict[int, CenterBox]:
@@ -180,7 +180,7 @@ def rescanned_select(state: _CenterState) -> list[int]:
             d = 0.5 * add_left_to_right(1.0 / 3 ** (2 * dep) for dep in key)
             tied = [e for e in entries if e[0] == entries[0][0]]
         for F, box_id in tied:
-            dots.append(selection.Dot(box_id, d, F, sum(boxes[box_id].depths)))
+            dots.append(Dot(box_id, d, F, sum(boxes[box_id].depths)))
     return selection.choose(dots, state.f_min, state.config.epsilon)
 
 

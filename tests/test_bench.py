@@ -23,9 +23,9 @@ from lipgrad.bench import (
 )
 from lipgrad.optimizer import OptConfig, run
 from lipgrad.problems import generate, problem_class, quadratic, write_manifest
-from lipgrad.selection import Dot, hull_snapshot_lines, nondominated
-from lipgrad.stopping import StopTarget, record_trial, target_reached, target_window
-from util import wavy_problem, with_audit
+from lipgrad.selection import hull_snapshot_lines, nondominated
+from lipgrad.stopping import StopTarget, record_trial, target_window
+from util import Dot, target_reached, wavy_problem, with_audit
 
 
 def test_target_reached_examples():

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from lipgrad.bounding import characterize
-from lipgrad.geometry import Box
-from util import eval_minorant, make_box, make_vertex, random_box_corners, random_quadratic
+from util import Box, eval_minorant, make_box, make_vertex, random_box_corners, random_quadratic
 
 
 def rec(f, grad):

@@ -8,6 +8,7 @@ problem and carries the first bad point.
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -105,6 +106,28 @@ def test_nonfinite_value_raises_evaluation_error(method, value):
 
 
 @pytest.mark.parametrize("method", METHODS, ids=lambda m: m.__name__)
+@pytest.mark.parametrize("value", ["1.5", b"2", 1.5 + 0j], ids=["str", "bytes", "complex"])
+def test_non_numeric_value_raises_evaluation_error(method, value):
+    prob, bad = probe(f_bad=lambda x: value)
+    exc = raises_at_first_bad_point(method, prob, bad)
+    assert f"f returned {value!r}, expected a finite real number" in str(exc)
+
+
+@pytest.mark.parametrize("value, grad", [
+    (True, [1, 0]),
+    (3, np.array([1, 2], dtype=np.int64)),
+    (np.float32(0.5), np.array([0.5, 0.25], dtype=np.float32)),
+    (Fraction(1, 4), [True, 0.5]),
+], ids=["bool", "int", "float32", "fraction"])
+def test_other_real_types_pass_as_floats(value, grad):
+    prob = Problem("p", 2, (0.0, 0.0), (1.0, 1.0), lambda x: value, lambda x: grad)
+    f_value, components = prob.value_and_grad((0.5, 0.5))
+    assert type(f_value) is float and all(type(g) is float for g in components)
+    assert (f_value, components) == (float(value), tuple(float(g) for g in grad))
+    assert prob.value((0.5, 0.5)) == f_value
+
+
+@pytest.mark.parametrize("method", METHODS, ids=lambda m: m.__name__)
 def test_failing_objective_keeps_its_cause(method):
     prob, bad = probe(f_bad=boom)
     exc = raises_at_first_bad_point(method, prob, bad)
@@ -117,7 +140,12 @@ def test_failing_objective_keeps_its_cause(method):
     (2, lambda x: np.zeros(1)),
     (2, lambda x: np.zeros(3)),
     (1, lambda x: 2.0 * float(x[0])),
-], ids=["nan", "inf", "shape-1", "shape-3", "scalar-1d"])
+    (2, lambda x: ["1", "2"]),
+    (2, lambda x: [b"1", b"2"]),
+    (2, lambda x: [1 + 2j, 0j]),
+    (2, lambda x: np.array([1 + 2j, 0j])),
+], ids=["nan", "inf", "shape-1", "shape-3", "scalar-1d", "str", "bytes", "complex-list",
+        "complex-array"])
 def test_bad_gradient_raises_evaluation_error(dim, grad_bad):
     prob, bad = probe(dim, grad_bad=grad_bad)
     raises_at_first_bad_point(run, prob, bad)

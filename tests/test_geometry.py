@@ -11,7 +11,6 @@ from lipgrad import optimizer
 from lipgrad.baselines import direct_run
 from lipgrad.bounding import characterize
 from lipgrad.geometry import (
-    Box,
     Partition,
     grid_fraction,
     heap_min_entries,
@@ -22,6 +21,7 @@ from lipgrad.geometry import (
 from lipgrad.optimizer import OptConfig, run
 from lipgrad.problems import Problem, generate, problem_class, quadratic
 from util import (
+    Box,
     add_left_to_right,
     as_fraction,
     diagonal_sq,
@@ -78,7 +78,8 @@ def test_third_points_unit_interval():
 
 def test_unit_square_measures():
     box = make_box(make_vertex(0, 0), make_vertex(1, 1))
-    assert volume(box) == Fraction(1)
+    num, e = volume(box)
+    assert num == pow3(e)
     assert diagonal_sq(box) == 2.0
 
 
@@ -149,7 +150,8 @@ def test_trisect_unit_square():
     assert high.a == make_vertex((2, 1), 0) and high.b == make_vertex(1, 1)
     assert new_rec is not None
     for child in (middle, low, high):
-        assert volume(child) == Fraction(1, 3)
+        num, e = volume(child)
+        assert 3 * num == pow3(e)
         assert child.s == 1
         assert math.isclose(diagonal_sq(child), 10.0 / 9.0)
     assert part.m == 3 and {b.id for b in (middle, low, high)} == {1, 2, 3}
@@ -251,7 +253,9 @@ def test_volume_conservation_random_runs():
         for _ in range(60):
             box_id = int(rng.choice(sorted(part.boxes)))
             part.trisect(box_id, prob)
-        assert sum(volume(b) for b in live_boxes(part)) == Fraction(1)
+        volumes = [volume(b) for b in live_boxes(part)]
+        top = max(e for _, e in volumes)
+        assert sum(num * pow3(top - e) for num, e in volumes) == pow3(top)
 
 
 def test_box_d_adds_the_squares_left_to_right():

@@ -15,10 +15,10 @@ from lipgrad.optimizer import (
     _improved_one_percent,
     _resolve_record_box,
 )
-from lipgrad.geometry import Box, vertex_real
+from lipgrad.geometry import vertex_real
 from lipgrad.problems import Problem, generate, problem_class, quadratic
 from lipgrad.stopping import StopTarget, record_trial, target_window
-from util import flat_problem, make_vertex, wavy_problem, with_audit
+from util import Box, flat_problem, make_vertex, wavy_problem, with_audit
 
 
 def test_initialize_single_box():
@@ -291,4 +291,28 @@ def test_config_validation():
         OptConfig(start_vertex="c")
     with pytest.raises(ValueError):
         OptConfig(diagonal=1.5)
+    # a wrong type raises a ValueError that names the field
+    for field, value in [("p_max", 2.5), ("p_max", True), ("p_max", "10"),
+                         ("epsilon", "1e-4"), ("epsilon", True), ("epsilon", None),
+                         ("diagonal", "0.5"), ("diagonal", True)]:
+        with pytest.raises(ValueError, match=field):
+            OptConfig(**{field: value})
+    config = OptConfig(epsilon=np.float64(1e-3), p_max=np.int64(10), diagonal=1)
+    assert (config.epsilon, config.p_max, config.diagonal) == (1e-3, 10, 1)
+
+
+@pytest.mark.parametrize("method", [run, baselines.direct_run, baselines.directl_run],
+                         ids=lambda m: m.__name__)
+def test_target_must_be_one_finite_number_per_axis(method):
+    prob = quadratic([0.3, 0.7], name="quad2d")
+
+    def solve(x_star):
+        return method(prob, OptConfig(p_max=50, target=StopTarget(x_star, 1e-4)))
+
+    for x_star in [(0.3,), (0.3, 0.7, 0.1), (0.3, math.nan), (math.inf, 0.7), (0.3, "0.7")]:
+        with pytest.raises(ValueError, match="x_star"):
+            solve(x_star)
+    # numpy coordinates are numbers too
+    tuple_run, array_run = solve((0.3, 0.7)), solve(np.array([0.3, 0.7]))
+    assert (array_run.trials, array_run.stop_reason) == (tuple_run.trials, tuple_run.stop_reason)
 

@@ -5,7 +5,6 @@ import pytest
 
 from lipgrad.geometry import Partition
 from lipgrad.selection import (
-    Dot,
     group_representatives,
     hull_snapshot_lines,
     improvement_filter,
@@ -13,6 +12,7 @@ from lipgrad.selection import (
     xi_value,
 )
 from util import (
+    Dot,
     flat_problem,
     live_boxes,
     nondominated_oracle,

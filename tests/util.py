@@ -5,14 +5,58 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from lipgrad.geometry import (
-    Box, GridFraction, GridVertex, Partition, grid_fraction, half_diag_sq, pow3,
+    GridFraction, GridVertex, Partition, grid_fraction, half_diag_sq, pow3,
 )
 from lipgrad.problems import Problem, ProblemClass, generated_parameters, quadratic
-from lipgrad.selection import Dot
+from lipgrad.stopping import StopTarget, target_window
+
+
+# Named views of the library's plain tuples, made on demand by ``_make(raw)``.
+# The library never builds one: CPython never untracks a tuple subclass, so a
+# partition holding them would keep every box tracked by the collector.
+
+
+class Box(NamedTuple):
+    """A box of ``geometry.Partition``."""
+
+    id: int
+    s: int
+    a: GridVertex
+    b: GridVertex
+    a_real: tuple[float, ...]
+    b_real: tuple[float, ...]
+    d: float
+    F: float
+
+
+class CenterBox(NamedTuple):
+    """A center box of the DIRECT and DIRECT-l state."""
+
+    id: int
+    corner_nums: tuple[int, ...]
+    depths: tuple[int, ...]
+    f_center: float
+    group_key: tuple[int, ...]
+
+
+class Dot(NamedTuple):
+    """A dot of the (d, F) diagram."""
+
+    box_id: int
+    d: float
+    F: float
+    s: int
+
+
+def target_reached(x, target: StopTarget, lower, upper) -> bool:
+    """True when x lies within delta^(1/N) of x* per axis, scaled by the edges."""
+    return all(abs(xi - si) <= half_width
+               for xi, (si, half_width) in zip(x, target_window(target, lower, upper)))
 
 
 def flat_problem(dim: int = 2, value: float = 3.5) -> Problem:
@@ -79,20 +123,26 @@ def trisect_views(part: Partition, t: int, problem):
     return (*map(Box._make, children), new_rec)
 
 
-def volume(box) -> Fraction:
-    """Exact box volume in grid coordinates (domain scaled to the unit cube).
+def volume(box) -> tuple[int, int]:
+    """Exact box volume ``(num, e)``, meaning num / 3**e, in grid coordinates
+    (domain scaled to the unit cube): the product of the side numerators,
+    each at the deeper depth of its two corners.
 
-    ``box`` is a box tuple of the partition or its named view.
+    ``box`` is a box tuple of the partition or its named view. Two volumes
+    compare, and add, as integers at a common power of 3.
     """
     _, _, a, b, *_ = box
-    v = Fraction(1)
-    for (na, da), (nb, db) in zip(vertex_fractions(a), vertex_fractions(b)):
-        m = max(da, db)
-        num = abs(na * pow3(m - da) - nb * pow3(m - db))
-        if num == 0:
+    num, e = 1, 0
+    for na, da, nb, db in zip(a[::2], a[1::2], b[::2], b[1::2]):
+        if da < db:  # both corners at the deeper depth
+            na, da = na * 3 ** (db - da), db
+        elif db < da:
+            nb *= 3 ** (da - db)
+        if na == nb:
             raise ValueError(f"degenerate box {box[0]}")
-        v *= Fraction(num, pow3(m))
-    return v
+        num *= abs(na - nb)
+        e += da
+    return num, e
 
 
 def diagonal_sq(box) -> float:
@@ -179,7 +229,7 @@ def random_quadratic(rng: np.random.Generator, dim: int):
 
     def f_rows(X):
         R = np.asarray(X, dtype=float) - c
-        return np.einsum("ij,jk,ik->i", R, A, R)
+        return np.einsum("ij,ij->i", R @ A, R)
 
     return problem, f_rows
 
