@@ -37,13 +37,13 @@ from .stopping import (
 )
 
 
-# A center box is the plain tuple (id, corner_nums, depths, f_center,
+# A center box is the plain tuple (f_center, id, corner_nums, depths,
 # group_key): ``corner_nums[j] / 3**depths[j]`` is the normalized lower
 # corner on axis j, the box side there is 3**-depths[j], and ``group_key`` is
 # the sorted depth vector. Every item is an int, a float or a tuple of them,
 # so a collection untracks each box. The middle child of a split keeps its
-# parent's center, so that sample is never re-evaluated.
-CenterTuple = tuple[int, tuple[int, ...], tuple[int, ...], float, tuple[int, ...]]
+# parent's id and center, so that sample is never re-evaluated.
+CenterTuple = tuple[float, int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
 def _diag_d(key: tuple[int, ...]) -> float:
@@ -62,7 +62,7 @@ class _CenterState:
         self.locally_biased = locally_biased
         self.lower = problem.lower
         self.edge = tuple(u - l for l, u in zip(self.lower, problem.upper))
-        self.boxes: dict[int, CenterTuple] = {}
+        self.boxes: list[CenterTuple | None] = [None]  # by id; slot 0 unused
         self.groups: dict[tuple[int, ...], Group] = {}  # by sorted depth vector
         self.trials = 0
         self.f_min = math.inf
@@ -74,7 +74,7 @@ class _CenterState:
 
         zeros = (0,) * problem.dim
         f0 = self._sample(self._center_point(zeros, zeros))
-        self._add_box((1, zeros, zeros, f0, zeros))
+        self._add_box((f0, 1, zeros, zeros, zeros))
         self.initial_diag_sq = self.max_diagonal_sq()
         log_history(self)
 
@@ -96,40 +96,40 @@ class _CenterState:
         return value
 
     def _add_box(self, box: CenterTuple) -> None:
-        box_id, _, _, f_center, key = box
-        self.boxes[box_id] = box
+        box_id, key = box[1], box[4]  # box_id is a live id or one past the last
+        self.boxes[box_id:box_id + 1] = (box,)  # replaces or appends
         group = self.groups.get(key)
         if group is None:  # the group's first box
             group = self.groups[key] = Group(_diag_d(key))
-        group.add(f_center, box_id)
+        group.add(box)
 
     def max_diagonal_sq(self) -> float:
-        return 2.0 * max(g.d for g in self.groups.values() if g.live)
+        return 2.0 * max(g.d for g in self.groups.values() if g.n)
 
     def select(self) -> list[int]:
         """Potentially optimal boxes: group minima -> hull -> margin filter."""
         dots = []
-        levels = {}  # locally biased: least (f_center, id) per longest-side level
+        levels = {}  # locally biased: least (f_center, id) box per longest-side level
         for key, group in self.groups.items():
-            if not group.live:
+            if not group.n:
                 continue
             entries = group.mins
             if entries is None:
-                entries = group.mins = heap_min_entries(group.heap, group.live)
+                entries = group.mins = heap_min_entries(group.heap, self.boxes)
             if self.locally_biased:
                 if key[0] not in levels or entries[0] < levels[key[0]]:
                     levels[key[0]] = entries[0]
                 continue
             d, s = group.d, sum(key)
-            for F, box_id in entries:
-                dots.append((box_id, d, F, s))
-        for level, (F, box_id) in levels.items():  # d: half squared longest side
-            dots.append((box_id, 0.5 / pow3(2 * level), F, sum(self.boxes[box_id][2])))
+            for box in entries:
+                dots.append((box[1], d, box[0], s))
+        for level, box in levels.items():  # d: half squared longest side
+            dots.append((box[1], 0.5 / pow3(2 * level), box[0], sum(box[3])))
         return selection.choose(dots, self.f_min, self.config.epsilon)
 
     def subdivide(self, box_id: int) -> None:
         """Trisect along every longest side, best-sampled axis first."""
-        _, nums, deps, f_center, key = self.boxes[box_id]
+        f_center, _, nums, deps, key = box = self.boxes[box_id]
         dmin = key[0]
         side = pow3(dmin + 1)
         center = self._center_point(nums, deps)
@@ -150,19 +150,18 @@ class _CenterState:
             samples.append((min(f_lo, f_hi), j, f_lo, f_hi))
         samples.sort()
 
-        del self.boxes[box_id]
-        self.groups[key].discard(f_center, box_id)
-        next_id = len(self.boxes) + 2  # ids stay dense: parent id is reserved
+        self.groups[key].discard(box)
+        next_id = len(self.boxes)  # ids stay dense: the middle child keeps box_id
         for _, j, f_lo, f_hi in samples:
             deps = deps[:j] + (dmin + 1,) + deps[j + 1:]
             key = tuple(sorted(deps))
             lo_num = 3 * nums[j]
             head, tail = nums[:j], nums[j + 1:]
-            self._add_box((next_id, head + (lo_num,) + tail, deps, f_lo, key))
-            self._add_box((next_id + 1, head + (lo_num + 2,) + tail, deps, f_hi, key))
+            self._add_box((f_lo, next_id, head + (lo_num,) + tail, deps, key))
+            self._add_box((f_hi, next_id + 1, head + (lo_num + 2,) + tail, deps, key))
             next_id += 2
             nums = head + (lo_num + 1,) + tail
-        self._add_box((box_id, nums, deps, f_center, key))
+        self._add_box((f_center, box_id, nums, deps, key))
 
     def iterate(self) -> None:
         for box_id in self.select():
@@ -176,7 +175,7 @@ class _CenterState:
 
     def snapshot_lines(self) -> list[str]:
         lines = []
-        for box_id, nums, deps, _, _ in sorted(self.boxes.values()):
+        for _, box_id, nums, deps, _ in self.boxes[1:]:
             corner = list(zip(nums, deps))
             a = ",".join(fraction_str(grid_fraction(n, d)) for n, d in corner)
             b = ",".join(fraction_str(grid_fraction(n + 1, d)) for n, d in corner)
@@ -189,7 +188,7 @@ def _run(problem, config: OptConfig, locally_biased: bool, method: str) -> RunRe
     check_stop(state)
     while not state.stop_reason:
         state.iterate()
-    return close_report(state, method, len(state.boxes), state.x_min, state.snapshot_lines)
+    return close_report(state, method, len(state.boxes) - 1, state.x_min, state.snapshot_lines)
 
 
 def direct_run(problem, config: OptConfig) -> RunReport:

@@ -94,30 +94,31 @@ def corner_vertex(dim: int, upper: bool) -> GridVertex:
     return grid_fraction(1 if upper else 0, 0) * dim
 
 
-# A vertex's record is the plain tuple (f_value, gradient) and a box the
-# plain tuple (id, s, a, b, a_real, b_real, d, F): ``a`` is the trial vertex,
-# ``d`` half the squared real diagonal and ``F`` the minimum of the gradient
-# linearization over the box, set when the partition makes the box. Every
-# item is an int, a float or a tuple of them, so a collection untracks each
-# record and box and later ones skip them; they hold no cycles.
-Record = tuple[float, tuple[float, ...]]
-BoxTuple = tuple[int, int, GridVertex, GridVertex,
-                 tuple[float, ...], tuple[float, ...], float, float]
+# A vertex's record is the plain tuple (f_value, gradient, vertex, point) and
+# a box the plain tuple (F, id, s, a, b, a_real, b_real, d): ``a`` is the
+# trial vertex, sharing its record's vertex and point tuples, ``F`` the bound
+# set when the partition makes the box and ``d`` half the squared real
+# diagonal. Every item is an int, a float or a tuple of them, so a collection
+# untracks each record and box and later ones skip them; they hold no cycles.
+Record = tuple[float, tuple[float, ...], GridVertex, tuple[float, ...]]
+BoxTuple = tuple[float, int, int, GridVertex, GridVertex,
+                 tuple[float, ...], tuple[float, ...], float]
 
 
-def heap_min_entries(heap: list, live) -> list:
-    """All minimum-key entries ``(key, ident)`` of a lazy-deletion heap.
+def heap_min_entries(heap: list, boxes: list) -> list:
+    """All minimum-key boxes ``(key, id, ...)`` of a lazy-deletion heap.
 
-    Entries whose ident is not in ``live`` are discarded; ties on the key are
-    all returned (sorted by ident) and pushed back.
+    An entry is live exactly when it is ``boxes[id]``; the others are
+    discarded. Ties on the key are all returned (sorted by id, unique in a
+    heap, so comparisons stop there) and pushed back.
     """
     out = []
     while heap:
-        key, ident = heap[0]
-        if ident not in live:
+        entry = heap[0]
+        if boxes[entry[1]] is not entry:
             heapq.heappop(heap)
             continue
-        if out and key != out[0][0]:
+        if out and entry[0] != out[0][0]:
             break
         out.append(heapq.heappop(heap))
     for entry in out:
@@ -129,27 +130,27 @@ def heap_min_entries(heap: list, live) -> list:
 class Group:
     """A group of equal-size boxes: the unit every method selects among.
 
-    ``live`` holds the ids of the group's boxes and ``heap`` a lazy-deletion
-    heap of their ``(value, id)`` entries; ``mins`` caches the tied minimal
-    entries and is None when they may have changed. ``d`` is the half
-    squared diagonal the group stands for.
+    ``heap`` is a lazy-deletion heap of the group's boxes and ``n`` the
+    number of them still live; ``mins`` caches the tied minimal boxes and
+    is None when they may have changed. ``d`` is the half squared diagonal
+    the group stands for.
     """
 
     d: float
-    live: set[int] = field(default_factory=set)
-    heap: list[tuple[float, int]] = field(default_factory=list)
-    mins: Optional[list[tuple[float, int]]] = None
+    heap: list = field(default_factory=list)
+    mins: Optional[list] = None
+    n: int = 0
 
-    def add(self, value: float, ident: int) -> None:
-        heapq.heappush(self.heap, (value, ident))
-        if self.mins is not None and value <= self.mins[0][0]:
+    def add(self, box: tuple) -> None:
+        heapq.heappush(self.heap, box)
+        if self.mins is not None and box[0] <= self.mins[0][0]:
             self.mins = None
-        self.live.add(ident)
+        self.n += 1
 
-    def discard(self, value: float, ident: int) -> None:
-        if self.mins is not None and (value, ident) in self.mins:
+    def discard(self, box: tuple) -> None:
+        if self.mins is not None and box in self.mins:
             self.mins = None
-        self.live.discard(ident)
+        self.n -= 1
 
 
 class Partition:
@@ -157,13 +158,14 @@ class Partition:
 
     Confined to a single optimizer run; not safe for concurrent mutation.
     Every entry of ``vertex_db`` is one trial, in evaluation order.
+    ``boxes[i]`` is the live box with id i, for i in 1..m; slot 0 is unused.
     """
 
     def __init__(self, problem, start_vertex: str = "a"):
         self.lower = problem.lower
         self.edge = tuple(u - l for l, u in zip(self.lower, problem.upper))
         self.vertex_db: dict[GridVertex, Record] = {}
-        self.boxes: dict[int, BoxTuple] = {}
+        self.boxes: list[BoxTuple | None] = [None]
         # group s holds the boxes split s times; none is ever deleted
         self.groups: list[Group] = []
         # real side lengths of the next group to get a split axis
@@ -172,12 +174,9 @@ class Partition:
         self.q_inf = 0
 
         dim = len(self.lower)
-        if start_vertex == "a":
-            va, vb = corner_vertex(dim, False), corner_vertex(dim, True)
-        elif start_vertex == "b":
-            va, vb = corner_vertex(dim, True), corner_vertex(dim, False)
-        else:
+        if start_vertex not in ("a", "b"):
             raise ValueError("start_vertex must be 'a' or 'b'")
+        va, vb = corner_vertex(dim, start_vertex == "b"), corner_vertex(dim, start_vertex == "a")
         self.initial_vertex = va
         a_real = vertex_real(va, self.lower, self.edge)
         b_real = vertex_real(vb, self.lower, self.edge)
@@ -191,7 +190,7 @@ class Partition:
 
     @property
     def m(self) -> int:
-        return len(self.boxes)
+        return len(self.boxes) - 1
 
     @property
     def trials(self) -> int:
@@ -206,7 +205,8 @@ class Partition:
         """
         rec = self.vertex_db.get(v)
         if rec is None:
-            rec = self.vertex_db[v] = problem.value_and_grad(x)
+            f_value, gradient = problem.value_and_grad(x)
+            rec = self.vertex_db[v] = (f_value, gradient, v, x)
         return rec
 
     def trisect(self, t: int, problem) -> tuple[BoxTuple, BoxTuple, BoxTuple, Optional[Record]]:
@@ -218,7 +218,7 @@ class Partition:
         None if it was reused.
         """
         box = self.boxes[t]
-        _, s, a, b, a_real, b_real, _, _ = box
+        _, _, s, a, b, a_real, b_real, _ = box
         i = self.split_axis(s)
         j = 2 * i  # axis i's (num, depth) in a grid point
         u_f, v_f = third_points(a[j:j + 2], b[j:j + 2])
@@ -232,17 +232,18 @@ class Partition:
         before = len(self.vertex_db)
         rec = self.get_or_eval(u, u_real, problem)
         new_rec = rec if len(self.vertex_db) > before else None
+        u, u_real = rec[2], rec[3]  # the same bits; a reused vertex's copies are dropped
 
+        self.groups[s].discard(box)
         s += 1
-        m = len(self.boxes)
+        m = len(self.boxes) - 1
         # children share side lengths, hence one d for all three
         d = half_diag_sq(u_real, v_real)
-        self._remove_box(box)
         middle = self._add_box(t, s, u, v, u_real, v_real, d, rec)
         low = self._add_box(m + 1, s, a, v, a_real, v_real, d, self.vertex_db[a])
         high = self._add_box(m + 2, s, u, b, u_real, b_real, d, rec)
 
-        while not self.groups[self.q_inf].live:
+        while not self.groups[self.q_inf].n:
             self.q_inf += 1
         return middle, low, high, new_rec
 
@@ -261,17 +262,17 @@ class Partition:
             sides[i] /= 3
         return axes[s]
 
-    def group_min_entries(self, s: int) -> list[tuple[float, int]]:
-        """(F, id) for every box attaining the minimal F in group ``s``.
+    def group_min_entries(self, s: int) -> list[BoxTuple]:
+        """Every box attaining the minimal F in group ``s``, by id.
 
         The list is cached until the group's minimum may change; callers
         must not modify it.
         """
         group = self.groups[s]
         if group.mins is None:
-            if not group.live:
+            if not group.n:
                 return []
-            group.mins = heap_min_entries(group.heap, group.live)
+            group.mins = heap_min_entries(group.heap, self.boxes)
         return group.mins
 
     def max_diagonal_sq(self) -> float:
@@ -286,7 +287,7 @@ class Partition:
         """One line per box: id, s, a-coords, b-coords as exact fractions."""
         return [
             f"{box_id} {s} {vertex_str(a)} {vertex_str(b)}"
-            for box_id, s, a, b, *_ in sorted(self.boxes.values())
+            for _, box_id, s, a, b, *_ in self.boxes[1:]
         ]
 
     def _add_box(
@@ -295,14 +296,9 @@ class Partition:
         rec: Record,
     ) -> BoxTuple:
         """Make and index a box with its bound F from ``rec``, the record at ``a``."""
-        F = bounding.characterize(rec, a_real, b_real)
+        box = (bounding.characterize(rec, a_real, b_real), box_id, s, a, b, a_real, b_real, d)
         if s == len(self.groups):  # the group's first box
             self.groups.append(Group(d))
-        self.groups[s].add(F, box_id)
-        box = self.boxes[box_id] = (box_id, s, a, b, a_real, b_real, d, F)
+        self.groups[s].add(box)
+        self.boxes[box_id:box_id + 1] = (box,)  # a live id's slot, or appended as m + 1
         return box
-
-    def _remove_box(self, box: BoxTuple) -> None:
-        # box[1] is s and box[7] F
-        self.groups[box[1]].discard(box[7], box[0])
-        del self.boxes[box[0]]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,6 +22,7 @@ from .geometry import GridVertex, Partition, vertex_real
 from .stopping import (
     RunReport,
     StopTarget,
+    _number,
     check_stop,
     close_report,
     log_history,
@@ -46,21 +48,18 @@ class OptConfig:
     keep_trace: bool = False
 
     def __post_init__(self):
-        if not (_number(self.epsilon) and 0.0 <= self.epsilon < math.inf):
+        if not (_number(self.epsilon) and 0.0 <= self.epsilon <= sys.float_info.max):
             raise ValueError(f"epsilon must be a finite nonnegative number, got {self.epsilon!r}")
         if not (_number(self.p_max, numbers.Integral) and self.p_max >= 1):
             raise ValueError(f"p_max must be an integer of at least 1, got {self.p_max!r}")
         if self.start_vertex not in ("a", "b"):
             raise ValueError("start_vertex must be 'a' or 'b'")
+        if not (self.target is None or isinstance(self.target, StopTarget)):
+            raise ValueError(f"target must be a StopTarget or None, got {self.target!r}")
         if self.diagonal is not None and not (
             _number(self.diagonal) and 0.0 < self.diagonal <= 1.0
         ):
             raise ValueError(f"diagonal must be a number in (0, 1], got {self.diagonal!r}")
-
-
-def _number(v, kind=numbers.Real) -> bool:
-    """Whether ``v`` is a number of ``kind``; a bool is never a run parameter."""
-    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 class OptState:
@@ -98,7 +97,7 @@ def initialize(problem, config: OptConfig) -> OptState:
     """
     partition = Partition(problem, config.start_vertex)
     state = OptState(problem, config, partition)
-    _, _, a, _, a_real, _, _, _ = partition.boxes[1]
+    _, _, _, a, _, a_real, _, _ = partition.boxes[1]
     record_trial(state, a_real, partition.vertex_db[a][0])
     check_stop(state)
     log_history(state)
@@ -148,7 +147,7 @@ def record_phase(state: OptState) -> None:
     state.phase = "local"
     part = state.partition
     for _ in range(state.problem.dim):
-        _, _, a, _, a_real, b_real, _, _ = part.boxes[state.record_box]
+        _, _, _, a, _, a_real, b_real, _ = part.boxes[state.record_box]
         if gradient_aligned(part.vertex_db[a][1], a_real, b_real):
             break
         _subdivide(state, state.record_box)
@@ -177,26 +176,26 @@ def _resolve_record_box(state: OptState) -> None:
     # the record vertex always remains the trial vertex of at least one box;
     # among them the least F, then the largest d, then the lowest id
     boxes = state.partition.boxes
-    best = min(state.record_ids, key=lambda i: (boxes[i][7], -boxes[i][6], i))
+    best = min(state.record_ids, key=lambda i: (boxes[i][0], -boxes[i][7], i))
     state.record_box = best
-    state.p = boxes[best][1]
+    state.p = boxes[best][2]
 
 
 def _subdivide(state: OptState, t: int) -> None:
     middle, low, high, new_rec = state.partition.trisect(t, state.problem)
-    # box t, whose trial vertex low[2] was, is gone; its children t and
-    # high[0] have the new trial vertex u, and low[0] has low[2]
-    u = middle[2]
-    if new_rec is not None and record_trial(state, middle[4], new_rec[0]):
+    # box t, whose trial vertex low[3] was, is gone; its children t and
+    # high[1] have the new trial vertex u, and low[1] has low[3]
+    u = middle[3]
+    if new_rec is not None and record_trial(state, middle[5], new_rec[0]):
         state.x_min = u  # newly evaluated, so no other box has it
-        state.record_ids = {t, high[0]}
+        state.record_ids = {t, high[1]}
         _resolve_record_box(state)
-    elif state.x_min == low[2]:
+    elif state.x_min == low[3]:
         state.record_ids.discard(t)
-        state.record_ids.add(low[0])
+        state.record_ids.add(low[1])
         _resolve_record_box(state)
     elif state.x_min == u:
-        state.record_ids.update((t, high[0]))
+        state.record_ids.update((t, high[1]))
         _resolve_record_box(state)
     # at any other record vertex the record box is as it was
     check_stop(state)

@@ -42,10 +42,9 @@ def group_representatives(partition, s_lo: int, s_hi: int) -> list[DotTuple]:
     if s_lo > s_hi:
         raise ValueError("s_lo must not exceed s_hi")
     dots = []
-    boxes = partition.boxes
     for s in range(s_lo, s_hi + 1):
-        for F, box_id in partition.group_min_entries(s):
-            dots.append((box_id, boxes[box_id][6], F, s))  # [6] is the box's d
+        for box in partition.group_min_entries(s):
+            dots.append((box[1], box[7], box[0], s))  # (id, d, F, s)
     return dots
 
 

@@ -11,12 +11,18 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 REASON_BUDGET = "budget"
 REASON_TARGET = "target_found"
 REASON_DIAGONAL = "diagonal"
+
+
+def _number(v, kind=numbers.Real) -> bool:
+    """Whether ``v`` is a number of ``kind``; a bool is never a run parameter."""
+    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -27,8 +33,8 @@ class StopTarget:
     delta: float
 
     def __post_init__(self):
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError("delta must be in (0, 1]")
+        if not (_number(self.delta) and 0.0 < self.delta <= 1.0):
+            raise ValueError(f"delta must be a number in (0, 1], got {self.delta!r}")
 
 
 @dataclass
@@ -49,13 +55,14 @@ class RunReport:
 def target_window(target: Optional[StopTarget], lower, upper):
     """Per-axis ``(x*_i, delta^(1/N) * edge_i)`` pairs, or None without a target.
 
-    ``x_star`` must hold one finite real number per axis of the domain.
+    ``x_star`` must hold one real number per axis of the domain, each within
+    float range (an int beyond it fails the comparison, never converts).
     """
     if target is None:
         return None
     x_star = target.x_star
-    if len(x_star) != len(lower) or not all(
-        isinstance(v, numbers.Real) and math.isfinite(v) for v in x_star
+    if not hasattr(x_star, "__len__") or len(x_star) != len(lower) or not all(
+        _number(v) and abs(v) <= sys.float_info.max for v in x_star
     ):
         raise ValueError(f"x_star must be {len(lower)} finite numbers, got {x_star!r}")
     tol = target.delta ** (1.0 / len(x_star))

@@ -17,6 +17,7 @@ from lipgrad.optimizer import OptConfig
 from lipgrad.problems import analytic_suite, generate, problem_class
 from lipgrad.stopping import StopTarget
 from util import (
+    box_ids,
     diagonal_sq,
     fd_check,
     flat_problem,
@@ -73,7 +74,7 @@ def test_criterion_02_trisection_exactness():
         part = Partition(prob)
         length = int(rng.integers(5, 31))
         for _ in range(length):
-            candidates = [box_id for box_id, s, *_ in part.boxes.values() if s < 30]
+            candidates = [box_id for _, box_id, s, *_ in part.boxes[1:] if s < 30]
             box_id = candidates[rng.integers(len(candidates))]  # as rng.choice draws
             parent_num, parent_e = volume(part.boxes[box_id])
             children = part.trisect(box_id, prob)[:3]
@@ -81,11 +82,11 @@ def test_criterion_02_trisection_exactness():
                 num, e = volume(child)  # num / 3^e == parent / 3
                 assert num * pow3(parent_e + 1) == parent_num * pow3(e)
         by_group: dict[int, list[float]] = {}
-        for box in part.boxes.values():
-            by_group.setdefault(box[1], []).append(diagonal_sq(box))  # box[1] is s
+        for box in part.boxes[1:]:
+            by_group.setdefault(box[2], []).append(diagonal_sq(box))  # box[2] is s
         for diags in by_group.values():
             assert max(diags) - min(diags) <= 1e-12
-        volumes = [volume(b) for b in part.boxes.values()]
+        volumes = [volume(b) for b in part.boxes[1:]]
         top = max(e for _, e in volumes)  # the volumes add up to 1 = 3^top / 3^top
         assert sum(num * pow3(top - e) for num, e in volumes) == pow3(top)
     _report(2, f"{sequences} random subdivision sequences, volumes exact")
@@ -98,7 +99,7 @@ def test_criterion_03_vertex_reuse():
         part = Partition(prob)
         sequence = []
         for _ in range(200):
-            box_id = int(rng.choice(sorted(part.boxes)))
+            box_id = int(rng.choice(box_ids(part)))
             sequence.append(box_id)
             part.trisect(box_id, prob)
         assert part.trials < part.m

@@ -1,4 +1,5 @@
 import gc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from lipgrad import baselines, selection
 from lipgrad.baselines import _CenterState, direct_run, directl_run
+from lipgrad.geometry import heap_min_entries
 from lipgrad.optimizer import OptConfig
 from lipgrad.problems import generate, problem_class, quadratic
 from lipgrad.stopping import StopTarget, check_stop
@@ -14,7 +16,7 @@ from util import CenterBox, Dot, add_left_to_right, wavy_problem, with_audit
 
 def views(state: _CenterState) -> dict[int, CenterBox]:
     """The state's boxes by id, each as a named view of its plain tuple."""
-    return {box_id: CenterBox._make(raw) for box_id, raw in state.boxes.items()}
+    return {raw[1]: CenterBox._make(raw) for raw in state.boxes[1:]}
 
 
 def test_single_box_is_potentially_optimal_and_subdivided():
@@ -22,7 +24,7 @@ def test_single_box_is_potentially_optimal_and_subdivided():
     state = _CenterState(prob, OptConfig(p_max=100), locally_biased=False)
     assert state.select() == [1]
     state.iterate()
-    assert len(state.boxes) == 5  # split along both axes of the initial cube
+    assert len(views(state)) == 5  # split along both axes of the initial cube
     assert state.trials == 5
 
 
@@ -138,7 +140,7 @@ def test_center_box_fields():
         assert type(state.boxes[box_id]) is tuple
         assert box.id == box_id
         assert box.group_key == tuple(sorted(box.depths))
-        assert box_id in state.groups[box.group_key].live
+        assert any(entry is state.boxes[box_id] for entry in state.groups[box.group_key].heap)
         assert all(0 <= num < 3 ** dep for num, dep in zip(box.corner_nums, box.depths))
 
 
@@ -228,9 +230,40 @@ def test_center_boxes_are_not_tracked_by_the_collector(locally_biased):
     assert state.trials == 3000
     gc.collect()
     gc.collect()
-    boxes = list(state.boxes.values())
+    boxes = state.boxes[1:]
     assert len(boxes) > 2900
     assert not any(map(gc.is_tracked, boxes))
     assert not any(gc.is_tracked(item) for box in boxes for item in box)
     for group in state.groups.values():
         assert not any(map(gc.is_tracked, group.heap))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("locally_biased", [False, True], ids=["direct", "directl"])
+def test_center_ids_stay_dense_and_minima_live(monkeypatch, dim, locally_biased):
+    # slot i holds live box i for i in 1..m, each an entry of its group's
+    # heap; Group.n counts the group's live boxes; and no stale heap entry
+    # ever comes back as a group minimum
+    returned = []
+
+    def checked(heap, boxes):
+        out = heap_min_entries(heap, boxes)
+        assert out and all(boxes[entry[1]] is entry for entry in out)
+        returned.append(len(out))
+        return out
+
+    monkeypatch.setattr(baselines, "heap_min_entries", checked)
+    state = _CenterState(wavy_problem(dim), OptConfig(p_max=800), locally_biased)
+    check_stop(state)
+    while not state.stop_reason:
+        state.iterate()
+        boxes = state.boxes
+        assert boxes[0] is None
+        in_heaps = {id(entry) for group in state.groups.values() for entry in group.heap}
+        counts = Counter()
+        for i in range(1, len(boxes)):
+            assert boxes[i][1] == i and id(boxes[i]) in in_heaps, i
+            counts[boxes[i][4]] += 1
+        assert {key: group.n for key, group in state.groups.items()} == {
+            key: counts[key] for key in state.groups}
+    assert len(returned) > 100

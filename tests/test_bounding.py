@@ -9,7 +9,7 @@ from util import Box, eval_minorant, make_box, make_vertex, random_box_corners, 
 
 
 def rec(f, grad):
-    """A vertex record: the plain tuple (f_value, gradient)."""
+    """The first two items of a vertex record: (f_value, gradient)."""
     return (float(f), tuple(float(g) for g in grad))
 
 
@@ -140,8 +140,8 @@ def characterize_with_min(box, r):
 
 def test_characterize_matches_the_min_sum_bit_for_bit():
     def box_at(a_real, b_real):
-        return Box(1, 0, (), (), tuple(map(float, a_real)), tuple(map(float, b_real)), 0.0,
-                   math.nan)
+        return Box(math.nan, 1, 0, (), (), tuple(map(float, a_real)),
+                   tuple(map(float, b_real)), 0.0)
 
     cases = [
         # zero gradient components and zero-width sides: products of +-0.0

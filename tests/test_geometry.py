@@ -1,13 +1,14 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lipgrad import optimizer
+from lipgrad import geometry, optimizer
 from lipgrad.baselines import direct_run
 from lipgrad.bounding import characterize
 from lipgrad.geometry import (
@@ -23,6 +24,7 @@ from lipgrad.problems import Problem, generate, problem_class, quadratic
 from util import (
     Box,
     add_left_to_right,
+    box_ids,
     as_fraction,
     diagonal_sq,
     flat_problem,
@@ -128,7 +130,7 @@ def test_split_axis_matches_longest_side_of_random_trisections():
         for start in ("a", "b"):
             part = Partition(prob, start_vertex=start)
             for _ in range(60):
-                box = Box._make(part.boxes[int(rng.choice(sorted(part.boxes)))])
+                box = Box._make(part.boxes[int(rng.choice(box_ids(part)))])
                 sides = [
                     abs(as_fraction(pb) - as_fraction(pa)) * Fraction(e)
                     for pa, pb, e in zip(vertex_fractions(box.a), vertex_fractions(box.b), edges)
@@ -170,7 +172,7 @@ def test_trisect_reversed_diagonal():
     # the formulas are orientation independent; plant the box [(1,0),(0,1)]
     prob = flat_problem(2)
     part = Partition(prob)
-    part._remove_box(part.boxes[1])
+    part.groups[0].discard(part.boxes[1])
     box = make_box(make_vertex(1, 0), make_vertex(0, 1))
     part._add_box(box.id, box.s, box.a, box.b, box.a_real, box.b_real, box.d,
                   part.get_or_eval(box.a, box.a_real, prob))
@@ -186,35 +188,35 @@ def test_trisect_children_carry_their_bound():
     prob = wavy_problem(2)
     part = Partition(prob)
     for _ in range(80):
-        children = trisect_views(part, int(rng.choice(sorted(part.boxes))), prob)[:3]
+        children = trisect_views(part, int(rng.choice(box_ids(part))), prob)[:3]
         for child in children:
             assert child.F == characterize(part.vertex_db[child.a], child.a_real, child.b_real)
             least = min(b.F for b in live_boxes(part) if b.s == child.s)
             entries = part.group_min_entries(child.s)
-            assert all(F == least for F, _ in entries)
+            assert all(box[0] == least for box in entries)
             if child.F == least:
-                assert (child.F, child.id) in entries
+                assert tuple(child) in entries
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 @pytest.mark.parametrize("make", [wavy_problem, flat_problem], ids=["wavy", "flat"])
 def test_cached_group_minima_match_a_fresh_heap_scan(dim, make):
     # every cached minimum equals a rescan of a copy of the group's heap and
-    # the tied minimal (F, id) of the live boxes with that s; the flat
+    # the live boxes with that s tied at the minimal F, by id; the flat
     # problem ties every F, so ties join and leave the cache too
     rng = np.random.default_rng(dim)
     prob = make(dim)
     part = Partition(prob)
     for _ in range(150):
-        part.trisect(int(rng.choice(sorted(part.boxes))), prob)
+        part.trisect(int(rng.choice(box_ids(part))), prob)
         by_s = {}
         for box in live_boxes(part):
-            by_s.setdefault(box.s, []).append((box.F, box.id))
+            by_s.setdefault(box.s, []).append(tuple(box))  # sorts by (F, id)
         for s, group in enumerate(part.groups):
             entries = sorted(by_s.get(s, []))
             expected = [e for e in entries if e[0] == entries[0][0]]
             assert part.group_min_entries(s) == expected, s
-            assert heap_min_entries(list(group.heap), group.live) == expected, s
+            assert heap_min_entries(list(group.heap), part.boxes) == expected, s
         largest = max(2.0 * box.d for box in live_boxes(part))
         assert part.max_diagonal_sq() == pytest.approx(largest, rel=1e-12, abs=0.0)
 
@@ -251,7 +253,7 @@ def test_volume_conservation_random_runs():
         prob = flat_problem(dim)
         part = Partition(prob)
         for _ in range(60):
-            box_id = int(rng.choice(sorted(part.boxes)))
+            box_id = int(rng.choice(box_ids(part)))
             part.trisect(box_id, prob)
         volumes = [volume(b) for b in live_boxes(part)]
         top = max(e for _, e in volumes)
@@ -271,7 +273,7 @@ def test_box_d_adds_the_squares_left_to_right():
         boxes = [Box._make(part.boxes[1])]
         for _ in range(80):
             # the three children share the d of the middle one's corners
-            middle, low, high, _ = trisect_views(part, int(rng.choice(sorted(part.boxes))), prob)
+            middle, low, high, _ = trisect_views(part, int(rng.choice(box_ids(part))), prob)
             assert low.d == high.d == middle.d
             boxes.append(middle)
         for box in boxes:
@@ -286,7 +288,7 @@ def test_group_diagonals_follow_group_index():
     prob = flat_problem(dim)
     part = Partition(prob)
     for _ in range(120):
-        part.trisect(int(rng.choice(sorted(part.boxes))), prob)
+        part.trisect(int(rng.choice(box_ids(part))), prob)
     for box in live_boxes(part):
         q, r = divmod(box.s, dim)
         expect = r * 9.0 ** -(q + 1) + (dim - r) * 9.0 ** -q
@@ -299,7 +301,7 @@ def test_vertex_sharing_and_eval_savings():
     prob, audit = with_audit(wavy_problem(2))
     part = Partition(prob)
     for _ in range(150):
-        part.trisect(int(rng.choice(sorted(part.boxes))), prob)
+        part.trisect(int(rng.choice(box_ids(part))), prob)
     assert part.trials < part.m
     assert part.trials == audit.f_calls == audit.grad_calls
     sharing = Counter(box.a for box in live_boxes(part)).values()
@@ -320,7 +322,7 @@ def test_group_index_bounds_hold():
     prob = flat_problem(3)
     part = Partition(prob)
     for _ in range(100):
-        part.trisect(int(rng.choice(sorted(part.boxes))), prob)
+        part.trisect(int(rng.choice(box_ids(part))), prob)
         assert part.q_inf == min(box.s for box in live_boxes(part))
         assert part.q_0 == max(box.s for box in live_boxes(part))
 
@@ -331,7 +333,7 @@ def test_identical_sequences_give_identical_partitions():
         prob = wavy_problem(2)
         part = Partition(prob)
         for _ in range(100):
-            part.trisect(int(rng.choice(sorted(part.boxes))), prob)
+            part.trisect(int(rng.choice(box_ids(part))), prob)
         return part.snapshot_lines()
 
     assert build() == build()
@@ -400,9 +402,9 @@ def test_partition_geometry_is_not_tracked_by_the_collector(monkeypatch, dim, di
     gc.collect()
     walked = tracked_reachable(part)
     assert len(walked) <= 20 + 5 * len(part.groups), Counter(type(o).__name__ for o in walked)
-    per_box = [t for box in part.boxes.values() for t in (box, *box[2:6])]
+    per_box = [t for box in part.boxes[1:] for t in (box, *box[3:7])]
     per_vertex = [t for v, rec in part.vertex_db.items() for t in (v, rec, rec[1])]
-    assert len(part.boxes) > 3 * p_max and len(per_vertex) == 3 * p_max
+    assert part.m > 3 * p_max and len(per_vertex) == 3 * p_max
     tracked = {id(o) for o in gc.get_objects()}
     assert not any(id(t) in tracked for t in per_box + per_vertex)
     assert not any(map(gc.is_tracked, per_box + per_vertex))
@@ -432,3 +434,63 @@ def test_each_trial_evaluates_the_real_point_of_its_vertex(monkeypatch, make, st
     expected = [vertex_real(v, part.lower, part.edge) for v in part.vertex_db]
     assert len(seen) == report.trials == len(expected)
     assert [tuple(map(float.hex, x)) for x in seen] == [tuple(map(float.hex, x)) for x in expected]
+
+
+def check_dense_live_layout(part: Partition) -> None:
+    """Slot i of ``boxes`` holds live box i for i in 1..m, each also an entry
+    of its group's heap, and every ``Group.n`` counts its group's live boxes."""
+    boxes = part.boxes
+    assert boxes[0] is None and part.m == len(boxes) - 1
+    in_heaps = {id(entry) for group in part.groups for entry in group.heap}
+    counts = Counter()
+    for i in range(1, len(boxes)):
+        box = boxes[i]
+        assert box[1] == i and id(box) in in_heaps, i
+        counts[box[2]] += 1
+    assert [group.n for group in part.groups] == [counts[s] for s in range(len(part.groups))]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("make", [wavy_problem, flat_problem], ids=["wavy", "flat"])
+def test_box_ids_stay_dense_and_minima_live(monkeypatch, dim, make):
+    # a heap entry is live exactly when it is boxes[id]; no stale entry may
+    # ever come back as a group minimum, in random trisections or in a run
+    returned = []
+
+    def checked(heap, boxes):
+        out = heap_min_entries(heap, boxes)
+        assert out and all(boxes[entry[1]] is entry for entry in out)
+        returned.append(len(out))
+        return out
+
+    monkeypatch.setattr(geometry, "heap_min_entries", checked)
+    rng = np.random.default_rng(30 + dim)
+    prob = make(dim)
+    part = Partition(prob)
+    for _ in range(120):
+        part.trisect(int(rng.choice(box_ids(part))), prob)
+        check_dense_live_layout(part)
+        for s in range(part.q_inf, part.q_0 + 1):
+            part.group_min_entries(s)
+    report, part = run_keeping_partition(monkeypatch, prob, OptConfig(p_max=600))
+    check_dense_live_layout(part)
+    assert report.boxes == part.m and len(returned) > 200
+
+
+def test_partition_holds_at_most_420_bytes_per_box(monkeypatch):
+    # what tracemalloc still counts when run returns, with the partition kept
+    # alive (the method of ROADMAP's memory table): 367 B per box here under
+    # CPython 3.11, where a dict of boxes with per-group id sets and (F, id)
+    # heap tuples held 592 B; the bound leaves 15% for other interpreters
+    prob = generate(problem_class(4, "simple", seed=11, count=1), 1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report, part = run_keeping_partition(monkeypatch, prob, OptConfig(p_max=1000))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert report.boxes == part.m == 8483
+    assert held / report.boxes <= 420, held / report.boxes

@@ -62,7 +62,7 @@ def test_record_trial_requires_strict_improvement():
     state = initialize(prob, OptConfig(p_max=100))
     vertex2 = make_vertex((2, 1), 0)
     x2 = vertex_real(vertex2, state.partition.lower, state.partition.edge)
-    f2, _ = state.partition.get_or_eval(vertex2, x2, prob)
+    f2 = state.partition.get_or_eval(vertex2, x2, prob)[0]
     assert not record_trial(state, x2, f2)  # a tie is no improvement
     assert state.f_min == f2
     assert record_trial(state, x2, f2 - 1.0)
@@ -96,7 +96,7 @@ def test_record_box_always_carries_the_record_point():
     box = Box._make(state.partition.boxes[state.record_box])
     assert box.a == state.x_min
     assert state.p == box.s
-    assert state.f_min == min(f for f, _ in state.partition.vertex_db.values())
+    assert state.f_min == min(rec[0] for rec in state.partition.vertex_db.values())
 
 
 def test_record_box_tie_resolution_rule():
@@ -104,11 +104,11 @@ def test_record_box_tie_resolution_rule():
     # smaller id; box 4 has the least F but another trial vertex
     v, w = make_vertex(0, 0), make_vertex(1, 1)
     boxes = {box.id: tuple(box) for box in (
-        Box(1, 3, v, w, (), (), 1.0, 2.0),
-        Box(2, 4, v, w, (), (), 0.5, 2.0),
-        Box(3, 3, v, w, (), (), 1.0, 5.0),
-        Box(4, 2, w, v, (), (), 4.0, -1.0),
-        Box(5, 3, v, w, (), (), 1.0, 2.0),
+        Box(2.0, 1, 3, v, w, (), (), 1.0),
+        Box(2.0, 2, 4, v, w, (), (), 0.5),
+        Box(5.0, 3, 3, v, w, (), (), 1.0),
+        Box(-1.0, 4, 2, w, v, (), (), 4.0),
+        Box(2.0, 5, 3, v, w, (), (), 1.0),
     )}
     at_x_min = {i for i, box in boxes.items() if Box._make(box).a == v}
     state = SimpleNamespace(partition=SimpleNamespace(boxes=boxes), x_min=v,
@@ -153,8 +153,8 @@ def test_record_ids_after_every_subdivision_are_the_boxes_at_x_min(monkeypatch, 
     def checked_subdivide(state, box_id):
         subdivide(state, box_id)
         x_min = state.x_min
-        # box[2] is the trial vertex a
-        at_x_min = {box[0] for box in state.partition.boxes.values() if box[2] == x_min}
+        # box[1] is the id and box[3] the trial vertex a
+        at_x_min = {box[1] for box in state.partition.boxes[1:] if box[3] == x_min}
         assert state.record_ids == at_x_min, box_id
         checked.append(box_id)
 
@@ -189,7 +189,8 @@ def test_exploration_phase_switch_after_final_iteration(monkeypatch):
     state = initialize(flat_problem(2), OptConfig(p_max=10_000))
     part = state.partition
     for _ in range(3):  # each split of a smallest box makes a new group
-        part.trisect(min(part.groups[part.q_0].live), state.problem)
+        part.trisect(min(box[1] for box in part.boxes[1:] if box[2] == part.q_0),
+                     state.problem)
     assert part.q_0 == 3
     monkeypatch.setattr(optimizer, "exploration_iteration", lambda st, g_hi: None)
     state.p = 0
@@ -316,3 +317,36 @@ def test_target_must_be_one_finite_number_per_axis(method):
     tuple_run, array_run = solve((0.3, 0.7)), solve(np.array([0.3, 0.7]))
     assert (array_run.trials, array_run.stop_reason) == (tuple_run.trials, tuple_run.stop_reason)
 
+
+
+def test_stop_target_delta_must_be_a_real_number():
+    # a string, None or a bool is not an accuracy; each raises a ValueError
+    # naming delta, as OptConfig does for its fields
+    for delta in ("1e-4", None, True, False, 1e-4j, [1e-4], 10**400):
+        with pytest.raises(ValueError, match="delta"):
+            StopTarget((0.3, 0.7), delta)
+    assert StopTarget((0.3, 0.7), np.float64(1e-4)).delta == 1e-4
+    assert StopTarget((0.3, 0.7), 1).delta == 1
+
+
+@pytest.mark.parametrize("method", [run, baselines.direct_run, baselines.directl_run],
+                         ids=lambda m: m.__name__)
+def test_target_beyond_float_range_raises_value_error(method):
+    # an int coordinate too large for a float, a bool, or an x_star that is
+    # not a sequence is refused by name, never with an OverflowError or a
+    # TypeError from inside the run
+    prob = quadratic([0.3, 0.7], name="quad2d")
+    for x_star in [(10**400, 0.7), (0.3, -10**400), (True, 0.7), None, 0.3]:
+        with pytest.raises(ValueError, match="x_star"):
+            method(prob, OptConfig(p_max=50, target=StopTarget(x_star, 1e-4)))
+    report = method(prob, OptConfig(p_max=50, target=StopTarget((0, 1), 1e-4)))
+    assert report.trials <= 50
+
+
+def test_config_rejects_a_foreign_target_and_an_epsilon_beyond_float_range():
+    # both used to fail inside the run (AttributeError, OverflowError)
+    for field, value in [("target", "abc"), ("target", (0.3, 0.7)),
+                         ("epsilon", 10**400), ("epsilon", -10**400)]:
+        with pytest.raises(ValueError, match=field):
+            OptConfig(**{field: value})
+    assert OptConfig(epsilon=10**300).epsilon == 10**300

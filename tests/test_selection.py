@@ -170,7 +170,7 @@ def test_group_representatives_reports_min_F_ties():
     prob = wavy_problem(2)
     part = Partition(prob)
     for _ in range(5):
-        part.trisect(min(part.boxes), prob)
+        part.trisect(1, prob)
     raw = group_representatives(part, part.q_inf, part.q_0)
     assert all(type(t) is tuple for t in raw)  # views are made on demand only
     dots = list(map(Dot._make, raw))

@@ -24,6 +24,7 @@ from lipgrad.stopping import StopTarget, target_window
 class Box(NamedTuple):
     """A box of ``geometry.Partition``."""
 
+    F: float
     id: int
     s: int
     a: GridVertex
@@ -31,16 +32,15 @@ class Box(NamedTuple):
     a_real: tuple[float, ...]
     b_real: tuple[float, ...]
     d: float
-    F: float
 
 
 class CenterBox(NamedTuple):
     """A center box of the DIRECT and DIRECT-l state."""
 
+    f_center: float
     id: int
     corner_nums: tuple[int, ...]
     depths: tuple[int, ...]
-    f_center: float
     group_key: tuple[int, ...]
 
 
@@ -109,12 +109,17 @@ def make_box(a: GridVertex, b: GridVertex, box_id: int = 1, s: int = 0) -> Box:
     """Standalone box on the unit-cube domain (real coords = grid values), F unset."""
     a_real = tuple(map(fraction_value, vertex_fractions(a)))
     b_real = tuple(map(fraction_value, vertex_fractions(b)))
-    return Box(box_id, s, a, b, a_real, b_real, half_diag_sq(a_real, b_real), math.nan)
+    return Box(math.nan, box_id, s, a, b, a_real, b_real, half_diag_sq(a_real, b_real))
+
+
+def box_ids(state) -> list[int]:
+    """The ids of a partition's or center state's live boxes: 1..m."""
+    return list(range(1, len(state.boxes)))
 
 
 def live_boxes(part: Partition) -> list[Box]:
     """Named views of the partition's live boxes, in id order."""
-    return [Box._make(raw) for raw in sorted(part.boxes.values())]
+    return [Box._make(raw) for raw in part.boxes[1:]]
 
 
 def trisect_views(part: Partition, t: int, problem):
@@ -131,7 +136,7 @@ def volume(box) -> tuple[int, int]:
     ``box`` is a box tuple of the partition or its named view. Two volumes
     compare, and add, as integers at a common power of 3.
     """
-    _, _, a, b, *_ = box
+    _, _, _, a, b, *_ = box
     num, e = 1, 0
     for na, da, nb, db in zip(a[::2], a[1::2], b[::2], b[1::2]):
         if da < db:  # both corners at the deeper depth
@@ -139,7 +144,7 @@ def volume(box) -> tuple[int, int]:
         elif db < da:
             nb *= 3 ** (da - db)
         if na == nb:
-            raise ValueError(f"degenerate box {box[0]}")
+            raise ValueError(f"degenerate box {box[1]}")
         num *= abs(na - nb)
         e += da
     return num, e
@@ -147,7 +152,7 @@ def volume(box) -> tuple[int, int]:
 
 def diagonal_sq(box) -> float:
     """Squared real length of the main diagonal of a box tuple or view."""
-    _, _, _, _, a_real, b_real, *_ = box
+    _, _, _, _, _, a_real, b_real, *_ = box
     return sum((br - ar) ** 2 for ar, br in zip(a_real, b_real))
 
 
@@ -155,12 +160,12 @@ def eval_minorant(box, rec, khat: float, x) -> float:
     """The quadratic minorant Q(x, khat) at a point of the box.
 
     ``box`` is a box tuple or view and ``rec`` the record ``(f_value,
-    gradient)`` at its trial vertex.
+    gradient, ...)`` at its trial vertex.
     """
     if khat <= 0:
         raise ValueError("khat must be positive")
-    _, _, _, _, a_real, b_real, *_ = box
-    q, gradient = rec
+    _, _, _, _, _, a_real, b_real, *_ = box
+    q, gradient = rec[0], rec[1]
     norm_sq = 0.0
     for j, (ar, br) in enumerate(zip(a_real, b_real)):
         lo, hi = (ar, br) if ar <= br else (br, ar)
