@@ -109,7 +109,7 @@ class _CenterState:
     def select(self) -> list[int]:
         """Potentially optimal boxes: group minima -> hull -> margin filter."""
         dots = []
-        levels = {}  # locally biased: least (f_center, id) box per longest-side level
+        levels = {}  # locally biased: least (f_center, id) per longest-side level
         for key, group in self.groups.items():
             if not group.n:
                 continue

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,17 +47,15 @@ class OptConfig:
     keep_trace: bool = False
 
     def __post_init__(self):
-        if not (_number(self.epsilon) and 0.0 <= self.epsilon <= sys.float_info.max):
+        if not (_number(self.epsilon) and self.epsilon >= 0.0):
             raise ValueError(f"epsilon must be a finite nonnegative number, got {self.epsilon!r}")
         if not (_number(self.p_max, numbers.Integral) and self.p_max >= 1):
-            raise ValueError(f"p_max must be an integer of at least 1, got {self.p_max!r}")
+            raise ValueError(f"p_max must be a float-sized integer >= 1, got {self.p_max!r}")
         if self.start_vertex not in ("a", "b"):
             raise ValueError("start_vertex must be 'a' or 'b'")
         if not (self.target is None or isinstance(self.target, StopTarget)):
             raise ValueError(f"target must be a StopTarget or None, got {self.target!r}")
-        if self.diagonal is not None and not (
-            _number(self.diagonal) and 0.0 < self.diagonal <= 1.0
-        ):
+        if self.diagonal is not None and not (_number(self.diagonal) and 0 < self.diagonal <= 1):
             raise ValueError(f"diagonal must be a number in (0, 1], got {self.diagonal!r}")
 
 
@@ -176,8 +173,7 @@ def _resolve_record_box(state: OptState) -> None:
     # the record vertex always remains the trial vertex of at least one box;
     # among them the least F, then the largest d, then the lowest id
     boxes = state.partition.boxes
-    best = min(state.record_ids, key=lambda i: (boxes[i][0], -boxes[i][7], i))
-    state.record_box = best
+    state.record_box = best = min(state.record_ids, key=lambda i: (boxes[i][0], -boxes[i][7], i))
     state.p = boxes[best][2]
 
 

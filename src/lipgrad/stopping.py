@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,8 +20,11 @@ REASON_DIAGONAL = "diagonal"
 
 
 def _number(v, kind=numbers.Real) -> bool:
-    """Whether ``v`` is a number of ``kind``; a bool is never a run parameter."""
-    return isinstance(v, kind) and not isinstance(v, bool)
+    """Whether ``v`` is a ``kind`` number a float holds finitely; a bool is never one."""
+    try:
+        return isinstance(v, kind) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -55,15 +57,16 @@ class RunReport:
 def target_window(target: Optional[StopTarget], lower, upper):
     """Per-axis ``(x*_i, delta^(1/N) * edge_i)`` pairs, or None without a target.
 
-    ``x_star`` must hold one real number per axis of the domain, each within
-    float range (an int beyond it fails the comparison, never converts).
+    ``x_star`` must hold one finite real number per axis of the domain.
     """
     if target is None:
         return None
     x_star = target.x_star
-    if not hasattr(x_star, "__len__") or len(x_star) != len(lower) or not all(
-        _number(v) and abs(v) <= sys.float_info.max for v in x_star
-    ):
+    try:
+        ok = len(x_star) == len(lower) and all(map(_number, x_star))
+    except TypeError:  # not a sequence
+        ok = False
+    if not ok:
         raise ValueError(f"x_star must be {len(lower)} finite numbers, got {x_star!r}")
     tol = target.delta ** (1.0 / len(x_star))
     return tuple((si, tol * (hi - lo)) for si, lo, hi in zip(x_star, lower, upper))

@@ -24,8 +24,8 @@ from lipgrad.problems import Problem, generate, problem_class, quadratic
 from util import (
     Box,
     add_left_to_right,
-    box_ids,
     as_fraction,
+    box_ids,
     diagonal_sq,
     flat_problem,
     live_boxes,

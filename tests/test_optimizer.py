@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -336,17 +337,21 @@ def test_target_beyond_float_range_raises_value_error(method):
     # not a sequence is refused by name, never with an OverflowError or a
     # TypeError from inside the run
     prob = quadratic([0.3, 0.7], name="quad2d")
-    for x_star in [(10**400, 0.7), (0.3, -10**400), (True, 0.7), None, 0.3]:
+    for x_star in [(10**400, 0.7), (0.3, -10**400), (True, 0.7), None, 0.3, np.array(0.3)]:
         with pytest.raises(ValueError, match="x_star"):
             method(prob, OptConfig(p_max=50, target=StopTarget(x_star, 1e-4)))
     report = method(prob, OptConfig(p_max=50, target=StopTarget((0, 1), 1e-4)))
     assert report.trials <= 50
 
 
-def test_config_rejects_a_foreign_target_and_an_epsilon_beyond_float_range():
-    # both used to fail inside the run (AttributeError, OverflowError)
+def test_config_rejects_a_foreign_target_and_numbers_beyond_float_range():
+    # a foreign target and a huge epsilon used to fail inside the run
+    # (AttributeError, OverflowError)
     for field, value in [("target", "abc"), ("target", (0.3, 0.7)),
-                         ("epsilon", 10**400), ("epsilon", -10**400)]:
+                         ("epsilon", 10**400), ("epsilon", -10**400), ("p_max", 10**400)]:
         with pytest.raises(ValueError, match=field):
             OptConfig(**{field: value})
-    assert OptConfig(epsilon=10**300).epsilon == 10**300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow casting a float32
+        config = OptConfig(epsilon=np.float32(0.5), p_max=10**300, diagonal=np.float32(0.5))
+    assert (config.epsilon, config.p_max, config.diagonal) == (0.5, 10**300, 0.5)
