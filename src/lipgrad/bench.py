@@ -17,17 +17,16 @@ from . import baselines, optimizer, problems
 from .optimizer import OptConfig, RunReport
 from .stopping import REASON_TARGET, StopTarget
 
-_METHOD_ORDER = ("new", "direct", "directl")
+# every method by name, in the order the CLI offers them
+METHODS = {"new": optimizer.run, "direct": baselines.direct_run, "directl": baselines.directl_run}
 
 
 def run_method(name: str, problem: problems.Problem, config: OptConfig) -> RunReport:
-    if name == "new":
-        return optimizer.run(problem, config)
-    if name == "direct":
-        return baselines.direct_run(problem, config)
-    if name == "directl":
-        return baselines.directl_run(problem, config)
-    raise ValueError(f"unknown method {name!r} (expected new, direct or directl)")
+    try:
+        method = METHODS[name]
+    except KeyError:
+        raise ValueError(f"unknown method {name!r} (expected new, direct or directl)") from None
+    return method(problem, config)
 
 
 def check_methods(methods) -> list[str]:
@@ -36,7 +35,7 @@ def check_methods(methods) -> list[str]:
     if not methods:
         raise ValueError("need at least one method")
     for i, m in enumerate(methods):
-        if m not in _METHOD_ORDER:
+        if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
         if m in methods[:i]:
             raise ValueError(f"method {m!r} given twice")

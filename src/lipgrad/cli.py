@@ -31,7 +31,7 @@ def _build_parser() -> _Parser:
     solve.add_argument("--problem", required=True,
                        help="builtin name (e.g. quad2d), or manifest path with "
                             "optional #index suffix (default #1)")
-    solve.add_argument("--method", choices=("new", "direct", "directl"), default="new")
+    solve.add_argument("--method", choices=tuple(bench.METHODS), default="new")
     solve.add_argument("--eps", type=float, default=1e-4)
     solve.add_argument("--pmax", type=int, default=1_000_000)
     solve.add_argument("--delta", type=float, default=None,
@@ -42,7 +42,7 @@ def _build_parser() -> _Parser:
     benchp = sub.add_parser("bench", help="run methods over a problem class")
     benchp.add_argument("--class", dest="cls", required=True,
                         help="manifest path, or descriptor difficulty:dim:count")
-    benchp.add_argument("--methods", default="new,direct,directl")
+    benchp.add_argument("--methods", default=",".join(bench.METHODS))
     benchp.add_argument("--delta", type=float, required=True)
     benchp.add_argument("--pmax", type=int, default=1_000_000)
     benchp.add_argument("--eps", type=float, default=1e-4)

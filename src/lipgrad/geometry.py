@@ -5,8 +5,9 @@ axis, so vertices are stored as exact grid fractions relative to the domain
 and database lookups never rely on floating-point comparisons. Every value
 and gradient is therefore computed at most once per distinct vertex.
 
-Boxes carry an oriented main diagonal (a, b): ``a`` is the trial vertex and
-the coordinates of ``b`` need not be larger than those of ``a``.
+Boxes carry an oriented main diagonal (a, b): ``a`` is the trial vertex,
+held as its record in the database, and the coordinates of ``b`` need not be
+larger than those of ``a``.
 """
 
 from __future__ import annotations
@@ -95,14 +96,13 @@ def corner_vertex(dim: int, upper: bool) -> GridVertex:
 
 
 # A vertex's record is the plain tuple (f_value, gradient, vertex, point) and
-# a box the plain tuple (F, id, s, a, b, a_real, b_real, d): ``a`` is the
-# trial vertex, sharing its record's vertex and point tuples, ``F`` the bound
-# set when the partition makes the box and ``d`` half the squared real
+# a box the plain tuple (F, id, s, rec, b, b_real, d): ``rec`` is the record
+# of the trial vertex a, the very object the vertex database holds, ``F`` the
+# bound set when the partition makes the box and ``d`` half the squared real
 # diagonal. Every item is an int, a float or a tuple of them, so a collection
 # untracks each record and box and later ones skip them; they hold no cycles.
 Record = tuple[float, tuple[float, ...], GridVertex, tuple[float, ...]]
-BoxTuple = tuple[float, int, int, GridVertex, GridVertex,
-                 tuple[float, ...], tuple[float, ...], float]
+BoxTuple = tuple[float, int, int, Record, GridVertex, tuple[float, ...], float]
 
 
 def heap_min_entries(heap: list, boxes: list) -> list:
@@ -157,11 +157,13 @@ class Partition:
     """The live set of hyperintervals plus the shared vertex database.
 
     Confined to a single optimizer run; not safe for concurrent mutation.
-    Every entry of ``vertex_db`` is one trial, in evaluation order.
+    Every entry of ``vertex_db`` is one trial of ``problem``, in evaluation
+    order, and every box holds the record of its trial vertex from there.
     ``boxes[i]`` is the live box with id i, for i in 1..m; slot 0 is unused.
     """
 
     def __init__(self, problem, start_vertex: str = "a"):
+        self.problem = problem
         self.lower = problem.lower
         self.edge = tuple(u - l for l, u in zip(self.lower, problem.upper))
         self.vertex_db: dict[GridVertex, Record] = {}
@@ -177,11 +179,9 @@ class Partition:
         if start_vertex not in ("a", "b"):
             raise ValueError("start_vertex must be 'a' or 'b'")
         va, vb = corner_vertex(dim, start_vertex == "b"), corner_vertex(dim, start_vertex == "a")
-        self.initial_vertex = va
         a_real = vertex_real(va, self.lower, self.edge)
         b_real = vertex_real(vb, self.lower, self.edge)
-        rec = self.get_or_eval(va, a_real, problem)
-        self._add_box(1, 0, va, vb, a_real, b_real, half_diag_sq(a_real, b_real), rec)
+        self._add_box(1, 0, self.get_or_eval(va, a_real), vb, b_real, half_diag_sq(a_real, b_real))
 
     @property
     def q_0(self) -> int:
@@ -197,7 +197,7 @@ class Partition:
         """Number of trials: each distinct vertex is evaluated exactly once."""
         return len(self.vertex_db)
 
-    def get_or_eval(self, v: GridVertex, x: tuple[float, ...], problem) -> Record:
+    def get_or_eval(self, v: GridVertex, x: tuple[float, ...]) -> Record:
         """Read the record for ``v`` or evaluate f and f' there exactly once.
 
         ``x`` must be ``vertex_real(v, self.lower, self.edge)``; callers
@@ -205,20 +205,22 @@ class Partition:
         """
         rec = self.vertex_db.get(v)
         if rec is None:
-            f_value, gradient = problem.value_and_grad(x)
+            f_value, gradient = self.problem.value_and_grad(x)
             rec = self.vertex_db[v] = (f_value, gradient, v, x)
         return rec
 
-    def trisect(self, t: int, problem) -> tuple[BoxTuple, BoxTuple, BoxTuple, Optional[Record]]:
+    def trisect(self, t: int) -> tuple[BoxTuple, BoxTuple, BoxTuple, Optional[Record]]:
         """Split box ``t`` perpendicular to its longest side into equal thirds.
 
         The middle child keeps id ``t``; the children adjacent to the old
-        ``a`` and ``b`` vertices get ids m+1 and m+2. Returns the children,
-        each with its bound F, plus the record of the new trial point, or
-        None if it was reused.
+        ``a`` and ``b`` vertices get ids m+1 and m+2. The low child keeps the
+        parent's record, the other two get the record at the new trial point
+        u. Returns the children, each with its bound F, plus the record at u,
+        or None if it was reused.
         """
         box = self.boxes[t]
-        _, _, s, a, b, a_real, b_real, _ = box
+        _, _, s, a_rec, b, b_real, _ = box
+        _, _, a, a_real = a_rec
         i = self.split_axis(s)
         j = 2 * i  # axis i's (num, depth) in a grid point
         u_f, v_f = third_points(a[j:j + 2], b[j:j + 2])
@@ -230,18 +232,17 @@ class Partition:
         v_real = b_real[:i] + (lo_i + v_f[0] / pow3(v_f[1]) * ed_i,) + b_real[i + 1:]
 
         before = len(self.vertex_db)
-        rec = self.get_or_eval(u, u_real, problem)
+        rec = self.get_or_eval(u, u_real)
         new_rec = rec if len(self.vertex_db) > before else None
-        u, u_real = rec[2], rec[3]  # the same bits; a reused vertex's copies are dropped
 
         self.groups[s].discard(box)
         s += 1
         m = len(self.boxes) - 1
         # children share side lengths, hence one d for all three
         d = half_diag_sq(u_real, v_real)
-        middle = self._add_box(t, s, u, v, u_real, v_real, d, rec)
-        low = self._add_box(m + 1, s, a, v, a_real, v_real, d, self.vertex_db[a])
-        high = self._add_box(m + 2, s, u, b, u_real, b_real, d, rec)
+        middle = self._add_box(t, s, rec, v, v_real, d)
+        low = self._add_box(m + 1, s, a_rec, v, v_real, d)
+        high = self._add_box(m + 2, s, rec, b, b_real, d)
 
         while not self.groups[self.q_inf].n:
             self.q_inf += 1
@@ -286,17 +287,16 @@ class Partition:
     def snapshot_lines(self) -> list[str]:
         """One line per box: id, s, a-coords, b-coords as exact fractions."""
         return [
-            f"{box_id} {s} {vertex_str(a)} {vertex_str(b)}"
-            for _, box_id, s, a, b, *_ in self.boxes[1:]
+            f"{box_id} {s} {vertex_str(rec[2])} {vertex_str(b)}"
+            for _, box_id, s, rec, b, *_ in self.boxes[1:]
         ]
 
     def _add_box(
-        self, box_id: int, s: int, a: GridVertex, b: GridVertex,
-        a_real: tuple[float, ...], b_real: tuple[float, ...], d: float,
-        rec: Record,
+        self, box_id: int, s: int, rec: Record, b: GridVertex,
+        b_real: tuple[float, ...], d: float,
     ) -> BoxTuple:
-        """Make and index a box with its bound F from ``rec``, the record at ``a``."""
-        box = (bounding.characterize(rec, a_real, b_real), box_id, s, a, b, a_real, b_real, d)
+        """Make and index a box with its bound F from ``rec``, the record at its trial vertex."""
+        box = (bounding.characterize(rec, rec[3], b_real), box_id, s, rec, b, b_real, d)
         if s == len(self.groups):  # the group's first box
             self.groups.append(Group(d))
         self.groups[s].add(box)

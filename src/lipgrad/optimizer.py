@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import selection
-from .geometry import GridVertex, Partition, vertex_real
+from .geometry import Partition, Record
 from .stopping import (
     RunReport,
     StopTarget,
@@ -57,19 +57,22 @@ class OptConfig:
             raise ValueError(f"target must be a StopTarget or None, got {self.target!r}")
         if self.diagonal is not None and not (_number(self.diagonal) and 0 < self.diagonal <= 1):
             raise ValueError(f"diagonal must be a number in (0, 1], got {self.diagonal!r}")
+        if not isinstance(self.keep_trace, bool):
+            raise ValueError(f"keep_trace must be a bool, got {self.keep_trace!r}")
 
 
 class OptState:
     """Full mutable state of one run: partition, record point and box, phase."""
 
-    def __init__(self, problem, config: OptConfig, partition: Partition):
-        self.problem = problem
+    def __init__(self, config: OptConfig, partition: Partition):
+        self.problem = problem = partition.problem
         self.config = config
         self.target_window = target_window(config.target, problem.lower, problem.upper)
         self.partition = partition
         self.f_min = math.inf
-        self.x_min: GridVertex = partition.initial_vertex
-        # the live boxes whose trial vertex is x_min, one of them the record box
+        # the record at the record point, held by the boxes in record_ids, one
+        # of them the record box
+        self.x_min: Record = partition.boxes[1][3]
         self.record_ids: set[int] = {1}
         self.record_box = 1
         self.p = 0
@@ -92,10 +95,8 @@ def initialize(problem, config: OptConfig) -> OptState:
 
     The record point starts at that corner, the trial vertex of box 1.
     """
-    partition = Partition(problem, config.start_vertex)
-    state = OptState(problem, config, partition)
-    _, _, _, a, _, a_real, _, _ = partition.boxes[1]
-    record_trial(state, a_real, partition.vertex_db[a][0])
+    state = OptState(config, Partition(problem, config.start_vertex))
+    record_trial(state, state.x_min[3], state.x_min[0])
     check_stop(state)
     log_history(state)
     return state
@@ -144,8 +145,8 @@ def record_phase(state: OptState) -> None:
     state.phase = "local"
     part = state.partition
     for _ in range(state.problem.dim):
-        _, _, _, a, _, a_real, b_real, _ = part.boxes[state.record_box]
-        if gradient_aligned(part.vertex_db[a][1], a_real, b_real):
+        _, _, _, rec, _, b_real, _ = part.boxes[state.record_box]
+        if gradient_aligned(rec[1], rec[3], b_real):
             break
         _subdivide(state, state.record_box)
         if state.stop_reason:
@@ -161,8 +162,7 @@ def run(problem, config: OptConfig) -> RunReport:
         if switch == "local" and not state.stop_reason:
             record_phase(state)
     part = state.partition
-    x_min = vertex_real(state.x_min, part.lower, part.edge)
-    return close_report(state, "new", part.m, x_min, part.snapshot_lines)
+    return close_report(state, "new", part.m, state.x_min[3], part.snapshot_lines)
 
 
 def _improved_one_percent(f_min: float, f_prec: float) -> bool:
@@ -173,24 +173,25 @@ def _resolve_record_box(state: OptState) -> None:
     # the record vertex always remains the trial vertex of at least one box;
     # among them the least F, then the largest d, then the lowest id
     boxes = state.partition.boxes
-    state.record_box = best = min(state.record_ids, key=lambda i: (boxes[i][0], -boxes[i][7], i))
+    state.record_box = best = min(state.record_ids, key=lambda i: (boxes[i][0], -boxes[i][6], i))
     state.p = boxes[best][2]
 
 
 def _subdivide(state: OptState, t: int) -> None:
-    middle, low, high, new_rec = state.partition.trisect(t, state.problem)
-    # box t, whose trial vertex low[3] was, is gone; its children t and
-    # high[1] have the new trial vertex u, and low[1] has low[3]
-    u = middle[3]
-    if new_rec is not None and record_trial(state, middle[5], new_rec[0]):
-        state.x_min = u  # newly evaluated, so no other box has it
+    middle, low, high, new_rec = state.partition.trisect(t)
+    # box t, which held the record low[3], is gone; its children t and
+    # high[1] hold the record at the new trial vertex, and low[1] holds
+    # low[3]. The database keeps one record per vertex and every box holds
+    # that same object, so ``is`` compares vertices.
+    if new_rec is not None and record_trial(state, new_rec[3], new_rec[0]):
+        state.x_min = new_rec  # newly evaluated, so no other box has it
         state.record_ids = {t, high[1]}
         _resolve_record_box(state)
-    elif state.x_min == low[3]:
+    elif state.x_min is low[3]:
         state.record_ids.discard(t)
         state.record_ids.add(low[1])
         _resolve_record_box(state)
-    elif state.x_min == u:
+    elif state.x_min is middle[3]:
         state.record_ids.update((t, high[1]))
         _resolve_record_box(state)
     # at any other record vertex the record box is as it was

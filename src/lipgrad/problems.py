@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -419,27 +419,14 @@ def class_manifest(cls: ProblemClass) -> dict:
         p = generate(cls, i)
         x_star, f_star = p.known_opt
         entries.append({"index": i, "x_star": list(x_star), "f_star": f_star})
-    return {
-        "seed": cls.seed,
-        "dim": cls.dim,
-        "count": cls.count,
-        "difficulty": cls.difficulty,
-        "n_minima": cls.n_minima,
-        "global_radius": cls.global_radius,
-        "radius_range": list(cls.radius_range),
-        "value_gap": cls.value_gap,
-        "lower": cls.lower,
-        "upper": cls.upper,
-        "problems": entries,
-    }
+    return {**asdict(cls), "problems": entries}
 
 
 def write_manifest(cls: ProblemClass, path) -> None:
     Path(path).write_text(json.dumps(class_manifest(cls), indent=1, sort_keys=True))
 
 
-_MANIFEST_KEYS = ("seed", "dim", "count", "difficulty", "n_minima", "global_radius",
-                  "radius_range", "value_gap", "lower", "upper")
+_MANIFEST_KEYS = tuple(f.name for f in fields(ProblemClass))
 
 
 def load_manifest(path) -> ProblemClass:

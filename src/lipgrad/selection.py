@@ -44,7 +44,7 @@ def group_representatives(partition, s_lo: int, s_hi: int) -> list[DotTuple]:
     dots = []
     for s in range(s_lo, s_hi + 1):
         for box in partition.group_min_entries(s):
-            dots.append((box[1], box[7], box[0], s))  # (id, d, F, s)
+            dots.append((box[1], box[6], box[0], s))  # (id, d, F, s)
     return dots
 
 

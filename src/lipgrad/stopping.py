@@ -57,17 +57,16 @@ class RunReport:
 def target_window(target: Optional[StopTarget], lower, upper):
     """Per-axis ``(x*_i, delta^(1/N) * edge_i)`` pairs, or None without a target.
 
-    ``x_star`` must hold one finite real number per axis of the domain.
+    ``x_star`` must be a tuple, list or 1-D array holding one finite real
+    number per axis of the domain: a set or a dict has no axis order.
     """
     if target is None:
         return None
     x_star = target.x_star
-    try:
-        ok = len(x_star) == len(lower) and all(map(_number, x_star))
-    except TypeError:  # not a sequence
-        ok = False
-    if not ok:
-        raise ValueError(f"x_star must be {len(lower)} finite numbers, got {x_star!r}")
+    ordered = isinstance(x_star, (tuple, list)) or getattr(x_star, "ndim", None) == 1
+    if not (ordered and len(x_star) == len(lower) and all(map(_number, x_star))):
+        raise ValueError(f"x_star must be a tuple, list or 1-D array of {len(lower)} "
+                         f"finite numbers, got {x_star!r}")
     tol = target.delta ** (1.0 / len(x_star))
     return tuple((si, tol * (hi - lo)) for si, lo, hi in zip(x_star, lower, upper))
 

@@ -318,6 +318,27 @@ def test_cli_bench_descriptor_and_manifest(tmp_path, capsys):
     assert code == 0
 
 
+def test_methods_are_named_in_one_place(tmp_path, capsys):
+    # run_method, check_methods and the CLI all read bench.METHODS
+    assert list(bench.METHODS) == ["new", "direct", "directl"]
+    prob = wavy_problem(2)
+    for name in bench.METHODS:
+        assert run_method(name, prob, OptConfig(p_max=40)).method == name
+    expected = r"^unknown method 'nope' \(expected new, direct or directl\)$"
+    with pytest.raises(ValueError, match=expected):
+        run_method("nope", prob, OptConfig(p_max=40))
+    with pytest.raises(ValueError, match="^unknown method 'nope'$"):
+        bench.check_methods(["new", "nope"])
+    capsys.readouterr()
+    assert cli.main(["solve", "--problem", "quad2d", "--method", "nope"]) == 1
+    err = capsys.readouterr().err
+    assert "nope" in err and all(name in err for name in bench.METHODS)
+    out = tmp_path / "res"
+    assert cli.main(["bench", "--class", "hard:2:2", "--delta", "1e-2", "--pmax", "100",
+                     "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["methods"] == list(bench.METHODS)
+
+
 def test_cli_solve_manifest_problem(tmp_path, capsys):
     manifest = tmp_path / "cls.json"
     write_manifest(problem_class(2, "simple", seed=5, count=3), manifest)

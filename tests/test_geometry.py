@@ -105,7 +105,7 @@ def test_longest_side_reversed_diagonal_tie():
     prob = flat_problem(2)
     part = Partition(prob, start_vertex="b")
     assert part.split_axis(0) == 0
-    middle, _, _, _ = trisect_views(part, 1, prob)
+    middle, _, _, _ = trisect_views(part, 1)
     assert middle.a == make_vertex((1, 1), 1) and middle.b == make_vertex((2, 1), 0)
     assert part.split_axis(1) == 1
 
@@ -137,7 +137,7 @@ def test_split_axis_matches_longest_side_of_random_trisections():
                 ]
                 longest = sides.index(max(sides))
                 assert part.split_axis(box.s) == longest
-                middle, *_ = trisect_views(part, box.id, prob)
+                middle, *_ = trisect_views(part, box.id)
                 split = [j for j, (pa, qa) in enumerate(zip(vertex_fractions(box.a),
                                                              vertex_fractions(middle.a)))
                          if pa != qa]
@@ -146,7 +146,7 @@ def test_split_axis_matches_longest_side_of_random_trisections():
 
 def test_trisect_unit_square():
     part = Partition(flat_problem(2))
-    middle, low, high, new_rec = trisect_views(part, 1, flat_problem(2))
+    middle, low, high, new_rec = trisect_views(part, 1)
     assert middle.a == make_vertex((2, 1), 0) and middle.b == make_vertex((1, 1), 1)
     assert low.a == make_vertex(0, 0) and low.b == make_vertex((1, 1), 1)
     assert high.a == make_vertex((2, 1), 0) and high.b == make_vertex(1, 1)
@@ -162,7 +162,7 @@ def test_trisect_unit_square():
 def test_trisect_one_dimensional():
     prob = flat_problem(1)
     part = Partition(prob)
-    middle, low, high, _ = trisect_views(part, 1, prob)
+    middle, low, high, _ = trisect_views(part, 1)
     assert middle.a == make_vertex((2, 1)) and middle.b == make_vertex((1, 1))
     assert low.a == make_vertex(0) and low.b == make_vertex((1, 1))
     assert high.a == make_vertex((2, 1)) and high.b == make_vertex(1)
@@ -174,9 +174,8 @@ def test_trisect_reversed_diagonal():
     part = Partition(prob)
     part.groups[0].discard(part.boxes[1])
     box = make_box(make_vertex(1, 0), make_vertex(0, 1))
-    part._add_box(box.id, box.s, box.a, box.b, box.a_real, box.b_real, box.d,
-                  part.get_or_eval(box.a, box.a_real, prob))
-    middle, low, high, _ = trisect_views(part, 1, prob)
+    part._add_box(box.id, box.s, part.get_or_eval(box.a, box.a_real), box.b, box.b_real, box.d)
+    middle, low, high, _ = trisect_views(part, 1)
     assert middle.a == make_vertex((1, 1), 0) and middle.b == make_vertex((2, 1), 1)
     assert low.a == make_vertex(1, 0) and low.b == make_vertex((2, 1), 1)
     assert high.a == make_vertex((1, 1), 0) and high.b == make_vertex(0, 1)
@@ -188,7 +187,7 @@ def test_trisect_children_carry_their_bound():
     prob = wavy_problem(2)
     part = Partition(prob)
     for _ in range(80):
-        children = trisect_views(part, int(rng.choice(box_ids(part))), prob)[:3]
+        children = trisect_views(part, int(rng.choice(box_ids(part))))[:3]
         for child in children:
             assert child.F == characterize(part.vertex_db[child.a], child.a_real, child.b_real)
             least = min(b.F for b in live_boxes(part) if b.s == child.s)
@@ -208,7 +207,7 @@ def test_cached_group_minima_match_a_fresh_heap_scan(dim, make):
     prob = make(dim)
     part = Partition(prob)
     for _ in range(150):
-        part.trisect(int(rng.choice(box_ids(part))), prob)
+        part.trisect(int(rng.choice(box_ids(part))))
         by_s = {}
         for box in live_boxes(part):
             by_s.setdefault(box.s, []).append(tuple(box))  # sorts by (F, id)
@@ -227,8 +226,8 @@ def test_get_or_eval_is_idempotent():
     assert audit.f_calls == 1 and part.trials == 1
     v = make_vertex((1, 1), (2, 1))
     x = vertex_real(v, part.lower, part.edge)
-    rec1 = part.get_or_eval(v, x, prob)
-    rec2 = part.get_or_eval(v, x, prob)
+    rec1 = part.get_or_eval(v, x)
+    rec2 = part.get_or_eval(v, x)
     assert rec1 is rec2
     assert audit.f_calls == 2 and part.trials == 2
 
@@ -238,13 +237,34 @@ def test_new_trial_point_can_land_on_existing_vertex():
     # child wants u = (2/3, 2/3), already evaluated: no new evaluation
     prob, audit = with_audit(wavy_problem(2))
     part = Partition(prob)
-    part.trisect(1, prob)
-    part.trisect(2, prob)
-    part.trisect(3, prob)
+    part.trisect(1)
+    part.trisect(2)
+    part.trisect(3)
     calls_before = audit.f_calls
-    *_, new_rec = part.trisect(1, prob)
+    *_, new_rec = part.trisect(1)
     assert new_rec is None
     assert audit.f_calls == calls_before
+
+
+@pytest.mark.parametrize("start", ["a", "b"])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("make", [wavy_problem, flat_problem], ids=["wavy", "flat"])
+def test_every_box_holds_the_database_record_of_its_trial_vertex(make, dim, start):
+    # the database keeps one record per vertex and every live box holds that
+    # very object, whose point is the vertex's real coordinates bit for bit;
+    # every trial evaluates the partition's own problem
+    rng = np.random.default_rng(40 + dim)
+    prob, audit = with_audit(make(dim))
+    part = Partition(prob, start_vertex=start)
+    for _ in range(120):
+        part.trisect(int(rng.choice(box_ids(part))))
+        for box in part.boxes[1:]:
+            assert box[3] is part.vertex_db[box[3][2]], box[1]
+    assert part.problem is prob and audit.f_calls == part.trials
+    for v, rec in part.vertex_db.items():
+        assert rec[2] is v
+        expected = vertex_real(v, part.lower, part.edge)
+        assert list(map(float.hex, rec[3])) == list(map(float.hex, expected))
 
 
 def test_volume_conservation_random_runs():
@@ -254,7 +274,7 @@ def test_volume_conservation_random_runs():
         part = Partition(prob)
         for _ in range(60):
             box_id = int(rng.choice(box_ids(part)))
-            part.trisect(box_id, prob)
+            part.trisect(box_id)
         volumes = [volume(b) for b in live_boxes(part)]
         top = max(e for _, e in volumes)
         assert sum(num * pow3(top - e) for num, e in volumes) == pow3(top)
@@ -273,7 +293,7 @@ def test_box_d_adds_the_squares_left_to_right():
         boxes = [Box._make(part.boxes[1])]
         for _ in range(80):
             # the three children share the d of the middle one's corners
-            middle, low, high, _ = trisect_views(part, int(rng.choice(box_ids(part))), prob)
+            middle, low, high, _ = trisect_views(part, int(rng.choice(box_ids(part))))
             assert low.d == high.d == middle.d
             boxes.append(middle)
         for box in boxes:
@@ -288,7 +308,7 @@ def test_group_diagonals_follow_group_index():
     prob = flat_problem(dim)
     part = Partition(prob)
     for _ in range(120):
-        part.trisect(int(rng.choice(box_ids(part))), prob)
+        part.trisect(int(rng.choice(box_ids(part))))
     for box in live_boxes(part):
         q, r = divmod(box.s, dim)
         expect = r * 9.0 ** -(q + 1) + (dim - r) * 9.0 ** -q
@@ -301,7 +321,7 @@ def test_vertex_sharing_and_eval_savings():
     prob, audit = with_audit(wavy_problem(2))
     part = Partition(prob)
     for _ in range(150):
-        part.trisect(int(rng.choice(box_ids(part))), prob)
+        part.trisect(int(rng.choice(box_ids(part))))
     assert part.trials < part.m
     assert part.trials == audit.f_calls == audit.grad_calls
     sharing = Counter(box.a for box in live_boxes(part)).values()
@@ -322,7 +342,7 @@ def test_group_index_bounds_hold():
     prob = flat_problem(3)
     part = Partition(prob)
     for _ in range(100):
-        part.trisect(int(rng.choice(box_ids(part))), prob)
+        part.trisect(int(rng.choice(box_ids(part))))
         assert part.q_inf == min(box.s for box in live_boxes(part))
         assert part.q_0 == max(box.s for box in live_boxes(part))
 
@@ -333,7 +353,7 @@ def test_identical_sequences_give_identical_partitions():
         prob = wavy_problem(2)
         part = Partition(prob)
         for _ in range(100):
-            part.trisect(int(rng.choice(box_ids(part))), prob)
+            part.trisect(int(rng.choice(box_ids(part))))
         return part.snapshot_lines()
 
     assert build() == build()
@@ -342,7 +362,7 @@ def test_identical_sequences_give_identical_partitions():
 def test_start_vertex_b_mirrors_scheme():
     prob = wavy_problem(2)
     part = Partition(prob, start_vertex="b")
-    assert part.initial_vertex == make_vertex(1, 1)
+    assert list(part.vertex_db) == [make_vertex(1, 1)]  # the only trial
     assert Box._make(part.boxes[1]).a == make_vertex(1, 1)
     assert Box._make(part.boxes[1]).b == make_vertex(0, 0)
 
@@ -356,7 +376,7 @@ def test_vertex_real_coordinates_scale_to_domain():
 def test_snapshot_lines_format():
     prob = flat_problem(2)
     part = Partition(prob)
-    part.trisect(1, prob)
+    part.trisect(1)
     lines = part.snapshot_lines()
     assert lines[0] == "1 1 2/3,0/1 1/3,1/1"
     assert lines[1] == "2 1 0/1,0/1 1/3,1/1"
@@ -377,9 +397,10 @@ def run_keeping_partition(monkeypatch, prob, config):
     return report, parts[0]
 
 
-def tracked_reachable(root) -> list:
-    """The objects the collector tracks and walks from ``root``, classes excepted."""
-    seen, stack, found = {id(root)}, [root], [root]
+def tracked_reachable(root, outside=None) -> list:
+    """The objects the collector tracks and walks from ``root``, classes and
+    the object ``outside`` (with what only it reaches) excepted."""
+    seen, stack, found = {id(root), id(outside)}, [root], [root]
     while stack:
         for ref in gc.get_referents(stack.pop()):
             if gc.is_tracked(ref) and not isinstance(ref, type) and id(ref) not in seen:
@@ -394,17 +415,20 @@ def test_partition_geometry_is_not_tracked_by_the_collector(monkeypatch, dim, di
     # boxes, records, vertices, real corners and heap entries are plain
     # tuples of ints and floats, so a collection untracks them and later
     # ones skip them; what stays tracked is a fixed set of containers and a
-    # few objects per group, however many boxes and trials the run made
+    # few objects per group, however many boxes and trials the run made.
+    # The problem is the caller's, one object for the whole run (its
+    # functions reach their modules), so the walk stops there
     prob = generate(problem_class(dim, difficulty, seed=seed, count=1), 1)
     report, part = run_keeping_partition(monkeypatch, prob, OptConfig(p_max=p_max))
-    assert report.trials == p_max
+    assert report.trials == p_max and part.problem is prob
     gc.collect()
     gc.collect()
-    walked = tracked_reachable(part)
+    walked = tracked_reachable(part, outside=prob)
     assert len(walked) <= 20 + 5 * len(part.groups), Counter(type(o).__name__ for o in walked)
-    per_box = [t for box in part.boxes[1:] for t in (box, *box[3:7])]
-    per_vertex = [t for v, rec in part.vertex_db.items() for t in (v, rec, rec[1])]
-    assert part.m > 3 * p_max and len(per_vertex) == 3 * p_max
+    # a box, its b corner and b_real; the record and its tuples per vertex
+    per_box = [t for box in part.boxes[1:] for t in (box, *box[4:6])]
+    per_vertex = [t for v, rec in part.vertex_db.items() for t in (v, rec, rec[1], rec[3])]
+    assert part.m > 3 * p_max and len(per_vertex) == 4 * p_max
     tracked = {id(o) for o in gc.get_objects()}
     assert not any(id(t) in tracked for t in per_box + per_vertex)
     assert not any(map(gc.is_tracked, per_box + per_vertex))
@@ -468,7 +492,7 @@ def test_box_ids_stay_dense_and_minima_live(monkeypatch, dim, make):
     prob = make(dim)
     part = Partition(prob)
     for _ in range(120):
-        part.trisect(int(rng.choice(box_ids(part))), prob)
+        part.trisect(int(rng.choice(box_ids(part))))
         check_dense_live_layout(part)
         for s in range(part.q_inf, part.q_0 + 1):
             part.group_min_entries(s)

@@ -63,7 +63,7 @@ def test_record_trial_requires_strict_improvement():
     state = initialize(prob, OptConfig(p_max=100))
     vertex2 = make_vertex((2, 1), 0)
     x2 = vertex_real(vertex2, state.partition.lower, state.partition.edge)
-    f2 = state.partition.get_or_eval(vertex2, x2, prob)[0]
+    f2 = state.partition.get_or_eval(vertex2, x2)[0]
     assert not record_trial(state, x2, f2)  # a tie is no improvement
     assert state.f_min == f2
     assert record_trial(state, x2, f2 - 1.0)
@@ -95,7 +95,7 @@ def test_record_box_always_carries_the_record_point():
     for _ in range(6):
         exploration_iteration(state, state.partition.q_0)
     box = Box._make(state.partition.boxes[state.record_box])
-    assert box.a == state.x_min
+    assert box.rec is state.x_min
     assert state.p == box.s
     assert state.f_min == min(rec[0] for rec in state.partition.vertex_db.values())
 
@@ -104,15 +104,16 @@ def test_record_box_tie_resolution_rule():
     # among the live boxes at x_min: minimal F first, then larger d, then
     # smaller id; box 4 has the least F but another trial vertex
     v, w = make_vertex(0, 0), make_vertex(1, 1)
+    rv, rw = (0.0, (), v, ()), (1.0, (), w, ())  # the records at v and w
     boxes = {box.id: tuple(box) for box in (
-        Box(2.0, 1, 3, v, w, (), (), 1.0),
-        Box(2.0, 2, 4, v, w, (), (), 0.5),
-        Box(5.0, 3, 3, v, w, (), (), 1.0),
-        Box(-1.0, 4, 2, w, v, (), (), 4.0),
-        Box(2.0, 5, 3, v, w, (), (), 1.0),
+        Box(2.0, 1, 3, rv, w, (), 1.0),
+        Box(2.0, 2, 4, rv, w, (), 0.5),
+        Box(5.0, 3, 3, rv, w, (), 1.0),
+        Box(-1.0, 4, 2, rw, v, (), 4.0),
+        Box(2.0, 5, 3, rv, w, (), 1.0),
     )}
     at_x_min = {i for i, box in boxes.items() if Box._make(box).a == v}
-    state = SimpleNamespace(partition=SimpleNamespace(boxes=boxes), x_min=v,
+    state = SimpleNamespace(partition=SimpleNamespace(boxes=boxes), x_min=rv,
                             record_ids=at_x_min, record_box=None, p=None)
     _resolve_record_box(state)
     assert state.record_box == 1 and state.p == 3
@@ -153,9 +154,11 @@ def test_record_ids_after_every_subdivision_are_the_boxes_at_x_min(monkeypatch, 
 
     def checked_subdivide(state, box_id):
         subdivide(state, box_id)
-        x_min = state.x_min
-        # box[1] is the id and box[3] the trial vertex a
-        at_x_min = {box[1] for box in state.partition.boxes[1:] if box[3] == x_min}
+        part, x_min = state.partition, state.x_min
+        # x_min is the database's own record at the record point
+        assert x_min is part.vertex_db[x_min[2]], box_id
+        # box[1] is the id and box[3][2] the trial vertex a
+        at_x_min = {box[1] for box in part.boxes[1:] if box[3][2] == x_min[2]}
         assert state.record_ids == at_x_min, box_id
         checked.append(box_id)
 
@@ -190,8 +193,7 @@ def test_exploration_phase_switch_after_final_iteration(monkeypatch):
     state = initialize(flat_problem(2), OptConfig(p_max=10_000))
     part = state.partition
     for _ in range(3):  # each split of a smallest box makes a new group
-        part.trisect(min(box[1] for box in part.boxes[1:] if box[2] == part.q_0),
-                     state.problem)
+        part.trisect(min(box[1] for box in part.boxes[1:] if box[2] == part.q_0))
     assert part.q_0 == 3
     monkeypatch.setattr(optimizer, "exploration_iteration", lambda st, g_hi: None)
     state.p = 0
@@ -296,7 +298,9 @@ def test_config_validation():
     # a wrong type raises a ValueError that names the field
     for field, value in [("p_max", 2.5), ("p_max", True), ("p_max", "10"),
                          ("epsilon", "1e-4"), ("epsilon", True), ("epsilon", None),
-                         ("diagonal", "0.5"), ("diagonal", True)]:
+                         ("diagonal", "0.5"), ("diagonal", True),
+                         # a truthy "no" used to keep a trace and a snapshot
+                         ("keep_trace", "no"), ("keep_trace", 1), ("keep_trace", None)]:
         with pytest.raises(ValueError, match=field):
             OptConfig(**{field: value})
     config = OptConfig(epsilon=np.float64(1e-3), p_max=np.int64(10), diagonal=1)
@@ -311,12 +315,16 @@ def test_target_must_be_one_finite_number_per_axis(method):
     def solve(x_star):
         return method(prob, OptConfig(p_max=50, target=StopTarget(x_star, 1e-4)))
 
-    for x_star in [(0.3,), (0.3, 0.7, 0.1), (0.3, math.nan), (math.inf, 0.7), (0.3, "0.7")]:
+    # a set or a dict has no axis order (a dict would be read as its keys),
+    # so its x* could sit at the wrong point
+    for x_star in [(0.3,), (0.3, 0.7, 0.1), (0.3, math.nan), (math.inf, 0.7), (0.3, "0.7"),
+                   {0.3, 0.7}, {0.7, 0.3}, frozenset((0.3, 0.7)), {0.3: 0.0, 0.7: 1.0},
+                   np.array([[0.3, 0.7]])]:
         with pytest.raises(ValueError, match="x_star"):
             solve(x_star)
-    # numpy coordinates are numbers too
-    tuple_run, array_run = solve((0.3, 0.7)), solve(np.array([0.3, 0.7]))
-    assert (array_run.trials, array_run.stop_reason) == (tuple_run.trials, tuple_run.stop_reason)
+    # a list and numpy coordinates are a point too
+    runs = [solve(x_star) for x_star in [(0.3, 0.7), [0.3, 0.7], np.array([0.3, 0.7])]]
+    assert len({(r.trials, r.stop_reason) for r in runs}) == 1
 
 
 

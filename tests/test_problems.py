@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import sys
@@ -309,6 +310,17 @@ def test_manifest_round_trip(tmp_path):
     # listed optima match regenerated problems
     p3 = generate(loaded, 3)
     assert tuple(data["problems"][2]["x_star"]) == p3.known_opt[0]
+
+
+def test_manifest_bytes_are_pinned(tmp_path):
+    # every class knob plus the optima, byte for byte as long written; the
+    # knobs are the descriptor's fields, read by load_manifest too
+    path = tmp_path / "class.json"
+    problems.write_manifest(problem_class(3, "hard", seed=4, count=3), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "1029028d6222edfaccc2cb32d8e810a53b742d483264a305e81c6c5bcd8019b6"
+    knobs = {f.name for f in dataclasses.fields(problems.ProblemClass)}
+    assert set(json.loads(path.read_text())) == knobs | {"problems"}
 
 
 def test_manifest_missing_keys_or_not_an_object_is_a_value_error(tmp_path):

@@ -1,10 +1,10 @@
 """Property tests of the run boundary: random inputs run or fail by name.
 
 Every run parameter a caller hands in (``StopTarget``, the target window it
-makes, ``OptConfig``) either runs ``quad2d`` or raises a ValueError that names
-a field the input got wrong; every wrong kind of objective output raises an
-EvaluationError. The examples are drawn from a fixed seed, so the suite sees
-the same inputs on every run.
+makes, ``OptConfig`` with ``keep_trace``) either runs ``quad2d`` or raises a
+ValueError that names a field the input got wrong; every wrong kind of
+objective output raises an EvaluationError. The examples are drawn from a
+fixed seed, so the suite sees the same inputs on every run.
 """
 
 import math
@@ -49,15 +49,21 @@ def finite_real(v) -> bool:
 
 @st.composite
 def x_stars(draw):
-    kind = draw(st.sampled_from(["pair", "length", "junk"]))
+    kind = draw(st.sampled_from(["pair", "length", "unordered", "junk"]))
     if kind == "pair":
         return tuple(draw(st.lists(ANY, min_size=2, max_size=2)))
     if kind == "length":
         return tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=0, max_size=4)))
+    if kind == "unordered":  # two coordinates with no axis order
+        coords = st.floats(0.0, 1.0)
+        return draw(st.one_of(st.sets(coords, min_size=2, max_size=2),
+                              st.frozensets(coords, min_size=2, max_size=2),
+                              st.dictionaries(coords, coords, min_size=2, max_size=2)))
     return draw(st.one_of(JUNK, NUMBER))
 
 
-def invalid_fields(x_star, delta, target_kind, epsilon, p_max, start, diagonal) -> set:
+def invalid_fields(x_star, delta, target_kind, epsilon, p_max, start, diagonal,
+                   keep_trace) -> set:
     """The fields a run must name, by the documented contract alone."""
     bad = set()
     if target_kind == "target":
@@ -76,6 +82,8 @@ def invalid_fields(x_star, delta, target_kind, epsilon, p_max, start, diagonal) 
         bad.add("start_vertex")
     if diagonal is not None and not (finite_real(diagonal) and 0.0 < diagonal <= 1.0):
         bad.add("diagonal")
+    if not isinstance(keep_trace, bool):
+        bad.add("keep_trace")
     return bad
 
 
@@ -90,15 +98,17 @@ def invalid_fields(x_star, delta, target_kind, epsilon, p_max, start, diagonal) 
     p_max=st.one_of(st.integers(-2, 40), st.floats(allow_nan=True), st.booleans(), HUGE, JUNK),
     start=st.one_of(st.sampled_from(["a", "b", "c", ""]), st.none(), st.integers(0, 1)),
     diagonal=st.one_of(st.none(), ANY),
+    keep_trace=st.one_of(st.booleans(), st.integers(0, 1), JUNK),
 )
 def test_run_inputs_run_or_name_a_wrong_field(method, x_star, delta, target_kind, epsilon,
-                                              p_max, start, diagonal):
-    bad = invalid_fields(x_star, delta, target_kind, epsilon, p_max, start, diagonal)
+                                              p_max, start, diagonal, keep_trace):
+    bad = invalid_fields(x_star, delta, target_kind, epsilon, p_max, start, diagonal,
+                         keep_trace)
     try:
         target = {"target": lambda: StopTarget(x_star, delta), "none": lambda: None,
                   "junk": lambda: x_star}[target_kind]()
         config = OptConfig(epsilon=epsilon, p_max=p_max, start_vertex=start,
-                           target=target, diagonal=diagonal)
+                           target=target, diagonal=diagonal, keep_trace=keep_trace)
         report = method(QUAD2D, config)
     except ValueError as exc:
         assert bad, f"valid inputs raised {exc!r}"
@@ -106,6 +116,23 @@ def test_run_inputs_run_or_name_a_wrong_field(method, x_star, delta, target_kind
     else:
         assert not bad, f"ran with wrong {bad}"
         assert 1 <= report.trials <= p_max
+
+
+@FIXED
+@given(method=st.sampled_from(METHODS), x_star=x_stars(),
+       keep_trace=st.one_of(st.booleans(), st.integers(0, 1), JUNK))
+def test_target_points_and_trace_flags_run_or_name_a_wrong_field(method, x_star, keep_trace):
+    # the other fields valid, so a wrong x_star or keep_trace alone is seen
+    bad = invalid_fields(x_star, 1e-4, "target", 1e-4, 40, "a", None, keep_trace)
+    try:
+        report = method(QUAD2D, OptConfig(p_max=40, target=StopTarget(x_star, 1e-4),
+                                          keep_trace=keep_trace))
+    except ValueError as exc:
+        assert bad, f"valid inputs raised {exc!r}"
+        assert any(field in str(exc) for field in bad), (bad, str(exc))
+    else:
+        assert not bad, f"ran with wrong {bad}"
+        assert (report.trace is None) is (not keep_trace)
 
 
 # wrong outputs of f: non-finite, non-real, or no number at all

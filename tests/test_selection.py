@@ -170,7 +170,7 @@ def test_group_representatives_reports_min_F_ties():
     prob = wavy_problem(2)
     part = Partition(prob)
     for _ in range(5):
-        part.trisect(1, prob)
+        part.trisect(1)
     raw = group_representatives(part, part.q_inf, part.q_0)
     assert all(type(t) is tuple for t in raw)  # views are made on demand only
     dots = list(map(Dot._make, raw))
@@ -188,7 +188,7 @@ def test_group_representatives_reports_min_F_ties():
 def test_group_representatives_includes_equal_minima():
     prob = flat_problem(2)  # every trial value equal -> all F equal
     part = Partition(prob)
-    part.trisect(1, prob)
+    part.trisect(1)
     dots = list(map(Dot._make, group_representatives(part, 1, 1)))
     assert sorted(t.box_id for t in dots) == [1, 2, 3]
 

@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from lipgrad.geometry import (
-    GridFraction, GridVertex, Partition, grid_fraction, half_diag_sq, pow3,
+    GridFraction, GridVertex, Partition, Record, grid_fraction, half_diag_sq, pow3,
 )
 from lipgrad.problems import Problem, ProblemClass, generated_parameters, quadratic
 from lipgrad.stopping import StopTarget, target_window
@@ -22,16 +22,23 @@ from lipgrad.stopping import StopTarget, target_window
 
 
 class Box(NamedTuple):
-    """A box of ``geometry.Partition``."""
+    """A box of ``geometry.Partition``; ``rec`` is the record at its trial vertex a."""
 
     F: float
     id: int
     s: int
-    a: GridVertex
+    rec: Record
     b: GridVertex
-    a_real: tuple[float, ...]
     b_real: tuple[float, ...]
     d: float
+
+    @property
+    def a(self) -> GridVertex:
+        return self.rec[2]
+
+    @property
+    def a_real(self) -> tuple[float, ...]:
+        return self.rec[3]
 
 
 class CenterBox(NamedTuple):
@@ -106,10 +113,12 @@ def vertex_fractions(v: GridVertex) -> list[GridFraction]:
 
 
 def make_box(a: GridVertex, b: GridVertex, box_id: int = 1, s: int = 0) -> Box:
-    """Standalone box on the unit-cube domain (real coords = grid values), F unset."""
+    """Standalone box on the unit-cube domain (real coords = grid values);
+    F and the record's value and gradient are unset."""
     a_real = tuple(map(fraction_value, vertex_fractions(a)))
     b_real = tuple(map(fraction_value, vertex_fractions(b)))
-    return Box(math.nan, box_id, s, a, b, a_real, b_real, half_diag_sq(a_real, b_real))
+    rec = (math.nan, (), a, a_real)
+    return Box(math.nan, box_id, s, rec, b, b_real, half_diag_sq(a_real, b_real))
 
 
 def box_ids(state) -> list[int]:
@@ -122,9 +131,9 @@ def live_boxes(part: Partition) -> list[Box]:
     return [Box._make(raw) for raw in part.boxes[1:]]
 
 
-def trisect_views(part: Partition, t: int, problem):
+def trisect_views(part: Partition, t: int):
     """``part.trisect`` with the three children as named views."""
-    *children, new_rec = part.trisect(t, problem)
+    *children, new_rec = part.trisect(t)
     return (*map(Box._make, children), new_rec)
 
 
@@ -136,7 +145,7 @@ def volume(box) -> tuple[int, int]:
     ``box`` is a box tuple of the partition or its named view. Two volumes
     compare, and add, as integers at a common power of 3.
     """
-    _, _, _, a, b, *_ = box
+    a, b = box[3][2], box[4]
     num, e = 1, 0
     for na, da, nb, db in zip(a[::2], a[1::2], b[::2], b[1::2]):
         if da < db:  # both corners at the deeper depth
@@ -152,7 +161,7 @@ def volume(box) -> tuple[int, int]:
 
 def diagonal_sq(box) -> float:
     """Squared real length of the main diagonal of a box tuple or view."""
-    _, _, _, _, _, a_real, b_real, *_ = box
+    a_real, b_real = box[3][3], box[5]
     return sum((br - ar) ** 2 for ar, br in zip(a_real, b_real))
 
 
@@ -164,7 +173,7 @@ def eval_minorant(box, rec, khat: float, x) -> float:
     """
     if khat <= 0:
         raise ValueError("khat must be positive")
-    _, _, _, _, _, a_real, b_real, *_ = box
+    a_real, b_real = box[3][3], box[5]
     q, gradient = rec[0], rec[1]
     norm_sq = 0.0
     for j, (ar, br) in enumerate(zip(a_real, b_real)):
