@@ -9,7 +9,7 @@ the same stop rules and selection machinery.
 
 from .baselines import direct_run, directl_run
 from .bench import run_class, run_method
-from .optimizer import OptConfig, RunReport, run
+from .optimizer import run
 from .problems import (
     EvaluationError,
     Problem,
@@ -18,7 +18,7 @@ from .problems import (
     generate,
     problem_class,
 )
-from .stopping import StopTarget
+from .stopping import OptConfig, RunReport, StopTarget
 
 __all__ = [
     "EvaluationError",

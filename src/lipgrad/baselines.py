@@ -25,15 +25,15 @@ import math
 
 from . import selection
 from .geometry import Group, fraction_str, grid_fraction, heap_min_entries, pow3
-from .optimizer import OptConfig
 from .stopping import (
     REASON_BUDGET,
+    OptConfig,
     RunReport,
+    RunState,
     check_stop,
     close_report,
     log_history,
     record_trial,
-    target_window,
 )
 
 
@@ -54,28 +54,20 @@ def _diag_d(key: tuple[int, ...]) -> float:
     return 0.5 * total
 
 
-class _CenterState:
+class _CenterState(RunState):
     def __init__(self, problem, config: OptConfig, locally_biased: bool):
-        self.problem = problem
-        self.config = config
-        self.target_window = target_window(config.target, problem.lower, problem.upper)
+        super().__init__(problem, config, "center")
         self.locally_biased = locally_biased
         self.lower = problem.lower
         self.edge = tuple(u - l for l, u in zip(self.lower, problem.upper))
         self.boxes: list[CenterTuple | None] = [None]  # by id; slot 0 unused
         self.groups: dict[tuple[int, ...], Group] = {}  # by sorted depth vector
         self.trials = 0
-        self.f_min = math.inf
         self.x_min: tuple[float, ...] = ()
-        self.phase = "center"
-        self.stop_reason = None
-        self.history: list[tuple[int, float, float]] = []
-        self.trace = [] if config.keep_trace else None
 
         zeros = (0,) * problem.dim
         f0 = self._sample(self._center_point(zeros, zeros))
         self._add_box((f0, 1, zeros, zeros, zeros))
-        self.initial_diag_sq = self.max_diagonal_sq()
         log_history(self)
 
     def _center_point(self, corner_nums, depths) -> tuple[float, ...]:
@@ -166,8 +158,6 @@ class _CenterState:
     def iterate(self) -> None:
         for box_id in self.select():
             self.subdivide(box_id)
-            if self.stop_reason:
-                break
             check_stop(self)
             if self.stop_reason:
                 break

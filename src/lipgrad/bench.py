@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import baselines, optimizer, problems
-from .optimizer import OptConfig, RunReport
-from .stopping import REASON_TARGET, StopTarget
+from .stopping import REASON_TARGET, OptConfig, RunReport, StopTarget
 
 # every method by name, in the order the CLI offers them
 METHODS = {"new": optimizer.run, "direct": baselines.direct_run, "directl": baselines.directl_run}
@@ -149,18 +148,8 @@ class ClassReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        payload = {
-            "class": self.class_info,
-            "delta": self.delta,
-            "p_max": self.p_max,
-            "epsilon": self.epsilon,
-            "methods": self.methods,
-            "rows": self.rows,
-            "summaries": self.summaries,
-            "c4": {k: list(v) for k, v in self.c4.items()},
-            "ratios": self.ratios,
-            "invalid": [list(item) for item in self.invalid],
-        }
+        payload = dict(vars(self))  # json writes tuples as lists
+        payload["class"] = payload.pop("class_info")
         return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
@@ -222,7 +211,7 @@ def run_class(
         c1 = criterion_C1(trials, solved)
         c3, lower = criterion_C3(trials, solved, p_max)
         summaries[m] = {
-            "c1": c1,
+            "c1": list(c1),
             "c2": boxes[c1[1] - 1],
             "c3": c3,
             "c3_lower_bound": lower,
@@ -258,7 +247,7 @@ def run_class(
         p_max=p_max,
         epsilon=epsilon,
         rows=rows,
-        summaries={m: dict(s, c1=list(s["c1"])) for m, s in summaries.items()},
+        summaries=summaries,
         c4=c4,
         ratios=ratios,
         invalid=invalid,

@@ -10,8 +10,7 @@ import sys
 from pathlib import Path
 
 from . import bench, problems
-from .optimizer import OptConfig
-from .stopping import StopTarget
+from .stopping import OptConfig, StopTarget
 
 
 class UsageError(Exception):

@@ -11,76 +11,31 @@ points outward along every side of its box.
 
 from __future__ import annotations
 
-import math
-import numbers
-from dataclasses import dataclass
-from typing import Optional
-
 from . import selection
 from .geometry import Partition, Record
 from .stopping import (
+    OptConfig,
     RunReport,
-    StopTarget,
-    _number,
+    RunState,
     check_stop,
     close_report,
     log_history,
     record_trial,
-    target_window,
 )
 
 
-@dataclass
-class OptConfig:
-    """Run parameters shared by the gradient method and the baselines.
-
-    The trial budget ``p_max`` is always enforced; ``target`` and
-    ``diagonal`` (largest diagonal relative to the initial one) are optional
-    additional stop rules.
-    """
-
-    epsilon: float = 1e-4
-    p_max: int = 1_000_000
-    start_vertex: str = "a"
-    target: Optional[StopTarget] = None
-    diagonal: Optional[float] = None
-    keep_trace: bool = False
-
-    def __post_init__(self):
-        if not (_number(self.epsilon) and self.epsilon >= 0.0):
-            raise ValueError(f"epsilon must be a finite nonnegative number, got {self.epsilon!r}")
-        if not (_number(self.p_max, numbers.Integral) and self.p_max >= 1):
-            raise ValueError(f"p_max must be a float-sized integer >= 1, got {self.p_max!r}")
-        if self.start_vertex not in ("a", "b"):
-            raise ValueError("start_vertex must be 'a' or 'b'")
-        if not (self.target is None or isinstance(self.target, StopTarget)):
-            raise ValueError(f"target must be a StopTarget or None, got {self.target!r}")
-        if self.diagonal is not None and not (_number(self.diagonal) and 0 < self.diagonal <= 1):
-            raise ValueError(f"diagonal must be a number in (0, 1], got {self.diagonal!r}")
-        if not isinstance(self.keep_trace, bool):
-            raise ValueError(f"keep_trace must be a bool, got {self.keep_trace!r}")
-
-
-class OptState:
+class OptState(RunState):
     """Full mutable state of one run: partition, record point and box, phase."""
 
     def __init__(self, config: OptConfig, partition: Partition):
-        self.problem = problem = partition.problem
-        self.config = config
-        self.target_window = target_window(config.target, problem.lower, problem.upper)
+        super().__init__(partition.problem, config, "init")
         self.partition = partition
-        self.f_min = math.inf
         # the record at the record point, held by the boxes in record_ids, one
         # of them the record box
         self.x_min: Record = partition.boxes[1][3]
         self.record_ids: set[int] = {1}
         self.record_box = 1
         self.p = 0
-        self.phase = "init"
-        self.stop_reason: Optional[str] = None
-        self.history: list[tuple[int, float, float]] = []
-        self.trace: Optional[list] = [] if config.keep_trace else None
-        self.initial_diag_sq = partition.max_diagonal_sq()
 
     @property
     def trials(self) -> int:
@@ -97,8 +52,8 @@ def initialize(problem, config: OptConfig) -> OptState:
     """
     state = OptState(config, Partition(problem, config.start_vertex))
     record_trial(state, state.x_min[3], state.x_min[0])
-    check_stop(state)
     log_history(state)
+    check_stop(state)
     return state
 
 
@@ -159,7 +114,7 @@ def run(problem, config: OptConfig) -> RunReport:
     state = initialize(problem, config)
     while not state.stop_reason:
         switch = exploration_phase(state)
-        if switch == "local" and not state.stop_reason:
+        if switch == "local":
             record_phase(state)
     part = state.partition
     return close_report(state, "new", part.m, state.x_min[3], part.snapshot_lines)

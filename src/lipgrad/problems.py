@@ -228,18 +228,19 @@ def analytic_suite() -> list[Problem]:
 class ProblemClass:
     """Descriptor of a reproducible class of generated problems.
 
-    ``difficulty`` only picks default knobs; the stored knob values are what
-    define the class. Same descriptor -> identical problems on any platform.
+    The stored knob values are what define the class; ``difficulty`` is only
+    its label. ``problem_class`` picks the knobs of a difficulty. Same
+    descriptor -> identical problems on any platform.
     """
 
     seed: int
     dim: int
-    count: int = 100
-    difficulty: str = "simple"
-    n_minima: int = 10
-    global_radius: float = 0.22
-    radius_range: tuple[float, float] = (0.10, 0.22)
-    value_gap: float = 0.30
+    count: int
+    difficulty: str
+    n_minima: int
+    global_radius: float
+    radius_range: tuple[float, float]
+    value_gap: float
     lower: float = -1.0
     upper: float = 1.0
 

@@ -1,10 +1,8 @@
-"""Trial booking, stop rules, history rows and the run report.
+"""Run parameters, run state, trial booking, stop rules, history and the report.
 
-All three methods share these helpers. A run state passed to them has
-``problem``, ``config`` (an ``OptConfig``), ``target_window`` (from
-``target_window``, made once per run), ``trials``, ``f_min``, ``phase``,
-``stop_reason``, ``history``, ``trace``, ``initial_diag_sq`` and a
-``max_diagonal_sq()`` method.
+All three methods share these. Each keeps its run in a ``RunState``
+subclass, which adds ``trials`` and a ``max_diagonal_sq()`` method; the
+helpers below read and write only those and the fields ``RunState`` sets.
 """
 
 from __future__ import annotations
@@ -40,6 +38,37 @@ class StopTarget:
 
 
 @dataclass
+class OptConfig:
+    """Run parameters shared by the gradient method and the baselines.
+
+    The trial budget ``p_max`` is always enforced; ``target`` and
+    ``diagonal`` (largest diagonal relative to the initial one) are optional
+    additional stop rules.
+    """
+
+    epsilon: float = 1e-4
+    p_max: int = 1_000_000
+    start_vertex: str = "a"
+    target: Optional[StopTarget] = None
+    diagonal: Optional[float] = None
+    keep_trace: bool = False
+
+    def __post_init__(self):
+        if not (_number(self.epsilon) and self.epsilon >= 0.0):
+            raise ValueError(f"epsilon must be a finite nonnegative number, got {self.epsilon!r}")
+        if not (_number(self.p_max, numbers.Integral) and self.p_max >= 1):
+            raise ValueError(f"p_max must be a float-sized integer >= 1, got {self.p_max!r}")
+        if self.start_vertex not in ("a", "b"):
+            raise ValueError("start_vertex must be 'a' or 'b'")
+        if not (self.target is None or isinstance(self.target, StopTarget)):
+            raise ValueError(f"target must be a StopTarget or None, got {self.target!r}")
+        if self.diagonal is not None and not (_number(self.diagonal) and 0 < self.diagonal <= 1):
+            raise ValueError(f"diagonal must be a number in (0, 1], got {self.diagonal!r}")
+        if not isinstance(self.keep_trace, bool):
+            raise ValueError(f"keep_trace must be a bool, got {self.keep_trace!r}")
+
+
+@dataclass
 class RunReport:
     """Outcome of one run under the common stop rules."""
 
@@ -69,6 +98,24 @@ def target_window(target: Optional[StopTarget], lower, upper):
                          f"finite numbers, got {x_star!r}")
     tol = target.delta ** (1.0 / len(x_star))
     return tuple((si, tol * (hi - lo)) for si, lo, hi in zip(x_star, lower, upper))
+
+
+class RunState:
+    """What every method's run keeps: record value, phase, stop reason, history, trace.
+
+    A history row is ``(trials, f_min, largest squared diagonal)``; the first
+    one holds the initial diagonal, which the diagonal rule compares against.
+    """
+
+    def __init__(self, problem, config: OptConfig, phase: str):
+        self.problem = problem
+        self.config = config
+        self.target_window = target_window(config.target, problem.lower, problem.upper)
+        self.f_min = math.inf
+        self.phase = phase
+        self.stop_reason: Optional[str] = None
+        self.history: list[tuple[int, float, float]] = []
+        self.trace: Optional[list] = [] if config.keep_trace else None
 
 
 def _in_window(x, window) -> bool:
@@ -108,7 +155,7 @@ def check_stop(state) -> None:
     if state.trials >= state.config.p_max:
         state.stop_reason = REASON_BUDGET
     elif state.config.diagonal is not None:
-        rel = math.sqrt(state.max_diagonal_sq() / state.initial_diag_sq)
+        rel = math.sqrt(state.max_diagonal_sq() / state.history[0][2])
         if rel <= state.config.diagonal:
             state.stop_reason = REASON_DIAGONAL
 

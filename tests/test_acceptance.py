@@ -13,9 +13,8 @@ import numpy as np
 from lipgrad import baselines, bench, optimizer, problems, selection
 from lipgrad.bounding import characterize
 from lipgrad.geometry import Partition, pow3
-from lipgrad.optimizer import OptConfig
 from lipgrad.problems import analytic_suite, generate, problem_class
-from lipgrad.stopping import StopTarget
+from lipgrad.stopping import OptConfig, StopTarget
 from util import (
     box_ids,
     diagonal_sq,

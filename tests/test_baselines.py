@@ -8,9 +8,8 @@ import pytest
 from lipgrad import baselines, selection
 from lipgrad.baselines import _CenterState, direct_run, directl_run
 from lipgrad.geometry import heap_min_entries
-from lipgrad.optimizer import OptConfig
 from lipgrad.problems import generate, problem_class, quadratic
-from lipgrad.stopping import StopTarget, check_stop
+from lipgrad.stopping import OptConfig, StopTarget, check_stop
 from util import CenterBox, Dot, add_left_to_right, wavy_problem, with_audit
 
 

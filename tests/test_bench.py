@@ -21,10 +21,10 @@ from lipgrad.bench import (
     run_method,
     write_trace,
 )
-from lipgrad.optimizer import OptConfig, run
+from lipgrad.optimizer import run
 from lipgrad.problems import generate, problem_class, quadratic, write_manifest
 from lipgrad.selection import hull_snapshot_lines, nondominated
-from lipgrad.stopping import StopTarget, record_trial, target_window
+from lipgrad.stopping import OptConfig, StopTarget, record_trial, target_window
 from util import Dot, target_reached, wavy_problem, with_audit
 
 

@@ -6,6 +6,7 @@ its first trial. The run must stop with an EvaluationError that names the
 problem and carries the first bad point.
 """
 
+import hashlib
 import math
 import re
 from fractions import Fraction
@@ -15,8 +16,9 @@ import pytest
 
 from lipgrad import EvaluationError, bench, cli, problems
 from lipgrad.baselines import direct_run, directl_run
-from lipgrad.optimizer import OptConfig, run
+from lipgrad.optimizer import run
 from lipgrad.problems import Problem, problem_class
+from lipgrad.stopping import OptConfig
 
 METHODS = [run, direct_run, directl_run]
 
@@ -178,6 +180,9 @@ def test_run_class_marks_a_failing_problem_invalid(monkeypatch):
     assert f"warning: problem 2 invalid, excluded: {row['error']}" in report.to_text()
     rows_2 = [line for line in report.to_csv().splitlines() if line.startswith("2,")]
     assert rows_2 == [f"2,{m},,,,0" for m in methods]
+    # report.json with an invalid row, byte for byte
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == "62c1a4672e939992f0f28e41e90903ef962264963c09773d10e0950db98d4694"
 
 
 def test_a_class_without_a_valid_problem_names_the_first_failure(capsys):

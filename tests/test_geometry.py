@@ -19,8 +19,9 @@ from lipgrad.geometry import (
     third_points,
     vertex_real,
 )
-from lipgrad.optimizer import OptConfig, run
+from lipgrad.optimizer import run
 from lipgrad.problems import Problem, generate, problem_class, quadratic
+from lipgrad.stopping import OptConfig
 from util import (
     Box,
     add_left_to_right,

@@ -7,7 +7,6 @@ import pytest
 
 from lipgrad import baselines, optimizer
 from lipgrad.optimizer import (
-    OptConfig,
     exploration_iteration,
     gradient_aligned,
     initialize,
@@ -18,7 +17,7 @@ from lipgrad.optimizer import (
 )
 from lipgrad.geometry import vertex_real
 from lipgrad.problems import Problem, generate, problem_class, quadratic
-from lipgrad.stopping import StopTarget, record_trial, target_window
+from lipgrad.stopping import OptConfig, StopTarget, record_trial, target_window
 from util import Box, flat_problem, make_vertex, wavy_problem, with_audit
 
 
@@ -261,6 +260,15 @@ def test_run_diagonal_stop_rule():
         assert (report.stop_reason, report.trials) == ("diagonal", trials)
         rel = math.sqrt(report.history[-1][2] / report.history[0][2])
         assert rel <= 0.2
+
+
+def test_diagonal_one_stops_every_method_after_its_first_trial():
+    # the first history row is the initial diagonal, logged before the
+    # first stop check
+    for method in (run, baselines.direct_run, baselines.directl_run):
+        report = method(wavy_problem(2), OptConfig(diagonal=1))
+        assert (report.stop_reason, report.trials) == ("diagonal", 1)
+        assert report.history == [(1, report.f_min, report.history[0][2])]
 
 
 def test_run_is_deterministic():

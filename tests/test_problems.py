@@ -113,8 +113,7 @@ def test_generated_3d_certificate_by_random_sampling():
 
 def test_every_method_solves_the_1d_quadratic():
     from lipgrad import baselines, optimizer
-    from lipgrad.optimizer import OptConfig
-    from lipgrad.stopping import StopTarget
+    from lipgrad.stopping import OptConfig, StopTarget
 
     p = quadratic([0.0], lower=[-1.0], upper=[1.0], name="quad1d")
     cfg = OptConfig(target=StopTarget(p.known_opt[0], 1e-6), p_max=100_000)
@@ -297,6 +296,13 @@ def test_problem_class_rejects_knobs_of_the_wrong_type_or_range():
         with pytest.raises(ValueError, match=knob):
             dataclasses.replace(good, **{knob: value})
     assert dataclasses.replace(good, n_minima=1, value_gap=0.0).n_minima == 1
+
+
+def test_problem_class_takes_every_knob():
+    # a "hard" label with simple knobs would be another class under that name;
+    # problem_class is where a difficulty picks its knobs
+    with pytest.raises(TypeError):
+        problems.ProblemClass(seed=0, dim=2, difficulty="hard")
 
 
 def test_manifest_round_trip(tmp_path):

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from lipgrad import EvaluationError
 from lipgrad.baselines import direct_run, directl_run
-from lipgrad.optimizer import OptConfig, run
+from lipgrad.optimizer import run
 from lipgrad.problems import Problem, quadratic
-from lipgrad.stopping import StopTarget
+from lipgrad.stopping import OptConfig, StopTarget
 
 METHODS = [run, direct_run, directl_run]
 QUAD2D = quadratic([0.3, 0.7], name="quad2d")
