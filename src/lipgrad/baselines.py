@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 
 from . import selection
-from .geometry import Group, fraction_str, grid_fraction, heap_min_entries, pow3
+from .geometry import Group, fraction_str, grid_fraction, heap_min_entries, heap_top, pow3
 from .stopping import (
     REASON_BUDGET,
     OptConfig,
@@ -105,13 +105,14 @@ class _CenterState(RunState):
         for key, group in self.groups.items():
             if not group.n:
                 continue
+            if self.locally_biased:  # the least (f_center, id) is the heap top
+                top = heap_top(group.heap, self.boxes)
+                if key[0] not in levels or top < levels[key[0]]:
+                    levels[key[0]] = top
+                continue
             entries = group.mins
             if entries is None:
                 entries = group.mins = heap_min_entries(group.heap, self.boxes)
-            if self.locally_biased:
-                if key[0] not in levels or entries[0] < levels[key[0]]:
-                    levels[key[0]] = entries[0]
-                continue
             d, s = group.d, sum(key)
             for box in entries:
                 dots.append((box[1], d, box[0], s))

@@ -7,7 +7,9 @@ and gradient is therefore computed at most once per distinct vertex.
 
 Boxes carry an oriented main diagonal (a, b): ``a`` is the trial vertex,
 held as its record in the database, and the coordinates of ``b`` need not be
-larger than those of ``a``.
+larger than those of ``a``. Every box of a group has the same side on each
+axis, so a box keeps ``b`` as one orientation int on its group's grid plus
+its real point.
 """
 
 from __future__ import annotations
@@ -57,19 +59,6 @@ def grid_fraction(num: int, depth: int) -> GridFraction:
     return (num, depth)
 
 
-def third_points(p: GridFraction, q: GridFraction) -> tuple[GridFraction, GridFraction]:
-    """The two interior points splitting [p, q] in thirds.
-
-    Returns ((p + 2q)/3, (2p + q)/3): the first lies two thirds of the way
-    from p to q, the second one third of the way.
-    """
-    (pn, pd), (qn, qd) = p, q
-    m = max(pd, qd)
-    pn *= pow3(m - pd)
-    qn *= pow3(m - qd)
-    return grid_fraction(pn + 2 * qn, m + 1), grid_fraction(2 * pn + qn, m + 1)
-
-
 def vertex_real(v: GridVertex, lower, edge) -> tuple[float, ...]:
     """Real coordinates of a grid point on the domain ``lower + [0, edge]``."""
     return tuple(
@@ -91,18 +80,16 @@ def half_diag_sq(a_real, b_real) -> float:
     return 0.5 * total
 
 
-def corner_vertex(dim: int, upper: bool) -> GridVertex:
-    return grid_fraction(1 if upper else 0, 0) * dim
-
-
 # A vertex's record is the plain tuple (f_value, gradient, vertex, point) and
-# a box the plain tuple (F, id, s, rec, b, b_real, d): ``rec`` is the record
-# of the trial vertex a, the very object the vertex database holds, ``F`` the
-# bound set when the partition makes the box and ``d`` half the squared real
-# diagonal. Every item is an int, a float or a tuple of them, so a collection
-# untracks each record and box and later ones skip them; they hold no cycles.
+# a box the plain tuple (F, id, s, rec, orient, b_real, d): ``rec`` is the
+# record of the trial vertex a, the very object the vertex database holds,
+# ``F`` the bound set when the partition makes the box and ``d`` half the
+# squared real diagonal. Bit j of ``orient`` is set when the opposite corner b
+# lies below a on axis j, and ``b_real`` is b's real point. Every item is an
+# int, a float or a tuple of them, so a collection untracks each record and
+# box and later ones skip them; they hold no cycles.
 Record = tuple[float, tuple[float, ...], GridVertex, tuple[float, ...]]
-BoxTuple = tuple[float, int, int, Record, GridVertex, tuple[float, ...], float]
+BoxTuple = tuple[float, int, int, Record, int, tuple[float, ...], float]
 
 
 def heap_min_entries(heap: list, boxes: list) -> list:
@@ -124,6 +111,14 @@ def heap_min_entries(heap: list, boxes: list) -> list:
     for entry in out:
         heapq.heappush(heap, entry)
     return out
+
+
+def heap_top(heap: list, boxes: list) -> tuple:
+    """The least live box ``(key, id, ...)`` of a lazy-deletion heap with a
+    live entry; the dead entries above it are discarded."""
+    while boxes[heap[0][1]] is not heap[0]:
+        heapq.heappop(heap)
+    return heap[0]
 
 
 @dataclass(slots=True, eq=False)
@@ -170,18 +165,22 @@ class Partition:
         self.boxes: list[BoxTuple | None] = [None]
         # group s holds the boxes split s times; none is ever deleted
         self.groups: list[Group] = []
-        # real side lengths of the next group to get a split axis
-        self._sides = [Fraction(e) for e in self.edge]
+        # depths[s][j]: the splits of axis j in a box of group s, whose side
+        # there is edge[j] / 3**depths[s][j]; both tables grow in split_axis
+        dim = len(self.lower)
+        self.depths: list[tuple[int, ...]] = [(0,) * dim]
         self._split_axes: list[int] = []
         self.q_inf = 0
 
-        dim = len(self.lower)
         if start_vertex not in ("a", "b"):
             raise ValueError("start_vertex must be 'a' or 'b'")
-        va, vb = corner_vertex(dim, start_vertex == "b"), corner_vertex(dim, start_vertex == "a")
+        va, vb, orient = (0, 0) * dim, (1, 0) * dim, 0  # the corners 0 and 1
+        if start_vertex == "b":
+            va, vb, orient = vb, va, (1 << dim) - 1
         a_real = vertex_real(va, self.lower, self.edge)
         b_real = vertex_real(vb, self.lower, self.edge)
-        self._add_box(1, 0, self.get_or_eval(va, a_real), vb, b_real, half_diag_sq(a_real, b_real))
+        self._add_box(1, 0, self.get_or_eval(va, a_real), orient, b_real,
+                      half_diag_sq(a_real, b_real))
 
     @property
     def q_0(self) -> int:
@@ -219,17 +218,18 @@ class Partition:
         or None if it was reused.
         """
         box = self.boxes[t]
-        _, _, s, a_rec, b, b_real, _ = box
+        _, _, s, a_rec, orient, b_real, _ = box
         _, _, a, a_real = a_rec
         i = self.split_axis(s)
+        k = self.depths[s + 1][i]  # the children's depth on axis i
         j = 2 * i  # axis i's (num, depth) in a grid point
-        u_f, v_f = third_points(a[j:j + 2], b[j:j + 2])
-        u = a[:j] + u_f + a[j + 2:]
-        v = b[:j] + v_f + b[j + 2:]
+        an = a[j] * pow3(k - a[j + 1])  # a multiple of 3: a is on the parent's grid
+        step = -1 if orient >> i & 1 else 1  # toward b, so u = a + 2/3 (b - a) is normalized
+        # and the children's new b is a + 1/3 (b - a); int / int rounds as vertex_real does
+        u = a[:j] + (an + 2 * step, k) + a[j + 2:]
         lo_i, ed_i = self.lower[i], self.edge[i]
-        # the same expression as vertex_real, on the split axis only
-        u_real = a_real[:i] + (lo_i + u_f[0] / pow3(u_f[1]) * ed_i,) + a_real[i + 1:]
-        v_real = b_real[:i] + (lo_i + v_f[0] / pow3(v_f[1]) * ed_i,) + b_real[i + 1:]
+        u_real = a_real[:i] + (lo_i + (an + 2 * step) / pow3(k) * ed_i,) + a_real[i + 1:]
+        v_real = b_real[:i] + (lo_i + (an + step) / pow3(k) * ed_i,) + b_real[i + 1:]
 
         before = len(self.vertex_db)
         rec = self.get_or_eval(u, u_real)
@@ -240,9 +240,9 @@ class Partition:
         m = len(self.boxes) - 1
         # children share side lengths, hence one d for all three
         d = half_diag_sq(u_real, v_real)
-        middle = self._add_box(t, s, rec, v, v_real, d)
-        low = self._add_box(m + 1, s, a_rec, v, v_real, d)
-        high = self._add_box(m + 2, s, rec, b, b_real, d)
+        middle = self._add_box(t, s, rec, orient ^ (1 << i), v_real, d)
+        low = self._add_box(m + 1, s, a_rec, orient, v_real, d)
+        high = self._add_box(m + 2, s, rec, orient, b_real, d)
 
         while not self.groups[self.q_inf].n:
             self.q_inf += 1
@@ -253,14 +253,15 @@ class Partition:
 
         Each box of group s has been split s times, always along its longest
         real side (lowest axis on ties), so all of them share one side vector
-        and one split axis. The table grows once per new group, comparing
+        and one split axis. The tables grow once per new group, comparing
         exact side lengths.
         """
-        axes, sides = self._split_axes, self._sides
+        axes, depths, edge = self._split_axes, self.depths, self.edge
         while len(axes) <= s:
-            i = max(range(len(sides)), key=sides.__getitem__)
+            k = depths[-1]
+            i = max(range(len(k)), key=lambda j: Fraction(edge[j]) / pow3(k[j]))
             axes.append(i)
-            sides[i] /= 3
+            depths.append(k[:i] + (k[i] + 1,) + k[i + 1:])
         return axes[s]
 
     def group_min_entries(self, s: int) -> list[BoxTuple]:
@@ -284,19 +285,25 @@ class Partition:
         """
         return 2.0 * self.groups[self.q_inf].d
 
+    def b_corner(self, box: BoxTuple) -> GridVertex:
+        """The grid point of a box's corner b: one side of its group's grid
+        from a on every axis, downward where ``orient`` has the axis's bit."""
+        _, _, s, rec, orient, *_ = box
+        a, b = rec[2], ()
+        for j, k in enumerate(self.depths[s]):
+            step = -1 if orient >> j & 1 else 1
+            b += grid_fraction(a[2 * j] * pow3(k - a[2 * j + 1]) + step, k)
+        return b
+
     def snapshot_lines(self) -> list[str]:
         """One line per box: id, s, a-coords, b-coords as exact fractions."""
-        return [
-            f"{box_id} {s} {vertex_str(rec[2])} {vertex_str(b)}"
-            for _, box_id, s, rec, b, *_ in self.boxes[1:]
-        ]
+        return [f"{box[1]} {box[2]} {vertex_str(box[3][2])} {vertex_str(self.b_corner(box))}"
+                for box in self.boxes[1:]]
 
-    def _add_box(
-        self, box_id: int, s: int, rec: Record, b: GridVertex,
-        b_real: tuple[float, ...], d: float,
-    ) -> BoxTuple:
+    def _add_box(self, box_id: int, s: int, rec: Record, orient: int,
+                 b_real: tuple[float, ...], d: float) -> BoxTuple:
         """Make and index a box with its bound F from ``rec``, the record at its trial vertex."""
-        box = (bounding.characterize(rec, rec[3], b_real), box_id, s, rec, b, b_real, d)
+        box = (bounding.characterize(rec, rec[3], b_real), box_id, s, rec, orient, b_real, d)
         if s == len(self.groups):  # the group's first box
             self.groups.append(Group(d))
         self.groups[s].add(box)

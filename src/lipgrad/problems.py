@@ -61,6 +61,9 @@ class Problem:
     known_K: Optional[float] = None
 
     def __post_init__(self):
+        if not (isinstance(self.dim, numbers.Integral) and not isinstance(self.dim, bool)
+                and self.dim >= 1):
+            raise ValueError(f"{self.name}: dim must be an integer >= 1, got {self.dim!r}")
         if len(self.lower) != self.dim or len(self.upper) != self.dim:
             raise ValueError(
                 f"{self.name}: bounds have {len(self.lower)} and {len(self.upper)} "

@@ -75,17 +75,17 @@ def test_criterion_02_trisection_exactness():
         for _ in range(length):
             candidates = [box_id for _, box_id, s, *_ in part.boxes[1:] if s < 30]
             box_id = candidates[rng.integers(len(candidates))]  # as rng.choice draws
-            parent_num, parent_e = volume(part.boxes[box_id])
+            parent_num, parent_e = volume(part, part.boxes[box_id])
             children = part.trisect(box_id)[:3]
             for child in children:
-                num, e = volume(child)  # num / 3^e == parent / 3
+                num, e = volume(part, child)  # num / 3^e == parent / 3
                 assert num * pow3(parent_e + 1) == parent_num * pow3(e)
         by_group: dict[int, list[float]] = {}
         for box in part.boxes[1:]:
             by_group.setdefault(box[2], []).append(diagonal_sq(box))  # box[2] is s
         for diags in by_group.values():
             assert max(diags) - min(diags) <= 1e-12
-        volumes = [volume(b) for b in part.boxes[1:]]
+        volumes = [volume(part, b) for b in part.boxes[1:]]
         top = max(e for _, e in volumes)  # the volumes add up to 1 = 3^top / 3^top
         assert sum(num * pow3(top - e) for num, e in volumes) == pow3(top)
     _report(2, f"{sequences} random subdivision sequences, volumes exact")

@@ -140,7 +140,7 @@ def characterize_with_min(box, r):
 
 def test_characterize_matches_the_min_sum_bit_for_bit():
     def box_at(a_real, b_real):
-        return Box(math.nan, 1, 0, (math.nan, (), (), tuple(map(float, a_real))), (),
+        return Box(math.nan, 1, 0, (math.nan, (), (), tuple(map(float, a_real))), 0,
                    tuple(map(float, b_real)), 0.0)
 
     cases = [

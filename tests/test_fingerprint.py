@@ -41,8 +41,29 @@ HARD_2D_TRACE = {
                   "fc056abd7a9386bad711964f57491aa3e5467cbf396ac7d49338ad69f4368c98"),
 }
 
+# the gradient method from start b, hard 2-D problem 1, traced: fingerprint,
+# then sha256 of repr(trace) and repr(snapshot). Start b sets every bit of
+# the first box's orientation
+HARD_2D_RUN_START_B = (
+    (94, 283, "-0.964535046753804", "target_found",
+     "a7e966066867e1f78f4f852914efe68403b88926465383980e25f6290f022f5c"),
+    "26d0052fccc6c202aa881888be523b34d99ce80ca1c72f5cc8b561e2b7fd1715",
+    "a1d6135aec27a26957d710d8d55b4fa16633deb6e0948462f233ca6300c625c0",
+)
+
 SIMPLE_4D_BUDGET = (1000, 8483, "-0.8612897978931464", "budget",
                     "4947c869beca62283bf085f6a8a4d324110fdbec109fca4dc8836f24b35ae90b")
+
+# the gradient method on the same 4-D problem, traced, from each start vertex
+SIMPLE_4D_RUN_TRACED = {
+    "a": (SIMPLE_4D_BUDGET,
+          "a997b927cd8fba978e04187f57bf4a56c5b96f821fc50ff57c0a5a6630c90ca9",
+          "f80c282bb9285c59ae34a3b91f9958eed7641849b480dbb1d426cf8b5bcb50e1"),
+    "b": ((1000, 8193, "-0.19777833430045555", "budget",
+           "36e7c5a1cdc6c4eec8568710729e9429411d3df99602c30b14f7e08d6b0fba9d"),
+          "e08a212c019d680b601164a323b8a92913730b1eb518faf008eb07d25f378b9f",
+          "f40c945717e741f190c792351ed7cf6f62c8d5af43ebb8f8b452e9b794cbfda7"),
+}
 
 # DIRECT and DIRECT-l on the same 4-D problem to a 2k-trial budget, traced:
 # fingerprint, then sha256 of repr(trace) and repr(snapshot). In 4-D one
@@ -72,11 +93,15 @@ def fingerprint(report):
             sha256_repr(report.history))
 
 
-def hard_2d_problem_and_config(keep_trace=False):
+def hard_2d_problem_and_config(keep_trace=False, start_vertex="a"):
     prob = generate(problem_class(2, "hard", seed=0, count=20), 1)
     cfg = OptConfig(target=StopTarget(prob.known_opt[0], 1e-4), p_max=100_000,
-                    keep_trace=keep_trace)
+                    keep_trace=keep_trace, start_vertex=start_vertex)
     return prob, cfg
+
+
+def traced_pin(report):
+    return fingerprint(report), sha256_repr(report.trace), sha256_repr(report.snapshot)
 
 
 @pytest.mark.parametrize("method", list(HARD_2D), ids=lambda m: m.__name__)
@@ -95,9 +120,21 @@ def test_hard_2d_traced_runs_match_pinned_trace_and_snapshot(method):
     assert (sha256_repr(report.trace), sha256_repr(report.snapshot)) == HARD_2D_TRACE[method]
 
 
+def test_hard_2d_start_b_traced_run_matches_pinned_trace_and_snapshot():
+    prob, cfg = hard_2d_problem_and_config(keep_trace=True, start_vertex="b")
+    assert traced_pin(run(prob, cfg)) == HARD_2D_RUN_START_B
+
+
 def test_simple_4d_budget_run_matches_pinned_fingerprint():
     prob = generate(problem_class(4, "simple", seed=11, count=20), 1)
     assert fingerprint(run(prob, OptConfig(p_max=1000))) == SIMPLE_4D_BUDGET
+
+
+@pytest.mark.parametrize("start", list(SIMPLE_4D_RUN_TRACED))
+def test_simple_4d_traced_run_matches_pinned_trace_and_snapshot(start):
+    prob = generate(problem_class(4, "simple", seed=11, count=20), 1)
+    report = run(prob, OptConfig(p_max=1000, keep_trace=True, start_vertex=start))
+    assert traced_pin(report) == SIMPLE_4D_RUN_TRACED[start]
 
 
 @pytest.mark.parametrize("method", list(SIMPLE_4D_BASELINES), ids=lambda m: m.__name__)

@@ -15,8 +15,8 @@ from lipgrad.geometry import (
     Partition,
     grid_fraction,
     heap_min_entries,
+    heap_top,
     pow3,
-    third_points,
     vertex_real,
 )
 from lipgrad.optimizer import run
@@ -71,19 +71,14 @@ def test_grid_fraction_equality_matches_value():
         assert (p == q) == (as_fraction(p) == as_fraction(q))
 
 
-def test_third_points_unit_interval():
-    u, v = third_points(grid_fraction(0, 0), grid_fraction(1, 0))
-    assert u == grid_fraction(2, 1) and v == grid_fraction(1, 1)
-    # reversed orientation swaps the roles
-    u, v = third_points(grid_fraction(1, 0), grid_fraction(0, 0))
-    assert u == grid_fraction(1, 1) and v == grid_fraction(2, 1)
-
-
 def test_unit_square_measures():
-    box = make_box(make_vertex(0, 0), make_vertex(1, 1))
-    num, e = volume(box)
+    part = Partition(flat_problem(2))
+    box = part.boxes[1]
+    assert part.b_corner(box) == make_vertex(1, 1)
+    num, e = volume(part, box)
     assert num == pow3(e)
     assert diagonal_sq(box) == 2.0
+    assert diagonal_sq(make_box(make_vertex(0, 0), make_vertex(1, 1))) == 2.0
 
 
 def test_longest_side_tie_breaks_to_first_axis():
@@ -107,7 +102,7 @@ def test_longest_side_reversed_diagonal_tie():
     part = Partition(prob, start_vertex="b")
     assert part.split_axis(0) == 0
     middle, _, _, _ = trisect_views(part, 1)
-    assert middle.a == make_vertex((1, 1), 1) and middle.b == make_vertex((2, 1), 0)
+    assert middle.a == make_vertex((1, 1), 1) and part.b_corner(middle) == make_vertex((2, 1), 0)
     assert part.split_axis(1) == 1
 
 
@@ -132,9 +127,10 @@ def test_split_axis_matches_longest_side_of_random_trisections():
             part = Partition(prob, start_vertex=start)
             for _ in range(60):
                 box = Box._make(part.boxes[int(rng.choice(box_ids(part)))])
+                b = part.b_corner(box)
                 sides = [
                     abs(as_fraction(pb) - as_fraction(pa)) * Fraction(e)
-                    for pa, pb, e in zip(vertex_fractions(box.a), vertex_fractions(box.b), edges)
+                    for pa, pb, e in zip(vertex_fractions(box.a), vertex_fractions(b), edges)
                 ]
                 longest = sides.index(max(sides))
                 assert part.split_axis(box.s) == longest
@@ -148,12 +144,13 @@ def test_split_axis_matches_longest_side_of_random_trisections():
 def test_trisect_unit_square():
     part = Partition(flat_problem(2))
     middle, low, high, new_rec = trisect_views(part, 1)
-    assert middle.a == make_vertex((2, 1), 0) and middle.b == make_vertex((1, 1), 1)
-    assert low.a == make_vertex(0, 0) and low.b == make_vertex((1, 1), 1)
-    assert high.a == make_vertex((2, 1), 0) and high.b == make_vertex(1, 1)
+    b = part.b_corner
+    assert middle.a == make_vertex((2, 1), 0) and b(middle) == make_vertex((1, 1), 1)
+    assert low.a == make_vertex(0, 0) and b(low) == make_vertex((1, 1), 1)
+    assert high.a == make_vertex((2, 1), 0) and b(high) == make_vertex(1, 1)
     assert new_rec is not None
     for child in (middle, low, high):
-        num, e = volume(child)
+        num, e = volume(part, child)
         assert 3 * num == pow3(e)
         assert child.s == 1
         assert math.isclose(diagonal_sq(child), 10.0 / 9.0)
@@ -164,9 +161,10 @@ def test_trisect_one_dimensional():
     prob = flat_problem(1)
     part = Partition(prob)
     middle, low, high, _ = trisect_views(part, 1)
-    assert middle.a == make_vertex((2, 1)) and middle.b == make_vertex((1, 1))
-    assert low.a == make_vertex(0) and low.b == make_vertex((1, 1))
-    assert high.a == make_vertex((2, 1)) and high.b == make_vertex(1)
+    b = part.b_corner
+    assert middle.a == make_vertex((2, 1)) and b(middle) == make_vertex((1, 1))
+    assert low.a == make_vertex(0) and b(low) == make_vertex((1, 1))
+    assert high.a == make_vertex((2, 1)) and b(high) == make_vertex(1)
 
 
 def test_trisect_reversed_diagonal():
@@ -175,11 +173,42 @@ def test_trisect_reversed_diagonal():
     part = Partition(prob)
     part.groups[0].discard(part.boxes[1])
     box = make_box(make_vertex(1, 0), make_vertex(0, 1))
-    part._add_box(box.id, box.s, part.get_or_eval(box.a, box.a_real), box.b, box.b_real, box.d)
+    assert box.orient == 0b01  # b below a on axis 0 only
+    part._add_box(box.id, box.s, part.get_or_eval(box.a, box.a_real), box.orient, box.b_real,
+                  box.d)
     middle, low, high, _ = trisect_views(part, 1)
-    assert middle.a == make_vertex((1, 1), 0) and middle.b == make_vertex((2, 1), 1)
-    assert low.a == make_vertex(1, 0) and low.b == make_vertex((2, 1), 1)
-    assert high.a == make_vertex((1, 1), 0) and high.b == make_vertex(0, 1)
+    b = part.b_corner
+    assert middle.a == make_vertex((1, 1), 0) and b(middle) == make_vertex((2, 1), 1)
+    assert low.a == make_vertex(1, 0) and b(low) == make_vertex((2, 1), 1)
+    assert high.a == make_vertex((1, 1), 0) and b(high) == make_vertex(0, 1)
+
+
+@pytest.mark.parametrize("start", ["a", "b"])
+def test_b_corner_is_the_exact_third_point_of_each_split(start):
+    # shadow both corners of every box as exact fractions, splitting [a, b]
+    # in thirds on the split axis: b_corner must give b, normalized, and
+    # b_real must be its real point bit for bit
+    rng = np.random.default_rng(14)
+    for edges in ((1.0,), (1.0, 3.0), (0.7, 1.1, 0.4), (2.0, 1.0, 1.0, 0.5)):
+        part = Partition(domain_problem(edges), start_vertex=start)
+        one, zero = [Fraction(1)] * len(edges), [Fraction(0)] * len(edges)
+        corners = {1: (one, zero) if start == "b" else (zero, one)}
+        for _ in range(80):
+            t = int(rng.choice(box_ids(part)))
+            i, (a, b) = part.split_axis(part.boxes[t][2]), corners[t]
+            u, v = list(a), list(b)
+            u[i], v[i] = a[i] + 2 * (b[i] - a[i]) / 3, a[i] + (b[i] - a[i]) / 3
+            m = part.m
+            part.trisect(t)
+            corners.update({t: (u, v), m + 1: (a, v), m + 2: (u, b)})
+            for box in live_boxes(part):
+                a, b = corners[box.id]
+                corner = part.b_corner(box)
+                assert [as_fraction(p) for p in vertex_fractions(box.a)] == a
+                assert [as_fraction(p) for p in vertex_fractions(corner)] == b
+                assert all(grid_fraction(*p) == p for p in vertex_fractions(corner))
+                real = vertex_real(corner, part.lower, part.edge)
+                assert list(map(float.hex, box.b_real)) == list(map(float.hex, real))
 
 
 def test_trisect_children_carry_their_bound():
@@ -217,6 +246,9 @@ def test_cached_group_minima_match_a_fresh_heap_scan(dim, make):
             expected = [e for e in entries if e[0] == entries[0][0]]
             assert part.group_min_entries(s) == expected, s
             assert heap_min_entries(list(group.heap), part.boxes) == expected, s
+            if expected:
+                top = heap_top(list(group.heap), part.boxes)
+                assert top == expected[0] and part.boxes[top[1]] is top, s
         largest = max(2.0 * box.d for box in live_boxes(part))
         assert part.max_diagonal_sq() == pytest.approx(largest, rel=1e-12, abs=0.0)
 
@@ -276,7 +308,7 @@ def test_volume_conservation_random_runs():
         for _ in range(60):
             box_id = int(rng.choice(box_ids(part)))
             part.trisect(box_id)
-        volumes = [volume(b) for b in live_boxes(part)]
+        volumes = [volume(part, b) for b in live_boxes(part)]
         top = max(e for _, e in volumes)
         assert sum(num * pow3(top - e) for num, e in volumes) == pow3(top)
 
@@ -365,7 +397,8 @@ def test_start_vertex_b_mirrors_scheme():
     part = Partition(prob, start_vertex="b")
     assert list(part.vertex_db) == [make_vertex(1, 1)]  # the only trial
     assert Box._make(part.boxes[1]).a == make_vertex(1, 1)
-    assert Box._make(part.boxes[1]).b == make_vertex(0, 0)
+    assert Box._make(part.boxes[1]).orient == 0b11  # b lies below a on every axis
+    assert part.b_corner(part.boxes[1]) == make_vertex(0, 0)
 
 
 def test_vertex_real_coordinates_scale_to_domain():
@@ -426,8 +459,8 @@ def test_partition_geometry_is_not_tracked_by_the_collector(monkeypatch, dim, di
     gc.collect()
     walked = tracked_reachable(part, outside=prob)
     assert len(walked) <= 20 + 5 * len(part.groups), Counter(type(o).__name__ for o in walked)
-    # a box, its b corner and b_real; the record and its tuples per vertex
-    per_box = [t for box in part.boxes[1:] for t in (box, *box[4:6])]
+    # a box and b_real; the record and its tuples per vertex
+    per_box = [t for box in part.boxes[1:] for t in (box, box[5])]
     per_vertex = [t for v, rec in part.vertex_db.items() for t in (v, rec, rec[1], rec[3])]
     assert part.m > 3 * p_max and len(per_vertex) == 4 * p_max
     tracked = {id(o) for o in gc.get_objects()}
@@ -502,11 +535,12 @@ def test_box_ids_stay_dense_and_minima_live(monkeypatch, dim, make):
     assert report.boxes == part.m and len(returned) > 200
 
 
-def test_partition_holds_at_most_420_bytes_per_box(monkeypatch):
+def test_partition_holds_at_most_350_bytes_per_box(monkeypatch):
     # what tracemalloc still counts when run returns, with the partition kept
-    # alive (the method of ROADMAP's memory table): 367 B per box here under
-    # CPython 3.11, where a dict of boxes with per-group id sets and (F, id)
-    # heap tuples held 592 B; the bound leaves 15% for other interpreters
+    # alive (the method of ROADMAP's memory table): 306 B per box here
+    # under CPython 3.11, where a grid tuple for corner b held 358 B and a
+    # dict of boxes with per-group id sets and (F, id) heap tuples 592 B;
+    # the bound leaves 14% for other interpreters
     prob = generate(problem_class(4, "simple", seed=11, count=1), 1)
     gc.collect()
     tracemalloc.start()
@@ -518,4 +552,4 @@ def test_partition_holds_at_most_420_bytes_per_box(monkeypatch):
     finally:
         tracemalloc.stop()
     assert report.boxes == part.m == 8483
-    assert held / report.boxes <= 420, held / report.boxes
+    assert held / report.boxes <= 350, held / report.boxes

@@ -105,11 +105,11 @@ def test_record_box_tie_resolution_rule():
     v, w = make_vertex(0, 0), make_vertex(1, 1)
     rv, rw = (0.0, (), v, ()), (1.0, (), w, ())  # the records at v and w
     boxes = {box.id: tuple(box) for box in (
-        Box(2.0, 1, 3, rv, w, (), 1.0),
-        Box(2.0, 2, 4, rv, w, (), 0.5),
-        Box(5.0, 3, 3, rv, w, (), 1.0),
-        Box(-1.0, 4, 2, rw, v, (), 4.0),
-        Box(2.0, 5, 3, rv, w, (), 1.0),
+        Box(2.0, 1, 3, rv, 0, (), 1.0),
+        Box(2.0, 2, 4, rv, 0, (), 0.5),
+        Box(5.0, 3, 3, rv, 0, (), 1.0),
+        Box(-1.0, 4, 2, rw, 0b11, (), 4.0),
+        Box(2.0, 5, 3, rv, 0, (), 1.0),
     )}
     at_x_min = {i for i, box in boxes.items() if Box._make(box).a == v}
     state = SimpleNamespace(partition=SimpleNamespace(boxes=boxes), x_min=rv,

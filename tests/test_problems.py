@@ -368,6 +368,18 @@ def test_problem_rejects_bounds_of_the_wrong_length():
         problems.Problem("long", 2, (0.0, 0.0), (1.0, 1.0, 1.0), _sphere, _sphere_grad)
 
 
+@pytest.mark.parametrize("dim,lower,upper", [
+    (2.0, (0.0, 0.0), (1.0, 1.0)),  # run failed late with a TypeError
+    (0, (), ()),  # failed in selection: "dot 1 has nonpositive d"
+    (True, (0.0,), (1.0,)),  # ran as a 1-D problem
+    (-1, (), ()),
+    ("2", (0.0, 0.0), (1.0, 1.0)),
+])
+def test_problem_rejects_a_dim_that_is_no_integer_from_one(dim, lower, upper):
+    with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+        problems.Problem("bad", dim, lower, upper, _sphere, _sphere_grad)
+
+
 @pytest.mark.parametrize("lower,upper", [
     ((0.0, 0.0), (1.0, -1.0)),  # upper < lower: direct_run used to accept it
     ((0.0, 0.5), (1.0, 0.5)),

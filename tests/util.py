@@ -22,13 +22,15 @@ from lipgrad.stopping import StopTarget, target_window
 
 
 class Box(NamedTuple):
-    """A box of ``geometry.Partition``; ``rec`` is the record at its trial vertex a."""
+    """A box of ``geometry.Partition``; ``rec`` is the record at its trial
+    vertex a, and bit j of ``orient`` is set when corner b lies below a on
+    axis j (``Partition.b_corner`` gives b's grid point)."""
 
     F: float
     id: int
     s: int
     rec: Record
-    b: GridVertex
+    orient: int
     b_real: tuple[float, ...]
     d: float
 
@@ -118,7 +120,8 @@ def make_box(a: GridVertex, b: GridVertex, box_id: int = 1, s: int = 0) -> Box:
     a_real = tuple(map(fraction_value, vertex_fractions(a)))
     b_real = tuple(map(fraction_value, vertex_fractions(b)))
     rec = (math.nan, (), a, a_real)
-    return Box(math.nan, box_id, s, rec, b, b_real, half_diag_sq(a_real, b_real))
+    orient = sum(1 << j for j, (ar, br) in enumerate(zip(a_real, b_real)) if br < ar)
+    return Box(math.nan, box_id, s, rec, orient, b_real, half_diag_sq(a_real, b_real))
 
 
 def box_ids(state) -> list[int]:
@@ -137,15 +140,15 @@ def trisect_views(part: Partition, t: int):
     return (*map(Box._make, children), new_rec)
 
 
-def volume(box) -> tuple[int, int]:
+def volume(part: Partition, box) -> tuple[int, int]:
     """Exact box volume ``(num, e)``, meaning num / 3**e, in grid coordinates
     (domain scaled to the unit cube): the product of the side numerators,
     each at the deeper depth of its two corners.
 
-    ``box`` is a box tuple of the partition or its named view. Two volumes
+    ``box`` is a box tuple of ``part`` or its named view. Two volumes
     compare, and add, as integers at a common power of 3.
     """
-    a, b = box[3][2], box[4]
+    a, b = box[3][2], part.b_corner(box)
     num, e = 1, 0
     for na, da, nb, db in zip(a[::2], a[1::2], b[::2], b[1::2]):
         if da < db:  # both corners at the deeper depth
