@@ -7,13 +7,14 @@ improvement margin as the gradient method, and trisect selected boxes along
 all of their longest sides, best-sampled axis first. Neither method ever
 reads gradients.
 
-Both group boxes by their sorted depth vector, so each group holds boxes
-of one shape. DIRECT measures a group by half its squared diagonal and
-admits every minimal-value tie of the group into the diagram. The
-locally-biased variant measures by the longest side, which merges the
-groups of one longest-side level into a single dot: the level's lowest
-center value, ties to the lower id. That bias keeps it from spraying
-subdivisions across many near-optimal boxes.
+A split deepens every shallowest axis, so a box's depths are k or k + 1
+with k = s // dim for its depth sum s: s fixes the box's shape, and both
+group boxes by s in a ``geometry.BoxTable``. DIRECT measures a group by
+half its squared diagonal and admits every minimal-value tie of the group
+into the diagram. The locally-biased variant measures by the longest side,
+which merges the groups of one longest-side level into a single dot: the
+level's lowest center value, ties to the lower id. That bias keeps it from
+spraying subdivisions across many near-optimal boxes.
 
 Internal measures (group sizes, history diagonals) are in normalized
 coordinates.
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 
 from . import selection
-from .geometry import Group, fraction_str, grid_fraction, heap_min_entries, heap_top, pow3
+from .geometry import BoxTable, grid_fraction, heap_min_entries, heap_top, pow3
 from .stopping import (
     REASON_BUDGET,
     OptConfig,
@@ -37,37 +38,45 @@ from .stopping import (
 )
 
 
-# A center box is the plain tuple (f_center, id, corner_nums, depths,
-# group_key): ``corner_nums[j] / 3**depths[j]`` is the normalized lower
-# corner on axis j, the box side there is 3**-depths[j], and ``group_key`` is
-# the sorted depth vector. Every item is an int, a float or a tuple of them,
-# so a collection untracks each box. The middle child of a split keeps its
-# parent's id and center, so that sample is never re-evaluated.
-CenterTuple = tuple[float, int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+# A center box is the plain tuple (f_center, id, s, corner_nums, depths):
+# ``corner_nums[j] / 3**depths[j]`` is the normalized lower corner on axis j,
+# the box side there is 3**-depths[j], and s is the depth sum. Every item is
+# an int, a float or a tuple of them, so a collection untracks each box. The
+# middle child of a split keeps its parent's id and center, so that sample
+# is never re-evaluated.
+CenterTuple = tuple[float, int, int, tuple[int, ...], tuple[int, ...]]
 
 
-def _diag_d(key: tuple[int, ...]) -> float:
-    """Half squared diagonal of a sorted depth vector, normalized."""
+def _diag_d(s: int, dim: int) -> float:
+    """Half squared diagonal of the boxes with depth sum s, normalized."""
+    k, r = divmod(s, dim)
     total = 0.0
-    for d in key:  # left to right: sum() compensates from Python 3.12 on
-        total += 1.0 / pow3(2 * d)
+    for d in (k,) * (dim - r) + (k + 1,) * r:  # the sorted depth vector, left to right:
+        total += 1.0 / pow3(2 * d)  # sum() compensates from Python 3.12 on
     return 0.5 * total
+
+
+class _CenterBoxes(BoxTable):
+    def corners(self, box: CenterTuple):
+        a = b = ()
+        for num, dep in zip(box[3], box[4]):
+            a += grid_fraction(num, dep)
+            b += grid_fraction(num + 1, dep)
+        return a, b
 
 
 class _CenterState(RunState):
     def __init__(self, problem, config: OptConfig, locally_biased: bool):
-        super().__init__(problem, config, "center")
+        super().__init__(problem, config, "center", _CenterBoxes())
         self.locally_biased = locally_biased
         self.lower = problem.lower
         self.edge = tuple(u - l for l, u in zip(self.lower, problem.upper))
-        self.boxes: list[CenterTuple | None] = [None]  # by id; slot 0 unused
-        self.groups: dict[tuple[int, ...], Group] = {}  # by sorted depth vector
         self.trials = 0
         self.x_min: tuple[float, ...] = ()
 
         zeros = (0,) * problem.dim
         f0 = self._sample(self._center_point(zeros, zeros))
-        self._add_box((f0, 1, zeros, zeros, zeros))
+        self.partition.add_box((f0, 1, 0, zeros, zeros), _diag_d(0, problem.dim))
         log_history(self)
 
     def _center_point(self, corner_nums, depths) -> tuple[float, ...]:
@@ -87,43 +96,34 @@ class _CenterState(RunState):
             self.x_min = x
         return value
 
-    def _add_box(self, box: CenterTuple) -> None:
-        box_id, key = box[1], box[4]  # box_id is a live id or one past the last
-        self.boxes[box_id:box_id + 1] = (box,)  # replaces or appends
-        group = self.groups.get(key)
-        if group is None:  # the group's first box
-            group = self.groups[key] = Group(_diag_d(key))
-        group.add(box)
-
-    def max_diagonal_sq(self) -> float:
-        return 2.0 * max(g.d for g in self.groups.values() if g.n)
-
     def select(self) -> list[int]:
         """Potentially optimal boxes: group minima -> hull -> margin filter."""
         dots = []
         levels = {}  # locally biased: least (f_center, id) per longest-side level
-        for key, group in self.groups.items():
+        boxes, groups, dim = self.partition.boxes, self.partition.groups, self.problem.dim
+        for s in range(self.partition.q_inf, len(groups)):
+            group = groups[s]
             if not group.n:
                 continue
             if self.locally_biased:  # the least (f_center, id) is the heap top
-                top = heap_top(group.heap, self.boxes)
-                if key[0] not in levels or top < levels[key[0]]:
-                    levels[key[0]] = top
+                top, level = heap_top(group.heap, boxes), s // dim
+                if level not in levels or top < levels[level]:
+                    levels[level] = top
                 continue
             entries = group.mins
             if entries is None:
-                entries = group.mins = heap_min_entries(group.heap, self.boxes)
-            d, s = group.d, sum(key)
+                entries = group.mins = heap_min_entries(group.heap, boxes)
             for box in entries:
-                dots.append((box[1], d, box[0], s))
+                dots.append((box[1], group.d, box[0], s))
         for level, box in levels.items():  # d: half squared longest side
-            dots.append((box[1], 0.5 / pow3(2 * level), box[0], sum(box[3])))
+            dots.append((box[1], 0.5 / pow3(2 * level), box[0], box[2]))
         return selection.choose(dots, self.f_min, self.config.epsilon)
 
     def subdivide(self, box_id: int) -> None:
         """Trisect along every longest side, best-sampled axis first."""
-        f_center, _, nums, deps, key = box = self.boxes[box_id]
-        dmin = key[0]
+        part, dim = self.partition, self.problem.dim
+        f_center, _, s, nums, deps = box = part.boxes[box_id]
+        dmin = s // dim
         side = pow3(dmin + 1)
         center = self._center_point(nums, deps)
         samples = []
@@ -143,18 +143,18 @@ class _CenterState(RunState):
             samples.append((min(f_lo, f_hi), j, f_lo, f_hi))
         samples.sort()
 
-        self.groups[key].discard(box)
-        next_id = len(self.boxes)  # ids stay dense: the middle child keeps box_id
-        for _, j, f_lo, f_hi in samples:
+        next_id = part.m + 1  # ids stay dense: the middle child keeps box_id
+        for s, (_, j, f_lo, f_hi) in enumerate(samples, s + 1):  # s: the children's depth sum
             deps = deps[:j] + (dmin + 1,) + deps[j + 1:]
-            key = tuple(sorted(deps))
+            d = _diag_d(s, dim)
             lo_num = 3 * nums[j]
             head, tail = nums[:j], nums[j + 1:]
-            self._add_box((f_lo, next_id, head + (lo_num,) + tail, deps, key))
-            self._add_box((f_hi, next_id + 1, head + (lo_num + 2,) + tail, deps, key))
+            part.add_box((f_lo, next_id, s, head + (lo_num,) + tail, deps), d)
+            part.add_box((f_hi, next_id + 1, s, head + (lo_num + 2,) + tail, deps), d)
             next_id += 2
             nums = head + (lo_num + 1,) + tail
-        self._add_box((f_center, box_id, nums, deps, key))
+        part.add_box((f_center, box_id, s, nums, deps), d)
+        part.remove_split(box)
 
     def iterate(self) -> None:
         for box_id in self.select():
@@ -164,22 +164,13 @@ class _CenterState(RunState):
                 break
         log_history(self)
 
-    def snapshot_lines(self) -> list[str]:
-        lines = []
-        for _, box_id, nums, deps, _ in self.boxes[1:]:
-            corner = list(zip(nums, deps))
-            a = ",".join(fraction_str(grid_fraction(n, d)) for n, d in corner)
-            b = ",".join(fraction_str(grid_fraction(n + 1, d)) for n, d in corner)
-            lines.append(f"{box_id} {sum(deps)} {a} {b}")
-        return lines
-
 
 def _run(problem, config: OptConfig, locally_biased: bool, method: str) -> RunReport:
     state = _CenterState(problem, config, locally_biased)
     check_stop(state)
     while not state.stop_reason:
         state.iterate()
-    return close_report(state, method, len(state.boxes) - 1, state.x_min, state.snapshot_lines)
+    return close_report(state, method, state.x_min)
 
 
 def direct_run(problem, config: OptConfig) -> RunReport:

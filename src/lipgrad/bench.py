@@ -188,8 +188,8 @@ def run_class(
         (cls, index, tuple(methods), delta, p_max, epsilon)
         for index in range(1, cls.count + 1)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if workers > 1:  # a fork pool starts all its workers at once: no more than the jobs
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             rows = list(pool.map(_run_one, jobs))
     else:
         rows = [_run_one(job) for job in jobs]

@@ -41,10 +41,6 @@ GridFraction = tuple[int, int]
 GridVertex = tuple[int, ...]
 
 
-def fraction_str(c: GridFraction) -> str:
-    return f"{c[0]}/{pow3(c[1])}"
-
-
 def vertex_str(v: GridVertex) -> str:
     return ",".join(f"{num}/{pow3(depth)}" for num, depth in zip(v[::2], v[1::2]))
 
@@ -148,39 +144,19 @@ class Group:
         self.n -= 1
 
 
-class Partition:
-    """The live set of hyperintervals plus the shared vertex database.
+class BoxTable:
+    """Every method's live boxes by dense id and their groups by index s.
 
-    Confined to a single optimizer run; not safe for concurrent mutation.
-    Every entry of ``vertex_db`` is one trial of ``problem``, in evaluation
-    order, and every box holds the record of its trial vertex from there.
+    A box is a plain tuple ``(key, id, s, ...)`` filed in group s.
     ``boxes[i]`` is the live box with id i, for i in 1..m; slot 0 is unused.
+    No group is ever deleted; ``q_inf`` is the lowest with a live box. A
+    subclass gives ``corners(box)``, the grid points of corners a and b.
     """
 
-    def __init__(self, problem, start_vertex: str = "a"):
-        self.problem = problem
-        self.lower = problem.lower
-        self.edge = tuple(u - l for l, u in zip(self.lower, problem.upper))
-        self.vertex_db: dict[GridVertex, Record] = {}
-        self.boxes: list[BoxTuple | None] = [None]
-        # group s holds the boxes split s times; none is ever deleted
+    def __init__(self):
+        self.boxes: list = [None]
         self.groups: list[Group] = []
-        # depths[s][j]: the splits of axis j in a box of group s, whose side
-        # there is edge[j] / 3**depths[s][j]; both tables grow in split_axis
-        dim = len(self.lower)
-        self.depths: list[tuple[int, ...]] = [(0,) * dim]
-        self._split_axes: list[int] = []
         self.q_inf = 0
-
-        if start_vertex not in ("a", "b"):
-            raise ValueError("start_vertex must be 'a' or 'b'")
-        va, vb, orient = (0, 0) * dim, (1, 0) * dim, 0  # the corners 0 and 1
-        if start_vertex == "b":
-            va, vb, orient = vb, va, (1 << dim) - 1
-        a_real = vertex_real(va, self.lower, self.edge)
-        b_real = vertex_real(vb, self.lower, self.edge)
-        self._add_box(1, 0, self.get_or_eval(va, a_real), orient, b_real,
-                      half_diag_sq(a_real, b_real))
 
     @property
     def q_0(self) -> int:
@@ -190,6 +166,78 @@ class Partition:
     @property
     def m(self) -> int:
         return len(self.boxes) - 1
+
+    def add_box(self, box: tuple, d: float) -> None:
+        """File ``box`` under its id, a live one or one past the last, and
+        under group s, a new one with half squared diagonal ``d`` when s is
+        one past the last: a split files its children by ascending s."""
+        s = box[2]
+        if s == len(self.groups):  # the group's first box
+            self.groups.append(Group(d))
+        self.groups[s].add(box)
+        self.boxes[box[1]:box[1] + 1] = (box,)
+
+    def remove_split(self, box: tuple) -> None:
+        """Discard a split box once its children are in; advance q_inf."""
+        self.groups[box[2]].discard(box)
+        while not self.groups[self.q_inf].n:
+            self.q_inf += 1
+
+    def group_min_entries(self, s: int) -> list:
+        """Every box attaining the minimal key in group ``s``, by id; cached
+        until the group's minimum may change, so callers must not modify it."""
+        group = self.groups[s]
+        if group.mins is None:
+            if not group.n:
+                return []
+            group.mins = heap_min_entries(group.heap, self.boxes)
+        return group.mins
+
+    def max_diagonal_sq(self) -> float:
+        """Squared diagonal of the largest live boxes (group q_inf): one value
+        per group, as its boxes share their sides, so no last-ulp jitter."""
+        return 2.0 * self.groups[self.q_inf].d
+
+    def snapshot_lines(self) -> list[str]:
+        """One line per box: id, s, a-coords, b-coords as exact fractions."""
+        lines = []
+        for box in self.boxes[1:]:
+            a, b = self.corners(box)
+            lines.append(f"{box[1]} {box[2]} {vertex_str(a)} {vertex_str(b)}")
+        return lines
+
+
+class Partition(BoxTable):
+    """The live set of hyperintervals plus the shared vertex database.
+
+    Confined to a single optimizer run; not safe for concurrent mutation.
+    Every entry of ``vertex_db`` is one trial of ``problem``, in evaluation
+    order, and every box holds the record of its trial vertex from there.
+    Group s holds the boxes split s times.
+    """
+
+    def __init__(self, problem, start_vertex: str = "a"):
+        super().__init__()
+        self.problem = problem
+        self.lower = problem.lower
+        self.edge = tuple(u - l for l, u in zip(self.lower, problem.upper))
+        self.vertex_db: dict[GridVertex, Record] = {}
+        # depths[s][j]: the splits of axis j in a box of group s, whose side
+        # there is edge[j] / 3**depths[s][j]; both tables grow in split_axis
+        dim = len(self.lower)
+        self.depths: list[tuple[int, ...]] = [(0,) * dim]
+        self._split_axes: list[int] = []
+
+        if start_vertex not in ("a", "b"):
+            raise ValueError("start_vertex must be 'a' or 'b'")
+        va, vb, orient = (0, 0) * dim, (1, 0) * dim, 0  # the corners 0 and 1
+        if start_vertex == "b":
+            va, vb, orient = vb, va, (1 << dim) - 1
+        a_real = vertex_real(va, self.lower, self.edge)
+        b_real = vertex_real(vb, self.lower, self.edge)
+        rec = self.get_or_eval(va, a_real)
+        d = half_diag_sq(a_real, b_real)
+        self.add_box((bounding.characterize(rec, a_real, b_real), 1, 0, rec, orient, b_real, d), d)
 
     @property
     def trials(self) -> int:
@@ -235,17 +283,18 @@ class Partition:
         rec = self.get_or_eval(u, u_real)
         new_rec = rec if len(self.vertex_db) > before else None
 
-        self.groups[s].discard(box)
         s += 1
         m = len(self.boxes) - 1
-        # children share side lengths, hence one d for all three
+        # children share side lengths, hence one d for all three; each box is
+        # made with its bound F from the record at its trial vertex
         d = half_diag_sq(u_real, v_real)
-        middle = self._add_box(t, s, rec, orient ^ (1 << i), v_real, d)
-        low = self._add_box(m + 1, s, a_rec, orient, v_real, d)
-        high = self._add_box(m + 2, s, rec, orient, b_real, d)
-
-        while not self.groups[self.q_inf].n:
-            self.q_inf += 1
+        bound = bounding.characterize
+        middle = (bound(rec, rec[3], v_real), t, s, rec, orient ^ (1 << i), v_real, d)
+        low = (bound(a_rec, a_real, v_real), m + 1, s, a_rec, orient, v_real, d)
+        high = (bound(rec, rec[3], b_real), m + 2, s, rec, orient, b_real, d)
+        for child in (middle, low, high):
+            self.add_box(child, d)
+        self.remove_split(box)
         return middle, low, high, new_rec
 
     def split_axis(self, s: int) -> int:
@@ -264,48 +313,12 @@ class Partition:
             depths.append(k[:i] + (k[i] + 1,) + k[i + 1:])
         return axes[s]
 
-    def group_min_entries(self, s: int) -> list[BoxTuple]:
-        """Every box attaining the minimal F in group ``s``, by id.
-
-        The list is cached until the group's minimum may change; callers
-        must not modify it.
-        """
-        group = self.groups[s]
-        if group.mins is None:
-            if not group.n:
-                return []
-            group.mins = heap_min_entries(group.heap, self.boxes)
-        return group.mins
-
-    def max_diagonal_sq(self) -> float:
-        """Squared diagonal of the largest live boxes (group q_inf).
-
-        One canonical value per group: boxes of a group share their side
-        lengths, so this avoids last-ulp jitter between group members.
-        """
-        return 2.0 * self.groups[self.q_inf].d
-
-    def b_corner(self, box: BoxTuple) -> GridVertex:
-        """The grid point of a box's corner b: one side of its group's grid
-        from a on every axis, downward where ``orient`` has the axis's bit."""
+    def corners(self, box: BoxTuple) -> tuple[GridVertex, GridVertex]:
+        """The grid points of a box's corners a and b; b is one side of the
+        group's grid from a on every axis, down where ``orient`` has its bit."""
         _, _, s, rec, orient, *_ = box
         a, b = rec[2], ()
         for j, k in enumerate(self.depths[s]):
             step = -1 if orient >> j & 1 else 1
             b += grid_fraction(a[2 * j] * pow3(k - a[2 * j + 1]) + step, k)
-        return b
-
-    def snapshot_lines(self) -> list[str]:
-        """One line per box: id, s, a-coords, b-coords as exact fractions."""
-        return [f"{box[1]} {box[2]} {vertex_str(box[3][2])} {vertex_str(self.b_corner(box))}"
-                for box in self.boxes[1:]]
-
-    def _add_box(self, box_id: int, s: int, rec: Record, orient: int,
-                 b_real: tuple[float, ...], d: float) -> BoxTuple:
-        """Make and index a box with its bound F from ``rec``, the record at its trial vertex."""
-        box = (bounding.characterize(rec, rec[3], b_real), box_id, s, rec, orient, b_real, d)
-        if s == len(self.groups):  # the group's first box
-            self.groups.append(Group(d))
-        self.groups[s].add(box)
-        self.boxes[box_id:box_id + 1] = (box,)  # a live id's slot, or appended as m + 1
-        return box
+        return a, b

@@ -28,8 +28,7 @@ class OptState(RunState):
     """Full mutable state of one run: partition, record point and box, phase."""
 
     def __init__(self, config: OptConfig, partition: Partition):
-        super().__init__(partition.problem, config, "init")
-        self.partition = partition
+        super().__init__(partition.problem, config, "init", partition)
         # the record at the record point, held by the boxes in record_ids, one
         # of them the record box
         self.x_min: Record = partition.boxes[1][3]
@@ -40,9 +39,6 @@ class OptState(RunState):
     @property
     def trials(self) -> int:
         return self.partition.trials
-
-    def max_diagonal_sq(self) -> float:
-        return self.partition.max_diagonal_sq()
 
 
 def initialize(problem, config: OptConfig) -> OptState:
@@ -116,8 +112,7 @@ def run(problem, config: OptConfig) -> RunReport:
         switch = exploration_phase(state)
         if switch == "local":
             record_phase(state)
-    part = state.partition
-    return close_report(state, "new", part.m, state.x_min[3], part.snapshot_lines)
+    return close_report(state, "new", state.x_min[3])
 
 
 def _improved_one_percent(f_min: float, f_prec: float) -> bool:

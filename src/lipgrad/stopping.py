@@ -1,8 +1,8 @@
 """Run parameters, run state, trial booking, stop rules, history and the report.
 
 All three methods share these. Each keeps its run in a ``RunState``
-subclass, which adds ``trials`` and a ``max_diagonal_sq()`` method; the
-helpers below read and write only those and the fields ``RunState`` sets.
+subclass, which adds ``trials``; the helpers below read and write only that,
+the fields ``RunState`` sets and the partition, a ``geometry.BoxTable``.
 """
 
 from __future__ import annotations
@@ -101,14 +101,15 @@ def target_window(target: Optional[StopTarget], lower, upper):
 
 
 class RunState:
-    """What every method's run keeps: record value, phase, stop reason, history, trace.
+    """What every run keeps: partition, record value, phase, stop reason, history, trace.
 
     A history row is ``(trials, f_min, largest squared diagonal)``; the first
     one holds the initial diagonal, which the diagonal rule compares against.
     """
 
-    def __init__(self, problem, config: OptConfig, phase: str):
+    def __init__(self, problem, config: OptConfig, phase: str, partition):
         self.problem = problem
+        self.partition = partition
         self.config = config
         self.target_window = target_window(config.target, problem.lower, problem.upper)
         self.f_min = math.inf
@@ -145,7 +146,7 @@ def record_trial(state, x, value: float) -> bool:
 
 def log_history(state) -> None:
     """Append the (trials, f_min, largest squared diagonal) row."""
-    state.history.append((state.trials, state.f_min, state.max_diagonal_sq()))
+    state.history.append((state.trials, state.f_min, state.partition.max_diagonal_sq()))
 
 
 def check_stop(state) -> None:
@@ -155,26 +156,24 @@ def check_stop(state) -> None:
     if state.trials >= state.config.p_max:
         state.stop_reason = REASON_BUDGET
     elif state.config.diagonal is not None:
-        rel = math.sqrt(state.max_diagonal_sq() / state.history[0][2])
+        rel = math.sqrt(state.partition.max_diagonal_sq() / state.history[0][2])
         if rel <= state.config.diagonal:
             state.stop_reason = REASON_DIAGONAL
 
 
-def close_report(state, method: str, boxes: int, x_min, snapshot_lines) -> RunReport:
-    """Close the history with the final trial count and build the report.
-
-    ``snapshot_lines`` is called only when the config keeps a trace.
-    """
+def close_report(state, method: str, x_min) -> RunReport:
+    """Close the history with the final trial count and build the report;
+    it holds the partition's snapshot when the config keeps a trace."""
     if not state.history or state.history[-1][0] != state.trials:
         log_history(state)
     return RunReport(
         method=method,
         trials=state.trials,
-        boxes=boxes,
+        boxes=state.partition.m,
         f_min=state.f_min,
         x_min=x_min,
         stop_reason=state.stop_reason,
         history=state.history,
         trace=state.trace,
-        snapshot=snapshot_lines() if state.config.keep_trace else None,
+        snapshot=state.partition.snapshot_lines() if state.config.keep_trace else None,
     )

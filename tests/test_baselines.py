@@ -1,21 +1,28 @@
 import gc
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from lipgrad import baselines, selection
-from lipgrad.baselines import _CenterState, direct_run, directl_run
+from lipgrad.baselines import _CenterState, _diag_d, direct_run, directl_run
 from lipgrad.geometry import heap_min_entries, heap_top
 from lipgrad.problems import generate, problem_class, quadratic
 from lipgrad.stopping import OptConfig, StopTarget, check_stop
-from util import CenterBox, Dot, add_left_to_right, wavy_problem, with_audit
+from util import (
+    CenterBox,
+    Dot,
+    add_left_to_right,
+    check_dense_live_layout,
+    sorted_diag_d,
+    wavy_problem,
+    with_audit,
+)
 
 
 def views(state: _CenterState) -> dict[int, CenterBox]:
     """The state's boxes by id, each as a named view of its plain tuple."""
-    return {raw[1]: CenterBox._make(raw) for raw in state.boxes[1:]}
+    return {raw[1]: CenterBox._make(raw) for raw in state.partition.boxes[1:]}
 
 
 def test_single_box_is_potentially_optimal_and_subdivided():
@@ -129,18 +136,32 @@ def test_center_volume_conservation():
 
 
 def test_center_box_fields():
-    # every stored box is a plain tuple, filed under its id and its sorted
-    # depth vector
-    state = _CenterState(wavy_problem(3), OptConfig(p_max=300), locally_biased=False)
-    check_stop(state)
-    while not state.stop_reason:
-        state.iterate()
-    for box_id, box in views(state).items():
-        assert type(state.boxes[box_id]) is tuple
-        assert box.id == box_id
-        assert box.group_key == tuple(sorted(box.depths))
-        assert any(entry is state.boxes[box_id] for entry in state.groups[box.group_key].heap)
-        assert all(0 <= num < 3 ** dep for num, dep in zip(box.corner_nums, box.depths))
+    # every stored box is a plain tuple, filed under its id and its depth
+    # sum s; a split deepens every shallowest axis, so the depths are
+    # s // dim or one more, and s fixes the sorted depth vector
+    for dim in (2, 3, 4):
+        state = _CenterState(wavy_problem(dim), OptConfig(p_max=300), locally_biased=False)
+        check_stop(state)
+        while not state.stop_reason:
+            state.iterate()
+        boxes = state.partition.boxes
+        for box_id, box in views(state).items():
+            assert type(boxes[box_id]) is tuple
+            assert box.id == box_id
+            assert sum(box.depths) == box.s
+            assert set(box.depths) <= {box.s // dim, box.s // dim + 1}
+            assert any(entry is boxes[box_id] for entry in state.partition.groups[box.s].heap)
+            assert all(0 <= num < 3 ** dep for num, dep in zip(box.corner_nums, box.depths))
+
+
+def test_depth_sum_diagonal_matches_the_sorted_depth_vector():
+    # _diag_d(s, dim) adds the terms of the sorted depth vector that s fixes,
+    # in its order, so it equals the old per-vector measure bit for bit
+    for dim in range(1, 7):
+        for s in range(40 * dim):
+            k, r = divmod(s, dim)
+            key = (k,) * (dim - r) + (k + 1,) * r
+            assert _diag_d(s, dim).hex() == sorted_diag_d(key).hex(), (dim, s)
 
 
 def test_determinism_and_history_monotone():
@@ -185,7 +206,7 @@ def rescanned_select(state: _CenterState) -> list[int]:
     return selection.choose(dots, state.f_min, state.config.epsilon)
 
 
-def largest_diagonal_sq(state: _CenterState) -> float:
+def largest_diagonal_sq(state: _CenterState) -> float:  # scans every box
     return max(add_left_to_right(1.0 / 3 ** (2 * dep) for dep in sorted(box.depths))
                for box in views(state).values())
 
@@ -197,7 +218,7 @@ def test_cached_select_matches_a_rescan(dim, locally_biased):
     check_stop(state)
     while not state.stop_reason:
         assert state.select() == rescanned_select(state)
-        assert state.max_diagonal_sq() == largest_diagonal_sq(state)
+        assert state.partition.max_diagonal_sq() == largest_diagonal_sq(state)
         state.iterate()
 
 
@@ -229,11 +250,11 @@ def test_center_boxes_are_not_tracked_by_the_collector(locally_biased):
     assert state.trials == 3000
     gc.collect()
     gc.collect()
-    boxes = state.boxes[1:]
+    boxes = state.partition.boxes[1:]
     assert len(boxes) > 2900
     assert not any(map(gc.is_tracked, boxes))
     assert not any(gc.is_tracked(item) for box in boxes for item in box)
-    for group in state.groups.values():
+    for group in state.partition.groups:
         assert not any(map(gc.is_tracked, group.heap))
 
 
@@ -241,8 +262,9 @@ def test_center_boxes_are_not_tracked_by_the_collector(locally_biased):
 @pytest.mark.parametrize("locally_biased", [False, True], ids=["direct", "directl"])
 def test_center_ids_stay_dense_and_minima_live(monkeypatch, dim, locally_biased):
     # slot i holds live box i for i in 1..m, each an entry of its group's
-    # heap; Group.n counts the group's live boxes; and no stale heap entry
-    # ever comes back as a group minimum
+    # heap; Group.n counts the group's live boxes; q_inf is the lowest group
+    # with a live box; and no stale heap entry ever comes back as a group
+    # minimum
     returned = []
 
     def checked(heap, boxes):
@@ -263,13 +285,5 @@ def test_center_ids_stay_dense_and_minima_live(monkeypatch, dim, locally_biased)
     check_stop(state)
     while not state.stop_reason:
         state.iterate()
-        boxes = state.boxes
-        assert boxes[0] is None
-        in_heaps = {id(entry) for group in state.groups.values() for entry in group.heap}
-        counts = Counter()
-        for i in range(1, len(boxes)):
-            assert boxes[i][1] == i and id(boxes[i]) in in_heaps, i
-            counts[boxes[i][4]] += 1
-        assert {key: group.n for key, group in state.groups.items()} == {
-            key: counts[key] for key in state.groups}
+        check_dense_live_layout(state.partition)
     assert len(returned) > 100

@@ -203,6 +203,33 @@ def test_parallel_report_is_byte_identical(tmp_path):
     assert seq.to_json() == par.to_json()
 
 
+def test_run_class_pool_has_no_more_workers_than_problems(monkeypatch):
+    # a fork pool starts every worker at its first submit, so asking for 64
+    # workers on 3 problems must not start 64 processes; the fake pool maps
+    # in-process and starts none
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+    cls = problem_class(2, "hard", seed=0, count=3)
+    report = run_class(["new"], cls, delta=1e-2, p_max=200, workers=64)
+    assert sizes == [3]
+    monkeypatch.undo()
+    assert report.to_json() == run_class(["new"], cls, delta=1e-2, p_max=200).to_json()
+
+
 def test_harness_counts_match_method_evaluations():
     prob, audit = with_audit(wavy_problem(2))
     cfg = OptConfig(p_max=123)

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ from util import (
     Box,
     add_left_to_right,
     as_fraction,
+    b_corner,
     box_ids,
+    check_dense_live_layout,
     diagonal_sq,
     flat_problem,
     live_boxes,
@@ -74,7 +77,7 @@ def test_grid_fraction_equality_matches_value():
 def test_unit_square_measures():
     part = Partition(flat_problem(2))
     box = part.boxes[1]
-    assert part.b_corner(box) == make_vertex(1, 1)
+    assert b_corner(part, box) == make_vertex(1, 1)
     num, e = volume(part, box)
     assert num == pow3(e)
     assert diagonal_sq(box) == 2.0
@@ -102,7 +105,7 @@ def test_longest_side_reversed_diagonal_tie():
     part = Partition(prob, start_vertex="b")
     assert part.split_axis(0) == 0
     middle, _, _, _ = trisect_views(part, 1)
-    assert middle.a == make_vertex((1, 1), 1) and part.b_corner(middle) == make_vertex((2, 1), 0)
+    assert middle.a == make_vertex((1, 1), 1) and b_corner(part, middle) == make_vertex((2, 1), 0)
     assert part.split_axis(1) == 1
 
 
@@ -127,7 +130,7 @@ def test_split_axis_matches_longest_side_of_random_trisections():
             part = Partition(prob, start_vertex=start)
             for _ in range(60):
                 box = Box._make(part.boxes[int(rng.choice(box_ids(part)))])
-                b = part.b_corner(box)
+                b = b_corner(part, box)
                 sides = [
                     abs(as_fraction(pb) - as_fraction(pa)) * Fraction(e)
                     for pa, pb, e in zip(vertex_fractions(box.a), vertex_fractions(b), edges)
@@ -144,7 +147,7 @@ def test_split_axis_matches_longest_side_of_random_trisections():
 def test_trisect_unit_square():
     part = Partition(flat_problem(2))
     middle, low, high, new_rec = trisect_views(part, 1)
-    b = part.b_corner
+    b = partial(b_corner, part)
     assert middle.a == make_vertex((2, 1), 0) and b(middle) == make_vertex((1, 1), 1)
     assert low.a == make_vertex(0, 0) and b(low) == make_vertex((1, 1), 1)
     assert high.a == make_vertex((2, 1), 0) and b(high) == make_vertex(1, 1)
@@ -161,7 +164,7 @@ def test_trisect_one_dimensional():
     prob = flat_problem(1)
     part = Partition(prob)
     middle, low, high, _ = trisect_views(part, 1)
-    b = part.b_corner
+    b = partial(b_corner, part)
     assert middle.a == make_vertex((2, 1)) and b(middle) == make_vertex((1, 1))
     assert low.a == make_vertex(0) and b(low) == make_vertex((1, 1))
     assert high.a == make_vertex((2, 1)) and b(high) == make_vertex(1)
@@ -174,10 +177,11 @@ def test_trisect_reversed_diagonal():
     part.groups[0].discard(part.boxes[1])
     box = make_box(make_vertex(1, 0), make_vertex(0, 1))
     assert box.orient == 0b01  # b below a on axis 0 only
-    part._add_box(box.id, box.s, part.get_or_eval(box.a, box.a_real), box.orient, box.b_real,
-                  box.d)
+    rec = part.get_or_eval(box.a, box.a_real)
+    F = characterize(rec, box.a_real, box.b_real)
+    part.add_box((F, box.id, box.s, rec, box.orient, box.b_real, box.d), box.d)
     middle, low, high, _ = trisect_views(part, 1)
-    b = part.b_corner
+    b = partial(b_corner, part)
     assert middle.a == make_vertex((1, 1), 0) and b(middle) == make_vertex((2, 1), 1)
     assert low.a == make_vertex(1, 0) and b(low) == make_vertex((2, 1), 1)
     assert high.a == make_vertex((1, 1), 0) and b(high) == make_vertex(0, 1)
@@ -186,7 +190,7 @@ def test_trisect_reversed_diagonal():
 @pytest.mark.parametrize("start", ["a", "b"])
 def test_b_corner_is_the_exact_third_point_of_each_split(start):
     # shadow both corners of every box as exact fractions, splitting [a, b]
-    # in thirds on the split axis: b_corner must give b, normalized, and
+    # in thirds on the split axis: corners must give b, normalized, and
     # b_real must be its real point bit for bit
     rng = np.random.default_rng(14)
     for edges in ((1.0,), (1.0, 3.0), (0.7, 1.1, 0.4), (2.0, 1.0, 1.0, 0.5)):
@@ -203,7 +207,8 @@ def test_b_corner_is_the_exact_third_point_of_each_split(start):
             corners.update({t: (u, v), m + 1: (a, v), m + 2: (u, b)})
             for box in live_boxes(part):
                 a, b = corners[box.id]
-                corner = part.b_corner(box)
+                corner_a, corner = part.corners(box)
+                assert corner_a == box.a
                 assert [as_fraction(p) for p in vertex_fractions(box.a)] == a
                 assert [as_fraction(p) for p in vertex_fractions(corner)] == b
                 assert all(grid_fraction(*p) == p for p in vertex_fractions(corner))
@@ -398,7 +403,7 @@ def test_start_vertex_b_mirrors_scheme():
     assert list(part.vertex_db) == [make_vertex(1, 1)]  # the only trial
     assert Box._make(part.boxes[1]).a == make_vertex(1, 1)
     assert Box._make(part.boxes[1]).orient == 0b11  # b lies below a on every axis
-    assert part.b_corner(part.boxes[1]) == make_vertex(0, 0)
+    assert b_corner(part, part.boxes[1]) == make_vertex(0, 0)
 
 
 def test_vertex_real_coordinates_scale_to_domain():
@@ -492,20 +497,6 @@ def test_each_trial_evaluates_the_real_point_of_its_vertex(monkeypatch, make, st
     expected = [vertex_real(v, part.lower, part.edge) for v in part.vertex_db]
     assert len(seen) == report.trials == len(expected)
     assert [tuple(map(float.hex, x)) for x in seen] == [tuple(map(float.hex, x)) for x in expected]
-
-
-def check_dense_live_layout(part: Partition) -> None:
-    """Slot i of ``boxes`` holds live box i for i in 1..m, each also an entry
-    of its group's heap, and every ``Group.n`` counts its group's live boxes."""
-    boxes = part.boxes
-    assert boxes[0] is None and part.m == len(boxes) - 1
-    in_heaps = {id(entry) for group in part.groups for entry in group.heap}
-    counts = Counter()
-    for i in range(1, len(boxes)):
-        box = boxes[i]
-        assert box[1] == i and id(box) in in_heaps, i
-        counts[box[2]] += 1
-    assert [group.n for group in part.groups] == [counts[s] for s in range(len(part.groups))]
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -10,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from lipgrad.geometry import (
-    GridFraction, GridVertex, Partition, Record, grid_fraction, half_diag_sq, pow3,
+    BoxTable, GridFraction, GridVertex, Partition, Record, grid_fraction, half_diag_sq, pow3,
 )
 from lipgrad.problems import Problem, ProblemClass, generated_parameters, quadratic
 from lipgrad.stopping import StopTarget, target_window
@@ -24,7 +25,7 @@ from lipgrad.stopping import StopTarget, target_window
 class Box(NamedTuple):
     """A box of ``geometry.Partition``; ``rec`` is the record at its trial
     vertex a, and bit j of ``orient`` is set when corner b lies below a on
-    axis j (``Partition.b_corner`` gives b's grid point)."""
+    axis j (``Partition.corners`` gives a's and b's grid points)."""
 
     F: float
     id: int
@@ -44,13 +45,13 @@ class Box(NamedTuple):
 
 
 class CenterBox(NamedTuple):
-    """A center box of the DIRECT and DIRECT-l state."""
+    """A center box of the DIRECT and DIRECT-l state; s is its depth sum."""
 
     f_center: float
     id: int
+    s: int
     corner_nums: tuple[int, ...]
     depths: tuple[int, ...]
-    group_key: tuple[int, ...]
 
 
 class Dot(NamedTuple):
@@ -124,14 +125,35 @@ def make_box(a: GridVertex, b: GridVertex, box_id: int = 1, s: int = 0) -> Box:
     return Box(math.nan, box_id, s, rec, orient, b_real, half_diag_sq(a_real, b_real))
 
 
-def box_ids(state) -> list[int]:
-    """The ids of a partition's or center state's live boxes: 1..m."""
-    return list(range(1, len(state.boxes)))
+def box_ids(table: BoxTable) -> list[int]:
+    """The ids of a box table's live boxes: 1..m."""
+    return list(range(1, len(table.boxes)))
+
+
+def b_corner(part: Partition, box) -> GridVertex:
+    """The grid point of corner b of a partition's box tuple or view."""
+    return part.corners(box)[1]
 
 
 def live_boxes(part: Partition) -> list[Box]:
     """Named views of the partition's live boxes, in id order."""
     return [Box._make(raw) for raw in part.boxes[1:]]
+
+
+def check_dense_live_layout(table: BoxTable) -> None:
+    """Slot i of ``boxes`` holds live box i for i in 1..m, each also an entry
+    of its group's heap; every ``Group.n`` counts its group's live boxes;
+    and ``q_inf`` is the lowest group with a live box."""
+    boxes = table.boxes
+    assert boxes[0] is None and table.m == len(boxes) - 1
+    in_heaps = {id(entry) for group in table.groups for entry in group.heap}
+    counts = Counter()
+    for i in range(1, len(boxes)):
+        box = boxes[i]
+        assert box[1] == i and id(box) in in_heaps, i
+        counts[box[2]] += 1
+    assert [group.n for group in table.groups] == [counts[s] for s in range(len(table.groups))]
+    assert table.q_inf == min(counts)
 
 
 def trisect_views(part: Partition, t: int):
@@ -148,7 +170,7 @@ def volume(part: Partition, box) -> tuple[int, int]:
     ``box`` is a box tuple of ``part`` or its named view. Two volumes
     compare, and add, as integers at a common power of 3.
     """
-    a, b = box[3][2], part.b_corner(box)
+    a, b = part.corners(box)
     num, e = 1, 0
     for na, da, nb, db in zip(a[::2], a[1::2], b[::2], b[1::2]):
         if da < db:  # both corners at the deeper depth
@@ -221,6 +243,16 @@ def with_audit(problem: Problem) -> tuple[Problem, EvalAudit]:
         known_K=problem.known_K,
     )
     return wrapped, audit
+
+
+def sorted_diag_d(key: tuple[int, ...]) -> float:
+    """Half squared diagonal of a center box with sorted depth vector
+    ``key``, normalized, added in key order: the oracle for
+    ``baselines._diag_d``."""
+    total = 0.0
+    for d in key:
+        total += 1.0 / pow3(2 * d)
+    return 0.5 * total
 
 
 def add_left_to_right(terms) -> float:
