@@ -57,6 +57,12 @@ def _diag_d(s: int, dim: int) -> float:
 
 
 class _CenterBoxes(BoxTable):
+    def center(self, corner_nums, depths) -> tuple[float, ...]:
+        return tuple(
+            lo + (num + 0.5) / pow3(dep) * ed
+            for num, dep, lo, ed in zip(corner_nums, depths, self.lower, self.edge)
+        )
+
     def corners(self, box: CenterTuple):
         a = b = ()
         for num, dep in zip(box[3], box[4]):
@@ -67,23 +73,13 @@ class _CenterBoxes(BoxTable):
 
 class _CenterState(RunState):
     def __init__(self, problem, config: OptConfig, locally_biased: bool):
-        super().__init__(problem, config, "center", _CenterBoxes())
+        super().__init__(config, "center", _CenterBoxes(problem))
         self.locally_biased = locally_biased
-        self.lower = problem.lower
-        self.edge = tuple(u - l for l, u in zip(self.lower, problem.upper))
-        self.trials = 0
-        self.x_min: tuple[float, ...] = ()
 
         zeros = (0,) * problem.dim
-        f0 = self._sample(self._center_point(zeros, zeros))
+        f0 = self._sample(self.partition.center(zeros, zeros))
         self.partition.add_box((f0, 1, 0, zeros, zeros), _diag_d(0, problem.dim))
         log_history(self)
-
-    def _center_point(self, corner_nums, depths) -> tuple[float, ...]:
-        return tuple(
-            lo + (num + 0.5) / pow3(dep) * ed
-            for num, dep, lo, ed in zip(corner_nums, depths, self.lower, self.edge)
-        )
 
     def _sample(self, x: tuple[float, ...]) -> float:
         """Evaluate f at a box center; returns nan if a stop rule fired first."""
@@ -91,9 +87,7 @@ class _CenterState(RunState):
             self.stop_reason = REASON_BUDGET
             return math.nan
         value = self.problem.value(x)
-        self.trials += 1
-        if record_trial(self, x, value):
-            self.x_min = x
+        record_trial(self, x, value)
         return value
 
     def select(self) -> list[int]:
@@ -125,14 +119,14 @@ class _CenterState(RunState):
         f_center, _, s, nums, deps = box = part.boxes[box_id]
         dmin = s // dim
         side = pow3(dmin + 1)
-        center = self._center_point(nums, deps)
+        center = part.center(nums, deps)
         samples = []
         for j, dep in enumerate(deps):
             if dep != dmin:
                 continue
             # a child's center is the parent's with coordinate j replaced,
-            # computed as _center_point computes it
-            lo, ed, lo_num = self.lower[j], self.edge[j], 3 * nums[j]
+            # computed as center computes it
+            lo, ed, lo_num = part.lower[j], part.edge[j], 3 * nums[j]
             head, tail = center[:j], center[j + 1:]
             f_lo = self._sample(head + (lo + (lo_num + 0.5) / side * ed,) + tail)
             if self.stop_reason:
@@ -170,7 +164,7 @@ def _run(problem, config: OptConfig, locally_biased: bool, method: str) -> RunRe
     check_stop(state)
     while not state.stop_reason:
         state.iterate()
-    return close_report(state, method, state.x_min)
+    return close_report(state, method)
 
 
 def direct_run(problem, config: OptConfig) -> RunReport:

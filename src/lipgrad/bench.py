@@ -282,32 +282,42 @@ def write_trace(report: RunReport, problem: problems.Problem, path) -> None:
 
 
 def read_trace(path) -> dict:
-    """Parse a trace file into domain bounds, trial points and boxes."""
+    """Parse a trace file into domain bounds, trial points and boxes; a
+    malformed domain, T or B line is a ValueError naming the path and line."""
     lower = upper = None
     trials = []
     boxes = []
-    for raw in Path(path).read_text().splitlines():
+    for n, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("# domain"):
-            _, _, lo_s, hi_s = line.split()
-            lower = tuple(float(v) for v in lo_s.split(","))
-            upper = tuple(float(v) for v in hi_s.split(","))
+            lower, upper = _fields(path, n, line[2:], (_point, _point))
         elif line.startswith("T "):
-            _, idx, xs, f, f_min, phase = line.split()
-            trials.append(
-                (int(idx), tuple(float(v) for v in xs.split(",")),
-                 float(f), float(f_min), phase)
-            )
+            trials.append(_fields(path, n, line, (int, _point, float, float, str)))
         elif line.startswith("B "):
-            _, box_id, s, a_s, b_s = line.split()
-            a = tuple(_parse_frac(v) for v in a_s.split(","))
-            b = tuple(_parse_frac(v) for v in b_s.split(","))
-            boxes.append((int(box_id), int(s), a, b))
+            boxes.append(_fields(path, n, line, (int, int, _grid_point, _grid_point)))
     if lower is None:
         raise ValueError(f"{path}: missing domain header")
     return {"lower": lower, "upper": upper, "trials": trials, "boxes": boxes}
+
+
+def _fields(path, n: int, line: str, readers) -> tuple:
+    """The fields after line ``n``'s tag, each read by its entry of
+    ``readers``; a ValueError naming the path and line when they do not fit."""
+    parts = line.split()
+    try:
+        if len(parts) == len(readers) + 1:
+            return tuple(read(v) for read, v in zip(readers, parts[1:]))
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"{path}:{n}: malformed {parts[0]} line: {line.strip()!r}")
+
+
+def _point(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _grid_point(text: str) -> tuple[float, ...]:
+    return tuple(_parse_frac(v) for v in text.split(","))
 
 
 def _parse_frac(text: str) -> float:
@@ -316,20 +326,21 @@ def _parse_frac(text: str) -> float:
 
 
 def read_hull_snapshot(path) -> dict:
-    """Parse the selection module's hull snapshot lines."""
+    """Parse the selection module's hull snapshot lines; any other line, or
+    a file without a D line, is a ValueError naming the path."""
     dots = []
     slopes = []
-    for raw in Path(path).read_text().splitlines():
-        parts = raw.split()
-        if not parts:
-            continue
-        if parts[0] == "D":
-            dots.append(
-                dict(box_id=int(parts[1]), d=float(parts[2]), F=float(parts[3]),
-                     s=int(parts[4]), selected=bool(int(parts[5])))
-            )
-        elif parts[0] == "S":
-            slopes.append((int(parts[1]), float(parts[2]), float(parts[3])))
+    for n, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        tag = raw.split()[:1]
+        if tag == ["D"]:
+            box_id, d, F, s, selected = _fields(path, n, raw, (int, float, float, int, int))
+            dots.append(dict(box_id=box_id, d=d, F=F, s=s, selected=bool(selected)))
+        elif tag == ["S"]:
+            slopes.append(_fields(path, n, raw, (int, float, float)))
+        elif tag:
+            raise ValueError(f"{path}:{n}: not a hull snapshot line: {raw.strip()!r}")
+    if not dots:
+        raise ValueError(f"{path}: no D line, so not a hull snapshot")
     return {"dots": dots, "slopes": slopes}
 
 

@@ -147,13 +147,17 @@ class Group:
 class BoxTable:
     """Every method's live boxes by dense id and their groups by index s.
 
-    A box is a plain tuple ``(key, id, s, ...)`` filed in group s.
+    Grid coordinate u on axis j is the real ``lower[j] + u * edge[j]`` of the
+    domain of ``problem``. A box is a plain tuple ``(key, id, s, ...)`` in group s.
     ``boxes[i]`` is the live box with id i, for i in 1..m; slot 0 is unused.
     No group is ever deleted; ``q_inf`` is the lowest with a live box. A
     subclass gives ``corners(box)``, the grid points of corners a and b.
     """
 
-    def __init__(self):
+    def __init__(self, problem):
+        self.problem = problem
+        self.lower = problem.lower
+        self.edge = tuple(u - l for l, u in zip(self.lower, problem.upper))
         self.boxes: list = [None]
         self.groups: list[Group] = []
         self.q_inf = 0
@@ -217,10 +221,7 @@ class Partition(BoxTable):
     """
 
     def __init__(self, problem, start_vertex: str = "a"):
-        super().__init__()
-        self.problem = problem
-        self.lower = problem.lower
-        self.edge = tuple(u - l for l, u in zip(self.lower, problem.upper))
+        super().__init__(problem)
         self.vertex_db: dict[GridVertex, Record] = {}
         # depths[s][j]: the splits of axis j in a box of group s, whose side
         # there is edge[j] / 3**depths[s][j]; both tables grow in split_axis
@@ -238,11 +239,6 @@ class Partition(BoxTable):
         rec = self.get_or_eval(va, a_real)
         d = half_diag_sq(a_real, b_real)
         self.add_box((bounding.characterize(rec, a_real, b_real), 1, 0, rec, orient, b_real, d), d)
-
-    @property
-    def trials(self) -> int:
-        """Number of trials: each distinct vertex is evaluated exactly once."""
-        return len(self.vertex_db)
 
     def get_or_eval(self, v: GridVertex, x: tuple[float, ...]) -> Record:
         """Read the record for ``v`` or evaluate f and f' there exactly once.

@@ -28,17 +28,13 @@ class OptState(RunState):
     """Full mutable state of one run: partition, record point and box, phase."""
 
     def __init__(self, config: OptConfig, partition: Partition):
-        super().__init__(partition.problem, config, "init", partition)
-        # the record at the record point, held by the boxes in record_ids, one
-        # of them the record box
-        self.x_min: Record = partition.boxes[1][3]
+        super().__init__(config, "init", partition)
+        # the vertex record at the record point, held by the boxes in
+        # record_ids, one of them the record box
+        self.record: Record = partition.boxes[1][3]
         self.record_ids: set[int] = {1}
         self.record_box = 1
         self.p = 0
-
-    @property
-    def trials(self) -> int:
-        return self.partition.trials
 
 
 def initialize(problem, config: OptConfig) -> OptState:
@@ -47,7 +43,7 @@ def initialize(problem, config: OptConfig) -> OptState:
     The record point starts at that corner, the trial vertex of box 1.
     """
     state = OptState(config, Partition(problem, config.start_vertex))
-    record_trial(state, state.x_min[3], state.x_min[0])
+    record_trial(state, state.record[3], state.record[0])
     log_history(state)
     check_stop(state)
     return state
@@ -112,7 +108,7 @@ def run(problem, config: OptConfig) -> RunReport:
         switch = exploration_phase(state)
         if switch == "local":
             record_phase(state)
-    return close_report(state, "new", state.x_min[3])
+    return close_report(state, "new")
 
 
 def _improved_one_percent(f_min: float, f_prec: float) -> bool:
@@ -134,14 +130,14 @@ def _subdivide(state: OptState, t: int) -> None:
     # low[3]. The database keeps one record per vertex and every box holds
     # that same object, so ``is`` compares vertices.
     if new_rec is not None and record_trial(state, new_rec[3], new_rec[0]):
-        state.x_min = new_rec  # newly evaluated, so no other box has it
+        state.record = new_rec  # newly evaluated, so no other box has it
         state.record_ids = {t, high[1]}
         _resolve_record_box(state)
-    elif state.x_min is low[3]:
+    elif state.record is low[3]:
         state.record_ids.discard(t)
         state.record_ids.add(low[1])
         _resolve_record_box(state)
-    elif state.x_min is middle[3]:
+    elif state.record is middle[3]:
         state.record_ids.update((t, high[1]))
         _resolve_record_box(state)
     # at any other record vertex the record box is as it was

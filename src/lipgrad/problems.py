@@ -41,6 +41,14 @@ class EvaluationError(RuntimeError):
         super().__init__(f"{problem}: {message} at x = {self.x}")
 
 
+def _number(v, kind=numbers.Real) -> bool:
+    """Whether ``v`` is a ``kind`` number a float holds finitely; a bool is never one."""
+    try:
+        return isinstance(v, kind) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
 @dataclass(frozen=True)
 class Problem:
     """A box-constrained objective with an analytic gradient.
@@ -61,23 +69,19 @@ class Problem:
     known_K: Optional[float] = None
 
     def __post_init__(self):
-        if not (isinstance(self.dim, numbers.Integral) and not isinstance(self.dim, bool)
-                and self.dim >= 1):
+        if not (_number(self.dim, numbers.Integral) and self.dim >= 1):
             raise ValueError(f"{self.name}: dim must be an integer >= 1, got {self.dim!r}")
-        if len(self.lower) != self.dim or len(self.upper) != self.dim:
-            raise ValueError(
-                f"{self.name}: bounds have {len(self.lower)} and {len(self.upper)} "
-                f"entries, dim is {self.dim}"
-            )
+        try:
+            sized = len(self.lower) == len(self.upper) == self.dim
+        except TypeError:  # a scalar bound
+            sized = False
+        if not sized:
+            raise ValueError(f"{self.name}: bounds {self.lower!r} and {self.upper!r} need "
+                             f"one entry per axis, dim is {self.dim}")
         for j, (lo, hi) in enumerate(zip(self.lower, self.upper)):
-            if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real)):
-                raise ValueError(
-                    f"{self.name}: axis {j} needs real bounds, got [{lo!r}, {hi!r}]"
-                )
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ValueError(
-                    f"{self.name}: axis {j} needs finite lower < upper, got [{lo}, {hi}]"
-                )
+            if not (_number(lo) and _number(hi) and lo < hi):
+                raise ValueError(f"{self.name}: axis {j} needs finite real numbers "
+                                 f"lower < upper, got [{lo!r}, {hi!r}]")
         # a trace writes the bounds with repr, which reads back only from floats
         object.__setattr__(self, "lower", tuple(map(float, self.lower)))
         object.__setattr__(self, "upper", tuple(map(float, self.upper)))

@@ -1,8 +1,8 @@
 """Run parameters, run state, trial booking, stop rules, history and the report.
 
 All three methods share these. Each keeps its run in a ``RunState``
-subclass, which adds ``trials``; the helpers below read and write only that,
-the fields ``RunState`` sets and the partition, a ``geometry.BoxTable``.
+subclass. The helpers below read and write only ``RunState``'s fields and
+the partition, a ``geometry.BoxTable``; ``record_trial`` alone books a trial.
 """
 
 from __future__ import annotations
@@ -12,17 +12,11 @@ import numbers
 from dataclasses import dataclass
 from typing import Optional
 
+from .problems import _number
+
 REASON_BUDGET = "budget"
 REASON_TARGET = "target_found"
 REASON_DIAGONAL = "diagonal"
-
-
-def _number(v, kind=numbers.Real) -> bool:
-    """Whether ``v`` is a ``kind`` number a float holds finitely; a bool is never one."""
-    try:
-        return isinstance(v, kind) and not isinstance(v, bool) and math.isfinite(v)
-    except OverflowError:  # an int beyond float range
-        return False
 
 
 @dataclass(frozen=True)
@@ -101,18 +95,21 @@ def target_window(target: Optional[StopTarget], lower, upper):
 
 
 class RunState:
-    """What every run keeps: partition, record value, phase, stop reason, history, trace.
+    """What every run keeps: the partition and its problem, trial count,
+    record value and point, phase, stop reason, history and trace.
 
     A history row is ``(trials, f_min, largest squared diagonal)``; the first
     one holds the initial diagonal, which the diagonal rule compares against.
     """
 
-    def __init__(self, problem, config: OptConfig, phase: str, partition):
-        self.problem = problem
+    def __init__(self, config: OptConfig, phase: str, partition):
+        self.problem = problem = partition.problem
         self.partition = partition
         self.config = config
         self.target_window = target_window(config.target, problem.lower, problem.upper)
+        self.trials = 0
         self.f_min = math.inf
+        self.x_min: tuple[float, ...] = ()
         self.phase = phase
         self.stop_reason: Optional[str] = None
         self.history: list[tuple[int, float, float]] = []
@@ -127,15 +124,17 @@ def _in_window(x, window) -> bool:
 
 
 def record_trial(state, x, value: float) -> bool:
-    """Book trial number ``state.trials``, made at ``x`` with f(x) = ``value``.
+    """Book the next trial, made at ``x`` with f(x) = ``value``.
 
-    Adopts a strictly better record value, appends the trace row
-    (trial, x, value, f_min, phase) and applies the target rule. Returns
-    whether the record value improved.
+    Counts it in ``trials``, adopts a strictly better record value and its
+    point, appends the trace row (trial, x, value, f_min, phase) and applies
+    the target rule. Returns whether the record value improved.
     """
+    state.trials += 1
     improved = value < state.f_min
     if improved:
         state.f_min = value
+        state.x_min = x
     if state.trace is not None:
         state.trace.append((state.trials, x, value, state.f_min, state.phase))
     window = state.target_window
@@ -161,7 +160,7 @@ def check_stop(state) -> None:
             state.stop_reason = REASON_DIAGONAL
 
 
-def close_report(state, method: str, x_min) -> RunReport:
+def close_report(state, method: str) -> RunReport:
     """Close the history with the final trial count and build the report;
     it holds the partition's snapshot when the config keeps a trace."""
     if not state.history or state.history[-1][0] != state.trials:
@@ -171,7 +170,7 @@ def close_report(state, method: str, x_min) -> RunReport:
         trials=state.trials,
         boxes=state.partition.m,
         f_min=state.f_min,
-        x_min=x_min,
+        x_min=state.x_min,
         stop_reason=state.stop_reason,
         history=state.history,
         trace=state.trace,

@@ -101,8 +101,8 @@ def test_criterion_03_vertex_reuse():
             box_id = int(rng.choice(box_ids(part)))
             sequence.append(box_id)
             part.trisect(box_id)
-        assert part.trials < part.m
-        assert part.trials == audit.f_calls
+        assert len(part.vertex_db) < part.m
+        assert len(part.vertex_db) == audit.f_calls
         # some vertex is the trial vertex of three or more live boxes
         assert max(Counter(box.a for box in live_boxes(part)).values()) >= 3
         # replayed over a copy of the database, nothing is evaluated again

@@ -251,6 +251,15 @@ def test_trace_round_trip(tmp_path):
     assert len(data["boxes"]) == report.boxes
     with pytest.raises(ValueError):
         write_trace(run(prob, OptConfig(p_max=5)), prob, path)
+    # a truncated header or T line, or a B corner that is no fraction, names its line
+    lines = path.read_text().splitlines()
+    t_at = next(i for i, line in enumerate(lines) if line.startswith("T "))
+    b_at = next(i for i, line in enumerate(lines) if line.startswith("B "))
+    for at, bad, tag in ((0, "# domain 0.0,0.0", "domain"), (t_at, "T 1 0.5,0.5 2.0", "T"),
+                         (b_at, "B 1 0 0/1,0/1 1/0,1/1", "B")):
+        path.write_text("\n".join(lines[:at] + [bad] + lines[at + 1:]) + "\n")
+        with pytest.raises(ValueError, match=f"run.trace:{at + 1}: malformed {tag} line"):
+            read_trace(path)
 
 
 def test_partition_diagram(tmp_path):
@@ -302,6 +311,16 @@ def test_hull_diagram_black_and_white_dots(tmp_path):
     assert svg.count('fill="black" stroke="black"') == 2
     assert svg.count('fill="white" stroke="black"') == 1
     assert "<polyline" in svg
+    # a run trace, a truncated D line and a file with no D line are no snapshot
+    prob = wavy_problem(2)
+    write_trace(run(prob, OptConfig(p_max=12, keep_trace=True)), prob, tmp_path / "run.trace")
+    (tmp_path / "cut.txt").write_text(snap.read_text() + "D 1 0.5\n")
+    (tmp_path / "slopes.txt").write_text("S 1 0.5 1.0\n")
+    for name, where in (("run.trace", ":1: not a hull snapshot line"),
+                        ("cut.txt", f":{len(snap.read_text().splitlines()) + 1}: malformed D"),
+                        ("slopes.txt", ": no D line")):
+        with pytest.raises(ValueError, match=name + where):
+            emit_diagram(tmp_path / name, "hull", tmp_path / "bad.svg")
 
 
 def test_empty_trace_yields_axes_only(tmp_path):
@@ -327,6 +346,9 @@ def test_cli_solve_and_diagram(tmp_path, capsys):
     assert cli.main(["diagram", "--trace", str(trace), "--kind", "partition2d",
                      "--out", str(tmp_path / "fig.svg")]) == 0
     assert (tmp_path / "fig.svg").exists()
+    assert cli.main(["diagram", "--trace", str(trace), "--kind", "hull",
+                     "--out", str(tmp_path / "hull.svg")]) == 1
+    assert "error: " in capsys.readouterr().err and not (tmp_path / "hull.svg").exists()
 
 
 def test_cli_bench_descriptor_and_manifest(tmp_path, capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from lipgrad import geometry, optimizer
-from lipgrad.baselines import direct_run
+from lipgrad.baselines import direct_run, directl_run
 from lipgrad.bounding import characterize
 from lipgrad.geometry import (
     Partition,
@@ -261,13 +261,13 @@ def test_cached_group_minima_match_a_fresh_heap_scan(dim, make):
 def test_get_or_eval_is_idempotent():
     prob, audit = with_audit(wavy_problem(2))
     part = Partition(prob)
-    assert audit.f_calls == 1 and part.trials == 1
+    assert audit.f_calls == 1 and len(part.vertex_db) == 1
     v = make_vertex((1, 1), (2, 1))
     x = vertex_real(v, part.lower, part.edge)
     rec1 = part.get_or_eval(v, x)
     rec2 = part.get_or_eval(v, x)
     assert rec1 is rec2
-    assert audit.f_calls == 2 and part.trials == 2
+    assert audit.f_calls == 2 and len(part.vertex_db) == 2
 
 
 def test_new_trial_point_can_land_on_existing_vertex():
@@ -298,7 +298,7 @@ def test_every_box_holds_the_database_record_of_its_trial_vertex(make, dim, star
         part.trisect(int(rng.choice(box_ids(part))))
         for box in part.boxes[1:]:
             assert box[3] is part.vertex_db[box[3][2]], box[1]
-    assert part.problem is prob and audit.f_calls == part.trials
+    assert part.problem is prob and audit.f_calls == len(part.vertex_db)
     for v, rec in part.vertex_db.items():
         assert rec[2] is v
         expected = vertex_real(v, part.lower, part.edge)
@@ -360,19 +360,25 @@ def test_vertex_sharing_and_eval_savings():
     part = Partition(prob)
     for _ in range(150):
         part.trisect(int(rng.choice(box_ids(part))))
-    assert part.trials < part.m
-    assert part.trials == audit.f_calls == audit.grad_calls
+    assert len(part.vertex_db) < part.m
+    assert len(part.vertex_db) == audit.f_calls == audit.grad_calls
     sharing = Counter(box.a for box in live_boxes(part)).values()
     assert max(sharing) >= 3
     assert max(sharing) <= 2**2  # a vertex serves at most one box per orthant
-    assert part.trials <= part.m + 1
+    assert len(part.vertex_db) <= part.m + 1
 
 
 def test_trial_indices_are_contiguous():
-    # every trial is one trace row, numbered by the trial count
-    for method in (run, direct_run):
-        report = method(wavy_problem(2), OptConfig(p_max=80, keep_trace=True))
-        assert [row[0] for row in report.trace] == list(range(1, report.trials + 1))
+    # every trial is one trace row, numbered by the trial count, and the
+    # reported point is the first one that reached the record value
+    hard = generate(problem_class(2, "hard", seed=0, count=20), 1)
+    for prob, p_max in ((wavy_problem(2), 80), (hard, 600)):
+        for method in (run, direct_run, directl_run):
+            report = method(prob, OptConfig(p_max=p_max, keep_trace=True))
+            assert report.trials == len(report.trace) == p_max
+            assert [row[0] for row in report.trace] == list(range(1, report.trials + 1))
+            first = next(row for row in report.trace if row[2] == report.f_min)
+            assert report.x_min is first[1]
 
 
 def test_group_index_bounds_hold():

@@ -72,13 +72,16 @@ def test_record_trial_requires_strict_improvement():
 def test_record_trial_books_trace_row_and_target():
     window = target_window(StopTarget((0.5, 0.5), 1e-2), (0.0, 0.0), (1.0, 1.0))
     state = SimpleNamespace(
-        target_window=window, trials=3, f_min=2.0, phase="explore", trace=[], stop_reason=None,
+        target_window=window, trials=2, f_min=2.0, x_min=(0.1, 0.1), phase="explore",
+        trace=[], stop_reason=None,
     )
     assert record_trial(state, (0.9, 0.9), 1.0)
     assert state.trace == [(3, (0.9, 0.9), 1.0, 1.0, "explore")]
+    assert state.trials == 3 and state.x_min == (0.9, 0.9)
     assert state.stop_reason is None
     assert not record_trial(state, (0.5, 0.5), 4.0)
-    assert state.trace[-1] == (3, (0.5, 0.5), 4.0, 1.0, "explore")
+    assert state.trace[-1] == (4, (0.5, 0.5), 4.0, 1.0, "explore")
+    assert state.trials == 4 and state.x_min == (0.9, 0.9)
     assert state.stop_reason == "target_found"
 
 
@@ -94,7 +97,7 @@ def test_record_box_always_carries_the_record_point():
     for _ in range(6):
         exploration_iteration(state, state.partition.q_0)
     box = Box._make(state.partition.boxes[state.record_box])
-    assert box.rec is state.x_min
+    assert box.rec is state.record and state.x_min is box.rec[3]
     assert state.p == box.s
     assert state.f_min == min(rec[0] for rec in state.partition.vertex_db.values())
 
@@ -112,7 +115,7 @@ def test_record_box_tie_resolution_rule():
         Box(2.0, 5, 3, rv, 0, (), 1.0),
     )}
     at_x_min = {i for i, box in boxes.items() if Box._make(box).a == v}
-    state = SimpleNamespace(partition=SimpleNamespace(boxes=boxes), x_min=rv,
+    state = SimpleNamespace(partition=SimpleNamespace(boxes=boxes), record=rv,
                             record_ids=at_x_min, record_box=None, p=None)
     _resolve_record_box(state)
     assert state.record_box == 1 and state.p == 3
@@ -153,11 +156,13 @@ def test_record_ids_after_every_subdivision_are_the_boxes_at_x_min(monkeypatch, 
 
     def checked_subdivide(state, box_id):
         subdivide(state, box_id)
-        part, x_min = state.partition, state.x_min
-        # x_min is the database's own record at the record point
-        assert x_min is part.vertex_db[x_min[2]], box_id
+        part, record = state.partition, state.record
+        # the record is the database's own record at the record point x_min
+        assert record is part.vertex_db[record[2]], box_id
+        assert state.x_min is record[3], box_id
+        assert state.trials == len(part.vertex_db), box_id
         # box[1] is the id and box[3][2] the trial vertex a
-        at_x_min = {box[1] for box in part.boxes[1:] if box[3][2] == x_min[2]}
+        at_x_min = {box[1] for box in part.boxes[1:] if box[3][2] == record[2]}
         assert state.record_ids == at_x_min, box_id
         checked.append(box_id)
 

@@ -366,6 +366,8 @@ def test_problem_rejects_bounds_of_the_wrong_length():
         problems.Problem("short", 3, (0.0, 0.0), (1.0, 1.0), _sphere, _sphere_grad)
     with pytest.raises(ValueError, match="dim is 2"):
         problems.Problem("long", 2, (0.0, 0.0), (1.0, 1.0, 1.0), _sphere, _sphere_grad)
+    with pytest.raises(ValueError, match="dim is 2"):  # was a TypeError from len
+        problems.Problem("scalar", 2, (0.0, 0.0), 1.0, _sphere, _sphere_grad)
 
 
 @pytest.mark.parametrize("dim,lower,upper", [
@@ -386,6 +388,9 @@ def test_problem_rejects_a_dim_that_is_no_integer_from_one(dim, lower, upper):
     ((0.0, -math.inf), (1.0, 1.0)),
     ((0.0, 0.0), (math.nan, 1.0)),
     (("0.0", 0.0), (1.0, 1.0)),  # floats are stored, but a string is no bound
+    ((False, 0.0), (True, 1.0)),  # ran on [0, 1]
+    ((0.0, -10**400), (1.0, 1.0)),  # was a bare OverflowError
+    (((0.0, 1.0), 0.0), (1.0, 1.0)),
 ])
 def test_problem_rejects_empty_or_nonfinite_bounds(lower, upper):
     with pytest.raises(ValueError, match="axis"):
