@@ -9,6 +9,7 @@ many workers executed the runs.
 from __future__ import annotations
 
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +30,9 @@ def run_method(name: str, problem: problems.Problem, config: OptConfig) -> RunRe
 
 
 def check_methods(methods) -> list[str]:
-    """The methods as a list; ValueError if none, or one is unknown or repeated."""
+    """The methods as a list; ValueError for a string, none, or one unknown or repeated."""
+    if isinstance(methods, str):
+        raise ValueError(f"methods must be a collection of names, got the string {methods!r}")
     methods = list(methods)
     if not methods:
         raise ValueError("need at least one method")
@@ -184,6 +187,8 @@ def run_class(
 ) -> ClassReport:
     """Run every method on every problem of the class and aggregate C1-C4."""
     methods = check_methods(methods)
+    if not (problems._number(workers, numbers.Integral) and workers >= 1):
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     jobs = [
         (cls, index, tuple(methods), delta, p_max, epsilon)
         for index in range(1, cls.count + 1)
@@ -283,33 +288,44 @@ def write_trace(report: RunReport, problem: problems.Problem, path) -> None:
 
 def read_trace(path) -> dict:
     """Parse a trace file into domain bounds, trial points and boxes; a
-    malformed domain, T or B line is a ValueError naming the path and line."""
-    lower = upper = None
+    malformed domain, T or B line is a ValueError naming the path and line.
+    The domain comes first, with lower < upper on every axis, and every T
+    point and B corner has one coordinate per axis."""
+    lower = upper = ()
     trials = []
     boxes = []
     for n, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if line.startswith("# domain"):
-            lower, upper = _fields(path, n, line[2:], (_point, _point))
+            lower, upper = _fields(path, n, line[2:], (_point, _point), _is_domain)
         elif line.startswith("T "):
-            trials.append(_fields(path, n, line, (int, _point, float, float, str)))
+            trials.append(_fields(path, n, line, (int, _point, float, float, str),
+                                  lambda _, x, *__: len(x) == len(lower)))
         elif line.startswith("B "):
-            boxes.append(_fields(path, n, line, (int, int, _grid_point, _grid_point)))
-    if lower is None:
+            boxes.append(_fields(path, n, line, (int, int, _grid_point, _grid_point),
+                                 lambda _, __, a, b: len(a) == len(b) == len(lower)))
+    if not lower:
         raise ValueError(f"{path}: missing domain header")
     return {"lower": lower, "upper": upper, "trials": trials, "boxes": boxes}
 
 
-def _fields(path, n: int, line: str, readers) -> tuple:
+def _fields(path, n: int, line: str, readers, valid=lambda *fields: True) -> tuple:
     """The fields after line ``n``'s tag, each read by its entry of
-    ``readers``; a ValueError naming the path and line when they do not fit."""
+    ``readers`` and together ``valid``; a ValueError naming the path and
+    line when they do not fit."""
     parts = line.split()
     try:
         if len(parts) == len(readers) + 1:
-            return tuple(read(v) for read, v in zip(readers, parts[1:]))
+            fields = tuple(read(v) for read, v in zip(readers, parts[1:]))
+            if valid(*fields):
+                return fields
     except (ValueError, ZeroDivisionError):
         pass
     raise ValueError(f"{path}:{n}: malformed {parts[0]} line: {line.strip()!r}")
+
+
+def _is_domain(lower, upper) -> bool:
+    return len(lower) == len(upper) and all(lo < hi for lo, hi in zip(lower, upper))
 
 
 def _point(text: str) -> tuple[float, ...]:

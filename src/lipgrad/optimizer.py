@@ -12,7 +12,7 @@ points outward along every side of its box.
 from __future__ import annotations
 
 from . import selection
-from .geometry import Partition, Record
+from .geometry import BoxTuple, Partition
 from .stopping import (
     OptConfig,
     RunReport,
@@ -29,12 +29,12 @@ class OptState(RunState):
 
     def __init__(self, config: OptConfig, partition: Partition):
         super().__init__(config, "init", partition)
-        # the vertex record at the record point, held by the boxes in
-        # record_ids, one of them the record box
-        self.record: Record = partition.boxes[1][3]
+        # the ids of the boxes whose record's point is x_min, and the record
+        # box, the tuple of one of them; the paper's p is record_box[2]. It
+        # stays live: only a split replaces a box, and a split of the record
+        # box changes the boxes at x_min, so _subdivide resolves it again.
         self.record_ids: set[int] = {1}
-        self.record_box = 1
-        self.p = 0
+        self.record_box: BoxTuple = partition.boxes[1]
 
 
 def initialize(problem, config: OptConfig) -> OptState:
@@ -43,7 +43,8 @@ def initialize(problem, config: OptConfig) -> OptState:
     The record point starts at that corner, the trial vertex of box 1.
     """
     state = OptState(config, Partition(problem, config.start_vertex))
-    record_trial(state, state.record[3], state.record[0])
+    rec = state.record_box[3]
+    record_trial(state, rec[3], rec[0])
     log_history(state)
     check_stop(state)
     return state
@@ -63,23 +64,19 @@ def exploration_iteration(state: OptState, g_hi: int) -> None:
     log_history(state)
 
 
-def exploration_phase(state: OptState) -> str:
-    """Steps 1.1-1.5; returns 'local', 're-explore' or 'stopped'."""
+def exploration_phase(state: OptState) -> bool:
+    """Steps 1.1-1.5; returns whether the record phase follows."""
     f_prec = state.f_min
     state.phase = "explore"
     for _ in range(state.problem.dim):
-        g_hi = (state.partition.q_inf + state.p + 1) // 2
+        g_hi = (state.partition.q_inf + state.record_box[2] + 1) // 2
         exploration_iteration(state, g_hi)
         if state.stop_reason:
-            return "stopped"
+            return False
         if _improved_one_percent(state.f_min, f_prec):
-            return "local"
-    exploration_iteration(state, state.p)
-    if state.stop_reason:
-        return "stopped"
-    if state.p < state.partition.q_0:
-        return "local"
-    return "re-explore"
+            return True
+    exploration_iteration(state, state.record_box[2])
+    return not state.stop_reason and state.record_box[2] < state.partition.q_0
 
 
 def gradient_aligned(grad, a_real, b_real) -> bool:
@@ -90,12 +87,11 @@ def gradient_aligned(grad, a_real, b_real) -> bool:
 def record_phase(state: OptState) -> None:
     """Step 2: up to N trisections of the (possibly moving) record box."""
     state.phase = "local"
-    part = state.partition
     for _ in range(state.problem.dim):
-        _, _, _, rec, _, b_real, _ = part.boxes[state.record_box]
+        _, t, _, rec, _, b_real, _ = state.record_box
         if gradient_aligned(rec[1], rec[3], b_real):
             break
-        _subdivide(state, state.record_box)
+        _subdivide(state, t)
         if state.stop_reason:
             return
     log_history(state)
@@ -105,8 +101,7 @@ def run(problem, config: OptConfig) -> RunReport:
     """Alternate exploration and record improvement until a stop rule fires."""
     state = initialize(problem, config)
     while not state.stop_reason:
-        switch = exploration_phase(state)
-        if switch == "local":
+        if exploration_phase(state):
             record_phase(state)
     return close_report(state, "new")
 
@@ -116,29 +111,22 @@ def _improved_one_percent(f_min: float, f_prec: float) -> bool:
 
 
 def _resolve_record_box(state: OptState) -> None:
-    # the record vertex always remains the trial vertex of at least one box;
+    # the record point always remains the trial vertex of at least one box;
     # among them the least F, then the largest d, then the lowest id
     boxes = state.partition.boxes
-    state.record_box = best = min(state.record_ids, key=lambda i: (boxes[i][0], -boxes[i][6], i))
-    state.p = boxes[best][2]
+    state.record_box = min((boxes[i] for i in state.record_ids),
+                           key=lambda box: (box[0], -box[6], box[1]))
 
 
 def _subdivide(state: OptState, t: int) -> None:
-    middle, low, high, new_rec = state.partition.trisect(t)
-    # box t, which held the record low[3], is gone; its children t and
-    # high[1] hold the record at the new trial vertex, and low[1] holds
-    # low[3]. The database keeps one record per vertex and every box holds
-    # that same object, so ``is`` compares vertices.
+    # every record holds its own point, so ``is`` finds the children at x_min;
+    # they take box t's place, and a new record leaves only them
+    *children, new_rec = state.partition.trisect(t)
     if new_rec is not None and record_trial(state, new_rec[3], new_rec[0]):
-        state.record = new_rec  # newly evaluated, so no other box has it
-        state.record_ids = {t, high[1]}
-        _resolve_record_box(state)
-    elif state.record is low[3]:
+        state.record_ids.clear()
+    at_x_min = [box[1] for box in children if box[3][3] is state.x_min]
+    if at_x_min:
         state.record_ids.discard(t)
-        state.record_ids.add(low[1])
+        state.record_ids.update(at_x_min)
         _resolve_record_box(state)
-    elif state.record is middle[3]:
-        state.record_ids.update((t, high[1]))
-        _resolve_record_box(state)
-    # at any other record vertex the record box is as it was
     check_stop(state)

@@ -313,8 +313,8 @@ def generated_parameters(cls: ProblemClass, index: int):
     their radii, the paraboloid's vertex and the ball bottoms, the global
     ball first. Raises GenerationError when the balls do not fit.
     """
-    if not 1 <= index <= cls.count:
-        raise ValueError(f"index {index} outside 1..{cls.count}")
+    if not (_number(index, numbers.Integral) and 1 <= index <= cls.count):
+        raise ValueError(f"index must be an integer in 1..{cls.count}, got {index!r}")
     rng = np.random.default_rng([cls.seed, cls.dim, index])
     n = cls.dim
     lo = np.full(n, cls.lower)

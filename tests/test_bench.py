@@ -182,6 +182,13 @@ def test_run_class_rejects_unknown_method():
         run_class(["newton"], cls, delta=1e-4, p_max=10)
     with pytest.raises(ValueError):
         run_class([], cls, delta=1e-4, p_max=10)
+    # a string is not a list of names, even when its letters are
+    with pytest.raises(ValueError, match="methods"):
+        run_class("new", cls, delta=1e-4, p_max=10)
+    # workers is an int >= 1, never a bool or a float
+    for workers in (0, -3, True, 2.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match="workers"):
+            run_class(["new"], cls, delta=1e-4, p_max=10, workers=workers)
 
 
 def test_run_class_rejects_a_repeated_method():
@@ -251,12 +258,20 @@ def test_trace_round_trip(tmp_path):
     assert len(data["boxes"]) == report.boxes
     with pytest.raises(ValueError):
         write_trace(run(prob, OptConfig(p_max=5)), prob, path)
-    # a truncated header or T line, or a B corner that is no fraction, names its line
+    # a truncated header or T line, a B corner that is no fraction, a header
+    # whose bounds differ in length or leave an axis empty, a T point or B
+    # corner with the wrong number of coordinates, or a T line before the
+    # header names its line
     lines = path.read_text().splitlines()
     t_at = next(i for i, line in enumerate(lines) if line.startswith("T "))
     b_at = next(i for i, line in enumerate(lines) if line.startswith("B "))
     for at, bad, tag in ((0, "# domain 0.0,0.0", "domain"), (t_at, "T 1 0.5,0.5 2.0", "T"),
-                         (b_at, "B 1 0 0/1,0/1 1/0,1/1", "B")):
+                         (b_at, "B 1 0 0/1,0/1 1/0,1/1", "B"),
+                         (0, "# domain 0.0,0.0 1.0", "domain"),
+                         (0, "# domain 0.0,0.0 0.0,1.0", "domain"),
+                         (t_at, "T 1 0.0 0.58 0.58 init", "T"),
+                         (b_at, "B 1 4 4/9 5/9,5/9", "B"),
+                         (0, lines[t_at], "T")):
         path.write_text("\n".join(lines[:at] + [bad] + lines[at + 1:]) + "\n")
         with pytest.raises(ValueError, match=f"run.trace:{at + 1}: malformed {tag} line"):
             read_trace(path)

@@ -27,7 +27,7 @@ def test_initialize_single_box():
     assert state.partition.m == 1
     assert Box._make(state.partition.boxes[1]).s == 0
     assert state.record_ids == {1}
-    assert state.p == 0 and state.record_box == 1
+    assert state.record_box is state.partition.boxes[1] and state.record_box[2] == 0
     assert state.stop_reason is None
 
 
@@ -96,9 +96,12 @@ def test_record_box_always_carries_the_record_point():
     state = initialize(prob, OptConfig(p_max=50))
     for _ in range(6):
         exploration_iteration(state, state.partition.q_0)
-    box = Box._make(state.partition.boxes[state.record_box])
-    assert box.rec is state.record and state.x_min is box.rec[3]
-    assert state.p == box.s
+    part = state.partition
+    assert state.record_box is part.boxes[state.record_box[1]]
+    box = Box._make(state.record_box)
+    assert box.rec is part.vertex_db[box.a] and state.x_min is box.rec[3]
+    # the record box is filed in its group p = box.s
+    assert any(entry is state.record_box for entry in part.groups[box.s].heap)
     assert state.f_min == min(rec[0] for rec in state.partition.vertex_db.values())
 
 
@@ -115,10 +118,10 @@ def test_record_box_tie_resolution_rule():
         Box(2.0, 5, 3, rv, 0, (), 1.0),
     )}
     at_x_min = {i for i, box in boxes.items() if Box._make(box).a == v}
-    state = SimpleNamespace(partition=SimpleNamespace(boxes=boxes), record=rv,
-                            record_ids=at_x_min, record_box=None, p=None)
+    state = SimpleNamespace(partition=SimpleNamespace(boxes=boxes),
+                            record_ids=at_x_min, record_box=None)
     _resolve_record_box(state)
-    assert state.record_box == 1 and state.p == 3
+    assert state.record_box is boxes[1] and state.record_box[2] == 3
 
 
 @pytest.mark.parametrize("make", [
@@ -133,9 +136,9 @@ def test_record_box_after_every_subdivision_matches_a_full_resolve(monkeypatch, 
 
     def checked_subdivide(state, box_id):
         subdivide(state, box_id)
-        kept = (state.record_box, state.p)
+        kept = state.record_box
         _resolve_record_box(state)
-        assert kept == (state.record_box, state.p)
+        assert kept is state.record_box
         checked.append(box_id)
 
     monkeypatch.setattr(optimizer, "_subdivide", checked_subdivide)
@@ -150,19 +153,22 @@ def test_record_box_after_every_subdivision_matches_a_full_resolve(monkeypatch, 
 ], ids=["wavy2d", "wavy4d", "hard2d"])
 def test_record_ids_after_every_subdivision_are_the_boxes_at_x_min(monkeypatch, make):
     # _subdivide updates the set from the three children alone; it must
-    # equal a scan of every live box for the trial vertex x_min
+    # equal a scan of every live box for the record point x_min
     subdivide = optimizer._subdivide
     checked = []
 
     def checked_subdivide(state, box_id):
         subdivide(state, box_id)
-        part, record = state.partition, state.record
-        # the record is the database's own record at the record point x_min
+        part, record = state.partition, state.record_box[3]
+        # the held record box is live, and its record is the database's own
+        # record at the record point x_min
+        assert state.record_box is part.boxes[state.record_box[1]], box_id
         assert record is part.vertex_db[record[2]], box_id
         assert state.x_min is record[3], box_id
         assert state.trials == len(part.vertex_db), box_id
-        # box[1] is the id and box[3][2] the trial vertex a
-        at_x_min = {box[1] for box in part.boxes[1:] if box[3][2] == record[2]}
+        # box[1] is the id and box[3][3] its record's point; every box holds
+        # its vertex's one record, so these are the boxes at that vertex
+        at_x_min = {box[1] for box in part.boxes[1:] if box[3][3] is state.x_min}
         assert state.record_ids == at_x_min, box_id
         checked.append(box_id)
 
@@ -180,7 +186,7 @@ def test_exploration_phase_group_ranges(monkeypatch):
     seen = []
 
     def spy(st, g_hi):
-        seen.append((st.partition.q_inf, st.p, g_hi))
+        seen.append((st.partition.q_inf, st.record_box[2], g_hi))
         exploration_iteration(st, g_hi)
 
     monkeypatch.setattr(optimizer, "exploration_iteration", spy)
@@ -200,10 +206,10 @@ def test_exploration_phase_switch_after_final_iteration(monkeypatch):
         part.trisect(min(box[1] for box in part.boxes[1:] if box[2] == part.q_0))
     assert part.q_0 == 3
     monkeypatch.setattr(optimizer, "exploration_iteration", lambda st, g_hi: None)
-    state.p = 0
-    assert optimizer.exploration_phase(state) == "local"
-    state.p = 3
-    assert optimizer.exploration_phase(state) == "re-explore"
+    assert state.record_box[2] == 0  # box 1 as initialize made it
+    assert optimizer.exploration_phase(state) is True
+    state.record_box = next(box for box in part.boxes[1:] if box[2] == 3)
+    assert optimizer.exploration_phase(state) is False
 
 
 def test_exploration_iteration_single_box_is_subdivided():

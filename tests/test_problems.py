@@ -264,10 +264,11 @@ def test_generated_objective_matches_its_numpy_oracle(dim, difficulty):
 
 def test_generate_validates_index():
     cls = problem_class(2, "simple", seed=0, count=3)
-    with pytest.raises(ValueError):
-        generate(cls, 0)
-    with pytest.raises(ValueError):
-        generate(cls, 4)
+    # only an integral index in 1..count, never a bool or a float
+    for index in (0, 4, True, 1.0, 2.5, "1", None, np.float64(1.0)):
+        with pytest.raises(ValueError, match="index"):
+            generate(cls, index)
+    assert generate(cls, np.int64(2)).name == generate(cls, 2).name
 
 
 def test_overcrowded_class_raises_generation_error():
