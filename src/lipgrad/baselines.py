@@ -78,7 +78,7 @@ class _CenterState(RunState):
 
         zeros = (0,) * problem.dim
         f0 = self._sample(self.partition.center(zeros, zeros))
-        self.partition.add_box((f0, 1, 0, zeros, zeros), _diag_d(0, problem.dim))
+        self.partition.add_boxes(0, _diag_d(0, problem.dim), ((f0, 1, 0, zeros, zeros),))
         log_history(self)
 
     def _sample(self, x: tuple[float, ...]) -> float:
@@ -143,11 +143,11 @@ class _CenterState(RunState):
             d = _diag_d(s, dim)
             lo_num = 3 * nums[j]
             head, tail = nums[:j], nums[j + 1:]
-            part.add_box((f_lo, next_id, s, head + (lo_num,) + tail, deps), d)
-            part.add_box((f_hi, next_id + 1, s, head + (lo_num + 2,) + tail, deps), d)
+            part.add_boxes(s, d, ((f_lo, next_id, s, head + (lo_num,) + tail, deps),
+                                  (f_hi, next_id + 1, s, head + (lo_num + 2,) + tail, deps)))
             next_id += 2
             nums = head + (lo_num + 1,) + tail
-        part.add_box((f_center, box_id, s, nums, deps), d)
+        part.add_boxes(s, d, ((f_center, box_id, s, nums, deps),))
         part.remove_split(box)
 
     def iterate(self) -> None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -158,11 +157,12 @@ class ClassReport:
 
 def _run_one(args) -> dict:
     cls, index, methods, delta, p_max, epsilon = args
-    results = {}
+    results, stage = {}, "generation"
     try:
         problem = problems.generate(cls, index)
         target = StopTarget(problem.known_opt[0], delta)
         for m in methods:
+            stage = f"method {m}"
             config = OptConfig(epsilon=epsilon, p_max=p_max, target=target)
             report = run_method(m, problem, config)
             results[m] = {
@@ -173,6 +173,9 @@ def _run_one(args) -> dict:
             }
     except (problems.GenerationError, problems.EvaluationError) as exc:
         return {"index": index, "valid": False, "error": str(exc), "results": {}}
+    except Exception as exc:  # one failing run must not sink the class run
+        error = f"{stage} failed on problem {index}: {exc!r}"
+        return {"index": index, "valid": False, "error": error, "results": {}}
     return {"index": index, "valid": True, "error": "", "results": results}
 
 
@@ -194,6 +197,8 @@ def run_class(
         for index in range(1, cls.count + 1)
     ]
     if workers > 1:  # a fork pool starts all its workers at once: no more than the jobs
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
+
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             rows = list(pool.map(_run_one, jobs))
     else:

@@ -63,19 +63,6 @@ def vertex_real(v: GridVertex, lower, edge) -> tuple[float, ...]:
     )
 
 
-def half_diag_sq(a_real, b_real) -> float:
-    """Half the squared distance between two real points.
-
-    The squares are added left to right in axis order: from Python 3.12 on,
-    ``sum`` adds floats with compensation, and the last bit of ``d`` steers
-    selection.
-    """
-    total = 0.0
-    for ar, br in zip(a_real, b_real):
-        total += (br - ar) ** 2
-    return 0.5 * total
-
-
 # A vertex's record is the plain tuple (f_value, gradient, vertex, point) and
 # a box the plain tuple (F, id, s, rec, orient, b_real, d): ``rec`` is the
 # record of the trial vertex a, the very object the vertex database holds,
@@ -89,23 +76,28 @@ BoxTuple = tuple[float, int, int, Record, int, tuple[float, ...], float]
 
 
 def heap_min_entries(heap: list, boxes: list) -> list:
-    """All minimum-key boxes ``(key, id, ...)`` of a lazy-deletion heap.
+    """All minimum-key live boxes ``(key, id, ...)`` of a lazy-deletion heap,
+    sorted by id (unique in a heap, so comparisons stop there).
 
-    An entry is live exactly when it is ``boxes[id]``; the others are
-    discarded. Ties on the key are all returned (sorted by id, unique in a
-    heap, so comparisons stop there) and pushed back.
+    An entry is live exactly when it is ``boxes[id]``; dead entries are
+    discarded while they sit at the root. By heap order the entries tying
+    the root's key form a subtree at the root: it is walked in place, and
+    no entry is popped or pushed back.
     """
-    out = []
-    while heap:
-        entry = heap[0]
-        if boxes[entry[1]] is not entry:
-            heapq.heappop(heap)
-            continue
-        if out and entry[0] != out[0][0]:
-            break
-        out.append(heapq.heappop(heap))
-    for entry in out:
-        heapq.heappush(heap, entry)
+    while heap and boxes[heap[0][1]] is not heap[0]:
+        heapq.heappop(heap)
+    if not heap:
+        return []
+    root = heap[0]
+    key, n = root[0], len(heap)
+    out, todo = [root], [1, 2]
+    for p in todo:  # todo grows with the children of every tie
+        if p < n and heap[p][0] == key:
+            entry = heap[p]
+            if boxes[entry[1]] is entry:
+                out.append(entry)
+            todo += (2 * p + 1, 2 * p + 2)
+    out.sort()
     return out
 
 
@@ -131,12 +123,6 @@ class Group:
     heap: list = field(default_factory=list)
     mins: Optional[list] = None
     n: int = 0
-
-    def add(self, box: tuple) -> None:
-        heapq.heappush(self.heap, box)
-        if self.mins is not None and box[0] <= self.mins[0][0]:
-            self.mins = None
-        self.n += 1
 
     def discard(self, box: tuple) -> None:
         if self.mins is not None and box in self.mins:
@@ -171,15 +157,25 @@ class BoxTable:
     def m(self) -> int:
         return len(self.boxes) - 1
 
-    def add_box(self, box: tuple, d: float) -> None:
-        """File ``box`` under its id, a live one or one past the last, and
-        under group s, a new one with half squared diagonal ``d`` when s is
-        one past the last: a split files its children by ascending s."""
-        s = box[2]
-        if s == len(self.groups):  # the group's first box
-            self.groups.append(Group(d))
-        self.groups[s].add(box)
-        self.boxes[box[1]:box[1] + 1] = (box,)
+    def add_boxes(self, s: int, d: float, new: tuple) -> None:
+        """File the new boxes of group s, a new group with half squared
+        diagonal ``d`` when s is one past the last: a split files its
+        children by ascending s. A box whose id is live takes its slot, the
+        others are appended, their ids following on from the last."""
+        groups, boxes = self.groups, self.boxes
+        if s == len(groups):  # the group's first boxes
+            groups.append(Group(d))
+        group = groups[s]
+        heap, end = group.heap, len(boxes)
+        for box in new:
+            heapq.heappush(heap, box)
+            if box[1] < end:
+                boxes[box[1]] = box
+            else:
+                boxes.append(box)
+        if group.mins is not None and min(new)[0] <= group.mins[0][0]:
+            group.mins = None
+        group.n += len(new)
 
     def remove_split(self, box: tuple) -> None:
         """Discard a split box once its children are in; advance q_inf."""
@@ -224,10 +220,12 @@ class Partition(BoxTable):
         super().__init__(problem)
         self.vertex_db: dict[GridVertex, Record] = {}
         # depths[s][j]: the splits of axis j in a box of group s, whose side
-        # there is edge[j] / 3**depths[s][j]; both tables grow in split_axis
+        # there is edge[j] / 3**depths[s][j]; splits[s]: what a split of group
+        # s reads, (axis i, the children's depth k on it, 3**k, lower[i],
+        # edge[i]); both tables grow in split_axis
         dim = len(self.lower)
         self.depths: list[tuple[int, ...]] = [(0,) * dim]
-        self._split_axes: list[int] = []
+        self._splits: list[tuple[int, int, int, float, float]] = []
 
         if start_vertex not in ("a", "b"):
             raise ValueError("start_vertex must be 'a' or 'b'")
@@ -237,8 +235,9 @@ class Partition(BoxTable):
         a_real = vertex_real(va, self.lower, self.edge)
         b_real = vertex_real(vb, self.lower, self.edge)
         rec = self.get_or_eval(va, a_real)
-        d = half_diag_sq(a_real, b_real)
-        self.add_box((bounding.characterize(rec, a_real, b_real), 1, 0, rec, orient, b_real, d), d)
+        # the root is the low child of its own split on axis 0 at u = a, v = b
+        _, F, _, d = bounding.characterize(rec, rec, a_real, b_real, 0, a_real[0], b_real[0])
+        self.add_boxes(0, d, ((F, 1, 0, rec, orient, b_real, d),))
 
     def get_or_eval(self, v: GridVertex, x: tuple[float, ...]) -> Record:
         """Read the record for ``v`` or evaluate f and f' there exactly once.
@@ -264,32 +263,31 @@ class Partition(BoxTable):
         box = self.boxes[t]
         _, _, s, a_rec, orient, b_real, _ = box
         _, _, a, a_real = a_rec
-        i = self.split_axis(s)
-        k = self.depths[s + 1][i]  # the children's depth on axis i
+        splits = self._splits
+        if s >= len(splits):
+            self.split_axis(s)
+        i, k, p3, lo_i, ed_i = splits[s]
         j = 2 * i  # axis i's (num, depth) in a grid point
-        an = a[j] * pow3(k - a[j + 1])  # a multiple of 3: a is on the parent's grid
+        an = a[j] * _POW3[k - a[j + 1]]  # a multiple of 3: a is on the parent's grid
         step = -1 if orient >> i & 1 else 1  # toward b, so u = a + 2/3 (b - a) is normalized
         # and the children's new b is a + 1/3 (b - a); int / int rounds as vertex_real does
         u = a[:j] + (an + 2 * step, k) + a[j + 2:]
-        lo_i, ed_i = self.lower[i], self.edge[i]
-        u_real = a_real[:i] + (lo_i + (an + 2 * step) / pow3(k) * ed_i,) + a_real[i + 1:]
-        v_real = b_real[:i] + (lo_i + (an + step) / pow3(k) * ed_i,) + b_real[i + 1:]
+        u_i = lo_i + (an + 2 * step) / p3 * ed_i
+        v_i = lo_i + (an + step) / p3 * ed_i
+        v_real = b_real[:i] + (v_i,) + b_real[i + 1:]
 
         before = len(self.vertex_db)
-        rec = self.get_or_eval(u, u_real)
+        rec = self.get_or_eval(u, a_real[:i] + (u_i,) + a_real[i + 1:])
         new_rec = rec if len(self.vertex_db) > before else None
 
+        # children share side lengths, hence one d for all three
+        F_middle, F_low, F_high, d = bounding.characterize(a_rec, rec, a_real, b_real, i, u_i, v_i)
         s += 1
         m = len(self.boxes) - 1
-        # children share side lengths, hence one d for all three; each box is
-        # made with its bound F from the record at its trial vertex
-        d = half_diag_sq(u_real, v_real)
-        bound = bounding.characterize
-        middle = (bound(rec, rec[3], v_real), t, s, rec, orient ^ (1 << i), v_real, d)
-        low = (bound(a_rec, a_real, v_real), m + 1, s, a_rec, orient, v_real, d)
-        high = (bound(rec, rec[3], b_real), m + 2, s, rec, orient, b_real, d)
-        for child in (middle, low, high):
-            self.add_box(child, d)
+        middle = (F_middle, t, s, rec, orient ^ (1 << i), v_real, d)
+        low = (F_low, m + 1, s, a_rec, orient, v_real, d)
+        high = (F_high, m + 2, s, rec, orient, b_real, d)
+        self.add_boxes(s, d, (middle, low, high))
         self.remove_split(box)
         return middle, low, high, new_rec
 
@@ -301,13 +299,13 @@ class Partition(BoxTable):
         and one split axis. The tables grow once per new group, comparing
         exact side lengths.
         """
-        axes, depths, edge = self._split_axes, self.depths, self.edge
-        while len(axes) <= s:
+        splits, depths, edge = self._splits, self.depths, self.edge
+        while len(splits) <= s:
             k = depths[-1]
             i = max(range(len(k)), key=lambda j: Fraction(edge[j]) / pow3(k[j]))
-            axes.append(i)
+            splits.append((i, k[i] + 1, pow3(k[i] + 1), self.lower[i], edge[i]))
             depths.append(k[:i] + (k[i] + 1,) + k[i + 1:])
-        return axes[s]
+        return splits[s][0]
 
     def corners(self, box: BoxTuple) -> tuple[GridVertex, GridVertex]:
         """The grid points of a box's corners a and b; b is one side of the

@@ -121,10 +121,10 @@ def _resolve_record_box(state: OptState) -> None:
 def _subdivide(state: OptState, t: int) -> None:
     # every record holds its own point, so ``is`` finds the children at x_min;
     # they take box t's place, and a new record leaves only them
-    *children, new_rec = state.partition.trisect(t)
+    box_1, box_2, box_3, new_rec = state.partition.trisect(t)
     if new_rec is not None and record_trial(state, new_rec[3], new_rec[0]):
         state.record_ids.clear()
-    at_x_min = [box[1] for box in children if box[3][3] is state.x_min]
+    at_x_min = [box[1] for box in (box_1, box_2, box_3) if box[3][3] is state.x_min]
     if at_x_min:
         state.record_ids.discard(t)
         state.record_ids.update(at_x_min)

@@ -79,9 +79,10 @@ class Problem:
             raise ValueError(f"{self.name}: bounds {self.lower!r} and {self.upper!r} need "
                              f"one entry per axis, dim is {self.dim}")
         for j, (lo, hi) in enumerate(zip(self.lower, self.upper)):
-            if not (_number(lo) and _number(hi) and lo < hi):
+            if not (_number(lo) and _number(hi) and lo < hi
+                    and math.isfinite(float(hi) - float(lo))):  # the width the methods use
                 raise ValueError(f"{self.name}: axis {j} needs finite real numbers "
-                                 f"lower < upper, got [{lo!r}, {hi!r}]")
+                                 f"lower < upper and a finite upper - lower, got [{lo!r}, {hi!r}]")
         # a trace writes the bounds with repr, which reads back only from floats
         object.__setattr__(self, "lower", tuple(map(float, self.lower)))
         object.__setattr__(self, "upper", tuple(map(float, self.upper)))

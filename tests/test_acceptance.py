@@ -11,7 +11,6 @@ from collections import Counter
 import numpy as np
 
 from lipgrad import baselines, bench, optimizer, problems, selection
-from lipgrad.bounding import characterize
 from lipgrad.geometry import Partition, pow3
 from lipgrad.problems import analytic_suite, generate, problem_class
 from lipgrad.stopping import OptConfig, StopTarget
@@ -26,6 +25,7 @@ from util import (
     random_box_corners,
     random_dot_set,
     random_quadratic,
+    root_characterize,
     volume,
     wavy_problem,
     with_audit,
@@ -55,7 +55,7 @@ def test_criterion_01_minorant_validity():
             ]
             grid = np.stack([m.ravel() for m in np.meshgrid(*axes)], axis=1)
             grid_min = float(np.min(f_rows(grid)))
-            F = characterize(rec, box.a_real, box.b_real)
+            F, _ = root_characterize(rec, box.a_real, box.b_real)
             for khat in (K, 2 * K, 10 * K):
                 assert F - khat * box.d <= grid_min + 1e-9
                 checked += 1

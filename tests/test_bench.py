@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -229,7 +230,7 @@ def test_run_class_pool_has_no_more_workers_than_problems(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cls = problem_class(2, "hard", seed=0, count=3)
     report = run_class(["new"], cls, delta=1e-2, p_max=200, workers=64)
     assert sizes == [3]

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from lipgrad.bounding import characterize
-from util import Box, eval_minorant, make_box, make_vertex, random_box_corners, random_quadratic
+from util import (
+    eval_minorant, half_diag_sq, make_box, make_vertex, min_sum_F, random_box_corners,
+    random_quadratic, root_characterize,
+)
 
 
 def rec(f, grad):
@@ -15,7 +18,7 @@ def rec(f, grad):
 
 def F_of(box, r):
     """F of a box whose trial vertex has record ``r``."""
-    return characterize(r, box.a_real, box.b_real)
+    return root_characterize(r, box.a_real, box.b_real)[0]
 
 
 def test_F_value_examples():
@@ -123,25 +126,17 @@ def test_F_matches_vertex_enumeration():
 
 
 def test_characterize_caches_box_geometry():
-    # the (d, F) dot of a box: d from its corners, F from characterize
+    # the (d, F) dot of a box: both from one characterize call
     box = make_box(make_vertex(0, 0), make_vertex(1, 1))
     assert box.d == 1.0
-    assert F_of(box, rec(5.0, (1.0, -2.0))) == 3.0
-
-
-def characterize_with_min(box, r):
-    """F as first written: min(term, 0.0) added on every axis."""
-    f_value, gradient = r
-    total = 0.0
-    for g, ar, br in zip(gradient, box.a_real, box.b_real):
-        total += min(g * (br - ar), 0.0)
-    return f_value + total
+    assert root_characterize(rec(5.0, (1.0, -2.0)), box.a_real, box.b_real) == (3.0, 1.0)
 
 
 def test_characterize_matches_the_min_sum_bit_for_bit():
-    def box_at(a_real, b_real):
-        return Box(math.nan, 1, 0, (math.nan, (), (), tuple(map(float, a_real))), 0,
-                   tuple(map(float, b_real)), 0.0)
+    def check_root(a_real, b_real, r):
+        F, d = root_characterize(r, a_real, b_real)
+        assert repr(F) == repr(min_sum_F(r, a_real, b_real)), (a_real, b_real, r)
+        assert repr(d) == repr(half_diag_sq(a_real, b_real)), (a_real, b_real)
 
     cases = [
         # zero gradient components and zero-width sides: products of +-0.0
@@ -157,12 +152,32 @@ def test_characterize_matches_the_min_sum_bit_for_bit():
         ((0.0, 0.0), (-1e10, 1.0), rec(1.0, (1e300, 2.0))),
         ((1e308, 0.0), (-1e308, 1.0), rec(1.0, (-2.0, -3.0))),
     ]
+    for a_real, b_real, r in cases:
+        check_root(a_real, b_real, r)
+
+    # every axis of random boxes, b above or below a, gradients with zero,
+    # negative and positive components: each child against the per-box sum
     rng = np.random.default_rng(20)
+    orientations = set()
     for _ in range(300):
         dim = int(rng.integers(1, 6))
-        a, b = rng.normal(size=dim), rng.normal(size=dim)
-        grad = rng.normal(size=dim) * rng.choice([0.0, 1.0, 1e-300, 1e300], size=dim)
-        cases.append((a, b, rec(rng.normal(), grad)))
-    for a_real, b_real, r in cases:
-        box = box_at(a_real, b_real)
-        assert repr(F_of(box, r)) == repr(characterize_with_min(box, r)), (box, r)
+        a_real = tuple(rng.normal(size=dim).tolist())
+        b_real = tuple(rng.normal(size=dim).tolist())
+        scale = rng.choice([0.0, 1.0, 1e-300, 1e300], size=(2, dim))
+        a_rec = rec(rng.normal(), rng.normal(size=dim) * scale[0])
+        u_rec = rec(rng.normal(), rng.normal(size=dim) * scale[1])
+        check_root(a_real, b_real, a_rec)
+        for i in range(dim):
+            u_i = a_real[i] + 2 * (b_real[i] - a_real[i]) / 3
+            v_i = a_real[i] + (b_real[i] - a_real[i]) / 3
+            u_real = a_real[:i] + (u_i,) + a_real[i + 1:]
+            v_real = b_real[:i] + (v_i,) + b_real[i + 1:]
+            got = characterize(a_rec, u_rec, a_real, b_real, i, u_i, v_i)
+            expected = (min_sum_F(u_rec, u_real, v_real), min_sum_F(a_rec, a_real, v_real),
+                        min_sum_F(u_rec, u_real, b_real), half_diag_sq(u_real, v_real))
+            assert list(map(repr, got)) == list(map(repr, expected)), (a_real, b_real, i)
+            # the three children share their sides up to rounding on axis i
+            for corners in ((a_real, v_real), (u_real, b_real)):
+                assert got[3] == pytest.approx(half_diag_sq(*corners), rel=1e-12, abs=1e-300)
+            orientations.add(b_real[i] < a_real[i])
+    assert orientations == {False, True}

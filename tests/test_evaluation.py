@@ -184,6 +184,24 @@ def test_run_class_marks_a_failing_problem_invalid(monkeypatch):
     digest = hashlib.sha256(report.to_json().encode()).hexdigest()
     assert digest == "62c1a4672e939992f0f28e41e90903ef962264963c09773d10e0950db98d4694"
 
+    # any other exception in one run marks that problem invalid, naming the method
+    monkeypatch.undo()
+    run_method = bench.run_method
+
+    def run_method_with_failure(name, problem, config):
+        if name == "direct" and problem.name == problems.generate(cls, 3).name:
+            raise ValueError("injected")
+        return run_method(name, problem, config)
+
+    monkeypatch.setattr(bench, "run_method", run_method_with_failure)
+    report = bench.run_class(methods, cls, delta=1e-4, p_max=5000, workers=1)
+    row = report.rows[2]
+    assert row["index"] == 3 and not row["valid"] and row["results"] == {}
+    assert row["error"] == "method direct failed on problem 3: ValueError('injected')"
+    assert report.invalid == [(3, row["error"])]
+    assert report.rows[:2] == expected[:2]
+    assert f"warning: problem 3 invalid, excluded: {row['error']}" in report.to_text()
+
 
 def test_a_class_without_a_valid_problem_names_the_first_failure(capsys):
     # ten balls do not fit on the 1-D domain [-1, 1]

@@ -6,12 +6,15 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 
+import heapq
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lipgrad import geometry, optimizer
 from lipgrad.baselines import direct_run, directl_run
-from lipgrad.bounding import characterize
 from lipgrad.geometry import (
     Partition,
     grid_fraction,
@@ -32,9 +35,11 @@ from util import (
     check_dense_live_layout,
     diagonal_sq,
     flat_problem,
+    half_diag_sq,
     live_boxes,
     make_box,
     make_vertex,
+    root_characterize,
     trisect_views,
     vertex_fractions,
     volume,
@@ -178,8 +183,8 @@ def test_trisect_reversed_diagonal():
     box = make_box(make_vertex(1, 0), make_vertex(0, 1))
     assert box.orient == 0b01  # b below a on axis 0 only
     rec = part.get_or_eval(box.a, box.a_real)
-    F = characterize(rec, box.a_real, box.b_real)
-    part.add_box((F, box.id, box.s, rec, box.orient, box.b_real, box.d), box.d)
+    F, d = root_characterize(rec, box.a_real, box.b_real)
+    part.add_boxes(0, d, ((F, box.id, box.s, rec, box.orient, box.b_real, d),))
     middle, low, high, _ = trisect_views(part, 1)
     b = partial(b_corner, part)
     assert middle.a == make_vertex((1, 1), 0) and b(middle) == make_vertex((2, 1), 1)
@@ -224,12 +229,38 @@ def test_trisect_children_carry_their_bound():
     for _ in range(80):
         children = trisect_views(part, int(rng.choice(box_ids(part))))[:3]
         for child in children:
-            assert child.F == characterize(part.vertex_db[child.a], child.a_real, child.b_real)
+            F, _ = root_characterize(part.vertex_db[child.a], child.a_real, child.b_real)
+            assert child.F == F
+            assert child.d == half_diag_sq(children[0].a_real, children[0].b_real)
             least = min(b.F for b in live_boxes(part) if b.s == child.s)
             entries = part.group_min_entries(child.s)
             assert all(box[0] == least for box in entries)
             if child.F == least:
                 assert tuple(child) in entries
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([-0.0, 0.0, 1.0, 2.0]), st.booleans()), max_size=40),
+       st.integers(0, 39))
+def test_heap_min_entries_reads_tied_minima_in_place(entries, popped):
+    # few keys, so ties are many and dead entries tie the minimum; a dead
+    # entry's slot holds an equal tuple that is another object
+    heap, boxes = [], [None]
+    for box_id, (key, live) in enumerate(entries, 1):
+        entry = (key, box_id)
+        heapq.heappush(heap, entry)
+        boxes.append(entry if live else (key, box_id))
+    for _ in range(min(popped, len(heap))):  # a heap that pops left behind
+        heapq.heappop(heap)
+    live = sorted(entry for entry in heap if boxes[entry[1]] is entry)
+    expected = [entry for entry in live if entry[0] == live[0][0]] if live else []
+    out = heap_min_entries(heap, boxes)
+    assert out == expected
+    assert all(boxes[entry[1]] is entry for entry in out)
+    assert sorted(entry for entry in heap if boxes[entry[1]] is entry) == live
+    assert all(heap[(p - 1) // 2] <= heap[p] for p in range(1, len(heap)))
+    if heap:
+        assert boxes[heap[0][1]] is heap[0]
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

@@ -392,6 +392,7 @@ def test_problem_rejects_a_dim_that_is_no_integer_from_one(dim, lower, upper):
     ((False, 0.0), (True, 1.0)),  # ran on [0, 1]
     ((0.0, -10**400), (1.0, 1.0)),  # was a bare OverflowError
     (((0.0, 1.0), 0.0), (1.0, 1.0)),
+    ((0.0, -1e308), (1.0, 1e308)),  # width inf: run then blamed f at x = (nan,)
 ])
 def test_problem_rejects_empty_or_nonfinite_bounds(lower, upper):
     with pytest.raises(ValueError, match="axis"):

@@ -10,8 +10,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from lipgrad import bounding
 from lipgrad.geometry import (
-    BoxTable, GridFraction, GridVertex, Partition, Record, grid_fraction, half_diag_sq, pow3,
+    BoxTable, GridFraction, GridVertex, Partition, Record, grid_fraction, pow3,
 )
 from lipgrad.problems import Problem, ProblemClass, generated_parameters, quadratic
 from lipgrad.stopping import StopTarget, target_window
@@ -113,6 +114,30 @@ def make_vertex(*coords) -> GridVertex:
 def vertex_fractions(v: GridVertex) -> list[GridFraction]:
     """The per-axis (num, depth) pairs of a grid point."""
     return list(zip(v[::2], v[1::2]))
+
+
+def half_diag_sq(a_real, b_real) -> float:
+    """Half the squared distance between two real points, the squares added
+    left to right in axis order as lipgrad adds them."""
+    return 0.5 * add_left_to_right((br - ar) ** 2 for ar, br in zip(a_real, b_real))
+
+
+def root_characterize(rec, a_real, b_real) -> tuple[float, float]:
+    """(F, d) of box (a, b) whose trial vertex a has record ``rec``, from
+    ``bounding.characterize`` in its root form: the box is the low child of
+    its own split on axis 0 at u = a and v = b."""
+    _, F, _, d = bounding.characterize(rec, rec, a_real, b_real, 0, a_real[0], b_real[0])
+    return F, d
+
+
+def min_sum_F(rec, a_real, b_real) -> float:
+    """F of box (a, b) as first written, the oracle for ``characterize``:
+    f(a) plus min(g_j (b_j - a_j), 0.0) added on every axis in order."""
+    f_value, gradient = rec[0], rec[1]
+    total = 0.0
+    for g, ar, br in zip(gradient, a_real, b_real):
+        total += min(g * (br - ar), 0.0)
+    return f_value + total
 
 
 def make_box(a: GridVertex, b: GridVertex, box_id: int = 1, s: int = 0) -> Box:
