@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 
 from . import selection
-from .geometry import BoxTable, grid_fraction, heap_min_entries, heap_top, pow3
+from .geometry import BoxTable, grid_fraction, heap_min_entries, pow3
 from .stopping import (
     REASON_BUDGET,
     OptConfig,
@@ -99,14 +99,12 @@ class _CenterState(RunState):
             group = groups[s]
             if not group.n:
                 continue
-            if self.locally_biased:  # the least (f_center, id) is the heap top
-                top, level = heap_top(group.heap, boxes), s // dim
-                if level not in levels or top < levels[level]:
-                    levels[level] = top
+            entries = heap_min_entries(group, boxes)
+            if self.locally_biased:  # entries[0] is the least (f_center, id)
+                level = s // dim
+                if level not in levels or entries[0] < levels[level]:
+                    levels[level] = entries[0]
                 continue
-            entries = group.mins
-            if entries is None:
-                entries = group.mins = heap_min_entries(group.heap, boxes)
             for box in entries:
                 dots.append((box[1], group.d, box[0], s))
         for level, box in levels.items():  # d: half squared longest side

@@ -188,10 +188,18 @@ def run_class(
     epsilon: float = 1e-4,
     out_dir=None,
 ) -> ClassReport:
-    """Run every method on every problem of the class and aggregate C1-C4."""
+    """Run every method on every problem of the class and aggregate C1-C4.
+
+    The methods, workers and run parameters are checked, and ``out_dir``
+    made, before any problem is generated: a ValueError, or an OSError.
+    """
     methods = check_methods(methods)
     if not (problems._number(workers, numbers.Integral) and workers >= 1):
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    OptConfig(epsilon=epsilon, p_max=p_max, target=StopTarget((), delta))  # what every run shares
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
     jobs = [
         (cls, index, tuple(methods), delta, p_max, epsilon)
         for index in range(1, cls.count + 1)
@@ -263,11 +271,9 @@ def run_class(
         invalid=invalid,
     )
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.txt").write_text(report.to_text())
-        (out / "report.csv").write_text(report.to_csv())
-        (out / "report.json").write_text(report.to_json())
+        (out_dir / "report.txt").write_text(report.to_text())
+        (out_dir / "report.csv").write_text(report.to_csv())
+        (out_dir / "report.json").write_text(report.to_json())
     return report
 
 

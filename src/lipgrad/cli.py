@@ -126,21 +126,15 @@ def _cmd_bench(args) -> int:
         methods = bench.check_methods(m.strip() for m in args.methods.split(",") if m.strip())
     except ValueError as exc:
         raise UsageError(f"--methods: {exc}") from exc
-    if args.workers < 1:
-        raise UsageError("--workers must be at least 1")
-    try:  # the run parameters every problem shares, checked before any runs
-        OptConfig(epsilon=args.eps, p_max=args.pmax, target=StopTarget((), args.delta))
+    try:  # run_class checks its parameters and makes --out before any run
+        report = bench.run_class(
+            methods, cls, delta=args.delta, p_max=args.pmax,
+            workers=args.workers, epsilon=args.eps, out_dir=args.out,
+        )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if args.out is not None:
-        try:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise UsageError(f"--out {args.out}: {exc}") from exc
-    report = bench.run_class(
-        methods, cls, delta=args.delta, p_max=args.pmax,
-        workers=args.workers, epsilon=args.eps, out_dir=args.out,
-    )
+    except OSError as exc:
+        raise UsageError(f"--out {args.out}: {exc}") from exc
     sys.stdout.write(report.to_text())
     return 0
 

@@ -15,6 +15,7 @@ its real point.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -75,15 +76,40 @@ Record = tuple[float, tuple[float, ...], GridVertex, tuple[float, ...]]
 BoxTuple = tuple[float, int, int, Record, int, tuple[float, ...], float]
 
 
-def heap_min_entries(heap: list, boxes: list) -> list:
-    """All minimum-key live boxes ``(key, id, ...)`` of a lazy-deletion heap,
-    sorted by id (unique in a heap, so comparisons stop there).
+@dataclass(slots=True, eq=False)
+class Group:
+    """A group of equal-size boxes: the unit every method selects among.
 
-    An entry is live exactly when it is ``boxes[id]``; dead entries are
-    discarded while they sit at the root. By heap order the entries tying
-    the root's key form a subtree at the root: it is walked in place, and
-    no entry is popped or pushed back.
+    ``heap`` is a lazy-deletion heap of the group's boxes and ``n`` the
+    number of them still live; ``mins`` caches the tied minimal boxes
+    ``heap_min_entries`` returns and is None when they may have changed.
+    ``d`` is the half squared diagonal the group stands for.
     """
+
+    d: float
+    heap: list = field(default_factory=list)
+    mins: Optional[list] = None
+    n: int = 0
+
+    def discard(self, box: tuple) -> None:
+        if self.mins is not None and box in self.mins:
+            self.mins = None
+        self.n -= 1
+
+
+def heap_min_entries(group: Group, boxes: list) -> list:
+    """Every minimum-key live box ``(key, id, ...)`` of ``group``, sorted by
+    id; cached in ``group.mins`` until the minimum may change, so callers
+    must not modify it. A group with no live box gives an uncached ``[]``.
+
+    On a miss, dead entries (an entry is live exactly when it is
+    ``boxes[id]``) are discarded while they sit at the heap's root. By heap
+    order the entries tying the root's key form a subtree at the root: it
+    is walked in place, and no entry is popped or pushed back.
+    """
+    if group.mins is not None:
+        return group.mins
+    heap = group.heap
     while heap and boxes[heap[0][1]] is not heap[0]:
         heapq.heappop(heap)
     if not heap:
@@ -98,36 +124,8 @@ def heap_min_entries(heap: list, boxes: list) -> list:
                 out.append(entry)
             todo += (2 * p + 1, 2 * p + 2)
     out.sort()
+    group.mins = out
     return out
-
-
-def heap_top(heap: list, boxes: list) -> tuple:
-    """The least live box ``(key, id, ...)`` of a lazy-deletion heap with a
-    live entry; the dead entries above it are discarded."""
-    while boxes[heap[0][1]] is not heap[0]:
-        heapq.heappop(heap)
-    return heap[0]
-
-
-@dataclass(slots=True, eq=False)
-class Group:
-    """A group of equal-size boxes: the unit every method selects among.
-
-    ``heap`` is a lazy-deletion heap of the group's boxes and ``n`` the
-    number of them still live; ``mins`` caches the tied minimal boxes and
-    is None when they may have changed. ``d`` is the half squared diagonal
-    the group stands for.
-    """
-
-    d: float
-    heap: list = field(default_factory=list)
-    mins: Optional[list] = None
-    n: int = 0
-
-    def discard(self, box: tuple) -> None:
-        if self.mins is not None and box in self.mins:
-            self.mins = None
-        self.n -= 1
 
 
 class BoxTable:
@@ -183,16 +181,6 @@ class BoxTable:
         while not self.groups[self.q_inf].n:
             self.q_inf += 1
 
-    def group_min_entries(self, s: int) -> list:
-        """Every box attaining the minimal key in group ``s``, by id; cached
-        until the group's minimum may change, so callers must not modify it."""
-        group = self.groups[s]
-        if group.mins is None:
-            if not group.n:
-                return []
-            group.mins = heap_min_entries(group.heap, self.boxes)
-        return group.mins
-
     def max_diagonal_sq(self) -> float:
         """Squared diagonal of the largest live boxes (group q_inf): one value
         per group, as its boxes share their sides, so no last-ulp jitter."""
@@ -235,8 +223,15 @@ class Partition(BoxTable):
         a_real = vertex_real(va, self.lower, self.edge)
         b_real = vertex_real(vb, self.lower, self.edge)
         rec = self.get_or_eval(va, a_real)
-        # the root is the low child of its own split on axis 0 at u = a, v = b
-        _, F, _, d = bounding.characterize(rec, rec, a_real, b_real, 0, a_real[0], b_real[0])
+        # the root is the low child of its own split on axis 0 at u = a, v = b;
+        # every other box's d is smaller, so one check covers the run
+        try:
+            _, F, _, d = bounding.characterize(rec, rec, a_real, b_real, 0, a_real[0], b_real[0])
+        except OverflowError:  # a side's square
+            d = math.inf
+        if not math.isfinite(d):
+            raise ValueError(f"problem {problem.name}: the domain is too wide, its half "
+                             f"squared diagonal is not a finite float")
         self.add_boxes(0, d, ((F, 1, 0, rec, orient, b_real, d),))
 
     def get_or_eval(self, v: GridVertex, x: tuple[float, ...]) -> Record:

@@ -14,6 +14,8 @@ import math
 from operator import itemgetter
 from typing import NamedTuple
 
+from .geometry import heap_min_entries
+
 # A dot is the plain tuple (box_id, d, F, s), with s the box's group index or
 # depth sum: every method builds its dots afresh each iteration, and a plain
 # tuple is the cheapest thing to build and index.
@@ -41,9 +43,9 @@ def group_representatives(partition, s_lo: int, s_hi: int) -> list[DotTuple]:
     """
     if s_lo > s_hi:
         raise ValueError("s_lo must not exceed s_hi")
-    dots = []
+    dots, groups, boxes = [], partition.groups, partition.boxes
     for s in range(s_lo, s_hi + 1):
-        for box in partition.group_min_entries(s):
+        for box in heap_min_entries(groups[s], boxes):
             dots.append((box[1], box[6], box[0], s))  # (id, d, F, s)
     return dots
 

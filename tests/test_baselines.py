@@ -6,7 +6,7 @@ import pytest
 
 from lipgrad import baselines, selection
 from lipgrad.baselines import _CenterState, _diag_d, direct_run, directl_run
-from lipgrad.geometry import heap_min_entries, heap_top
+from lipgrad.geometry import heap_min_entries
 from lipgrad.problems import generate, problem_class, quadratic
 from lipgrad.stopping import OptConfig, StopTarget, check_stop
 from util import (
@@ -267,20 +267,13 @@ def test_center_ids_stay_dense_and_minima_live(monkeypatch, dim, locally_biased)
     # minimum
     returned = []
 
-    def checked(heap, boxes):
-        out = heap_min_entries(heap, boxes)
+    def checked(group, boxes):
+        out = heap_min_entries(group, boxes)
         assert out and all(boxes[entry[1]] is entry for entry in out)
         returned.append(len(out))
         return out
 
-    def checked_top(heap, boxes):
-        top = heap_top(heap, boxes)
-        assert boxes[top[1]] is top
-        returned.append(1)
-        return top
-
     monkeypatch.setattr(baselines, "heap_min_entries", checked)
-    monkeypatch.setattr(baselines, "heap_top", checked_top)
     state = _CenterState(wavy_problem(dim), OptConfig(p_max=800), locally_biased)
     check_stop(state)
     while not state.stop_reason:

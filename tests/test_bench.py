@@ -192,6 +192,25 @@ def test_run_class_rejects_unknown_method():
             run_class(["new"], cls, delta=1e-4, p_max=10, workers=workers)
 
 
+def test_run_class_checks_its_parameters_before_any_problem(monkeypatch, tmp_path):
+    # a bad run parameter or out_dir fails before any problem is generated
+    # and before a pool starts, not as "every problem of the class is invalid"
+    def fail(*args, **kwargs):
+        raise AssertionError("run_class went on past a bad argument")
+
+    monkeypatch.setattr(bench.problems, "generate", fail)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fail)
+    cls = problem_class(2, "hard", seed=0, count=3)
+    for bad, name in (({"delta": 2.0}, "delta"), ({"epsilon": -1.0}, "epsilon"),
+                      ({"p_max": 0}, "p_max")):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            run_class(["new"], cls, **{"delta": 1e-2, "p_max": 100, "workers": 2, **bad})
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    with pytest.raises(OSError):
+        run_class(["new"], cls, delta=1e-2, p_max=100, workers=2, out_dir=not_a_dir)
+
+
 def test_run_class_rejects_a_repeated_method():
     # a repeat would run the method twice and print its rows twice
     cls = problem_class(2, "simple", seed=7, count=2)
@@ -452,6 +471,7 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
         ["solve", "--problem", "quad2d", "--delta", "2"],
         ["bench", "--class", "hard:2:2", "--delta", "0"],
         ["bench", "--class", "hard:2:0", "--delta", "1e-2"],
+        ["bench", "--class", "hard:2:2", "--delta", "1e-2", "--workers", "0"],
         ["bench", "--class", "hard:2:2", "--delta", "1e-2", "--methods", ","],
         ["solve", "--problem", "quad2d", "--pmax", "5", "--trace",
          str(tmp_path / "nonexistent" / "t")],

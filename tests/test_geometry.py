@@ -13,13 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lipgrad import geometry, optimizer
+from lipgrad import optimizer, selection
 from lipgrad.baselines import direct_run, directl_run
 from lipgrad.geometry import (
+    Group,
     Partition,
     grid_fraction,
     heap_min_entries,
-    heap_top,
     pow3,
     vertex_real,
 )
@@ -233,7 +233,7 @@ def test_trisect_children_carry_their_bound():
             assert child.F == F
             assert child.d == half_diag_sq(children[0].a_real, children[0].b_real)
             least = min(b.F for b in live_boxes(part) if b.s == child.s)
-            entries = part.group_min_entries(child.s)
+            entries = heap_min_entries(part.groups[child.s], part.boxes)
             assert all(box[0] == least for box in entries)
             if child.F == least:
                 assert tuple(child) in entries
@@ -254,8 +254,15 @@ def test_heap_min_entries_reads_tied_minima_in_place(entries, popped):
         heapq.heappop(heap)
     live = sorted(entry for entry in heap if boxes[entry[1]] is entry)
     expected = [entry for entry in live if entry[0] == live[0][0]] if live else []
-    out = heap_min_entries(heap, boxes)
+    group = Group(0.5, heap, n=len(live))
+    out = heap_min_entries(group, boxes)
     assert out == expected
+    # a second read is the cached list; a group with no live box caches nothing
+    again = heap_min_entries(group, boxes)
+    if live:
+        assert again is out and group.mins is out
+    else:
+        assert again == [] and group.mins is None
     assert all(boxes[entry[1]] is entry for entry in out)
     assert sorted(entry for entry in heap if boxes[entry[1]] is entry) == live
     assert all(heap[(p - 1) // 2] <= heap[p] for p in range(1, len(heap)))
@@ -266,9 +273,10 @@ def test_heap_min_entries_reads_tied_minima_in_place(entries, popped):
 @pytest.mark.parametrize("dim", [2, 3, 4])
 @pytest.mark.parametrize("make", [wavy_problem, flat_problem], ids=["wavy", "flat"])
 def test_cached_group_minima_match_a_fresh_heap_scan(dim, make):
-    # every cached minimum equals a rescan of a copy of the group's heap and
-    # the live boxes with that s tied at the minimal F, by id; the flat
-    # problem ties every F, so ties join and leave the cache too
+    # every cached minimum equals the reader on a fresh group over a copy of
+    # the group's heap and the live boxes with that s tied at the minimal F,
+    # by id; the flat problem ties every F, so ties join and leave the cache
+    # too
     rng = np.random.default_rng(dim)
     prob = make(dim)
     part = Partition(prob)
@@ -280,13 +288,29 @@ def test_cached_group_minima_match_a_fresh_heap_scan(dim, make):
         for s, group in enumerate(part.groups):
             entries = sorted(by_s.get(s, []))
             expected = [e for e in entries if e[0] == entries[0][0]]
-            assert part.group_min_entries(s) == expected, s
-            assert heap_min_entries(list(group.heap), part.boxes) == expected, s
-            if expected:
-                top = heap_top(list(group.heap), part.boxes)
-                assert top == expected[0] and part.boxes[top[1]] is top, s
+            out = heap_min_entries(group, part.boxes)
+            assert out == expected, s
+            assert heap_min_entries(Group(group.d, list(group.heap)), part.boxes) == expected, s
+            if expected:  # DIRECT-l's level representative: the least live (F, id)
+                top = out[0]
+                assert top == min(by_s[s]) and part.boxes[top[1]] is top, s
         largest = max(2.0 * box.d for box in live_boxes(part))
         assert part.max_diagonal_sq() == pytest.approx(largest, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("lower, upper, config", [
+    ([-1e200], [1e200], OptConfig(p_max=50)),  # the side's square overflows
+    ([0.0, 0.0], [1.2e154, 1.2e154], OptConfig(p_max=1000, diagonal=0.01)),  # the sum does
+], ids=["side", "sum"])
+def test_a_domain_too_wide_for_d_is_named(lower, upper, config):
+    # the root's d bounds every box's, so the partition checks it once; the
+    # baselines measure boxes in normalized coordinates and still run
+    dim = len(lower)
+    prob = Problem("big", dim, lower, upper, lambda x: 0.0, lambda x: np.zeros(dim))
+    with pytest.raises(ValueError, match="^problem big: the domain is too wide"):
+        run(prob, config)
+    for method in (direct_run, directl_run):
+        assert method(prob, config).trials == config.p_max
 
 
 def test_get_or_eval_is_idempotent():
@@ -543,21 +567,21 @@ def test_box_ids_stay_dense_and_minima_live(monkeypatch, dim, make):
     # ever come back as a group minimum, in random trisections or in a run
     returned = []
 
-    def checked(heap, boxes):
-        out = heap_min_entries(heap, boxes)
-        assert out and all(boxes[entry[1]] is entry for entry in out)
+    def checked(group, boxes):
+        out = heap_min_entries(group, boxes)
+        assert bool(out) == bool(group.n)
+        assert all(boxes[entry[1]] is entry for entry in out)
         returned.append(len(out))
         return out
 
-    monkeypatch.setattr(geometry, "heap_min_entries", checked)
+    monkeypatch.setattr(selection, "heap_min_entries", checked)
     rng = np.random.default_rng(30 + dim)
     prob = make(dim)
     part = Partition(prob)
     for _ in range(120):
         part.trisect(int(rng.choice(box_ids(part))))
         check_dense_live_layout(part)
-        for s in range(part.q_inf, part.q_0 + 1):
-            part.group_min_entries(s)
+        selection.group_representatives(part, part.q_inf, part.q_0)
     report, part = run_keeping_partition(monkeypatch, prob, OptConfig(p_max=600))
     check_dense_live_layout(part)
     assert report.boxes == part.m and len(returned) > 200
