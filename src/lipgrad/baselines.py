@@ -27,7 +27,6 @@ import math
 from . import selection
 from .geometry import BoxTable, grid_fraction, heap_min_entries, pow3
 from .stopping import (
-    REASON_BUDGET,
     OptConfig,
     RunReport,
     RunState,
@@ -76,15 +75,19 @@ class _CenterState(RunState):
         super().__init__(config, "center", _CenterBoxes(problem))
         self.locally_biased = locally_biased
 
+        # Step 0: the root's center is always sampled, as p_max >= 1
         zeros = (0,) * problem.dim
-        f0 = self._sample(self.partition.center(zeros, zeros))
+        x = self.partition.center(zeros, zeros)
+        f0 = problem.value(x)
+        record_trial(self, x, f0)
         self.partition.add_boxes(0, _diag_d(0, problem.dim), ((f0, 1, 0, zeros, zeros),))
         log_history(self)
+        check_stop(self)
 
     def _sample(self, x: tuple[float, ...]) -> float:
         """Evaluate f at a box center; returns nan if a stop rule fired first."""
-        if self.trials >= self.config.p_max:
-            self.stop_reason = REASON_BUDGET
+        check_stop(self)
+        if self.stop_reason:
             return math.nan
         value = self.problem.value(x)
         record_trial(self, x, value)
@@ -114,7 +117,7 @@ class _CenterState(RunState):
     def subdivide(self, box_id: int) -> None:
         """Trisect along every longest side, best-sampled axis first."""
         part, dim = self.partition, self.problem.dim
-        f_center, _, s, nums, deps = box = part.boxes[box_id]
+        f_center, _, s, nums, deps = part.boxes[box_id]
         dmin = s // dim
         side = pow3(dmin + 1)
         center = part.center(nums, deps)
@@ -145,8 +148,7 @@ class _CenterState(RunState):
                                   (f_hi, next_id + 1, s, head + (lo_num + 2,) + tail, deps)))
             next_id += 2
             nums = head + (lo_num + 1,) + tail
-        part.add_boxes(s, d, ((f_center, box_id, s, nums, deps),))
-        part.remove_split(box)
+        part.add_boxes(s, d, ((f_center, box_id, s, nums, deps),))  # retires the split box
 
     def iterate(self) -> None:
         for box_id in self.select():
@@ -159,7 +161,6 @@ class _CenterState(RunState):
 
 def _run(problem, config: OptConfig, locally_biased: bool, method: str) -> RunReport:
     state = _CenterState(problem, config, locally_biased)
-    check_stop(state)
     while not state.stop_reason:
         state.iterate()
     return close_report(state, method)

@@ -160,10 +160,10 @@ def _run_one(args) -> dict:
     results, stage = {}, "generation"
     try:
         problem = problems.generate(cls, index)
-        target = StopTarget(problem.known_opt[0], delta)
+        config = OptConfig(epsilon=epsilon, p_max=p_max,
+                           target=StopTarget(problem.known_opt[0], delta))
         for m in methods:
             stage = f"method {m}"
-            config = OptConfig(epsilon=epsilon, p_max=p_max, target=target)
             report = run_method(m, problem, config)
             results[m] = {
                 "trials": report.trials,
@@ -211,7 +211,6 @@ def run_class(
             rows = list(pool.map(_run_one, jobs))
     else:
         rows = [_run_one(job) for job in jobs]
-    rows.sort(key=lambda row: row["index"])
 
     invalid = [(row["index"], row["error"]) for row in rows if not row["valid"]]
     valid_rows = [row for row in rows if row["valid"]]

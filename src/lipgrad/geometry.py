@@ -91,11 +91,6 @@ class Group:
     mins: Optional[list] = None
     n: int = 0
 
-    def discard(self, box: tuple) -> None:
-        if self.mins is not None and box in self.mins:
-            self.mins = None
-        self.n -= 1
-
 
 def heap_min_entries(group: Group, boxes: list) -> list:
     """Every minimum-key live box ``(key, id, ...)`` of ``group``, sorted by
@@ -158,28 +153,32 @@ class BoxTable:
     def add_boxes(self, s: int, d: float, new: tuple) -> None:
         """File the new boxes of group s, a new group with half squared
         diagonal ``d`` when s is one past the last: a split files its
-        children by ascending s. A box whose id is live takes its slot, the
-        others are appended, their ids following on from the last."""
+        children by ascending s. A box whose id is live, the split's child
+        that keeps its id, takes its slot and retires the split box; q_inf
+        then advances past the groups left empty. The others are appended,
+        their ids following on from the last."""
         groups, boxes = self.groups, self.boxes
         if s == len(groups):  # the group's first boxes
             groups.append(Group(d))
         group = groups[s]
         heap, end = group.heap, len(boxes)
+        split = None
         for box in new:
             heapq.heappush(heap, box)
             if box[1] < end:
-                boxes[box[1]] = box
+                split, boxes[box[1]] = boxes[box[1]], box
             else:
                 boxes.append(box)
         if group.mins is not None and min(new)[0] <= group.mins[0][0]:
             group.mins = None
         group.n += len(new)
-
-    def remove_split(self, box: tuple) -> None:
-        """Discard a split box once its children are in; advance q_inf."""
-        self.groups[box[2]].discard(box)
-        while not self.groups[self.q_inf].n:
-            self.q_inf += 1
+        if split is not None:
+            old = groups[split[2]]
+            if old.mins is not None and split in old.mins:
+                old.mins = None
+            old.n -= 1
+            while not groups[self.q_inf].n:
+                self.q_inf += 1
 
     def max_diagonal_sq(self) -> float:
         """Squared diagonal of the largest live boxes (group q_inf): one value
@@ -255,8 +254,7 @@ class Partition(BoxTable):
         u. Returns the children, each with its bound F, plus the record at u,
         or None if it was reused.
         """
-        box = self.boxes[t]
-        _, _, s, a_rec, orient, b_real, _ = box
+        _, _, s, a_rec, orient, b_real, _ = self.boxes[t]
         _, _, a, a_real = a_rec
         splits = self._splits
         if s >= len(splits):
@@ -283,7 +281,6 @@ class Partition(BoxTable):
         low = (F_low, m + 1, s, a_rec, orient, v_real, d)
         high = (F_high, m + 2, s, rec, orient, b_real, d)
         self.add_boxes(s, d, (middle, low, high))
-        self.remove_split(box)
         return middle, low, high, new_rec
 
     def split_axis(self, s: int) -> int:

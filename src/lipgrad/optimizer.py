@@ -25,29 +25,24 @@ from .stopping import (
 
 
 class OptState(RunState):
-    """Full mutable state of one run: partition, record point and box, phase."""
+    """Full mutable state of one run: partition, record point and box, phase.
 
-    def __init__(self, config: OptConfig, partition: Partition):
-        super().__init__(config, "init", partition)
+    Making it is Step 0: one trial at the chosen corner, a single box of
+    group 0, and the record point at that corner, the trial vertex of box 1.
+    """
+
+    def __init__(self, problem, config: OptConfig):
+        super().__init__(config, "init", Partition(problem, config.start_vertex))
         # the ids of the boxes whose record's point is x_min, and the record
         # box, the tuple of one of them; the paper's p is record_box[2]. It
         # stays live: only a split replaces a box, and a split of the record
         # box changes the boxes at x_min, so _subdivide resolves it again.
         self.record_ids: set[int] = {1}
-        self.record_box: BoxTuple = partition.boxes[1]
-
-
-def initialize(problem, config: OptConfig) -> OptState:
-    """Step 0: one trial at the chosen corner, a single box of group 0.
-
-    The record point starts at that corner, the trial vertex of box 1.
-    """
-    state = OptState(config, Partition(problem, config.start_vertex))
-    rec = state.record_box[3]
-    record_trial(state, rec[3], rec[0])
-    log_history(state)
-    check_stop(state)
-    return state
+        self.record_box: BoxTuple = self.partition.boxes[1]
+        rec = self.record_box[3]
+        record_trial(self, rec[3], rec[0])
+        log_history(self)
+        check_stop(self)
 
 
 def exploration_iteration(state: OptState, g_hi: int) -> None:
@@ -99,7 +94,7 @@ def record_phase(state: OptState) -> None:
 
 def run(problem, config: OptConfig) -> RunReport:
     """Alternate exploration and record improvement until a stop rule fires."""
-    state = initialize(problem, config)
+    state = OptState(problem, config)
     while not state.stop_reason:
         if exploration_phase(state):
             record_phase(state)

@@ -2,7 +2,8 @@
 
 All three methods share these. Each keeps its run in a ``RunState``
 subclass. The helpers below read and write only ``RunState``'s fields and
-the partition, a ``geometry.BoxTable``; ``record_trial`` alone books a trial.
+the partition, a ``geometry.BoxTable``; ``record_trial`` alone books a trial,
+and only ``record_trial`` and ``check_stop`` set a stop reason.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ from lipgrad import baselines, selection
 from lipgrad.baselines import _CenterState, _diag_d, direct_run, directl_run
 from lipgrad.geometry import heap_min_entries
 from lipgrad.problems import generate, problem_class, quadratic
-from lipgrad.stopping import OptConfig, StopTarget, check_stop
+from lipgrad.stopping import OptConfig, StopTarget
 from util import (
     CenterBox,
     Dot,
@@ -67,7 +67,6 @@ def test_huge_epsilon_degenerates_to_uniform_refinement():
     prob = wavy_problem(2)
     report = direct_run(prob, OptConfig(p_max=200, epsilon=1e9))
     state = _CenterState(prob, OptConfig(p_max=200, epsilon=1e9), locally_biased=False)
-    check_stop(state)
     while not state.stop_reason:
         assert len(state.select()) == 1
         state.iterate()
@@ -126,7 +125,6 @@ def test_variants_differ_on_comparative_class():
 def test_center_volume_conservation():
     prob = wavy_problem(2)
     state = _CenterState(prob, OptConfig(p_max=150), locally_biased=False)
-    check_stop(state)
     while not state.stop_reason:
         state.iterate()
     total = sum(
@@ -141,7 +139,6 @@ def test_center_box_fields():
     # s // dim or one more, and s fixes the sorted depth vector
     for dim in (2, 3, 4):
         state = _CenterState(wavy_problem(dim), OptConfig(p_max=300), locally_biased=False)
-        check_stop(state)
         while not state.stop_reason:
             state.iterate()
         boxes = state.partition.boxes
@@ -182,6 +179,26 @@ def test_budget_one_stops_after_first_center():
     assert report.boxes == 1
 
 
+@pytest.mark.parametrize("runner", [direct_run, directl_run], ids=["direct", "directl"])
+def test_a_split_that_the_budget_cuts_short_is_dropped(runner):
+    # the first split of a 2-D root samples 4 centers and files 4 children;
+    # with p_max 4 the 5th box would need a 5th sample, and with p_max 5 the
+    # split whose last sample is trial p_max keeps its children
+    prob = quadratic([0.3, 0.7], name="quad2d")
+    for p_max, trials, boxes in [(4, 4, 1), (5, 5, 5), (6, 6, 5)]:
+        report = runner(prob, OptConfig(p_max=p_max))
+        assert (report.trials, report.boxes, report.stop_reason) == (trials, boxes, "budget")
+
+
+@pytest.mark.parametrize("runner", [direct_run, directl_run], ids=["direct", "directl"])
+def test_a_split_that_hits_the_target_is_dropped(runner):
+    # the root's first split samples axis 0 at 1/6, then at 5/6
+    prob = quadratic([1 / 6, 0.5])
+    for x_star, trials in [((1 / 6, 0.5), 2), ((5 / 6, 0.5), 3)]:
+        report = runner(prob, OptConfig(target=StopTarget(x_star, 1e-8)))
+        assert (report.trials, report.boxes, report.stop_reason) == (trials, 1, "target_found")
+
+
 def rescanned_select(state: _CenterState) -> list[int]:
     """select() from the live boxes alone, without groups, heaps or caches.
 
@@ -215,7 +232,6 @@ def largest_diagonal_sq(state: _CenterState) -> float:  # scans every box
 @pytest.mark.parametrize("locally_biased", [False, True], ids=["direct", "directl"])
 def test_cached_select_matches_a_rescan(dim, locally_biased):
     state = _CenterState(wavy_problem(dim), OptConfig(p_max=1500), locally_biased)
-    check_stop(state)
     while not state.stop_reason:
         assert state.select() == rescanned_select(state)
         assert state.partition.max_diagonal_sq() == largest_diagonal_sq(state)
@@ -244,7 +260,6 @@ def test_center_boxes_are_not_tracked_by_the_collector(locally_biased):
     # ones skip it however many boxes the run made
     prob = generate(problem_class(4, "simple", seed=11, count=20), 1)
     state = _CenterState(prob, OptConfig(p_max=3000), locally_biased)
-    check_stop(state)
     while not state.stop_reason:
         state.iterate()
     assert state.trials == 3000
@@ -275,7 +290,6 @@ def test_center_ids_stay_dense_and_minima_live(monkeypatch, dim, locally_biased)
 
     monkeypatch.setattr(baselines, "heap_min_entries", checked)
     state = _CenterState(wavy_problem(dim), OptConfig(p_max=800), locally_biased)
-    check_stop(state)
     while not state.stop_reason:
         state.iterate()
         check_dense_live_layout(state.partition)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lipgrad import optimizer, selection
-from lipgrad.baselines import direct_run, directl_run
+from lipgrad.baselines import _CenterState, direct_run, directl_run
 from lipgrad.geometry import (
     Group,
     Partition,
@@ -179,7 +179,6 @@ def test_trisect_reversed_diagonal():
     # the formulas are orientation independent; plant the box [(1,0),(0,1)]
     prob = flat_problem(2)
     part = Partition(prob)
-    part.groups[0].discard(part.boxes[1])
     box = make_box(make_vertex(1, 0), make_vertex(0, 1))
     assert box.orient == 0b01  # b below a on axis 0 only
     rec = part.get_or_eval(box.a, box.a_real)
@@ -237,6 +236,41 @@ def test_trisect_children_carry_their_bound():
             assert all(box[0] == least for box in entries)
             if child.F == least:
                 assert tuple(child) in entries
+
+
+def first_split_table(method: str):
+    """The box table of a 2-D run whose root box has just been split."""
+    if method == "new":
+        part = Partition(wavy_problem(2))
+        part.trisect(1)
+        return part
+    state = _CenterState(wavy_problem(2), OptConfig(p_max=100), locally_biased=False)
+    state.subdivide(1)
+    return state.partition
+
+
+@pytest.mark.parametrize("method", ["new", "direct"])
+def test_filing_a_live_id_retires_the_box_it_replaces(method):
+    # the id-keeping child of a split takes the split box's slot; here every
+    # box of group q_inf is replaced in turn, the largest key first, by a box
+    # of one new deeper group
+    table = first_split_table(method)
+    q, boxes = table.q_inf, table.boxes
+    group, deeper = table.groups[q], len(table.groups)
+    live = sorted(box for box in boxes[1:] if box[2] == q)
+    assert len(live) >= 2 and live[0][0] < live[-1][0]
+    for old in reversed(live):
+        n, mins = group.n, heap_min_entries(group, boxes)  # cached by the read
+        new = (old[0], old[1], deeper) + old[3:]
+        table.add_boxes(deeper, group.d / 9, (new,))
+        assert boxes[old[1]] is new and all(box is not old for box in boxes)
+        assert group.n == n - 1
+        if any(box is old for box in mins):
+            assert group.mins is None
+        else:
+            assert group.mins is mins
+        assert table.q_inf == min(s for s, g in enumerate(table.groups) if g.n)
+    assert group.n == 0 and table.q_inf > q
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)

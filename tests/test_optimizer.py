@@ -7,9 +7,9 @@ import pytest
 
 from lipgrad import baselines, optimizer
 from lipgrad.optimizer import (
+    OptState,
     exploration_iteration,
     gradient_aligned,
-    initialize,
     record_phase,
     run,
     _improved_one_percent,
@@ -22,7 +22,7 @@ from util import Box, flat_problem, make_vertex, wavy_problem, with_audit
 
 
 def test_initialize_single_box():
-    state = initialize(flat_problem(2, value=7.0), OptConfig(p_max=100))
+    state = OptState(flat_problem(2, value=7.0), OptConfig(p_max=100))
     assert state.f_min == 7.0
     assert state.partition.m == 1
     assert Box._make(state.partition.boxes[1]).s == 0
@@ -32,7 +32,7 @@ def test_initialize_single_box():
 
 
 def test_initialize_budget_one_stops_immediately():
-    state = initialize(flat_problem(2), OptConfig(p_max=1))
+    state = OptState(flat_problem(2), OptConfig(p_max=1))
     assert state.stop_reason == "budget"
     assert state.trials == 1
 
@@ -40,9 +40,26 @@ def test_initialize_budget_one_stops_immediately():
 def test_initialize_from_vertex_b():
     prob = wavy_problem(2)
     cfg = OptConfig(p_max=10, start_vertex="b", keep_trace=True)
-    state = initialize(prob, cfg)
+    state = OptState(prob, cfg)
     assert state.trace[0][1] == (1.0, 1.0)
     assert state.f_min == prob.f(np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("make", [
+    OptState,
+    lambda problem, config: baselines._CenterState(problem, config, locally_biased=False),
+    lambda problem, config: baselines._CenterState(problem, config, locally_biased=True),
+], ids=["new", "direct", "directl"])
+@pytest.mark.parametrize("config, reason", [
+    (OptConfig(p_max=1), "budget"),
+    (OptConfig(diagonal=1), "diagonal"),
+    (OptConfig(p_max=2), None),
+], ids=["budget", "diagonal", "none"])
+def test_making_a_run_state_is_step_0(make, config, reason):
+    # one trial, one box and one history row, then the first stop check
+    state = make(wavy_problem(2), config)
+    assert (state.trials, state.partition.m, len(state.history)) == (1, 1, 1)
+    assert state.stop_reason == reason
 
 
 def test_one_percent_improvement_rule():
@@ -59,7 +76,7 @@ def test_gradient_aligned_examples():
 
 def test_record_trial_requires_strict_improvement():
     prob = flat_problem(2)  # every value equal
-    state = initialize(prob, OptConfig(p_max=100))
+    state = OptState(prob, OptConfig(p_max=100))
     vertex2 = make_vertex((2, 1), 0)
     x2 = vertex_real(vertex2, state.partition.lower, state.partition.edge)
     f2 = state.partition.get_or_eval(vertex2, x2)[0]
@@ -93,7 +110,7 @@ def test_record_box_always_carries_the_record_point():
         return np.array([-1.0, -1.0])
 
     prob = Problem("lin", 2, (0.0, 0.0), (1.0, 1.0), f, grad)
-    state = initialize(prob, OptConfig(p_max=50))
+    state = OptState(prob, OptConfig(p_max=50))
     for _ in range(6):
         exploration_iteration(state, state.partition.q_0)
     part = state.partition
@@ -180,7 +197,7 @@ def test_record_ids_after_every_subdivision_are_the_boxes_at_x_min(monkeypatch, 
 def test_exploration_phase_group_ranges(monkeypatch):
     # Step 1.1 sweeps groups up to ceil((q_inf + p)/2), the final iteration
     # up to p itself
-    state = initialize(wavy_problem(2), OptConfig(p_max=1000))
+    state = OptState(wavy_problem(2), OptConfig(p_max=1000))
     for _ in range(8):
         exploration_iteration(state, state.partition.q_0)
     seen = []
@@ -200,26 +217,26 @@ def test_exploration_phase_group_ranges(monkeypatch):
 def test_exploration_phase_switch_after_final_iteration(monkeypatch):
     # with no record improvement the phase hands over to the record phase
     # exactly when the record box is not among the smallest
-    state = initialize(flat_problem(2), OptConfig(p_max=10_000))
+    state = OptState(flat_problem(2), OptConfig(p_max=10_000))
     part = state.partition
     for _ in range(3):  # each split of a smallest box makes a new group
         part.trisect(min(box[1] for box in part.boxes[1:] if box[2] == part.q_0))
     assert part.q_0 == 3
     monkeypatch.setattr(optimizer, "exploration_iteration", lambda st, g_hi: None)
-    assert state.record_box[2] == 0  # box 1 as initialize made it
+    assert state.record_box[2] == 0  # box 1 as Step 0 made it
     assert optimizer.exploration_phase(state) is True
     state.record_box = next(box for box in part.boxes[1:] if box[2] == 3)
     assert optimizer.exploration_phase(state) is False
 
 
 def test_exploration_iteration_single_box_is_subdivided():
-    state = initialize(wavy_problem(2), OptConfig(p_max=100))
+    state = OptState(wavy_problem(2), OptConfig(p_max=100))
     exploration_iteration(state, 0)
     assert state.partition.m == 3
 
 
 def test_record_phase_is_bounded_by_dimension():
-    state = initialize(wavy_problem(2), OptConfig(p_max=1000))
+    state = OptState(wavy_problem(2), OptConfig(p_max=1000))
     exploration_iteration(state, 0)
     m_before = state.partition.m
     record_phase(state)
@@ -229,7 +246,7 @@ def test_record_phase_is_bounded_by_dimension():
 def test_record_phase_stops_on_outward_gradient():
     # minimum at the trial corner: gradient already aligned, no subdivision
     prob = quadratic([0.0, 0.0], name="corner")
-    state = initialize(prob, OptConfig(p_max=1000))
+    state = OptState(prob, OptConfig(p_max=1000))
     m_before = state.partition.m
     record_phase(state)
     assert state.partition.m == m_before
