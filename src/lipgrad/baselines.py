@@ -100,9 +100,9 @@ class _CenterState(RunState):
         boxes, groups, dim = self.partition.boxes, self.partition.groups, self.problem.dim
         for s in range(self.partition.q_inf, len(groups)):
             group = groups[s]
-            if not group.n:
-                continue
             entries = heap_min_entries(group, boxes)
+            if not entries:
+                continue
             if self.locally_biased:  # entries[0] is the least (f_center, id)
                 level = s // dim
                 if level not in levels or entries[0] < levels[level]:

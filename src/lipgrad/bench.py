@@ -171,8 +171,6 @@ def _run_one(args) -> dict:
                 "solved": report.stop_reason == REASON_TARGET,
                 "f_min": report.f_min,
             }
-    except (problems.GenerationError, problems.EvaluationError) as exc:
-        return {"index": index, "valid": False, "error": str(exc), "results": {}}
     except Exception as exc:  # one failing run must not sink the class run
         error = f"{stage} failed on problem {index}: {exc!r}"
         return {"index": index, "valid": False, "error": error, "results": {}}
@@ -215,25 +213,22 @@ def run_class(
     invalid = [(row["index"], row["error"]) for row in rows if not row["valid"]]
     valid_rows = [row for row in rows if row["valid"]]
     if not valid_rows:
-        index, error = invalid[0]
-        raise problems.GenerationError(
-            f"every problem of the class is invalid; problem {index}: {error}"
-        )
+        raise problems.GenerationError(f"every problem of the class is invalid; {invalid[0][1]}")
 
     summaries = {}
     for m in methods:
         trials = [row["results"][m]["trials"] for row in valid_rows]
         boxes = [row["results"][m]["boxes"] for row in valid_rows]
         solved = [row["results"][m]["solved"] for row in valid_rows]
-        c1 = criterion_C1(trials, solved)
+        worst, pos, unsolved = criterion_C1(trials, solved)
         c3, lower = criterion_C3(trials, solved, p_max)
-        summaries[m] = {
-            "c1": list(c1),
-            "c2": boxes[c1[1] - 1],
+        summaries[m] = {  # C1's s names the worst problem, whose boxes are C2
+            "c1": [worst, valid_rows[pos - 1]["index"], unsolved],
+            "c2": boxes[pos - 1],
             "c3": c3,
             "c3_lower_bound": lower,
             "fifty": fifty_percent(trials),
-            "unsolved": c1[2],
+            "unsolved": unsolved,
         }
 
     c4 = {}
@@ -347,8 +342,14 @@ def _grid_point(text: str) -> tuple[float, ...]:
 
 
 def _parse_frac(text: str) -> float:
-    num, _, den = text.partition("/")
-    return int(num) / int(den)
+    """A grid coordinate num/3^k in [0, 1], as ``geometry.vertex_str`` writes it."""
+    num, den = map(int, text.split("/"))
+    power = den
+    while power > 1 and power % 3 == 0:
+        power //= 3
+    if power != 1 or not 0 <= num <= den:
+        raise ValueError(f"not a grid coordinate in [0, 1]: {text}")
+    return num / den
 
 
 def read_hull_snapshot(path) -> dict:

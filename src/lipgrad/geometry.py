@@ -10,6 +10,9 @@ held as its record in the database, and the coordinates of ``b`` need not be
 larger than those of ``a``. Every box of a group has the same side on each
 axis, so a box keeps ``b`` as one orientation int on its group's grid plus
 its real point.
+
+Boxes of equal size form a group: its half squared diagonal and a lazy
+heap of its boxes, from which each read takes the tied minima in place.
 """
 
 from __future__ import annotations
@@ -80,30 +83,24 @@ BoxTuple = tuple[float, int, int, Record, int, tuple[float, ...], float]
 class Group:
     """A group of equal-size boxes: the unit every method selects among.
 
-    ``heap`` is a lazy-deletion heap of the group's boxes and ``n`` the
-    number of them still live; ``mins`` caches the tied minimal boxes
-    ``heap_min_entries`` returns and is None when they may have changed.
-    ``d`` is the half squared diagonal the group stands for.
+    ``d`` is the half squared diagonal the group stands for and ``heap`` a
+    lazy-deletion heap of its boxes: an entry is live exactly when it is
+    ``boxes[id]``, and ``heap_min_entries`` reads the live minima from it.
     """
 
     d: float
     heap: list = field(default_factory=list)
-    mins: Optional[list] = None
-    n: int = 0
 
 
 def heap_min_entries(group: Group, boxes: list) -> list:
     """Every minimum-key live box ``(key, id, ...)`` of ``group``, sorted by
-    id; cached in ``group.mins`` until the minimum may change, so callers
-    must not modify it. A group with no live box gives an uncached ``[]``.
+    id; ``[]`` when the group has no live box.
 
-    On a miss, dead entries (an entry is live exactly when it is
-    ``boxes[id]``) are discarded while they sit at the heap's root. By heap
-    order the entries tying the root's key form a subtree at the root: it
-    is walked in place, and no entry is popped or pushed back.
+    Dead entries (an entry is live exactly when it is ``boxes[id]``) are
+    discarded while they sit at the heap's root. By heap order the entries
+    tying the root's key form a subtree at the root: it is walked in place,
+    and no entry is popped or pushed back.
     """
-    if group.mins is not None:
-        return group.mins
     heap = group.heap
     while heap and boxes[heap[0][1]] is not heap[0]:
         heapq.heappop(heap)
@@ -119,7 +116,6 @@ def heap_min_entries(group: Group, boxes: list) -> list:
                 out.append(entry)
             todo += (2 * p + 1, 2 * p + 2)
     out.sort()
-    group.mins = out
     return out
 
 
@@ -153,15 +149,15 @@ class BoxTable:
     def add_boxes(self, s: int, d: float, new: tuple) -> None:
         """File the new boxes of group s, a new group with half squared
         diagonal ``d`` when s is one past the last: a split files its
-        children by ascending s. A box whose id is live, the split's child
-        that keeps its id, takes its slot and retires the split box; q_inf
-        then advances past the groups left empty. The others are appended,
-        their ids following on from the last."""
+        children by ascending s. Each box goes on its group's heap. A box
+        whose id is live, the split's child that keeps its id, takes its
+        slot and retires the split box; when that box was in group q_inf,
+        q_inf advances while its group reads empty. The others are
+        appended, their ids following on from the last."""
         groups, boxes = self.groups, self.boxes
         if s == len(groups):  # the group's first boxes
             groups.append(Group(d))
-        group = groups[s]
-        heap, end = group.heap, len(boxes)
+        heap, end = groups[s].heap, len(boxes)
         split = None
         for box in new:
             heapq.heappush(heap, box)
@@ -169,15 +165,8 @@ class BoxTable:
                 split, boxes[box[1]] = boxes[box[1]], box
             else:
                 boxes.append(box)
-        if group.mins is not None and min(new)[0] <= group.mins[0][0]:
-            group.mins = None
-        group.n += len(new)
-        if split is not None:
-            old = groups[split[2]]
-            if old.mins is not None and split in old.mins:
-                old.mins = None
-            old.n -= 1
-            while not groups[self.q_inf].n:
+        if split is not None and split[2] == self.q_inf:
+            while not heap_min_entries(groups[self.q_inf], boxes):
                 self.q_inf += 1
 
     def max_diagonal_sq(self) -> float:

@@ -277,14 +277,15 @@ def test_center_boxes_are_not_tracked_by_the_collector(locally_biased):
 @pytest.mark.parametrize("locally_biased", [False, True], ids=["direct", "directl"])
 def test_center_ids_stay_dense_and_minima_live(monkeypatch, dim, locally_biased):
     # slot i holds live box i for i in 1..m, each an entry of its group's
-    # heap; Group.n counts the group's live boxes; q_inf is the lowest group
-    # with a live box; and no stale heap entry ever comes back as a group
-    # minimum
+    # heap; a group's minima read empty exactly when it has no live box;
+    # q_inf is the lowest group with a live box; and no stale heap entry
+    # ever comes back as a group minimum
     returned = []
 
     def checked(group, boxes):
         out = heap_min_entries(group, boxes)
-        assert out and all(boxes[entry[1]] is entry for entry in out)
+        assert bool(out) == any(boxes[entry[1]] is entry for entry in group.heap)
+        assert all(boxes[entry[1]] is entry for entry in out)
         returned.append(len(out))
         return out
 

@@ -278,15 +278,19 @@ def test_trace_round_trip(tmp_path):
     assert len(data["boxes"]) == report.boxes
     with pytest.raises(ValueError):
         write_trace(run(prob, OptConfig(p_max=5)), prob, path)
-    # a truncated header or T line, a B corner that is no fraction, a header
-    # whose bounds differ in length or leave an axis empty, a T point or B
-    # corner with the wrong number of coordinates, or a T line before the
-    # header names its line
+    # a truncated header or T line, a B corner that is no grid coordinate in
+    # [0, 1] (no fraction, a numerator outside 0..3^k or a denominator that
+    # is no power of 3), a header whose bounds differ in length or leave an
+    # axis empty, a T point or B corner with the wrong number of
+    # coordinates, or a T line before the header names its line
     lines = path.read_text().splitlines()
     t_at = next(i for i, line in enumerate(lines) if line.startswith("T "))
     b_at = next(i for i, line in enumerate(lines) if line.startswith("B "))
     for at, bad, tag in ((0, "# domain 0.0,0.0", "domain"), (t_at, "T 1 0.5,0.5 2.0", "T"),
                          (b_at, "B 1 0 0/1,0/1 1/0,1/1", "B"),
+                         (b_at, "B 1 0 -1/3,0/1 5/3,1/2", "B"),
+                         (b_at, "B 1 0 0/1,0/1 4/3,1/3", "B"),
+                         (b_at, "B 1 0 0/1,0/1 1/3,1/2", "B"),
                          (0, "# domain 0.0,0.0 1.0", "domain"),
                          (0, "# domain 0.0,0.0 0.0,1.0", "domain"),
                          (t_at, "T 1 0.0 0.58 0.58 init", "T"),

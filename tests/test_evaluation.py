@@ -174,7 +174,7 @@ def test_run_class_marks_a_failing_problem_invalid(monkeypatch):
     report = bench.run_class(methods, cls, delta=1e-4, p_max=5000, workers=1)
     row = report.rows[1]
     assert row["index"] == 2 and not row["valid"] and row["results"] == {}
-    assert "probe2d" in row["error"]
+    assert row["error"].startswith("method new failed on problem 2: EvaluationError('probe2d: ")
     assert report.invalid == [(2, row["error"])]
     assert [report.rows[0], report.rows[2]] == [expected[0], expected[2]]
     assert f"warning: problem 2 invalid, excluded: {row['error']}" in report.to_text()
@@ -182,7 +182,7 @@ def test_run_class_marks_a_failing_problem_invalid(monkeypatch):
     assert rows_2 == [f"2,{m},,,,0" for m in methods]
     # report.json with an invalid row, byte for byte
     digest = hashlib.sha256(report.to_json().encode()).hexdigest()
-    assert digest == "62c1a4672e939992f0f28e41e90903ef962264963c09773d10e0950db98d4694"
+    assert digest == "f6c1f27953f23546888f73e75e2024ae866a7d2d62396e9fd97d33685a8ebc9e"
 
     # any other exception in one run marks that problem invalid, naming the method
     monkeypatch.undo()
@@ -203,14 +203,43 @@ def test_run_class_marks_a_failing_problem_invalid(monkeypatch):
     assert f"warning: problem 3 invalid, excluded: {row['error']}" in report.to_text()
 
 
+def test_an_invalid_row_names_its_stage_and_c1_names_a_problem(monkeypatch):
+    # an EvaluationError in DIRECT's run on problem 2 names the method that
+    # failed; C1's s then names the worst valid problem by its index, not by
+    # its position among the valid rows, and C2 is that problem's boxes
+    cls = problem_class(2, "hard", seed=0, count=3)
+    methods = ["new", "direct", "directl"]
+    expected = bench.run_class(methods, cls, delta=1e-4, p_max=5000).rows
+    run_method, failing = bench.run_method, problems.generate(cls, 2).name
+
+    def run_method_with_failure(name, problem, config):
+        if name == "direct" and problem.name == failing:
+            raise EvaluationError(failing, (0.0, 0.0), "f failed: boom")
+        return run_method(name, problem, config)
+
+    monkeypatch.setattr(bench, "run_method", run_method_with_failure)
+    report = bench.run_class(methods, cls, delta=1e-4, p_max=5000)
+    error = f"method direct failed on problem 2: EvaluationError('{failing}: f failed: boom at x = (0.0, 0.0)')"
+    assert report.invalid == [(2, error)]
+    assert [report.rows[0], report.rows[2]] == [expected[0], expected[2]]
+    for m in methods:
+        worst = max(expected[0], expected[2], key=lambda row: row["results"][m]["trials"])
+        summary = report.summaries[m]
+        assert summary["c1"][:2] == [worst["results"][m]["trials"], worst["index"]], m
+        assert summary["c2"] == worst["results"][m]["boxes"], m
+    assert report.summaries["new"]["c1"][1] == 3  # the second valid row
+    assert "(s=3)" in report.to_text()
+
+
 def test_a_class_without_a_valid_problem_names_the_first_failure(capsys):
     # ten balls do not fit on the 1-D domain [-1, 1]
     cls = problem_class(1, "hard", seed=0, count=3)
-    reason = "problem 1: could not place ball 7/10 (dim=1, radius=0.129)"
+    reason = ("every problem of the class is invalid; generation failed on problem 1: "
+              "GenerationError('could not place ball 7/10 (dim=1, radius=0.129)")
     with pytest.raises(problems.GenerationError, match=re.escape(reason)):
         bench.run_class(["new"], cls, delta=1e-2, p_max=100)
     assert cli.main(["bench", "--class", "hard:1:3", "--delta", "1e-2"]) == 2
-    assert reason in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"evaluation failure: {reason}")
 
 
 def test_cli_nan_objective_exits_two(monkeypatch, capsys):

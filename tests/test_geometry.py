@@ -259,18 +259,15 @@ def test_filing_a_live_id_retires_the_box_it_replaces(method):
     group, deeper = table.groups[q], len(table.groups)
     live = sorted(box for box in boxes[1:] if box[2] == q)
     assert len(live) >= 2 and live[0][0] < live[-1][0]
-    for old in reversed(live):
-        n, mins = group.n, heap_min_entries(group, boxes)  # cached by the read
+    for k in reversed(range(len(live))):  # live[k] is replaced, live[:k] are left
+        old = live[k]
         new = (old[0], old[1], deeper) + old[3:]
         table.add_boxes(deeper, group.d / 9, (new,))
         assert boxes[old[1]] is new and all(box is not old for box in boxes)
-        assert group.n == n - 1
-        if any(box is old for box in mins):
-            assert group.mins is None
-        else:
-            assert group.mins is mins
-        assert table.q_inf == min(s for s, g in enumerate(table.groups) if g.n)
-    assert group.n == 0 and table.q_inf > q
+        assert sorted(box for box in boxes[1:] if box[2] == q) == live[:k]
+        assert heap_min_entries(group, boxes) == [box for box in live[:k] if box[0] == live[0][0]]
+        assert table.q_inf == min(box[2] for box in boxes[1:])
+    assert table.q_inf > q
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -288,15 +285,11 @@ def test_heap_min_entries_reads_tied_minima_in_place(entries, popped):
         heapq.heappop(heap)
     live = sorted(entry for entry in heap if boxes[entry[1]] is entry)
     expected = [entry for entry in live if entry[0] == live[0][0]] if live else []
-    group = Group(0.5, heap, n=len(live))
+    group = Group(0.5, heap)
     out = heap_min_entries(group, boxes)
     assert out == expected
-    # a second read is the cached list; a group with no live box caches nothing
-    again = heap_min_entries(group, boxes)
-    if live:
-        assert again is out and group.mins is out
-    else:
-        assert again == [] and group.mins is None
+    # a second read walks the heap the first one left and finds the same
+    assert heap_min_entries(group, boxes) == out
     assert all(boxes[entry[1]] is entry for entry in out)
     assert sorted(entry for entry in heap if boxes[entry[1]] is entry) == live
     assert all(heap[(p - 1) // 2] <= heap[p] for p in range(1, len(heap)))
@@ -306,11 +299,10 @@ def test_heap_min_entries_reads_tied_minima_in_place(entries, popped):
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 @pytest.mark.parametrize("make", [wavy_problem, flat_problem], ids=["wavy", "flat"])
-def test_cached_group_minima_match_a_fresh_heap_scan(dim, make):
-    # every cached minimum equals the reader on a fresh group over a copy of
-    # the group's heap and the live boxes with that s tied at the minimal F,
-    # by id; the flat problem ties every F, so ties join and leave the cache
-    # too
+def test_group_minima_match_a_scan(dim, make):
+    # every group's minima are the live boxes with that s tied at the
+    # minimal F, by id; the flat problem ties every F, so ties join and
+    # leave the minima too
     rng = np.random.default_rng(dim)
     prob = make(dim)
     part = Partition(prob)
@@ -324,7 +316,6 @@ def test_cached_group_minima_match_a_fresh_heap_scan(dim, make):
             expected = [e for e in entries if e[0] == entries[0][0]]
             out = heap_min_entries(group, part.boxes)
             assert out == expected, s
-            assert heap_min_entries(Group(group.d, list(group.heap)), part.boxes) == expected, s
             if expected:  # DIRECT-l's level representative: the least live (F, id)
                 top = out[0]
                 assert top == min(by_s[s]) and part.boxes[top[1]] is top, s
@@ -603,7 +594,7 @@ def test_box_ids_stay_dense_and_minima_live(monkeypatch, dim, make):
 
     def checked(group, boxes):
         out = heap_min_entries(group, boxes)
-        assert bool(out) == bool(group.n)
+        assert bool(out) == any(boxes[entry[1]] is entry for entry in group.heap)
         assert all(boxes[entry[1]] is entry for entry in out)
         returned.append(len(out))
         return out

@@ -58,16 +58,12 @@ def test_only_the_stop_rules_count_a_trial():
     assert files_matching(r"trials \+= 1") == ["lipgrad/stopping.py"]
 
 
-def test_only_geometry_names_the_group_minima_cache():
-    # every method reads a group's minima through geometry.heap_min_entries
-    assert files_matching(r"\bmins\b") == ["lipgrad/geometry.py"]
-
-
 def test_only_the_stop_rules_set_a_stop_reason():
     # stopping.py books every trial and applies every stop rule
     assert files_matching(r"\.stop_reason *(:[^=\n]*)?=(?!=)") == ["lipgrad/stopping.py"]
 
 
-def test_only_geometry_writes_a_group_live_count():
-    # BoxTable.add_boxes files every box and retires every split box
-    assert files_matching(r"\.n *[-+*/]?=(?!=)") == ["lipgrad/geometry.py"]
+def test_only_geometry_names_heapq_or_a_group_heap():
+    # BoxTable.add_boxes files every box on its group's heap, and every
+    # method reads a group's minima through geometry.heap_min_entries
+    assert files_matching(r"\bheapq\b|\.heap\b") == ["lipgrad/geometry.py"]

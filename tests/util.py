@@ -12,7 +12,7 @@ import numpy as np
 
 from lipgrad import bounding
 from lipgrad.geometry import (
-    BoxTable, GridFraction, GridVertex, Partition, Record, grid_fraction, pow3,
+    BoxTable, GridFraction, GridVertex, Partition, Record, grid_fraction, heap_min_entries, pow3,
 )
 from lipgrad.problems import Problem, ProblemClass, generated_parameters, quadratic
 from lipgrad.stopping import StopTarget, target_window
@@ -167,8 +167,8 @@ def live_boxes(part: Partition) -> list[Box]:
 
 def check_dense_live_layout(table: BoxTable) -> None:
     """Slot i of ``boxes`` holds live box i for i in 1..m, each also an entry
-    of its group's heap; every ``Group.n`` counts its group's live boxes;
-    and ``q_inf`` is the lowest group with a live box."""
+    of its group's heap; a group's minima read empty exactly when it has no
+    live box; and ``q_inf`` is the lowest group with a live box."""
     boxes = table.boxes
     assert boxes[0] is None and table.m == len(boxes) - 1
     in_heaps = {id(entry) for group in table.groups for entry in group.heap}
@@ -177,7 +177,8 @@ def check_dense_live_layout(table: BoxTable) -> None:
         box = boxes[i]
         assert box[1] == i and id(box) in in_heaps, i
         counts[box[2]] += 1
-    assert [group.n for group in table.groups] == [counts[s] for s in range(len(table.groups))]
+    assert [bool(heap_min_entries(group, boxes)) for group in table.groups] == [
+        s in counts for s in range(len(table.groups))]
     assert table.q_inf == min(counts)
 
 
