@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 
-from . import selection
 from .geometry import BoxTable, grid_fraction, heap_min_entries, pow3
 from .stopping import (
     OptConfig,
@@ -32,6 +31,7 @@ from .stopping import (
     RunState,
     check_stop,
     close_report,
+    iterate,
     log_history,
     record_trial,
 )
@@ -93,8 +93,8 @@ class _CenterState(RunState):
         record_trial(self, x, value)
         return value
 
-    def select(self) -> list[int]:
-        """Potentially optimal boxes: group minima -> hull -> margin filter."""
+    def select(self) -> list[tuple]:
+        """The diagram's ``(id, d, F, s)`` dots: group minima, or level minima."""
         dots = []
         levels = {}  # locally biased: least (f_center, id) per longest-side level
         boxes, groups, dim = self.partition.boxes, self.partition.groups, self.problem.dim
@@ -112,7 +112,7 @@ class _CenterState(RunState):
                 dots.append((box[1], group.d, box[0], s))
         for level, box in levels.items():  # d: half squared longest side
             dots.append((box[1], 0.5 / pow3(2 * level), box[0], box[2]))
-        return selection.choose(dots, self.f_min, self.config.epsilon)
+        return dots
 
     def subdivide(self, box_id: int) -> None:
         """Trisect along every longest side, best-sampled axis first."""
@@ -150,19 +150,11 @@ class _CenterState(RunState):
             nums = head + (lo_num + 1,) + tail
         part.add_boxes(s, d, ((f_center, box_id, s, nums, deps),))  # retires the split box
 
-    def iterate(self) -> None:
-        for box_id in self.select():
-            self.subdivide(box_id)
-            check_stop(self)
-            if self.stop_reason:
-                break
-        log_history(self)
-
 
 def _run(problem, config: OptConfig, locally_biased: bool, method: str) -> RunReport:
     state = _CenterState(problem, config, locally_biased)
     while not state.stop_reason:
-        state.iterate()
+        iterate(state, state.select(), _CenterState.subdivide)
     return close_report(state, method)
 
 

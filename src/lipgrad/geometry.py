@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -212,14 +213,15 @@ class Partition(BoxTable):
         b_real = vertex_real(vb, self.lower, self.edge)
         rec = self.get_or_eval(va, a_real)
         # the root is the low child of its own split on axis 0 at u = a, v = b;
-        # every other box's d is smaller, so one check covers the run
+        # every other box's d is smaller, so one check bounds the run's d above
         try:
             _, F, _, d = bounding.characterize(rec, rec, a_real, b_real, 0, a_real[0], b_real[0])
         except OverflowError:  # a side's square
             d = math.inf
-        if not math.isfinite(d):
-            raise ValueError(f"problem {problem.name}: the domain is too wide, its half "
-                             f"squared diagonal is not a finite float")
+        if not sys.float_info.min <= d < math.inf:
+            raise ValueError(f"problem {problem.name}: the domain is too "
+                             f"{'wide' if d > 1.0 else 'narrow'}, its half squared "
+                             f"diagonal is not a positive normal float")
         self.add_boxes(0, d, ((F, 1, 0, rec, orient, b_real, d),))
 
     def get_or_eval(self, v: GridVertex, x: tuple[float, ...]) -> Record:

@@ -19,6 +19,7 @@ from .stopping import (
     RunState,
     check_stop,
     close_report,
+    iterate,
     log_history,
     record_trial,
 )
@@ -51,12 +52,7 @@ def exploration_iteration(state: OptState, g_hi: int) -> None:
     Group q_inf is never empty and g_hi >= q_inf, so there is always a dot.
     """
     part = state.partition
-    dots = selection.group_representatives(part, part.q_inf, g_hi)
-    for box_id in selection.choose(dots, state.f_min, state.config.epsilon):
-        _subdivide(state, box_id)
-        if state.stop_reason:
-            break
-    log_history(state)
+    iterate(state, selection.group_representatives(part, part.q_inf, g_hi), _subdivide)
 
 
 def exploration_phase(state: OptState) -> bool:
@@ -87,6 +83,7 @@ def record_phase(state: OptState) -> None:
         if gradient_aligned(rec[1], rec[3], b_real):
             break
         _subdivide(state, t)
+        check_stop(state)
         if state.stop_reason:
             return
     log_history(state)
@@ -124,4 +121,3 @@ def _subdivide(state: OptState, t: int) -> None:
         state.record_ids.discard(t)
         state.record_ids.update(at_x_min)
         _resolve_record_box(state)
-    check_stop(state)

@@ -1,9 +1,9 @@
-"""Run parameters, run state, trial booking, stop rules, history and the report.
+"""Run parameters and state, trial booking, stop rules, the shared loop, history, report.
 
 All three methods share these. Each keeps its run in a ``RunState``
 subclass. The helpers below read and write only ``RunState``'s fields and
 the partition, a ``geometry.BoxTable``; ``record_trial`` alone books a trial,
-and only ``record_trial`` and ``check_stop`` set a stop reason.
+only it and ``check_stop`` set a stop reason, and ``iterate`` is the one loop.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import numbers
 from dataclasses import dataclass
 from typing import Optional
 
+from . import selection
 from .problems import _number
 
 REASON_BUDGET = "budget"
@@ -159,6 +160,17 @@ def check_stop(state) -> None:
         rel = math.sqrt(state.partition.max_diagonal_sq() / state.history[0][2])
         if rel <= state.config.diagonal:
             state.stop_reason = REASON_DIAGONAL
+
+
+def iterate(state, dots, subdivide) -> None:
+    """Every method's iteration: ``subdivide(state, box_id)`` each box that
+    ``selection.choose`` picks from ``dots``, with a stop check after each; log a row."""
+    for box_id in selection.choose(dots, state.f_min, state.config.epsilon):
+        subdivide(state, box_id)
+        check_stop(state)
+        if state.stop_reason:
+            break
+    log_history(state)
 
 
 def close_report(state, method: str) -> RunReport:

@@ -13,6 +13,7 @@ from util import (
     CenterBox,
     Dot,
     add_left_to_right,
+    center_iteration,
     check_dense_live_layout,
     sorted_diag_d,
     wavy_problem,
@@ -25,11 +26,16 @@ def views(state: _CenterState) -> dict[int, CenterBox]:
     return {raw[1]: CenterBox._make(raw) for raw in state.partition.boxes[1:]}
 
 
+def chosen(state: _CenterState, dots) -> list[int]:
+    """The ids of the boxes the iteration subdivides, from the state's dots."""
+    return selection.choose(dots, state.f_min, state.config.epsilon)
+
+
 def test_single_box_is_potentially_optimal_and_subdivided():
     prob = wavy_problem(2)
     state = _CenterState(prob, OptConfig(p_max=100), locally_biased=False)
-    assert state.select() == [1]
-    state.iterate()
+    assert chosen(state, state.select()) == [1]
+    center_iteration(state)
     assert len(views(state)) == 5  # split along both axes of the initial cube
     assert state.trials == 5
 
@@ -68,8 +74,8 @@ def test_huge_epsilon_degenerates_to_uniform_refinement():
     report = direct_run(prob, OptConfig(p_max=200, epsilon=1e9))
     state = _CenterState(prob, OptConfig(p_max=200, epsilon=1e9), locally_biased=False)
     while not state.stop_reason:
-        assert len(state.select()) == 1
-        state.iterate()
+        assert len(chosen(state, state.select())) == 1
+        center_iteration(state)
     depth_sums = {sum(b.depths) for b in views(state).values()}
     assert max(depth_sums) - min(depth_sums) <= 2
     assert report.trials == state.trials
@@ -78,13 +84,12 @@ def test_huge_epsilon_degenerates_to_uniform_refinement():
 def test_locally_biased_selects_one_per_level():
     prob = wavy_problem(2)
     state = _CenterState(prob, OptConfig(p_max=500), locally_biased=True)
-    state.iterate()
+    center_iteration(state)
     for _ in range(10):
-        chosen = state.select()
         boxes = views(state)
-        levels = [min(boxes[i].depths) for i in chosen]
+        levels = [min(boxes[i].depths) for i in chosen(state, state.select())]
         assert len(levels) == len(set(levels))
-        state.iterate()
+        center_iteration(state)
         if state.stop_reason:
             break
 
@@ -92,11 +97,10 @@ def test_locally_biased_selects_one_per_level():
 def test_locally_biased_breaks_value_ties_by_lower_id():
     flat = quadratic([0.5, 0.5], np.zeros((2, 2)), name="flat")  # f constant 0
     state = _CenterState(flat, OptConfig(p_max=100), locally_biased=True)
-    state.iterate()
+    center_iteration(state)
     # all boxes tie at f = 0; each level must contribute exactly its lowest id
-    chosen = state.select()
     boxes = views(state)
-    for box_id in chosen:
+    for box_id in chosen(state, state.select()):
         level = min(boxes[box_id].depths)
         peers = [
             i for i, b in boxes.items() if min(b.depths) == level
@@ -126,7 +130,7 @@ def test_center_volume_conservation():
     prob = wavy_problem(2)
     state = _CenterState(prob, OptConfig(p_max=150), locally_biased=False)
     while not state.stop_reason:
-        state.iterate()
+        center_iteration(state)
     total = sum(
         Fraction(1, 3 ** sum(b.depths)) for b in views(state).values()
     )
@@ -140,7 +144,7 @@ def test_center_box_fields():
     for dim in (2, 3, 4):
         state = _CenterState(wavy_problem(dim), OptConfig(p_max=300), locally_biased=False)
         while not state.stop_reason:
-            state.iterate()
+            center_iteration(state)
         boxes = state.partition.boxes
         for box_id, box in views(state).items():
             assert type(boxes[box_id]) is tuple
@@ -199,8 +203,8 @@ def test_a_split_that_hits_the_target_is_dropped(runner):
         assert (report.trials, report.boxes, report.stop_reason) == (trials, 1, "target_found")
 
 
-def rescanned_select(state: _CenterState) -> list[int]:
-    """select() from the live boxes alone, without groups, heaps or caches.
+def rescanned_select(state: _CenterState) -> list[Dot]:
+    """select()'s dots from the live boxes alone, without groups or heaps.
 
     DIRECT: every tied minimum per sorted depth vector, at its half squared
     diagonal. DIRECT-l: the least (f, id) per minimum depth L, at 0.5 / 9^L.
@@ -220,7 +224,7 @@ def rescanned_select(state: _CenterState) -> list[int]:
             tied = [e for e in entries if e[0] == entries[0][0]]
         for F, box_id in tied:
             dots.append(Dot(box_id, d, F, sum(boxes[box_id].depths)))
-    return selection.choose(dots, state.f_min, state.config.epsilon)
+    return dots
 
 
 def largest_diagonal_sq(state: _CenterState) -> float:  # scans every box
@@ -233,9 +237,11 @@ def largest_diagonal_sq(state: _CenterState) -> float:  # scans every box
 def test_cached_select_matches_a_rescan(dim, locally_biased):
     state = _CenterState(wavy_problem(dim), OptConfig(p_max=1500), locally_biased)
     while not state.stop_reason:
-        assert state.select() == rescanned_select(state)
+        dots, rescanned = state.select(), rescanned_select(state)
+        assert sorted(dots) == sorted(rescanned)
+        assert chosen(state, dots) == chosen(state, rescanned)
         assert state.partition.max_diagonal_sq() == largest_diagonal_sq(state)
-        state.iterate()
+        center_iteration(state)
 
 
 @pytest.mark.parametrize("runner", [direct_run, directl_run], ids=["direct", "directl"])
@@ -261,7 +267,7 @@ def test_center_boxes_are_not_tracked_by_the_collector(locally_biased):
     prob = generate(problem_class(4, "simple", seed=11, count=20), 1)
     state = _CenterState(prob, OptConfig(p_max=3000), locally_biased)
     while not state.stop_reason:
-        state.iterate()
+        center_iteration(state)
     assert state.trials == 3000
     gc.collect()
     gc.collect()
@@ -292,6 +298,6 @@ def test_center_ids_stay_dense_and_minima_live(monkeypatch, dim, locally_biased)
     monkeypatch.setattr(baselines, "heap_min_entries", checked)
     state = _CenterState(wavy_problem(dim), OptConfig(p_max=800), locally_biased)
     while not state.stop_reason:
-        state.iterate()
+        center_iteration(state)
         check_dense_live_layout(state.partition)
     assert len(returned) > 100

@@ -323,16 +323,19 @@ def test_group_minima_match_a_scan(dim, make):
         assert part.max_diagonal_sq() == pytest.approx(largest, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("lower, upper, config", [
-    ([-1e200], [1e200], OptConfig(p_max=50)),  # the side's square overflows
-    ([0.0, 0.0], [1.2e154, 1.2e154], OptConfig(p_max=1000, diagonal=0.01)),  # the sum does
-], ids=["side", "sum"])
-def test_a_domain_too_wide_for_d_is_named(lower, upper, config):
-    # the root's d bounds every box's, so the partition checks it once; the
+@pytest.mark.parametrize("lower, upper, config, size", [
+    ([-1e200], [1e200], OptConfig(p_max=50), "wide"),  # the side's square overflows
+    ([0.0, 0.0], [1.2e154, 1.2e154], OptConfig(p_max=1000, diagonal=0.01), "wide"),  # the sum does
+    ([0.0], [1e-300], OptConfig(p_max=50, diagonal=0.01), "narrow"),  # d underflows to 0
+    ([0.0], [1e-160], OptConfig(p_max=50), "narrow"),  # d is subnormal
+], ids=["side", "sum", "narrow", "subnormal"])
+def test_a_domain_too_wide_for_d_is_named(lower, upper, config, size):
+    # the root's d bounds every box's, so the partition checks it once, and
+    # a root d that is not a positive normal float is named too; the
     # baselines measure boxes in normalized coordinates and still run
     dim = len(lower)
     prob = Problem("big", dim, lower, upper, lambda x: 0.0, lambda x: np.zeros(dim))
-    with pytest.raises(ValueError, match="^problem big: the domain is too wide"):
+    with pytest.raises(ValueError, match=f"^problem big: the domain is too {size}, "):
         run(prob, config)
     for method in (direct_run, directl_run):
         assert method(prob, config).trials == config.p_max

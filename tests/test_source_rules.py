@@ -67,3 +67,8 @@ def test_only_geometry_names_heapq_or_a_group_heap():
     # BoxTable.add_boxes files every box on its group's heap, and every
     # method reads a group's minima through geometry.heap_min_entries
     assert files_matching(r"\bheapq\b|\.heap\b") == ["lipgrad/geometry.py"]
+
+
+def test_only_the_shared_loop_chooses_boxes():
+    # stopping.iterate is every method's select-and-subdivide loop
+    assert files_matching(r"selection\.choose\(") == ["lipgrad/stopping.py"]

@@ -10,7 +10,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from lipgrad import bounding
+from lipgrad import bounding, stopping
+from lipgrad.baselines import _CenterState
 from lipgrad.geometry import (
     BoxTable, GridFraction, GridVertex, Partition, Record, grid_fraction, heap_min_entries, pow3,
 )
@@ -62,6 +63,11 @@ class Dot(NamedTuple):
     d: float
     F: float
     s: int
+
+
+def center_iteration(state: _CenterState) -> None:
+    """One DIRECT or DIRECT-l iteration, as ``baselines._run`` makes it."""
+    stopping.iterate(state, state.select(), _CenterState.subdivide)
 
 
 def target_reached(x, target: StopTarget, lower, upper) -> bool:
