@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 
-from .geometry import BoxTable, grid_fraction, heap_min_entries, pow3
+from .geometry import BoxTable, grid_fraction, heap_min, heap_min_entries, pow3
 from .stopping import (
     OptConfig,
     RunReport,
@@ -100,16 +100,13 @@ class _CenterState(RunState):
         boxes, groups, dim = self.partition.boxes, self.partition.groups, self.problem.dim
         for s in range(self.partition.q_inf, len(groups)):
             group = groups[s]
-            entries = heap_min_entries(group, boxes)
-            if not entries:
-                continue
-            if self.locally_biased:  # entries[0] is the least (f_center, id)
-                level = s // dim
-                if level not in levels or entries[0] < levels[level]:
-                    levels[level] = entries[0]
-                continue
-            for box in entries:
-                dots.append((box[1], group.d, box[0], s))
+            if self.locally_biased:  # the level's least (f_center, id)
+                box, level = heap_min(group, boxes), s // dim
+                if box is not None and (level not in levels or box < levels[level]):
+                    levels[level] = box
+            else:
+                for box in heap_min_entries(group, boxes):
+                    dots.append((box[1], group.d, box[0], s))
         for level, box in levels.items():  # d: half squared longest side
             dots.append((box[1], 0.5 / pow3(2 * level), box[0], box[2]))
         return dots

@@ -12,7 +12,7 @@ axis, so a box keeps ``b`` as one orientation int on its group's grid plus
 its real point.
 
 Boxes of equal size form a group: its half squared diagonal and a lazy
-heap of its boxes, from which each read takes the tied minima in place.
+heap of its boxes, from which each read takes the least live boxes in place.
 """
 
 from __future__ import annotations
@@ -86,28 +86,31 @@ class Group:
 
     ``d`` is the half squared diagonal the group stands for and ``heap`` a
     lazy-deletion heap of its boxes: an entry is live exactly when it is
-    ``boxes[id]``, and ``heap_min_entries`` reads the live minima from it.
+    ``boxes[id]``, and ``heap_min`` and ``heap_min_entries`` read its minima.
     """
 
     d: float
     heap: list = field(default_factory=list)
 
 
-def heap_min_entries(group: Group, boxes: list) -> list:
-    """Every minimum-key live box ``(key, id, ...)`` of ``group``, sorted by
-    id; ``[]`` when the group has no live box.
-
-    Dead entries (an entry is live exactly when it is ``boxes[id]``) are
-    discarded while they sit at the heap's root. By heap order the entries
-    tying the root's key form a subtree at the root: it is walked in place,
-    and no entry is popped or pushed back.
-    """
+def heap_min(group: Group, boxes: list) -> Optional[tuple]:
+    """The least live box ``(key, id, ...)`` of ``group``, or None. Dead
+    entries, which are not ``boxes[id]``, are popped while they sit at the
+    root, so the live root is the least ``(key, id)`` of the group."""
     heap = group.heap
     while heap and boxes[heap[0][1]] is not heap[0]:
         heapq.heappop(heap)
-    if not heap:
+    return heap[0] if heap else None
+
+
+def heap_min_entries(group: Group, boxes: list) -> list:
+    """Every minimum-key live box of ``group``: ``[]`` when it has none, else
+    the least first, then the other ties in heap order. By heap order the
+    ties form a subtree at the root: it is walked in place, and no entry is
+    popped or pushed back."""
+    heap, root = group.heap, heap_min(group, boxes)
+    if root is None:
         return []
-    root = heap[0]
     key, n = root[0], len(heap)
     out, todo = [root], [1, 2]
     for p in todo:  # todo grows with the children of every tie
@@ -116,7 +119,6 @@ def heap_min_entries(group: Group, boxes: list) -> list:
             if boxes[entry[1]] is entry:
                 out.append(entry)
             todo += (2 * p + 1, 2 * p + 2)
-    out.sort()
     return out
 
 
@@ -167,7 +169,7 @@ class BoxTable:
             else:
                 boxes.append(box)
         if split is not None and split[2] == self.q_inf:
-            while not heap_min_entries(groups[self.q_inf], boxes):
+            while heap_min(groups[self.q_inf], boxes) is None:
                 self.q_inf += 1
 
     def max_diagonal_sq(self) -> float:

@@ -264,20 +264,16 @@ class ProblemClass:
         require("difficulty", type(self.difficulty) is str, "a string")
         rr = self.radius_range
         require("radius_range", type(rr) is tuple and len(rr) == 2
-                and all(map(_finite_float, rr)) and 0.0 < rr[0] <= rr[1],
+                and all(_number(v, float) for v in rr) and 0.0 < rr[0] <= rr[1],
                 "a tuple of two floats 0 < lo <= hi")
-        require("global_radius", _finite_float(self.global_radius)
+        require("global_radius", _number(self.global_radius, float)
                 and self.global_radius > 0.0, "a positive float")
         # the other minima's values are drawn from [f* + value_gap, -0.05)
-        require("value_gap", _finite_float(self.value_gap)
+        require("value_gap", _number(self.value_gap, float)
                 and 0.0 <= self.value_gap < -0.05 - _F_STAR, "a float in [0, 0.95)")
-        require("lower", _finite_float(self.lower), "a finite float")
-        require("upper", _finite_float(self.upper) and self.upper > self.lower,
+        require("lower", _number(self.lower, float), "a finite float")
+        require("upper", _number(self.upper, float) and self.upper > self.lower,
                 "a finite float above lower")
-
-
-def _finite_float(v) -> bool:
-    return isinstance(v, float) and math.isfinite(v)
 
 
 _DIFFICULTY_KNOBS = {

@@ -6,7 +6,7 @@ import pytest
 
 from lipgrad import baselines, selection
 from lipgrad.baselines import _CenterState, _diag_d, direct_run, directl_run
-from lipgrad.geometry import heap_min_entries
+from lipgrad.geometry import heap_min, heap_min_entries
 from lipgrad.problems import generate, problem_class, quadratic
 from lipgrad.stopping import OptConfig, StopTarget
 from util import (
@@ -285,8 +285,8 @@ def test_center_ids_stay_dense_and_minima_live(monkeypatch, dim, locally_biased)
     # slot i holds live box i for i in 1..m, each an entry of its group's
     # heap; a group's minima read empty exactly when it has no live box;
     # q_inf is the lowest group with a live box; and no stale heap entry
-    # ever comes back as a group minimum
-    returned = []
+    # ever comes back as a group minimum. DIRECT-l reads only the roots.
+    returned, roots = [], []
 
     def checked(group, boxes):
         out = heap_min_entries(group, boxes)
@@ -295,9 +295,20 @@ def test_center_ids_stay_dense_and_minima_live(monkeypatch, dim, locally_biased)
         returned.append(len(out))
         return out
 
+    def checked_root(group, boxes):
+        root = heap_min(group, boxes)
+        live = [entry for entry in group.heap if boxes[entry[1]] is entry]
+        assert root is (min(live) if live else None)
+        roots.append(root)
+        return root
+
     monkeypatch.setattr(baselines, "heap_min_entries", checked)
+    monkeypatch.setattr(baselines, "heap_min", checked_root)
     state = _CenterState(wavy_problem(dim), OptConfig(p_max=800), locally_biased)
     while not state.stop_reason:
         center_iteration(state)
         check_dense_live_layout(state.partition)
-    assert len(returned) > 100
+    if locally_biased:
+        assert len(roots) > 100 and not returned
+    else:
+        assert len(returned) > 100 and not roots

@@ -282,7 +282,8 @@ def test_trace_round_trip(tmp_path):
     # [0, 1] (no fraction, a numerator outside 0..3^k or a denominator that
     # is no power of 3), a header whose bounds differ in length or leave an
     # axis empty, a T point or B corner with the wrong number of
-    # coordinates, or a T line before the header names its line
+    # coordinates, or a T line before the header names its line; an empty
+    # file has no header
     lines = path.read_text().splitlines()
     t_at = next(i for i, line in enumerate(lines) if line.startswith("T "))
     b_at = next(i for i, line in enumerate(lines) if line.startswith("B "))
@@ -299,6 +300,9 @@ def test_trace_round_trip(tmp_path):
         path.write_text("\n".join(lines[:at] + [bad] + lines[at + 1:]) + "\n")
         with pytest.raises(ValueError, match=f"run.trace:{at + 1}: malformed {tag} line"):
             read_trace(path)
+    path.write_text("")
+    with pytest.raises(ValueError, match="run.trace: missing domain header"):
+        read_trace(path)
 
 
 def test_partition_diagram(tmp_path):
@@ -448,9 +452,12 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
         data[key] = value
         bad_knobs.append(tmp_path / f"bad-{key}.json")
         bad_knobs[-1].write_text(json.dumps(data))
+    not_json = tmp_path / "not-json.json"
+    not_json.write_text("{")
+    bad_manifests = (*bad_knobs, not_json)
     for argv in (
-        *(["solve", "--problem", str(path)] for path in bad_knobs),
-        *(["bench", "--class", str(path), "--delta", "1e-2"] for path in bad_knobs),
+        *(["solve", "--problem", str(path)] for path in bad_manifests),
+        *(["bench", "--class", str(path), "--delta", "1e-2"] for path in bad_manifests),
         ["bench", "--class", "hard:2:3", "--seed", "-1", "--delta", "1e-2"],
         ["bench", "--class", "hard:0:3", "--delta", "1e-2"],
         ["bench", "--class", "hard:2:3", "--delta", "1e-2", "--pmax", "300",
@@ -479,20 +486,23 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
         ["bench", "--class", "hard:2:2", "--delta", "1e-2", "--methods", ","],
         ["solve", "--problem", "quad2d", "--pmax", "5", "--trace",
          str(tmp_path / "nonexistent" / "t")],
+        ["solve", "--problem", "quad2d", "--pmax", "5", "--trace", str(tmp_path)],
         ["bench", "--class", "hard:2:2", "--delta", "1e-2", "--pmax", "200",
          "--out", str(manifest)],
     ):
         assert cli.main(argv) == 1, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
-    # a manifest with a bad knob names the file and the knob, whichever
-    # command reads it, and is not mistaken for a malformed descriptor
-    for path, key in zip(bad_knobs, ("radius_range", "dim", "count")):
+    # a manifest that is not JSON or has a bad knob names the file and the
+    # fault, whichever command reads it, and is not mistaken for a malformed
+    # descriptor
+    faults = ("radius_range must be ", "dim must be ", "count must be ", "not JSON (")
+    for path, fault in zip(bad_manifests, faults):
         for argv in (["solve", "--problem", str(path)],
                      ["bench", "--class", str(path), "--delta", "1e-2"]):
             assert cli.main(argv) == 1, argv
             err = capsys.readouterr().err
-            assert err.startswith(f"error: manifest {path}: {key} must be "), (argv, err)
+            assert err.startswith(f"error: manifest {path}: {fault}"), (argv, err)
             assert "difficulty:dim:count" not in err, (argv, err)
 
 

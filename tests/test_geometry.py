@@ -19,6 +19,7 @@ from lipgrad.geometry import (
     Group,
     Partition,
     grid_fraction,
+    heap_min,
     heap_min_entries,
     pow3,
     vertex_real,
@@ -265,7 +266,9 @@ def test_filing_a_live_id_retires_the_box_it_replaces(method):
         table.add_boxes(deeper, group.d / 9, (new,))
         assert boxes[old[1]] is new and all(box is not old for box in boxes)
         assert sorted(box for box in boxes[1:] if box[2] == q) == live[:k]
-        assert heap_min_entries(group, boxes) == [box for box in live[:k] if box[0] == live[0][0]]
+        assert sorted(heap_min_entries(group, boxes)) == [
+            box for box in live[:k] if box[0] == live[0][0]]
+        assert heap_min(group, boxes) is (live[0] if k else None)
         assert table.q_inf == min(box[2] for box in boxes[1:])
     assert table.q_inf > q
 
@@ -287,7 +290,9 @@ def test_heap_min_entries_reads_tied_minima_in_place(entries, popped):
     expected = [entry for entry in live if entry[0] == live[0][0]] if live else []
     group = Group(0.5, heap)
     out = heap_min_entries(group, boxes)
-    assert out == expected
+    # the least live entry first, the other ties in heap order
+    assert sorted(out) == expected and out[:1] == expected[:1]
+    assert heap_min(group, boxes) is (expected[0] if expected else None)
     # a second read walks the heap the first one left and finds the same
     assert heap_min_entries(group, boxes) == out
     assert all(boxes[entry[1]] is entry for entry in out)
@@ -315,9 +320,10 @@ def test_group_minima_match_a_scan(dim, make):
             entries = sorted(by_s.get(s, []))
             expected = [e for e in entries if e[0] == entries[0][0]]
             out = heap_min_entries(group, part.boxes)
-            assert out == expected, s
+            assert sorted(out) == expected, s
+            top = heap_min(group, part.boxes)
+            assert top is (out[0] if expected else None), s
             if expected:  # DIRECT-l's level representative: the least live (F, id)
-                top = out[0]
                 assert top == min(by_s[s]) and part.boxes[top[1]] is top, s
         largest = max(2.0 * box.d for box in live_boxes(part))
         assert part.max_diagonal_sq() == pytest.approx(largest, rel=1e-12, abs=0.0)

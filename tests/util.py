@@ -13,7 +13,7 @@ import numpy as np
 from lipgrad import bounding, stopping
 from lipgrad.baselines import _CenterState
 from lipgrad.geometry import (
-    BoxTable, GridFraction, GridVertex, Partition, Record, grid_fraction, heap_min_entries, pow3,
+    BoxTable, GridFraction, GridVertex, Partition, Record, grid_fraction, heap_min, pow3,
 )
 from lipgrad.problems import Problem, ProblemClass, generated_parameters, quadratic
 from lipgrad.stopping import StopTarget, target_window
@@ -183,7 +183,7 @@ def check_dense_live_layout(table: BoxTable) -> None:
         box = boxes[i]
         assert box[1] == i and id(box) in in_heaps, i
         counts[box[2]] += 1
-    assert [bool(heap_min_entries(group, boxes)) for group in table.groups] == [
+    assert [heap_min(group, boxes) is not None for group in table.groups] == [
         s in counts for s in range(len(table.groups))]
     assert table.q_inf == min(counts)
 
