@@ -136,9 +136,10 @@ class _CenterState(RunState):
         samples.sort()
 
         next_id = part.m + 1  # ids stay dense: the middle child keeps box_id
+        groups = part.groups
         for s, (_, j, f_lo, f_hi) in enumerate(samples, s + 1):  # s: the children's depth sum
             deps = deps[:j] + (dmin + 1,) + deps[j + 1:]
-            d = _diag_d(s, dim)
+            d = groups[s].d if s < len(groups) else _diag_d(s, dim)  # _diag_d made every group's d
             lo_num = 3 * nums[j]
             head, tail = nums[:j], nums[j + 1:]
             part.add_boxes(s, d, ((f_lo, next_id, s, head + (lo_num,) + tail, deps),

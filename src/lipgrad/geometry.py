@@ -105,13 +105,19 @@ def heap_min(group: Group, boxes: list) -> Optional[tuple]:
 
 def heap_min_entries(group: Group, boxes: list) -> list:
     """Every minimum-key live box of ``group``: ``[]`` when it has none, else
-    the least first, then the other ties in heap order. By heap order the
-    ties form a subtree at the root: it is walked in place, and no entry is
-    popped or pushed back."""
-    heap, root = group.heap, heap_min(group, boxes)
-    if root is None:
+    the least first, then the other ties in heap order. Dead roots are popped
+    as in ``heap_min``. By heap order the ties form a subtree at the root: it
+    is walked in place, only when a child of the root ties it, and no live
+    entry is popped or pushed back."""
+    heap = group.heap
+    while heap and boxes[heap[0][1]] is not heap[0]:
+        heapq.heappop(heap)
+    if not heap:
         return []
-    key, n = root[0], len(heap)
+    root, n = heap[0], len(heap)
+    key = root[0]
+    if not (n > 1 and heap[1][0] == key or n > 2 and heap[2][0] == key):
+        return [root]
     out, todo = [root], [1, 2]
     for p in todo:  # todo grows with the children of every tie
         if p < n and heap[p][0] == key:
@@ -213,7 +219,7 @@ class Partition(BoxTable):
             va, vb, orient = vb, va, (1 << dim) - 1
         a_real = vertex_real(va, self.lower, self.edge)
         b_real = vertex_real(vb, self.lower, self.edge)
-        rec = self.get_or_eval(va, a_real)
+        rec = self.get_or_eval(va, a_real, 0, a_real[0])
         # the root is the low child of its own split on axis 0 at u = a, v = b;
         # every other box's d is smaller, so one check bounds the run's d above
         try:
@@ -226,14 +232,16 @@ class Partition(BoxTable):
                              f"diagonal is not a positive normal float")
         self.add_boxes(0, d, ((F, 1, 0, rec, orient, b_real, d),))
 
-    def get_or_eval(self, v: GridVertex, x: tuple[float, ...]) -> Record:
+    def get_or_eval(self, v: GridVertex, base: tuple[float, ...], i: int, x_i: float) -> Record:
         """Read the record for ``v`` or evaluate f and f' there exactly once.
 
-        ``x`` must be ``vertex_real(v, self.lower, self.edge)``; callers
-        already hold it.
+        ``base`` with coordinate ``i`` set to ``x_i`` must be
+        ``vertex_real(v, self.lower, self.edge)``; that point is built only
+        on a miss.
         """
         rec = self.vertex_db.get(v)
         if rec is None:
+            x = base[:i] + (x_i,) + base[i + 1:]
             f_value, gradient = self.problem.value_and_grad(x)
             rec = self.vertex_db[v] = (f_value, gradient, v, x)
         return rec
@@ -263,7 +271,7 @@ class Partition(BoxTable):
         v_real = b_real[:i] + (v_i,) + b_real[i + 1:]
 
         before = len(self.vertex_db)
-        rec = self.get_or_eval(u, a_real[:i] + (u_i,) + a_real[i + 1:])
+        rec = self.get_or_eval(u, a_real, i, u_i)
         new_rec = rec if len(self.vertex_db) > before else None
 
         # children share side lengths, hence one d for all three

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
 
 
 class GenerationError(RuntimeError):
@@ -133,7 +134,7 @@ class Problem:
 def _read_only_point(x) -> np.ndarray:
     """A fresh float copy of ``x`` that f and grad cannot write into."""
     point = np.array(x, dtype=float)
-    point.flags.writeable = False
+    point.setflags(write=False)  # no flags object per call
     return point
 
 
@@ -369,7 +370,8 @@ def generate(cls: ProblemClass, index: int) -> Problem:
         The two reductions stay in numpy: its 1-D ``dot`` is a chain of fused
         multiply-adds, and ``einsum`` adds in its own order for more than two
         axes, so a Python sum would differ in the last bit and change the
-        search.
+        search. ``c_einsum`` is the kernel ``np.einsum`` calls when it does not
+        optimize, so it gives the same bits without the Python wrapper.
         """
         x = np.asarray(x, dtype=float)
         key = x.tobytes()
@@ -379,7 +381,7 @@ def generate(cls: ProblemClass, index: int) -> Problem:
         dT = x - T
         p = float(dT @ dT)
         dx = x - C
-        rho2 = np.einsum("ij,ij->i", dx, dx)
+        rho2 = c_einsum("ij,ij->i", dx, dx)
         inside = (rho2 < R2).tolist()
         kept = (dT, p, dx, rho2, inside.index(True) if True in inside else -1)
         last[0] = (key, kept)

@@ -7,8 +7,8 @@ import pytest
 from lipgrad import baselines, selection
 from lipgrad.baselines import _CenterState, _diag_d, direct_run, directl_run
 from lipgrad.geometry import heap_min, heap_min_entries
-from lipgrad.problems import generate, problem_class, quadratic
-from lipgrad.stopping import OptConfig, StopTarget
+from lipgrad.problems import analytic_suite, generate, problem_class, quadratic
+from lipgrad.stopping import OptConfig, StopTarget, close_report
 from util import (
     CenterBox,
     Dot,
@@ -163,6 +163,32 @@ def test_depth_sum_diagonal_matches_the_sorted_depth_vector():
             k, r = divmod(s, dim)
             key = (k,) * (dim - r) + (k + 1,) * r
             assert _diag_d(s, dim).hex() == sorted_diag_d(key).hex(), (dim, s)
+
+
+@pytest.mark.parametrize("method", [direct_run, directl_run], ids=["direct", "directl"])
+@pytest.mark.parametrize("prob", [
+    next(p for p in analytic_suite() if p.name == "quad3d-aniso"),
+    generate(problem_class(4, "simple", seed=5, count=1), 1),
+], ids=lambda prob: prob.name)
+def test_each_group_d_is_its_depth_sum_diagonal_computed_once(monkeypatch, method, prob):
+    # subdivide reuses a group's d, so every group's d must be _diag_d of
+    # its depth sum, and _diag_d runs once per group, when the group is made
+    calls, states = [], []
+
+    def counted(s, dim):
+        calls.append(s)
+        return _diag_d(s, dim)
+
+    def keep(state, name):
+        states.append(state)
+        return close_report(state, name)
+
+    monkeypatch.setattr(baselines, "_diag_d", counted)
+    monkeypatch.setattr(baselines, "close_report", keep)
+    assert method(prob, OptConfig(p_max=2000)).trials == 2000
+    groups = states[0].partition.groups
+    assert [g.d.hex() for g in groups] == [_diag_d(s, prob.dim).hex() for s in range(len(groups))]
+    assert calls == list(range(len(groups)))
 
 
 def test_determinism_and_history_monotone():

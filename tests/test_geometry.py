@@ -182,7 +182,7 @@ def test_trisect_reversed_diagonal():
     part = Partition(prob)
     box = make_box(make_vertex(1, 0), make_vertex(0, 1))
     assert box.orient == 0b01  # b below a on axis 0 only
-    rec = part.get_or_eval(box.a, box.a_real)
+    rec = part.get_or_eval(box.a, box.a_real, 0, box.a_real[0])
     F, d = root_characterize(rec, box.a_real, box.b_real)
     part.add_boxes(0, d, ((F, box.id, box.s, rec, box.orient, box.b_real, d),))
     middle, low, high, _ = trisect_views(part, 1)
@@ -353,10 +353,35 @@ def test_get_or_eval_is_idempotent():
     assert audit.f_calls == 1 and len(part.vertex_db) == 1
     v = make_vertex((1, 1), (2, 1))
     x = vertex_real(v, part.lower, part.edge)
-    rec1 = part.get_or_eval(v, x)
-    rec2 = part.get_or_eval(v, x)
+    rec1 = part.get_or_eval(v, x, 1, x[1])
+    rec2 = part.get_or_eval(v, x, 1, x[1])
     assert rec1 is rec2
     assert audit.f_calls == 2 and len(part.vertex_db) == 2
+
+
+def test_get_or_eval_builds_the_point_only_on_a_miss(monkeypatch):
+    # a hit makes no evaluation and returns the database's own record; a miss
+    # makes one, at base with coordinate i replaced: the vertex's real point
+    calls = []
+    value_and_grad = Problem.value_and_grad
+
+    def counted(problem, x):
+        calls.append(x)
+        return value_and_grad(problem, x)
+
+    monkeypatch.setattr(Problem, "value_and_grad", counted)
+    part = Partition(Problem("box", 2, (-1.5, 0.25), (2.0, 7.0), lambda x: 1.0,
+                             lambda x: np.zeros(2)))
+    assert len(calls) == 1
+    root = make_vertex(0, 0)
+    assert part.get_or_eval(root, (9.0, 9.0), 0, 9.0) is part.vertex_db[root]
+    assert len(calls) == 1
+    v = make_vertex((2, 1), (1, 2))
+    x = vertex_real(v, part.lower, part.edge)
+    rec = part.get_or_eval(v, (-7.0, x[1]), 0, x[0])
+    assert len(calls) == 2 and rec is part.vertex_db[v]
+    assert [c.hex() for c in rec[3]] == [c.hex() for c in x] == [c.hex() for c in calls[1]]
+    assert part.get_or_eval(v, (0.0, 0.0), 1, 0.0) is rec and len(calls) == 2
 
 
 def test_new_trial_point_can_land_on_existing_vertex():

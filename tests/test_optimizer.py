@@ -79,7 +79,7 @@ def test_record_trial_requires_strict_improvement():
     state = OptState(prob, OptConfig(p_max=100))
     vertex2 = make_vertex((2, 1), 0)
     x2 = vertex_real(vertex2, state.partition.lower, state.partition.edge)
-    f2 = state.partition.get_or_eval(vertex2, x2)[0]
+    f2 = state.partition.get_or_eval(vertex2, x2, 0, x2[0])[0]
     assert not record_trial(state, x2, f2)  # a tie is no improvement
     assert state.f_min == f2
     assert record_trial(state, x2, f2 - 1.0)

@@ -64,8 +64,10 @@ def test_only_the_stop_rules_set_a_stop_reason():
 
 
 def test_only_geometry_names_heapq_or_a_group_heap():
-    # BoxTable.add_boxes files every box on its group's heap, and every
-    # method reads a group's minima through geometry.heap_min_entries
+    # BoxTable.add_boxes files every box on its group's heap. The gradient
+    # method and DIRECT read a group's tied minima through
+    # geometry.heap_min_entries; DIRECT-l, and add_boxes when it advances
+    # q_inf, read a group's least live box through geometry.heap_min
     assert files_matching(r"\bheapq\b|\.heap\b") == ["lipgrad/geometry.py"]
 
 
