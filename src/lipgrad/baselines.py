@@ -37,13 +37,14 @@ from .stopping import (
 )
 
 
-# A center box is the plain tuple (f_center, id, s, corner_nums, depths):
-# ``corner_nums[j] / 3**depths[j]`` is the normalized lower corner on axis j,
-# the box side there is 3**-depths[j], and s is the depth sum. Every item is
-# an int, a float or a tuple of them, so a collection untracks each box. The
-# middle child of a split keeps its parent's id and center, so that sample
-# is never re-evaluated.
-CenterTuple = tuple[float, int, int, tuple[int, ...], tuple[int, ...]]
+# A center box is the plain tuple (f_center, id, s, corner_nums, depths,
+# center): ``corner_nums[j] / 3**depths[j]`` is the normalized lower corner on
+# axis j, the box side there is 3**-depths[j], s is the depth sum, and
+# ``center`` is ``_CenterBoxes.center(corner_nums, depths)``, the real point
+# f_center was sampled at. Every item is an int, a float or a tuple of them,
+# so a collection untracks each box. The middle child of a split keeps its
+# parent's id and center, so that sample is never re-evaluated.
+CenterTuple = tuple[float, int, int, tuple[int, ...], tuple[int, ...], tuple[float, ...]]
 
 
 def _diag_d(s: int, dim: int) -> float:
@@ -74,13 +75,14 @@ class _CenterState(RunState):
     def __init__(self, problem, config: OptConfig, locally_biased: bool):
         super().__init__(config, "center", _CenterBoxes(problem))
         self.locally_biased = locally_biased
+        self.level_d: list[float] = []  # DIRECT-l's d by level s // dim: 0.5 / 9**level
 
         # Step 0: the root's center is always sampled, as p_max >= 1
         zeros = (0,) * problem.dim
         x = self.partition.center(zeros, zeros)
         f0 = problem.value(x)
         record_trial(self, x, f0)
-        self.partition.add_boxes(0, _diag_d(0, problem.dim), ((f0, 1, 0, zeros, zeros),))
+        self.partition.add_boxes(0, _diag_d(0, problem.dim), ((f0, 1, 0, zeros, zeros, x),))
         log_history(self)
         check_stop(self)
 
@@ -98,6 +100,9 @@ class _CenterState(RunState):
         dots = []
         levels = {}  # locally biased: least (f_center, id) per longest-side level
         boxes, groups, dim = self.partition.boxes, self.partition.groups, self.problem.dim
+        level_d = self.level_d
+        while self.locally_biased and len(level_d) * dim < len(groups):  # once per level
+            level_d.append(0.5 / pow3(2 * len(level_d)))
         for s in range(self.partition.q_inf, len(groups)):
             group = groups[s]
             if self.locally_biased:  # the level's least (f_center, id)
@@ -108,16 +113,15 @@ class _CenterState(RunState):
                 for box in heap_min_entries(group, boxes):
                     dots.append((box[1], group.d, box[0], s))
         for level, box in levels.items():  # d: half squared longest side
-            dots.append((box[1], 0.5 / pow3(2 * level), box[0], box[2]))
+            dots.append((box[1], level_d[level], box[0], box[2]))
         return dots
 
     def subdivide(self, box_id: int) -> None:
         """Trisect along every longest side, best-sampled axis first."""
         part, dim = self.partition, self.problem.dim
-        f_center, _, s, nums, deps = part.boxes[box_id]
+        f_center, _, s, nums, deps, center = part.boxes[box_id]
         dmin = s // dim
         side = pow3(dmin + 1)
-        center = part.center(nums, deps)
         samples = []
         for j, dep in enumerate(deps):
             if dep != dmin:
@@ -126,27 +130,42 @@ class _CenterState(RunState):
             # computed as center computes it
             lo, ed, lo_num = part.lower[j], part.edge[j], 3 * nums[j]
             head, tail = center[:j], center[j + 1:]
-            f_lo = self._sample(head + (lo + (lo_num + 0.5) / side * ed,) + tail)
+            x_lo = head + (lo + (lo_num + 0.5) / side * ed,) + tail
+            f_lo = self._sample(x_lo)
             if self.stop_reason:
                 return
-            f_hi = self._sample(head + (lo + (lo_num + 2 + 0.5) / side * ed,) + tail)
+            x_hi = head + (lo + (lo_num + 2 + 0.5) / side * ed,) + tail
+            f_hi = self._sample(x_hi)
             if self.stop_reason:
                 return
-            samples.append((min(f_lo, f_hi), j, f_lo, f_hi))
+            samples.append((min(f_lo, f_hi), j, f_lo, f_hi, x_lo, x_hi))
         samples.sort()
 
         next_id = part.m + 1  # ids stay dense: the middle child keeps box_id
         groups = part.groups
-        for s, (_, j, f_lo, f_hi) in enumerate(samples, s + 1):  # s: the children's depth sum
+        # s: the children's depth sum. Every box keeps center(corner_nums,
+        # depths): a child's is its sampled point with each axis split before
+        # its own moved to the middle third's center, mid. Up to depth 32 the
+        # numerators and 3**depth are exact floats, so that is the parent's
+        # coordinate; deeper, a cell is narrower than a float step.
+        mid = center
+        for s, (_, j, f_lo, f_hi, x_lo, x_hi) in enumerate(samples, s + 1):
+            if mid is not center:
+                x_lo = mid[:j] + x_lo[j:j + 1] + mid[j + 1:]
+                x_hi = mid[:j] + x_hi[j:j + 1] + mid[j + 1:]
             deps = deps[:j] + (dmin + 1,) + deps[j + 1:]
             d = groups[s].d if s < len(groups) else _diag_d(s, dim)  # _diag_d made every group's d
             lo_num = 3 * nums[j]
             head, tail = nums[:j], nums[j + 1:]
-            part.add_boxes(s, d, ((f_lo, next_id, s, head + (lo_num,) + tail, deps),
-                                  (f_hi, next_id + 1, s, head + (lo_num + 2,) + tail, deps)))
+            part.add_boxes(s, d, ((f_lo, next_id, s, head + (lo_num,) + tail, deps, x_lo),
+                                  (f_hi, next_id + 1, s, head + (lo_num + 2,) + tail, deps, x_hi)))
             next_id += 2
             nums = head + (lo_num + 1,) + tail
-        part.add_boxes(s, d, ((f_center, box_id, s, nums, deps),))  # retires the split box
+            if dmin >= 32:
+                x_j = part.lower[j] + (lo_num + 1 + 0.5) / side * part.edge[j]
+                if x_j != mid[j]:
+                    mid = mid[:j] + (x_j,) + mid[j + 1:]
+        part.add_boxes(s, d, ((f_center, box_id, s, nums, deps, mid),))  # retires the split box
 
 
 def _run(problem, config: OptConfig, locally_biased: bool, method: str) -> RunReport:

@@ -90,14 +90,17 @@ class Problem:
 
     def value(self, x) -> float:
         """f(x) as a finite float, or EvaluationError."""
-        return self._value(_read_only_point(x), x)
+        point = np.array(x, dtype=float)  # a fresh copy f cannot write into
+        point.setflags(write=False)  # no flags object per call
+        return self._value(point, x)
 
     def value_and_grad(self, x) -> tuple[float, tuple[float, ...]]:
         """f(x), then f'(x) as ``dim`` finite floats, or EvaluationError.
 
         f and grad receive the same read-only float array.
         """
-        point = _read_only_point(x)
+        point = np.array(x, dtype=float)
+        point.setflags(write=False)
         value = self._value(point, x)
         try:
             raw = self.grad(point)
@@ -129,13 +132,6 @@ class Problem:
                 self.name, x, f"f returned {raw!r}, expected a finite real number"
             )
         return value
-
-
-def _read_only_point(x) -> np.ndarray:
-    """A fresh float copy of ``x`` that f and grad cannot write into."""
-    point = np.array(x, dtype=float)
-    point.setflags(write=False)  # no flags object per call
-    return point
 
 
 def quadratic(
@@ -323,17 +319,16 @@ def generated_parameters(cls: ProblemClass, index: int):
     ]
     centers: list[np.ndarray] = []
     for i, r in enumerate(radii):
-        placed = False
         for _ in range(_PLACEMENT_TRIES):
             c = rng.uniform(lo + r + _SEPARATION, hi - r - _SEPARATION)
-            if all(
-                float(np.linalg.norm(c - cj)) >= r + rj + _SEPARATION
-                for cj, rj in zip(centers, radii)
-            ):
+            for cj, rj in zip(centers, radii):
+                v = c - cj  # |v| by the calls np.linalg.norm makes for a 1-D float vector
+                if not math.sqrt(float(v.dot(v))) >= r + rj + _SEPARATION:
+                    break
+            else:
                 centers.append(c)
-                placed = True
                 break
-        if not placed:
+        else:
             raise GenerationError(
                 f"could not place ball {i + 1}/{cls.n_minima} (dim={n}, "
                 f"radius={r:.3f}); shrink radii or n_minima"

@@ -118,13 +118,6 @@ class RunState:
         self.trace: Optional[list] = [] if config.keep_trace else None
 
 
-def _in_window(x, window) -> bool:
-    for xi, (si, half_width) in zip(x, window):
-        if not abs(xi - si) <= half_width:
-            return False
-    return True
-
-
 def record_trial(state, x, value: float) -> bool:
     """Book the next trial, made at ``x`` with f(x) = ``value``.
 
@@ -140,8 +133,12 @@ def record_trial(state, x, value: float) -> bool:
     if state.trace is not None:
         state.trace.append((state.trials, x, value, state.f_min, state.phase))
     window = state.target_window
-    if window is not None and state.stop_reason is None and _in_window(x, window):
-        state.stop_reason = REASON_TARGET
+    if window is not None and state.stop_reason is None:
+        for xi, (si, half_width) in zip(x, window):
+            if not abs(xi - si) <= half_width:
+                break
+        else:
+            state.stop_reason = REASON_TARGET
     return improved
 
 

@@ -191,6 +191,80 @@ def test_each_group_d_is_its_depth_sum_diagonal_computed_once(monkeypatch, metho
     assert calls == list(range(len(groups)))
 
 
+@pytest.mark.parametrize("prob", [
+    next(p for p in analytic_suite() if p.name == "quad3d-aniso"),
+    generate(problem_class(4, "simple", seed=5, count=1), 1),
+], ids=lambda prob: prob.name)
+def test_each_level_d_is_its_longest_side_measure_made_once(monkeypatch, prob):
+    # DIRECT-l reads a level's d from a per-run table: one entry per level
+    # of the groups made, each 0.5 / 9**level; every dot of the run holds
+    # its level's entry itself, so no entry was ever made twice
+    seen, states = [], []
+    choose = selection.choose
+
+    def recording_choose(dots, f_min, epsilon):
+        seen.extend(dots)
+        return choose(dots, f_min, epsilon)
+
+    def keep(state, name):
+        states.append(state)
+        return close_report(state, name)
+
+    monkeypatch.setattr(selection, "choose", recording_choose)
+    monkeypatch.setattr(baselines, "close_report", keep)
+    assert directl_run(prob, OptConfig(p_max=2000)).trials == 2000
+    state = states[0]
+    table, n_groups = state.level_d, len(state.partition.groups)
+    assert len(table) == -(-n_groups // prob.dim) > 3
+    assert [d.hex() for d in table] == [(0.5 / 3 ** (2 * level)).hex()
+                                        for level in range(len(table))]
+    assert len(seen) > 100
+    assert all(d is table[s // prob.dim] for _, d, _, s in seen)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("runner", [direct_run, directl_run], ids=["direct", "directl"])
+def test_each_box_stores_the_center_of_its_cell(monkeypatch, runner, dim):
+    # a split reads its parent's stored center: center is called once per
+    # run, for the root at Step 0, and every live box's point is the center
+    # of its grid cell bit for bit. f_center is the trial made at that
+    # point while 3**depth and the doubled numerator are exact floats
+    # (every depth <= 32): (num + 0.5) / 3**depth and the parent's
+    # (3 * num + 1.5) / 3**(depth + 1) then round alike. In 3-D DIRECT-l
+    # reaches depth 34, where a cell is narrower than a float step and its
+    # sample, taken at the parent's coordinates, may be off by an ulp.
+    calls, states = [], []
+    center = baselines._CenterBoxes.center
+
+    def counted(table, corner_nums, depths):
+        calls.append((corner_nums, depths))
+        return center(table, corner_nums, depths)
+
+    def keep(state, name):
+        states.append(state)
+        return close_report(state, name)
+
+    monkeypatch.setattr(baselines._CenterBoxes, "center", counted)
+    monkeypatch.setattr(baselines, "close_report", keep)
+    report = runner(generate(problem_class(dim, "hard", seed=0, count=1), 1),
+                    OptConfig(p_max=2000, keep_trace=True))
+    assert report.trials == 2000
+    assert calls == [((0,) * dim, (0,) * dim)]
+    part = states[0].partition
+    sampled = {x: value for _, x, value, _, _ in report.trace}
+    exact = 0
+    for box in map(CenterBox._make, part.boxes[1:]):
+        assert type(box.center) is tuple and all(type(v) is float for v in box.center)
+        expected = center(part, box.corner_nums, box.depths)
+        assert [v.hex() for v in box.center] == [v.hex() for v in expected]
+        if max(box.depths) <= 32:
+            assert sampled[box.center] == box.f_center
+            exact += 1
+    assert exact > 1000
+    if (runner, dim) == (directl_run, 3):  # boxes below the float step were checked too
+        assert exact < part.m
+
+
 def test_determinism_and_history_monotone():
     prob = wavy_problem(2)
     cfg = OptConfig(p_max=350, keep_trace=True)

@@ -262,6 +262,24 @@ def test_generated_objective_matches_its_numpy_oracle(dim, difficulty):
             assert prob.grad(x).tobytes() == gradient.tobytes()
 
 
+@pytest.mark.parametrize("difficulty, dim, digest", [
+    ("hard", 2, "f5d2b757997b6cd3f520fa0f6a8687e62601df2e7d83b2fa1df65d4700e6102a"),
+    ("simple", 3, "6006436c6f3c4c9852ea8e06bc02e814205f9c9dd5dc1048a6ca59ac25cad8fd"),
+])
+def test_generated_parameters_are_pinned(difficulty, dim, digest):
+    # the paper's classes at seed 0: every problem's C, R, T and values, byte
+    # for byte; a failure here means the problems changed (a numpy Generator
+    # stream or the placement test), not the search
+    cls = problem_class(dim, difficulty, seed=0, count=20)
+    h = hashlib.sha256()
+    for index in range(1, cls.count + 1):
+        for array in problems.generated_parameters(cls, index):
+            assert array.dtype == np.float64
+            h.update(repr(array.shape).encode())
+            h.update(array.astype("<f8").tobytes())
+    assert h.hexdigest() == digest
+
+
 def test_generate_validates_index():
     cls = problem_class(2, "simple", seed=0, count=3)
     # only an integral index in 1..count, never a bool or a float

@@ -47,13 +47,15 @@ class Box(NamedTuple):
 
 
 class CenterBox(NamedTuple):
-    """A center box of the DIRECT and DIRECT-l state; s is its depth sum."""
+    """A center box of the DIRECT and DIRECT-l state; s is its depth sum and
+    center the real point f_center was sampled at."""
 
     f_center: float
     id: int
     s: int
     corner_nums: tuple[int, ...]
     depths: tuple[int, ...]
+    center: tuple[float, ...]
 
 
 class Dot(NamedTuple):
