@@ -19,6 +19,8 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields
+from itertools import accumulate
+from operator import xor
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -33,12 +35,16 @@ class GenerationError(RuntimeError):
 class EvaluationError(RuntimeError):
     """f or grad failed at a point, or returned something outside the contract.
 
-    ``problem`` is the problem's name and ``x`` the point, as a tuple.
+    ``problem`` is the problem's name and ``x`` the point, as a tuple (a
+    scalar point as given).
     """
 
     def __init__(self, problem: str, x, message: str):
         self.problem = problem
-        self.x = tuple(x)
+        try:
+            self.x = tuple(x)
+        except TypeError:  # a scalar
+            self.x = x
         super().__init__(f"{problem}: {message} at x = {self.x}")
 
 
@@ -89,7 +95,8 @@ class Problem:
         object.__setattr__(self, "upper", tuple(map(float, self.upper)))
 
     def value(self, x) -> float:
-        """f(x) as a finite float, or EvaluationError."""
+        """f(x) as a finite float, or EvaluationError (also for a point
+        whose shape is not ``(dim,)``)."""
         point = np.array(x, dtype=float)  # a fresh copy f cannot write into
         point.setflags(write=False)  # no flags object per call
         return self._value(point, x)
@@ -119,6 +126,10 @@ class Problem:
         )
 
     def _value(self, point: np.ndarray, x) -> float:
+        if point.shape != (self.dim,):  # numpy would broadcast it
+            raise EvaluationError(
+                self.name, x, f"expected a point of shape ({self.dim},), got shape {point.shape}"
+            )
         try:
             raw = self.f(point)
             if type(raw) is float:  # one type test on the common path
@@ -298,6 +309,7 @@ def problem_class(
 _F_STAR = -1.0
 _SEPARATION = 0.04
 _PLACEMENT_TRIES = 2000
+_BINS = 256  # per axis, in a generated objective's ball index
 
 
 def generated_parameters(cls: ProblemClass, index: int):
@@ -311,8 +323,6 @@ def generated_parameters(cls: ProblemClass, index: int):
         raise ValueError(f"index must be an integer in 1..{cls.count}, got {index!r}")
     rng = np.random.default_rng([cls.seed, cls.dim, index])
     n = cls.dim
-    lo = np.full(n, cls.lower)
-    hi = np.full(n, cls.upper)
 
     radii = [cls.global_radius] + [
         float(rng.uniform(*cls.radius_range)) for _ in range(cls.n_minima - 1)
@@ -320,7 +330,8 @@ def generated_parameters(cls: ProblemClass, index: int):
     centers: list[np.ndarray] = []
     for i, r in enumerate(radii):
         for _ in range(_PLACEMENT_TRIES):
-            c = rng.uniform(lo + r + _SEPARATION, hi - r - _SEPARATION)
+            # scalar bounds draw the bits array bounds would, without their checks
+            c = rng.uniform(cls.lower + r + _SEPARATION, cls.upper - r - _SEPARATION, size=n)
             for cj, rj in zip(centers, radii):
                 v = c - cj  # |v| by the calls np.linalg.norm makes for a 1-D float vector
                 if not math.sqrt(float(v.dot(v))) >= r + rj + _SEPARATION:
@@ -334,7 +345,7 @@ def generated_parameters(cls: ProblemClass, index: int):
                 f"radius={r:.3f}); shrink radii or n_minima"
             )
 
-    T = rng.uniform(lo, hi)
+    T = rng.uniform(cls.lower, cls.upper, size=n)
     values = np.empty(cls.n_minima)
     values[0] = _F_STAR
     values[1:] = rng.uniform(_F_STAR + cls.value_gap, -0.05, size=cls.n_minima - 1)
@@ -355,6 +366,32 @@ def generate(cls: ProblemClass, index: int) -> Problem:
     r2 = R2.tolist()
     bottoms = values.tolist()
 
+    # An exact ball index: bit b of masks[j][k] is set when ball b reaches bin
+    # k of axis j. A coordinate's bin, int((x_j - lower) * scale), never
+    # decreases as x_j grows, so where its bin lacks bit b, x_j lies beyond
+    # an end e of ball b's interval, the float c_j - reach or c_j + reach.
+    # Then |fl(x_j - c_j)| >= |fl(e - c_j)|, whose rounded square the build
+    # checks to exceed R2[b]; rho^2 adds nonnegative rounded (or fused)
+    # squares, so it is at least that square and ball b does not contain x.
+    # Where rounding eats the 2**-20 margin of reach (a domain far from 0
+    # for its width), ball b covers the whole axis. The extra bin, _BINS,
+    # holds x_j == upper.
+    lower, upper = cls.lower, cls.upper
+    scale = _BINS / (upper - lower)
+    flips = [[0] * (_BINS + 2) for _ in range(cls.dim)]
+    for b, (center, r2_b, r) in enumerate(zip(C.tolist(), r2, R.tolist())):
+        bit, reach = 1 << b, r * (1.0 + 2.0 ** -20)
+        for axis, c in zip(flips, center):
+            lo, hi = c - reach, c + reach
+            k0, k1 = 0, _BINS
+            if min((lo - c) * (lo - c), (hi - c) * (hi - c)) > r2_b:
+                k0 = max(int((lo - lower) * scale), 0)
+                k1 = min(int((hi - lower) * scale), _BINS)
+            axis[k0] ^= bit  # on from bin k0
+            axis[k1 + 1] ^= bit  # off after bin k1
+    masks = [list(accumulate(axis[:-1], xor)) for axis in flips]
+    every_ball = (1 << len(r2)) - 1
+
     # grad follows f at the same point, so the terms of the last point are
     # kept; one slot replaced whole never mixes the terms of two points
     last = [(None, None)]
@@ -362,11 +399,13 @@ def generate(cls: ProblemClass, index: int) -> Problem:
     def terms(x):
         """(x - T, |x - T|^2, x - C, rho^2 per ball, first ball containing x or -1).
 
-        The two reductions stay in numpy: its 1-D ``dot`` is a chain of fused
-        multiply-adds, and ``einsum`` adds in its own order for more than two
-        axes, so a Python sum would differ in the last bit and change the
-        search. ``c_einsum`` is the kernel ``np.einsum`` calls when it does not
-        optimize, so it gives the same bits without the Python wrapper.
+        Where the ball index shows that no ball contains x, x - C and rho^2
+        are None. The two reductions stay in numpy: its 1-D ``dot`` is a chain
+        of fused multiply-adds, and ``einsum`` adds in its own order for more
+        than two axes, so a Python sum would differ in the last bit and change
+        the search. ``ndarray.dot`` and ``@`` reach the same ``ddot`` for 1-D
+        vectors; ``c_einsum`` is the kernel ``np.einsum`` calls when it does
+        not optimize. Both give the same bits with less Python dispatch.
         """
         x = np.asarray(x, dtype=float)
         key = x.tobytes()
@@ -374,11 +413,21 @@ def generate(cls: ProblemClass, index: int) -> Problem:
         if seen == key:
             return kept
         dT = x - T
-        p = float(dT @ dT)
-        dx = x - C
-        rho2 = c_einsum("ij,ij->i", dx, dx)
-        inside = (rho2 < R2).tolist()
-        kept = (dT, p, dx, rho2, inside.index(True) if True in inside else -1)
+        p = float(dT.dot(dT))
+        hit = every_ball
+        for v, axis in zip(x.tolist(), masks):
+            if not lower <= v <= upper:  # off the domain, or NaN: the exact test decides
+                break
+            hit &= axis[int((v - lower) * scale)]
+            if not hit:
+                break
+        if hit:
+            dx = x - C
+            rho2 = c_einsum("ij,ij->i", dx, dx)
+            inside = (rho2 < R2).tolist()
+            kept = (dT, p, dx, rho2, inside.index(True) if True in inside else -1)
+        else:
+            kept = (dT, p, None, None, -1)
         last[0] = (key, kept)
         return kept
 

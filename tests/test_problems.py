@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -7,9 +8,12 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lipgrad import problems
 from lipgrad.problems import (
+    EvaluationError,
     GenerationError,
     analytic_suite,
     generate,
@@ -260,6 +264,120 @@ def test_generated_objective_matches_its_numpy_oracle(dim, difficulty):
             assert repr(prob.value(x)) == repr(float(value))
             assert repr(prob.value_and_grad(x)) == repr((float(value), tuple(gradient.tolist())))
             assert prob.grad(x).tobytes() == gradient.tobytes()
+
+
+def float_steps(v: float, k: int) -> float:
+    """The float k floats above v (below for k < 0)."""
+    for _ in range(abs(k)):
+        v = math.nextafter(v, math.copysign(math.inf, k))
+    return v
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_case(dim, difficulty):
+    """A generated problem of the oracle test's classes, its numpy oracle
+    and its balls; one problem per case, so its last-point slot carries
+    over from one example to the next."""
+    cls = problem_class(dim, difficulty, seed=3, count=2, n_minima=3 if dim == 1 else 10)
+    C, R, _, _ = problems.generated_parameters(cls, 2)
+    return cls, generate(cls, 2), generated_oracle(cls, 2), C.tolist(), R.tolist()
+
+
+@st.composite
+def index_probes(draw, cls, center, radius):
+    """A point where the ball index could go wrong: on the ball's boundary
+    within a few ulps of its radius, on a bin edge near the ball's end
+    within an ulp, near the ball at a coordinate off the domain, inf or
+    NaN, or anywhere."""
+    lower, upper = cls.lower, cls.upper
+    x = list(center)
+    j = draw(st.integers(0, cls.dim - 1))
+    kind = draw(st.sampled_from(["boundary", "bin edge", "off the domain", "not finite", "anywhere"]))
+    if kind == "boundary":
+        u = draw(st.lists(st.floats(-1.0, 1.0), min_size=cls.dim, max_size=cls.dim)
+                 .filter(lambda u: max(map(abs, u)) > 1e-3))
+        norm = math.sqrt(sum(t * t for t in u))
+        r = float_steps(radius, draw(st.integers(-4, 4)))
+        x = [c + t / norm * r for c, t in zip(x, u)]
+    elif kind == "bin edge":
+        width = (upper - lower) / problems._BINS
+        end = x[j] + draw(st.sampled_from([-1.0, 1.0])) * radius
+        k = min(max(int((end - lower) / width) + draw(st.integers(-1, 2)), 0), problems._BINS)
+        x[j] = min(max(float_steps(lower + k * width, draw(st.integers(-1, 1))), lower), upper)
+    elif kind == "off the domain":
+        x[j] = draw(st.one_of(st.floats(lower - 10.0, float_steps(lower, -1)),
+                              st.floats(float_steps(upper, 1), upper + 10.0)))
+    elif kind == "not finite":
+        x[j] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    else:
+        x = draw(st.lists(st.floats(lower, upper), min_size=cls.dim, max_size=cls.dim))
+    return x
+
+
+@pytest.mark.parametrize("difficulty", ["simple", "hard"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_ball_index_matches_the_numpy_oracle(dim, difficulty, data):
+    # where the ball index skips the per-ball distances, f, grad and
+    # value_and_grad must still carry the oracle's bits, which compute every
+    # ball's distance
+    cls, prob, (f_ref, grad_ref), C, R = oracle_case(dim, difficulty)
+    for center, radius in zip(C, R):
+        x = np.array(data.draw(index_probes(cls, center, radius)))
+        value, gradient = float(f_ref(x)), grad_ref(x)
+        assert repr(prob.f(x)) == repr(value)
+        assert prob.grad(x).tobytes() == gradient.tobytes()
+        if math.isfinite(value) and np.isfinite(gradient).all():
+            assert repr(prob.value_and_grad(x)) == repr((value, tuple(gradient.tolist())))
+        else:
+            with pytest.raises(EvaluationError):
+                prob.value_and_grad(x)
+
+
+def test_ball_index_skips_the_per_ball_distances_outside_every_ball(monkeypatch):
+    cls = problem_class(2, "hard", seed=0, count=1)
+    prob = generate(cls, 1)
+    C, R, _, _ = problems.generated_parameters(cls, 1)
+    kernel, calls = problems.c_einsum, []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(problems, "c_einsum", counted)
+    # more than two bins (2/256 wide) outside every ball's bounding box
+    points = np.random.default_rng(0).uniform(-1.0, 1.0, size=(200, 2))
+    beyond = np.max(np.abs(points[:, None, :] - C) - R[:, None], axis=2)
+    outside = points[(beyond > 0.05).all(axis=1)][0]
+    prob.value_and_grad(outside)
+    assert calls == []
+    inside = C[0] + 0.5 * R[0] / math.sqrt(2.0)
+    assert prob.value_and_grad(inside)[0] < 0.0  # in the global ball
+    assert len(calls) == 1
+
+
+def test_budget_4d_parameters_are_pinned():
+    # the draws of the generated simple 4-D class at seed 11, problems 1-3,
+    # byte for byte, as in test_generated_parameters_are_pinned
+    cls = problem_class(4, "simple", seed=11, count=3)
+    h = hashlib.sha256()
+    for index in range(1, cls.count + 1):
+        for array in problems.generated_parameters(cls, index):
+            h.update(repr(array.shape).encode())
+            h.update(array.astype("<f8").tobytes())
+    assert h.hexdigest() == "ddbe4894f582aa28da6919e2042e686c6c13732635713dd283c3436229ab26be"
+
+
+@pytest.mark.parametrize("point", [(0.5,), 0.5, np.float64(0.5), (0.1, 0.2, 0.3), [[0.5, 0.5]]])
+@pytest.mark.parametrize("prob", [
+    generate(problem_class(2, "hard", seed=0, count=1), 1), quadratic([0.3, 0.7], name="quad2d"),
+], ids=["generated", "quad2d"])
+def test_a_point_of_another_shape_is_an_evaluation_error(prob, point):
+    # numpy broadcasting let value((0.5,)) return a number on both problems
+    for evaluate in (prob.value, prob.value_and_grad):
+        with pytest.raises(EvaluationError, match=r"expected a point of shape \(2,\).* at x = "):
+            evaluate(point)
 
 
 @pytest.mark.parametrize("difficulty, dim, digest", [
