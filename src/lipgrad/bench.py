@@ -314,7 +314,7 @@ def read_trace(path) -> dict:
     return {"lower": lower, "upper": upper, "trials": trials, "boxes": boxes}
 
 
-def _fields(path, n: int, line: str, readers, valid=lambda *fields: True) -> tuple:
+def _fields(path, n: int, line: str, readers, valid) -> tuple:
     """The fields after line ``n``'s tag, each read by its entry of
     ``readers`` and together ``valid``; a ValueError naming the path and
     line when they do not fit."""
@@ -324,7 +324,7 @@ def _fields(path, n: int, line: str, readers, valid=lambda *fields: True) -> tup
             fields = tuple(read(v) for read, v in zip(readers, parts[1:]))
             if valid(*fields):
                 return fields
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         pass
     raise ValueError(f"{path}:{n}: malformed {parts[0]} line: {line.strip()!r}")
 
@@ -352,69 +352,22 @@ def _parse_frac(text: str) -> float:
     return num / den
 
 
-def read_hull_snapshot(path) -> dict:
-    """Parse the selection module's hull snapshot lines; any other line, or
-    a file without a D line, is a ValueError naming the path."""
-    dots = []
-    slopes = []
-    for n, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        tag = raw.split()[:1]
-        if tag == ["D"]:
-            box_id, d, F, s, selected = _fields(path, n, raw, (int, float, float, int, int))
-            dots.append(dict(box_id=box_id, d=d, F=F, s=s, selected=bool(selected)))
-        elif tag == ["S"]:
-            slopes.append(_fields(path, n, raw, (int, float, float)))
-        elif tag:
-            raise ValueError(f"{path}:{n}: not a hull snapshot line: {raw.strip()!r}")
-    if not dots:
-        raise ValueError(f"{path}: no D line, so not a hull snapshot")
-    return {"dots": dots, "slopes": slopes}
-
-
 _SVG_SIZE = 640
 _SVG_MARGIN = 50
 
 
-def _svg_document(body: list[str]) -> str:
-    size = _SVG_SIZE + 2 * _SVG_MARGIN
-    head = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">'
-    )
-    return "\n".join([head, *body, "</svg>"]) + "\n"
-
-
-def _axes() -> list[str]:
-    m = _SVG_MARGIN
-    top = m
-    bottom = m + _SVG_SIZE
-    right = m + _SVG_SIZE
-    return [
-        f'<line x1="{m}" y1="{bottom}" x2="{right}" y2="{bottom}" stroke="black"/>',
-        f'<line x1="{m}" y1="{bottom}" x2="{m}" y2="{top}" stroke="black"/>',
-    ]
-
-
-def emit_diagram(source, kind: str, out) -> Path:
-    """Render a trace (partition2d) or hull snapshot (hull) as an SVG file."""
-    if kind == "partition2d":
-        svg = _partition_svg(read_trace(source))
-    elif kind == "hull":
-        svg = _hull_svg(read_hull_snapshot(source))
-    else:
-        raise ValueError(f"unknown diagram kind {kind!r}")
-    out = Path(out)
-    out.write_text(svg)
-    return out
-
-
-def _partition_svg(trace: dict) -> str:
+def emit_diagram(source, out) -> Path:
+    """Render a 2-D run trace as an SVG file: the final boxes, and each trial
+    as a dot labelled with its index."""
+    trace = read_trace(source)
     if len(trace["lower"]) != 2:
         raise ValueError("partition2d diagrams require a two-dimensional domain")
     lo = trace["lower"]
     hi = trace["upper"]
     edge = (hi[0] - lo[0], hi[1] - lo[1])
     m = _SVG_MARGIN
+    far = m + _SVG_SIZE  # the right and bottom edges of the plot
+    size = _SVG_SIZE + 2 * m
 
     def px(u):  # normalized x -> pixels
         return m + u * _SVG_SIZE
@@ -422,7 +375,12 @@ def _partition_svg(trace: dict) -> str:
     def py(v):  # normalized y -> pixels, flipped
         return m + (1.0 - v) * _SVG_SIZE
 
-    body = _axes()
+    body = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="0 0 {size} {size}">',
+        f'<line x1="{m}" y1="{far}" x2="{far}" y2="{far}" stroke="black"/>',
+        f'<line x1="{m}" y1="{far}" x2="{m}" y2="{m}" stroke="black"/>',
+    ]
     for _box_id, _s, a, b in sorted(trace["boxes"], key=lambda t: t[0]):
         x0, x1 = sorted((a[0], b[0]))
         y0, y1 = sorted((a[1], b[1]))
@@ -438,37 +396,7 @@ def _partition_svg(trace: dict) -> str:
         body.append(
             f'<text x="{px(u) + 4:.2f}" y="{py(v) - 4:.2f}" font-size="10">{idx}</text>'
         )
-    return _svg_document(body)
-
-
-def _hull_svg(snapshot: dict) -> str:
-    dots = snapshot["dots"]
-    body = _axes()
-    if dots:
-        d_max = max(t["d"] for t in dots) or 1.0
-        f_lo = min(t["F"] for t in dots)
-        f_hi = max(t["F"] for t in dots)
-        f_span = (f_hi - f_lo) or 1.0
-        m = _SVG_MARGIN
-
-        def px(d):
-            return m + (d / d_max) * (_SVG_SIZE * 0.95)
-
-        def py(F):
-            return m + (1.0 - (F - f_lo) / f_span) * (_SVG_SIZE * 0.9) + _SVG_SIZE * 0.05
-
-        chosen = sorted((t for t in dots if t["selected"]), key=lambda t: t["d"])
-        if len(chosen) > 1:
-            points = " ".join(f"{px(t['d']):.2f},{py(t['F']):.2f}" for t in chosen)
-            body.append(f'<polyline points="{points}" fill="none" stroke="black"/>')
-        for t in dots:
-            fill = "black" if t["selected"] else "white"
-            body.append(
-                f'<circle cx="{px(t["d"]):.2f}" cy="{py(t["F"]):.2f}" r="5" '
-                f'fill="{fill}" stroke="black"/>'
-            )
-        body.append(
-            f'<text x="{m + _SVG_SIZE - 10}" y="{m + _SVG_SIZE + 30}" font-size="12">d</text>'
-        )
-        body.append(f'<text x="{m - 30}" y="{m + 10}" font-size="12">F</text>')
-    return _svg_document(body)
+    body.append("</svg>")
+    out = Path(out)
+    out.write_text("\n".join(body) + "\n")
+    return out

@@ -57,6 +57,6 @@ def characterize(a_rec, u_rec, a_real, b_real, i, u_i, v_i) -> tuple[float, floa
             if t < 0.0:
                 middle += t
                 high += t
-        sq += w ** 2
+        sq += w * w
     fu = u_rec[0]
     return fu + middle, a_rec[0] + low, fu + high, 0.5 * sq

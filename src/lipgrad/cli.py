@@ -50,9 +50,9 @@ def _build_parser() -> _Parser:
     benchp.add_argument("--seed", type=int, default=0,
                         help="class seed (descriptor classes only)")
 
-    diagram = sub.add_parser("diagram", help="render a trace or hull snapshot as SVG")
+    diagram = sub.add_parser("diagram", help="render a 2-D run trace as SVG")
     diagram.add_argument("--trace", required=True)
-    diagram.add_argument("--kind", choices=("partition2d", "hull"), required=True)
+    diagram.add_argument("--kind", choices=("partition2d",), default="partition2d")
     diagram.add_argument("--out", required=True)
     return parser
 
@@ -141,7 +141,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_diagram(args) -> int:
     try:
-        bench.emit_diagram(args.trace, args.kind, args.out)
+        bench.emit_diagram(args.trace, args.out)
     except (ValueError, OSError) as exc:
         raise UsageError(str(exc)) from exc
     return 0

@@ -56,6 +56,9 @@ def _number(v, kind=numbers.Real) -> bool:
         return False
 
 
+_FLOAT64 = np.dtype(float)  # every native float64 array holds this dtype object
+
+
 @dataclass(frozen=True)
 class Problem:
     """A box-constrained objective with an analytic gradient.
@@ -95,20 +98,16 @@ class Problem:
         object.__setattr__(self, "upper", tuple(map(float, self.upper)))
 
     def value(self, x) -> float:
-        """f(x) as a finite float, or EvaluationError (also for a point
-        whose shape is not ``(dim,)``)."""
-        point = np.array(x, dtype=float)  # a fresh copy f cannot write into
-        point.setflags(write=False)  # no flags object per call
-        return self._value(point, x)
+        """f(x) as a finite float, or EvaluationError (also for a point that
+        is not ``dim`` real numbers)."""
+        return self._evaluate(x)[1]
 
     def value_and_grad(self, x) -> tuple[float, tuple[float, ...]]:
         """f(x), then f'(x) as ``dim`` finite floats, or EvaluationError.
 
         f and grad receive the same read-only float array.
         """
-        point = np.array(x, dtype=float)
-        point.setflags(write=False)
-        value = self._value(point, x)
+        point, value = self._evaluate(x)
         try:
             raw = self.grad(point)
             grad = np.asarray(raw)
@@ -125,11 +124,25 @@ class Problem:
             f"of shape ({self.dim},)"
         )
 
-    def _value(self, point: np.ndarray, x) -> float:
-        if point.shape != (self.dim,):  # numpy would broadcast it
+    def _evaluate(self, x) -> tuple[np.ndarray, float]:
+        """``x`` read once as a fresh read-only float array f cannot write
+        into, and f's value there. Another shape is an EvaluationError, as
+        numpy would broadcast it; so is a string, a None (numpy reads it as
+        nan) or a ragged point."""
+        try:
+            point = np.array(x)
+            if point.dtype is not _FLOAT64:  # one identity test on the common path
+                kind = point.dtype.kind
+                reals = kind == "O" and all(isinstance(v, numbers.Real) for v in point.flat)
+                point = point.astype(float) if kind in "biuf" or reals else None
+        except (ValueError, OverflowError):  # a ragged point, or an int beyond float range
+            point = None
+        if point is None or point.shape != (self.dim,):
+            got = "" if point is None else f", got shape {point.shape}"
             raise EvaluationError(
-                self.name, x, f"expected a point of shape ({self.dim},), got shape {point.shape}"
+                self.name, x, f"expected a point of shape ({self.dim},) of real numbers{got}"
             )
+        point.setflags(write=False)  # no flags object per call
         try:
             raw = self.f(point)
             if type(raw) is float:  # one type test on the common path
@@ -142,7 +155,7 @@ class Problem:
             raise EvaluationError(
                 self.name, x, f"f returned {raw!r}, expected a finite real number"
             )
-        return value
+        return point, value
 
 
 def quadratic(

@@ -133,14 +133,3 @@ def choose(dots, f_min: float, epsilon: float) -> list[int]:
     """Boxes to subdivide: the nondominated dots that pass the margin filter."""
     return improvement_filter(nondominated(dots), f_min, xi_value(f_min, epsilon))
 
-
-def hull_snapshot_lines(dots, hull: HullResult) -> list[str]:
-    """Serialized diagram: every dot with a selected flag, then the slopes."""
-    chosen = set(hull.selected)
-    lines = [
-        f"D {box_id} {d!r} {F!r} {s} {1 if box_id in chosen else 0}"
-        for box_id, d, F, s in sorted(dots, key=_BY_D_F_ID)
-    ]
-    for (k_lo, k_hi), box_id in zip(hull.slopes, hull.selected):
-        lines.append(f"S {box_id} {k_lo!r} {k_hi!r}")
-    return lines

@@ -24,9 +24,8 @@ from lipgrad.bench import (
 )
 from lipgrad.optimizer import run
 from lipgrad.problems import generate, problem_class, quadratic, write_manifest
-from lipgrad.selection import hull_snapshot_lines, nondominated
 from lipgrad.stopping import OptConfig, StopTarget, record_trial, target_window
-from util import Dot, target_reached, wavy_problem, with_audit
+from util import target_reached, wavy_problem, with_audit
 
 
 def test_target_reached_examples():
@@ -310,7 +309,7 @@ def test_partition_diagram(tmp_path):
     report = run(prob, OptConfig(p_max=12, keep_trace=True))
     trace_path = tmp_path / "run.trace"
     write_trace(report, prob, trace_path)
-    out = emit_diagram(trace_path, "partition2d", tmp_path / "fig.svg")
+    out = emit_diagram(trace_path, tmp_path / "fig.svg")
     svg = out.read_text()
     root = ET.fromstring(svg)  # well-formed XML
     assert svg.count("<rect") == report.boxes
@@ -331,7 +330,7 @@ def test_partition_diagram_of_a_problem_with_numpy_bounds(tmp_path, make):
     write_trace(report, prob, trace_path)
     data = read_trace(trace_path)
     assert data["lower"] == (-1.0, -1.0) and data["upper"] == (1.0, 1.0)
-    out = emit_diagram(trace_path, "partition2d", tmp_path / "fig.svg")
+    out = emit_diagram(trace_path, tmp_path / "fig.svg")
     assert out.read_text().count("<rect") == report.boxes
 
 
@@ -341,39 +340,15 @@ def test_partition_diagram_requires_two_dimensions(tmp_path):
     trace_path = tmp_path / "run3d.trace"
     write_trace(report, prob, trace_path)
     with pytest.raises(ValueError):
-        emit_diagram(trace_path, "partition2d", tmp_path / "fig.svg")
-
-
-def test_hull_diagram_black_and_white_dots(tmp_path):
-    dots = [Dot(1, 1.0, 0.0, 0), Dot(2, 0.5, -1.0, 1), Dot(3, 0.25, -0.5, 2)]
-    hull = nondominated(dots)
-    snap = tmp_path / "hull.txt"
-    snap.write_text("\n".join(hull_snapshot_lines(dots, hull)) + "\n")
-    out = emit_diagram(snap, "hull", tmp_path / "hull.svg")
-    svg = out.read_text()
-    assert svg.count('fill="black" stroke="black"') == 2
-    assert svg.count('fill="white" stroke="black"') == 1
-    assert "<polyline" in svg
-    # a run trace, a truncated D line and a file with no D line are no snapshot
-    prob = wavy_problem(2)
-    write_trace(run(prob, OptConfig(p_max=12, keep_trace=True)), prob, tmp_path / "run.trace")
-    (tmp_path / "cut.txt").write_text(snap.read_text() + "D 1 0.5\n")
-    (tmp_path / "slopes.txt").write_text("S 1 0.5 1.0\n")
-    for name, where in (("run.trace", ":1: not a hull snapshot line"),
-                        ("cut.txt", f":{len(snap.read_text().splitlines()) + 1}: malformed D"),
-                        ("slopes.txt", ": no D line")):
-        with pytest.raises(ValueError, match=name + where):
-            emit_diagram(tmp_path / name, "hull", tmp_path / "bad.svg")
+        emit_diagram(trace_path, tmp_path / "fig.svg")
 
 
 def test_empty_trace_yields_axes_only(tmp_path):
     trace_path = tmp_path / "empty.trace"
     trace_path.write_text("# domain 0.0,0.0 1.0,1.0\n")
-    out = emit_diagram(trace_path, "partition2d", tmp_path / "empty.svg")
+    out = emit_diagram(trace_path, tmp_path / "empty.svg")
     svg = out.read_text()
     assert svg.count("<line") == 2 and "<rect" not in svg
-    with pytest.raises(ValueError):
-        emit_diagram(trace_path, "mystery", tmp_path / "x.svg")
 
 
 def test_cli_solve_and_diagram(tmp_path, capsys):
@@ -389,6 +364,9 @@ def test_cli_solve_and_diagram(tmp_path, capsys):
     assert cli.main(["diagram", "--trace", str(trace), "--kind", "partition2d",
                      "--out", str(tmp_path / "fig.svg")]) == 0
     assert (tmp_path / "fig.svg").exists()
+    # partition2d is the one kind, so --kind may be left out
+    assert cli.main(["diagram", "--trace", str(trace), "--out", str(tmp_path / "default.svg")]) == 0
+    assert (tmp_path / "default.svg").read_bytes() == (tmp_path / "fig.svg").read_bytes()
     assert cli.main(["diagram", "--trace", str(trace), "--kind", "hull",
                      "--out", str(tmp_path / "hull.svg")]) == 1
     assert "error: " in capsys.readouterr().err and not (tmp_path / "hull.svg").exists()

@@ -129,6 +129,42 @@ def test_other_real_types_pass_as_floats(value, grad):
     assert prob.value((0.5, 0.5)) == f_value
 
 
+@pytest.mark.parametrize("point", ["ab", [0.5, "a"], [[0.5], [0.5, 0.2]], [0.5, None]],
+                         ids=["str", "str-coordinate", "ragged", "none"])
+def test_a_point_of_no_real_numbers_is_an_evaluation_error(point):
+    # numpy raised a plain ValueError on the first three and read None as
+    # nan, which then read as f's fault
+    prob = problems.quadratic([0.3, 0.7], name="quad2d")
+    for evaluate in (prob.value, prob.value_and_grad):
+        with pytest.raises(EvaluationError, match=r"expected a point of shape \(2,\) of real "
+                                                  r"numbers at x = ") as info:
+            evaluate(point)
+        assert info.value.x == tuple(point)
+
+
+@pytest.mark.parametrize("point", [
+    (Fraction(1, 3), True),
+    [np.float32(0.1), 2**63],
+    (1, np.int64(0)),
+    [2**100, Fraction(1, 4)],
+    np.array([0.5, 0.25], dtype=np.float16),
+    np.array([0.5, 0.25], dtype=">f8"),
+], ids=["fraction-bool", "float32-uint64", "ints", "big-int", "float16", "big-endian"])
+def test_a_point_of_other_reals_reads_as_numpy_reads_it(point):
+    # f and grad get the floats np.array(point, dtype=float) holds
+    seen = []
+
+    def f(x):
+        seen.append((x.dtype, x.flags.writeable, x.tolist()))
+        return 0.0
+
+    prob = Problem("p", 2, (0.0, 0.0), (1.0, 1.0), f, lambda x: np.zeros(2))
+    prob.value(point)
+    prob.value_and_grad(point)
+    expected = (np.dtype(float), False, np.array(point, dtype=float).tolist())
+    assert seen == [expected, expected]
+
+
 @pytest.mark.parametrize("method", METHODS, ids=lambda m: m.__name__)
 def test_failing_objective_keeps_its_cause(method):
     prob, bad = probe(f_bad=boom)

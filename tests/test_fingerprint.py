@@ -82,6 +82,9 @@ SIMPLE_4D_BASELINES = {
 # sha256 of report.json from run_class(new, direct, directl) on hard:2:20,
 # seed 0, delta 1e-4, p_max 100_000: all 60 runs of the class comparison
 HARD_2D_CLASS_REPORT = "927c67d9f89426b3816878994ad42f9e670ca1e1c984ae186d1ca43c052a9aae"
+# the same for simple:3:20, whose DIRECT-l runs meet the rounding past depth
+# 32 that the center boxes' floor rebuild corrects
+SIMPLE_3D_CLASS_REPORT = "d526faf619eb02bc35d1509d80ed33c7307b84a6ca2d63587aabe35a0cab70f4"
 
 
 def sha256_repr(value) -> str:
@@ -152,3 +155,11 @@ def test_hard_2d_class_report_matches_pinned_hash(tmp_path):
               workers=1, out_dir=tmp_path)
     payload = (tmp_path / "report.json").read_bytes()
     assert hashlib.sha256(payload).hexdigest() == HARD_2D_CLASS_REPORT
+
+
+def test_simple_3d_class_report_matches_pinned_hash(tmp_path):
+    cls = problem_class(3, "simple", seed=0, count=20)
+    run_class(["new", "direct", "directl"], cls, delta=1e-4, p_max=100_000,
+              workers=1, out_dir=tmp_path)
+    payload = (tmp_path / "report.json").read_bytes()
+    assert hashlib.sha256(payload).hexdigest() == SIMPLE_3D_CLASS_REPORT

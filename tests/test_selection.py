@@ -6,7 +6,6 @@ import pytest
 from lipgrad.geometry import Partition
 from lipgrad.selection import (
     group_representatives,
-    hull_snapshot_lines,
     improvement_filter,
     nondominated,
     xi_value,
@@ -192,12 +191,3 @@ def test_group_representatives_includes_equal_minima():
     dots = list(map(Dot._make, group_representatives(part, 1, 1)))
     assert sorted(t.box_id for t in dots) == [1, 2, 3]
 
-
-def test_hull_snapshot_lines_mark_selection():
-    dots = dots_from([(1.0, 0.0), (0.5, -1.0), (0.25, -0.5)])
-    hull = nondominated(dots)
-    lines = hull_snapshot_lines(dots, hull)
-    d_lines = [l for l in lines if l.startswith("D ")]
-    assert len(d_lines) == 3
-    assert sum(l.endswith(" 1") for l in d_lines) == 2
-    assert sum(l.startswith("S ") for l in lines) == 2

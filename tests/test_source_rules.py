@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -74,3 +75,17 @@ def test_only_geometry_names_heapq_or_a_group_heap():
 def test_only_the_shared_loop_chooses_boxes():
     # stopping.iterate is every method's select-and-subdivide loop
     assert files_matching(r"selection\.choose\(") == ["lipgrad/stopping.py"]
+
+
+def test_the_search_squares_by_products():
+    # libm's pow need not round w ** 2 to the correctly rounded w * w, so the
+    # modules that build, bound and select boxes use no power operator. Read
+    # as tokens, as geometry.pow3's docstring says 3**k. stopping.target_window
+    # and problems.generate keep theirs until the exact target window re-pins
+    # the search (ROADMAP item 19b)
+    powers = []
+    for name in ("geometry.py", "bounding.py", "selection.py", "optimizer.py", "baselines.py"):
+        with open(LIB / name, "rb") as source:
+            powers += [f"{name}:{token.start[0]}" for token in tokenize.tokenize(source.readline)
+                       if token.exact_type in (tokenize.DOUBLESTAR, tokenize.DOUBLESTAREQUAL)]
+    assert powers == []

@@ -125,9 +125,10 @@ def vertex_fractions(v: GridVertex) -> list[GridFraction]:
 
 
 def half_diag_sq(a_real, b_real) -> float:
-    """Half the squared distance between two real points, the squares added
-    left to right in axis order as lipgrad adds them."""
-    return 0.5 * add_left_to_right((br - ar) ** 2 for ar, br in zip(a_real, b_real))
+    """Half the squared distance between two real points, each square a
+    product and the squares added left to right in axis order, as lipgrad
+    computes them."""
+    return 0.5 * add_left_to_right((br - ar) * (br - ar) for ar, br in zip(a_real, b_real))
 
 
 def root_characterize(rec, a_real, b_real) -> tuple[float, float]:
