@@ -19,8 +19,6 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields
-from itertools import accumulate
-from operator import xor
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -35,17 +33,13 @@ class GenerationError(RuntimeError):
 class EvaluationError(RuntimeError):
     """f or grad failed at a point, or returned something outside the contract.
 
-    ``problem`` is the problem's name and ``x`` the point, as a tuple (a
-    scalar point as given).
+    ``problem`` is the problem's name and ``x`` the point as given.
     """
 
     def __init__(self, problem: str, x, message: str):
         self.problem = problem
-        try:
-            self.x = tuple(x)
-        except TypeError:  # a scalar
-            self.x = x
-        super().__init__(f"{problem}: {message} at x = {self.x}")
+        self.x = x
+        super().__init__(f"{problem}: {message} at x = {x!r}")
 
 
 def _number(v, kind=numbers.Real) -> bool:
@@ -57,6 +51,21 @@ def _number(v, kind=numbers.Real) -> bool:
 
 
 _FLOAT64 = np.dtype(float)  # every native float64 array holds this dtype object
+
+
+def _floats(v, copy):
+    """``v`` as numpy reads it, as a float array (``copy`` as for ``np.array``),
+    or None where it is not real numbers: a string, bytes, a None (numpy reads
+    it as nan), a ragged list or an int beyond float range."""
+    try:
+        a = np.array(v, copy=copy)
+        if a.dtype is not _FLOAT64:  # one identity test on the common path
+            kind = a.dtype.kind
+            reals = kind == "O" and all(isinstance(e, numbers.Real) for e in a.flat)
+            a = a.astype(float) if kind in "biuf" or reals else None
+    except (ValueError, OverflowError):
+        return None
+    return a
 
 
 @dataclass(frozen=True)
@@ -105,14 +114,13 @@ class Problem:
     def value_and_grad(self, x) -> tuple[float, tuple[float, ...]]:
         """f(x), then f'(x) as ``dim`` finite floats, or EvaluationError.
 
-        f and grad receive the same read-only float array.
+        f and grad receive the same read-only float array; the gradient is
+        read as the point is.
         """
         point, value = self._evaluate(x)
         try:
             raw = self.grad(point)
-            grad = np.asarray(raw)
-            if grad.dtype.char != "d":  # one type test on the common float64 path
-                grad = grad.astype(float) if grad.dtype.kind in "biuf" else None
+            grad = _floats(raw, None)  # no copy of a float64 array
         except Exception as exc:
             raise EvaluationError(self.name, x, f"grad failed: {exc!r}") from exc
         if grad is not None and grad.shape == (self.dim,):
@@ -127,16 +135,8 @@ class Problem:
     def _evaluate(self, x) -> tuple[np.ndarray, float]:
         """``x`` read once as a fresh read-only float array f cannot write
         into, and f's value there. Another shape is an EvaluationError, as
-        numpy would broadcast it; so is a string, a None (numpy reads it as
-        nan) or a ragged point."""
-        try:
-            point = np.array(x)
-            if point.dtype is not _FLOAT64:  # one identity test on the common path
-                kind = point.dtype.kind
-                reals = kind == "O" and all(isinstance(v, numbers.Real) for v in point.flat)
-                point = point.astype(float) if kind in "biuf" or reals else None
-        except (ValueError, OverflowError):  # a ragged point, or an int beyond float range
-            point = None
+        numpy would broadcast it."""
+        point = _floats(x, True)
         if point is None or point.shape != (self.dim,):
             got = "" if point is None else f", got shape {point.shape}"
             raise EvaluationError(
@@ -293,8 +293,9 @@ class ProblemClass:
         require("value_gap", _number(self.value_gap, float)
                 and 0.0 <= self.value_gap < -0.05 - _F_STAR, "a float in [0, 0.95)")
         require("lower", _number(self.lower, float), "a finite float")
-        require("upper", _number(self.upper, float) and self.upper > self.lower,
-                "a finite float above lower")
+        require("upper", _number(self.upper, float) and self.upper > self.lower
+                and math.isfinite(self.upper - self.lower),  # the width generate draws over
+                "a finite float above lower, with a finite upper - lower")
 
 
 _DIFFICULTY_KNOBS = {
@@ -342,9 +343,10 @@ def generated_parameters(cls: ProblemClass, index: int):
     ]
     centers: list[np.ndarray] = []
     for i, r in enumerate(radii):
-        for _ in range(_PLACEMENT_TRIES):
+        low, high = cls.lower + r + _SEPARATION, cls.upper - r - _SEPARATION
+        for _ in range(_PLACEMENT_TRIES if low <= high else 0):  # no room, no draw
             # scalar bounds draw the bits array bounds would, without their checks
-            c = rng.uniform(cls.lower + r + _SEPARATION, cls.upper - r - _SEPARATION, size=n)
+            c = rng.uniform(low, high, size=n)
             for cj, rj in zip(centers, radii):
                 v = c - cj  # |v| by the calls np.linalg.norm makes for a 1-D float vector
                 if not math.sqrt(float(v.dot(v))) >= r + rj + _SEPARATION:
@@ -391,18 +393,17 @@ def generate(cls: ProblemClass, index: int) -> Problem:
     # holds x_j == upper.
     lower, upper = cls.lower, cls.upper
     scale = _BINS / (upper - lower)
-    flips = [[0] * (_BINS + 2) for _ in range(cls.dim)]
+    masks = [[0] * (_BINS + 1) for _ in range(cls.dim)]
     for b, (center, r2_b, r) in enumerate(zip(C.tolist(), r2, R.tolist())):
         bit, reach = 1 << b, r * (1.0 + 2.0 ** -20)
-        for axis, c in zip(flips, center):
+        for axis, c in zip(masks, center):
             lo, hi = c - reach, c + reach
             k0, k1 = 0, _BINS
             if min((lo - c) * (lo - c), (hi - c) * (hi - c)) > r2_b:
                 k0 = max(int((lo - lower) * scale), 0)
                 k1 = min(int((hi - lower) * scale), _BINS)
-            axis[k0] ^= bit  # on from bin k0
-            axis[k1 + 1] ^= bit  # off after bin k1
-    masks = [list(accumulate(axis[:-1], xor)) for axis in flips]
+            for k in range(k0, k1 + 1):
+                axis[k] |= bit
     every_ball = (1 << len(r2)) - 1
 
     # grad follows f at the same point, so the terms of the last point are
@@ -410,11 +411,13 @@ def generate(cls: ProblemClass, index: int) -> Problem:
     last = [(None, None)]
 
     def terms(x):
-        """(x - T, |x - T|^2, x - C, rho^2 per ball, first ball containing x or -1).
+        """(f(x), x - T, blend), where blend is None outside every ball and
+        else (x - C, the first ball i containing x, u = rho_i^2 / r_i^2, the
+        weight w = (1 - u)^2, h - p) for the cup h and the paraboloid p.
 
-        Where the ball index shows that no ball contains x, x - C and rho^2
-        are None. The two reductions stay in numpy: its 1-D ``dot`` is a chain
-        of fused multiply-adds, and ``einsum`` adds in its own order for more
+        The ball index skips x - C where it shows that no ball contains x.
+        The two reductions stay in numpy: its 1-D ``dot`` is a chain of
+        fused multiply-adds, and ``einsum`` adds in its own order for more
         than two axes, so a Python sum would differ in the last bit and change
         the search. ``ndarray.dot`` and ``@`` reach the same ``ddot`` for 1-D
         vectors; ``c_einsum`` is the kernel ``np.einsum`` calls when it does
@@ -427,6 +430,7 @@ def generate(cls: ProblemClass, index: int) -> Problem:
             return kept
         dT = x - T
         p = float(dT.dot(dT))
+        kept = (p, dT, None)
         hit = every_ball
         for v, axis in zip(x.tolist(), masks):
             if not lower <= v <= upper:  # off the domain, or NaN: the exact test decides
@@ -438,31 +442,25 @@ def generate(cls: ProblemClass, index: int) -> Problem:
             dx = x - C
             rho2 = c_einsum("ij,ij->i", dx, dx)
             inside = (rho2 < R2).tolist()
-            kept = (dT, p, dx, rho2, inside.index(True) if True in inside else -1)
-        else:
-            kept = (dT, p, None, None, -1)
+            if True in inside:
+                i = inside.index(True)
+                rho2_i = float(rho2[i])
+                u = rho2_i / r2[i]
+                w = (1.0 - u) ** 2
+                h_p = bottoms[i] + rho2_i - p
+                kept = (p + w * h_p, dT, (dx, i, u, w, h_p))
         last[0] = (key, kept)
         return kept
 
     def f(x):
-        _, p, _, rho2, i = terms(x)
-        if i < 0:
-            return p
-        rho2_i = float(rho2[i])
-        u = rho2_i / r2[i]
-        w = (1.0 - u) ** 2
-        h = bottoms[i] + rho2_i
-        return p + w * (h - p)
+        return terms(x)[0]
 
     def grad(x):
-        dT, p, dx, rho2, i = terms(x)
-        if i < 0:
+        _, dT, blend = terms(x)
+        if blend is None:
             return 2.0 * dT
-        rho2_i, r2_i = float(rho2[i]), r2[i]
-        u = rho2_i / r2_i
-        w = (1.0 - u) ** 2
-        h_p = bottoms[i] + rho2_i - p
-        c = -2.0 * (1.0 - u)
+        dx, i, u, w, h_p = blend
+        r2_i, c = r2[i], -2.0 * (1.0 - u)
         out = []
         for t, e in zip(dT.tolist(), dx[i].tolist()):
             gp, gh = 2.0 * t, 2.0 * e

@@ -129,17 +129,24 @@ def test_other_real_types_pass_as_floats(value, grad):
     assert prob.value((0.5, 0.5)) == f_value
 
 
-@pytest.mark.parametrize("point", ["ab", [0.5, "a"], [[0.5], [0.5, 0.2]], [0.5, None]],
-                         ids=["str", "str-coordinate", "ragged", "none"])
+@pytest.mark.parametrize("point", [
+    "ab", [0.5, "a"], [[0.5], [0.5, 0.2]], [0.5, None], b"ab", {0.5: 1, 0.2: 2},
+    iter((0.1, 0.2)),
+], ids=["str", "str-coordinate", "ragged", "none", "bytes", "dict", "iterator"])
 def test_a_point_of_no_real_numbers_is_an_evaluation_error(point):
     # numpy raised a plain ValueError on the first three and read None as
-    # nan, which then read as f's fault
+    # nan, which then read as f's fault; the error keeps the point as given,
+    # where tuple(point) split a string, listed a dict's keys and consumed an
+    # iterator into a valid-looking point
     prob = problems.quadratic([0.3, 0.7], name="quad2d")
     for evaluate in (prob.value, prob.value_and_grad):
         with pytest.raises(EvaluationError, match=r"expected a point of shape \(2,\) of real "
                                                   r"numbers at x = ") as info:
             evaluate(point)
-        assert info.value.x == tuple(point)
+        assert info.value.x is point
+        assert str(info.value).endswith(f" at x = {point!r}")
+    if iter(point) is point:
+        assert list(point) == [0.1, 0.2]  # the iterator was not consumed
 
 
 @pytest.mark.parametrize("point", [
@@ -151,18 +158,20 @@ def test_a_point_of_no_real_numbers_is_an_evaluation_error(point):
     np.array([0.5, 0.25], dtype=">f8"),
 ], ids=["fraction-bool", "float32-uint64", "ints", "big-int", "float16", "big-endian"])
 def test_a_point_of_other_reals_reads_as_numpy_reads_it(point):
-    # f and grad get the floats np.array(point, dtype=float) holds
+    # f and grad get the floats np.array(point, dtype=float) holds, and a
+    # gradient of the same numbers reads as those floats too
     seen = []
 
     def f(x):
         seen.append((x.dtype, x.flags.writeable, x.tolist()))
         return 0.0
 
-    prob = Problem("p", 2, (0.0, 0.0), (1.0, 1.0), f, lambda x: np.zeros(2))
+    prob = Problem("p", 2, (0.0, 0.0), (1.0, 1.0), f, lambda x: point)
     prob.value(point)
-    prob.value_and_grad(point)
+    _, gradient = prob.value_and_grad(point)
     expected = (np.dtype(float), False, np.array(point, dtype=float).tolist())
     assert seen == [expected, expected]
+    assert list(gradient) == expected[2] and all(type(g) is float for g in gradient)
 
 
 @pytest.mark.parametrize("method", METHODS, ids=lambda m: m.__name__)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lipgrad import problems
+from lipgrad import cli, problems
 from lipgrad.problems import (
     EvaluationError,
     GenerationError,
@@ -411,6 +411,33 @@ def test_overcrowded_class_raises_generation_error():
     cls = problem_class(1, "simple", seed=0, count=1, n_minima=40)
     with pytest.raises(GenerationError):
         generate(cls, 1)
+
+
+def test_a_ball_wider_than_the_domain_raises_generation_error(tmp_path, capsys):
+    # numpy's uniform raised "high - low < 0" before the placement loop could
+    # report the ball; the check draws nothing
+    cls = dataclasses.replace(problem_class(2, "hard", count=1), global_radius=0.99)
+    with pytest.raises(GenerationError, match=r"could not place ball 1/10 \(dim=2, "
+                                              r"radius=0\.990\)"):
+        problems.generated_parameters(cls, 1)
+    path = tmp_path / "wide.json"
+    with pytest.raises(GenerationError, match="could not place ball 1/10"):
+        problems.write_manifest(cls, path)
+    path.write_text(json.dumps(dataclasses.asdict(cls)))
+    assert cli.main(["solve", "--problem", f"{path}#1"]) == 1
+    assert "error: could not place ball 1/10" in capsys.readouterr().err
+
+
+def test_problem_class_rejects_a_domain_of_infinite_width(tmp_path):
+    # every generate raised numpy's OverflowError on [-1e308, 1e308]
+    good = problem_class(2, "hard", count=1)
+    with pytest.raises(ValueError, match="upper must be .* a finite upper - lower"):
+        dataclasses.replace(good, lower=-1e308, upper=1e308)
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps({**dataclasses.asdict(good), "lower": -1e308, "upper": 1e308}))
+    with pytest.raises(ValueError, match=r"manifest .*class\.json: upper must be"):
+        problems.load_manifest(path)
+    assert dataclasses.replace(good, lower=-1e307, upper=1e307).upper == 1e307
 
 
 def test_problem_class_rejects_unknown_difficulty():
