@@ -96,25 +96,21 @@ class _CenterState(RunState):
         return value
 
     def select(self) -> list[tuple]:
-        """The diagram's ``(id, d, F, s)`` dots: group minima, or level minima."""
-        dots = []
-        levels = {}  # locally biased: least (f_center, id) per longest-side level
-        boxes, groups, dim = self.partition.boxes, self.partition.groups, self.problem.dim
-        level_d = self.level_d
-        while self.locally_biased and len(level_d) * dim < len(groups):  # once per level
+        """The diagram's ``(id, d, F)`` dots: group minima, or level minima."""
+        boxes, groups, q_inf = self.partition.boxes, self.partition.groups, self.partition.q_inf
+        if not self.locally_biased:  # every tied minimum of every group
+            return [(box[1], groups[s].d, box[0]) for s in range(q_inf, len(groups))
+                    for box in heap_min_entries(groups[s], boxes)]
+        dim, level_d = self.problem.dim, self.level_d
+        while len(level_d) * dim < len(groups):  # once per level
             level_d.append(0.5 / pow3(2 * len(level_d)))
-        for s in range(self.partition.q_inf, len(groups)):
-            group = groups[s]
-            if self.locally_biased:  # the level's least (f_center, id)
-                box, level = heap_min(group, boxes), s // dim
-                if box is not None and (level not in levels or box < levels[level]):
-                    levels[level] = box
-            else:
-                for box in heap_min_entries(group, boxes):
-                    dots.append((box[1], group.d, box[0], s))
-        for level, box in levels.items():  # d: half squared longest side
-            dots.append((box[1], level_d[level], box[0], box[2]))
-        return dots
+        levels = {}  # the least (f_center, id) per longest-side level
+        for s in range(q_inf, len(groups)):
+            box, level = heap_min(groups[s], boxes), s // dim
+            if box is not None and (level not in levels or box < levels[level]):
+                levels[level] = box
+        # d: half squared longest side
+        return [(box[1], level_d[level], box[0]) for level, box in levels.items()]
 
     def subdivide(self, box_id: int) -> None:
         """Trisect along every longest side, best-sampled axis first."""

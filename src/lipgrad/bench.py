@@ -122,11 +122,14 @@ class ClassReport:
             for index, msg in self.invalid:
                 out.append(f"warning: problem {index} invalid, excluded: {msg}")
         out.append(f"{'method':<9} {'50%':>8} {'100% (C1)':>18} {'C2':>9} {'C3':>12}")
+        valid = len(self.rows) - len(self.invalid)
         for m in self.methods:
             s = self.summaries[m]
+            # fewer than half solved: the budget an unsolved run counts is a lower bound
+            fifty = f"{'> ' if 2 * s['unsolved'] > valid else ''}{s['fifty']}"
             c3 = f"{'> ' if s['c3_lower_bound'] else ''}{s['c3']:.2f}"
             out.append(
-                f"{m:<9} {s['fifty']:>8} {format_c1(s['c1']):>18} "
+                f"{m:<9} {fifty:>8} {format_c1(s['c1']):>18} "
                 f"{s['c2']:>9} {c3:>12}"
             )
         for other, (p, q) in self.c4.items():
@@ -294,15 +297,16 @@ def write_trace(report: RunReport, problem: problems.Problem, path) -> None:
 def read_trace(path) -> dict:
     """Parse a trace file into domain bounds, trial points and boxes; a
     malformed domain, T or B line is a ValueError naming the path and line.
-    The domain comes first, with lower < upper on every axis, and every T
-    point and B corner has one coordinate per axis."""
+    The one domain header comes first, with lower < upper on every axis, and
+    every T point and B corner has one coordinate per axis."""
     lower = upper = ()
     trials = []
     boxes = []
     for n, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if line.startswith("# domain"):
-            lower, upper = _fields(path, n, line[2:], (_point, _point), _is_domain)
+            lower, upper = _fields(path, n, line[2:], (_point, _point),
+                                   lambda lo, hi: not lower and _is_domain(lo, hi))
         elif line.startswith("T "):
             trials.append(_fields(path, n, line, (int, _point, float, float, str),
                                   lambda _, x, *__: len(x) == len(lower)))

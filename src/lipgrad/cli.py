@@ -112,16 +112,16 @@ def _cmd_bench(args) -> int:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     else:
+        try:  # the descriptor's shape; its knobs are checked by the class below
+            difficulty, dim, count = args.cls.split(":")
+            dim, count = int(dim), int(count)
+        except ValueError:
+            raise UsageError(f"--class must be a manifest path or difficulty:dim:count, "
+                             f"got {args.cls!r}") from None
         try:
-            difficulty, dim_s, count_s = args.cls.split(":")
-            cls = problems.problem_class(
-                int(dim_s), difficulty, seed=args.seed, count=int(count_s)
-            )
+            cls = problems.problem_class(dim, difficulty, seed=args.seed, count=count)
         except ValueError as exc:
-            raise UsageError(
-                f"--class must be a manifest path or difficulty:dim:count, "
-                f"got {args.cls!r} ({exc})"
-            ) from exc
+            raise UsageError(str(exc)) from exc
     try:
         methods = bench.check_methods(m.strip() for m in args.methods.split(",") if m.strip())
     except ValueError as exc:

@@ -222,10 +222,7 @@ class Partition(BoxTable):
         rec = self.get_or_eval(va, a_real, 0, a_real[0])
         # the root is the low child of its own split on axis 0 at u = a, v = b;
         # every other box's d is smaller, so one check bounds the run's d above
-        try:
-            _, F, _, d = bounding.characterize(rec, rec, a_real, b_real, 0, a_real[0], b_real[0])
-        except OverflowError:  # a side's square
-            d = math.inf
+        _, F, _, d = bounding.characterize(rec, rec, a_real, b_real, 0, a_real[0], b_real[0])
         if not sys.float_info.min <= d < math.inf:
             raise ValueError(f"problem {problem.name}: the domain is too "
                              f"{'wide' if d > 1.0 else 'narrow'}, its half squared "

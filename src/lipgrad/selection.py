@@ -16,24 +16,28 @@ from typing import NamedTuple
 
 from .geometry import heap_min_entries
 
-# A dot is the plain tuple (box_id, d, F, s), with s the box's group index or
-# depth sum: every method builds its dots afresh each iteration, and a plain
-# tuple is the cheapest thing to build and index.
-DotTuple = tuple[int, float, float, int]
+# A dot is the plain tuple (box_id, d, F): every method builds its dots
+# afresh each iteration, and a plain tuple is the cheapest thing to build and
+# index.
+DotTuple = tuple[int, float, float]
 
 
 class HullResult(NamedTuple):
     """Nondominated dots ordered by increasing d.
 
     ``slopes[i]`` is the (k_lo, k_hi) interval of Lipschitz estimates for
-    which ``selected[i]`` attains the minimal bound; the largest-d dot has
+    which ``dots[i]`` attains the minimal bound; the largest-d dot has
     k_hi = inf and the smallest-d dot k_lo = 0. Dots tied at the same
     (d, F) share one interval.
     """
 
-    selected: tuple[int, ...]
     dots: tuple[DotTuple, ...]
     slopes: tuple[tuple[float, float], ...]
+
+    @property
+    def selected(self) -> tuple[int, ...]:
+        """The box ids of ``dots``, in their order."""
+        return tuple(dot[0] for dot in self.dots)
 
 
 def group_representatives(partition, s_lo: int, s_hi: int) -> list[DotTuple]:
@@ -43,11 +47,9 @@ def group_representatives(partition, s_lo: int, s_hi: int) -> list[DotTuple]:
     """
     if s_lo > s_hi:
         raise ValueError("s_lo must not exceed s_hi")
-    dots, groups, boxes = [], partition.groups, partition.boxes
-    for s in range(s_lo, s_hi + 1):
-        for box in heap_min_entries(groups[s], boxes):
-            dots.append((box[1], box[6], box[0], s))  # (id, d, F, s)
-    return dots
+    groups, boxes = partition.groups, partition.boxes
+    return [(box[1], box[6], box[0])  # (id, d, F)
+            for s in range(s_lo, s_hi + 1) for box in heap_min_entries(groups[s], boxes)]
 
 
 _BY_D_F_ID = itemgetter(1, 2, 0)
@@ -68,7 +70,7 @@ def nondominated(dots) -> HullResult:
         raise ValueError(f"dot {ordered[0][0]} has nonpositive d")
     hull: list[tuple[float, float, list[DotTuple]]] = []
     for dot in ordered:
-        _, d, F, _ = dot
+        _, d, F = dot
         if hull and d == hull[-1][0]:
             if F == hull[-1][1]:
                 hull[-1][2].append(dot)
@@ -89,7 +91,6 @@ def nondominated(dots) -> HullResult:
         if F <= f_min:
             start, f_min = i, F
 
-    selected: list[int] = []
     sel_dots: list[DotTuple] = []
     slopes: list[tuple[float, float]] = []
     k_lo = 0.0
@@ -102,11 +103,10 @@ def nondominated(dots) -> HullResult:
         else:
             k_hi = math.inf
         for dot in ties:
-            selected.append(dot[0])
             sel_dots.append(dot)
             slopes.append((k_lo, k_hi))
         k_lo = k_hi
-    return HullResult(tuple(selected), tuple(sel_dots), tuple(slopes))
+    return HullResult(tuple(sel_dots), tuple(slopes))
 
 
 def xi_value(f_min: float, epsilon: float) -> float:
@@ -123,7 +123,7 @@ def improvement_filter(hull: HullResult, f_min: float, xi: float) -> list[int]:
     smallest; the largest-d dot has an unbounded interval and always passes.
     """
     keep = []
-    for (box_id, d, F, _), (_, k_hi) in zip(hull.dots, hull.slopes):
+    for (box_id, d, F), (_, k_hi) in zip(hull.dots, hull.slopes):
         if math.isinf(k_hi) or F - k_hi * d <= f_min - xi:
             keep.append(box_id)
     return keep

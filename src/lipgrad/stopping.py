@@ -173,7 +173,7 @@ def iterate(state, dots, subdivide) -> None:
 def close_report(state, method: str) -> RunReport:
     """Close the history with the final trial count and build the report;
     it holds the partition's snapshot when the config keeps a trace."""
-    if not state.history or state.history[-1][0] != state.trials:
+    if state.history[-1][0] != state.trials:
         log_history(state)
     return RunReport(
         method=method,

@@ -199,18 +199,19 @@ def test_each_level_d_is_its_longest_side_measure_made_once(monkeypatch, prob):
     # DIRECT-l reads a level's d from a per-run table: one entry per level
     # of the groups made, each 0.5 / 9**level; every dot of the run holds
     # its level's entry itself, so no entry was ever made twice
-    seen, states = [], []
-    choose = selection.choose
+    seen, states = [], []  # each dot's d and its box's depth sum s when selected
+    select = _CenterState.select
 
-    def recording_choose(dots, f_min, epsilon):
-        seen.extend(dots)
-        return choose(dots, f_min, epsilon)
+    def recording_select(state):
+        dots = select(state)
+        seen.extend((d, state.partition.boxes[box_id][2]) for box_id, d, _ in dots)
+        return dots
 
     def keep(state, name):
         states.append(state)
         return close_report(state, name)
 
-    monkeypatch.setattr(selection, "choose", recording_choose)
+    monkeypatch.setattr(_CenterState, "select", recording_select)
     monkeypatch.setattr(baselines, "close_report", keep)
     assert directl_run(prob, OptConfig(p_max=2000)).trials == 2000
     state = states[0]
@@ -219,7 +220,7 @@ def test_each_level_d_is_its_longest_side_measure_made_once(monkeypatch, prob):
     assert [d.hex() for d in table] == [(0.5 / 3 ** (2 * level)).hex()
                                         for level in range(len(table))]
     assert len(seen) > 100
-    assert all(d is table[s // prob.dim] for _, d, _, s in seen)
+    assert all(d is table[s // prob.dim] for d, s in seen)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -323,7 +324,7 @@ def rescanned_select(state: _CenterState) -> list[Dot]:
             d = 0.5 * add_left_to_right(1.0 / 3 ** (2 * dep) for dep in key)
             tied = [e for e in entries if e[0] == entries[0][0]]
         for F, box_id in tied:
-            dots.append(Dot(box_id, d, F, sum(boxes[box_id].depths)))
+            dots.append(Dot(box_id, d, F))
     return dots
 
 
@@ -356,7 +357,7 @@ def test_select_hands_plain_tuple_dots_to_choose(monkeypatch, runner):
     monkeypatch.setattr(selection, "choose", recording_choose)
     runner(wavy_problem(3), OptConfig(p_max=300))
     assert len(seen) > 50
-    assert all(type(t) is tuple and len(t) == 4 for t in seen)
+    assert all(type(t) is tuple and len(t) == 3 for t in seen)
 
 
 @pytest.mark.parametrize("locally_biased", [False, True], ids=["direct", "directl"])

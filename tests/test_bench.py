@@ -174,6 +174,23 @@ def test_run_class_budget_one_marks_everything_unsolved():
     assert summary["unsolved"] == 3
     assert format_c1(tuple(summary["c1"])) == "> 1 (3)"
     assert summary["c3_lower_bound"]
+    # no run was solved, so the 50% budget is a lower bound in the text;
+    # report.json keeps the integer
+    row = next(line for line in report.to_text().splitlines() if line.startswith("new "))
+    assert row.split()[:3] == ["new", ">", "1"]
+    assert summary["fifty"] == 1
+
+
+def test_fifty_percent_is_marked_only_when_fewer_than_half_are_solved():
+    # within 60 trials new solves two of the four problems and direct one:
+    # half solved reads as the budget that solves them, fewer as a lower bound
+    cls = problem_class(2, "simple", seed=7, count=4)
+    report = run_class(["new", "direct"], cls, delta=1e-4, p_max=60)
+    assert [report.summaries[m]["unsolved"] for m in ("new", "direct")] == [2, 3]
+    rows = {line.split()[0]: line.split() for line in report.to_text().splitlines()[3:5]}
+    assert rows["new"][1] == "40"
+    assert rows["direct"][1:3] == [">", "60"]
+    assert report.summaries["direct"]["fifty"] == 60
 
 
 def test_run_class_rejects_unknown_method():
@@ -281,8 +298,8 @@ def test_trace_round_trip(tmp_path):
     # [0, 1] (no fraction, a numerator outside 0..3^k or a denominator that
     # is no power of 3), a header whose bounds differ in length or leave an
     # axis empty, a T point or B corner with the wrong number of
-    # coordinates, or a T line before the header names its line; an empty
-    # file has no header
+    # coordinates, a T line before the header or a second header names its
+    # line; an empty file has no header
     lines = path.read_text().splitlines()
     t_at = next(i for i, line in enumerate(lines) if line.startswith("T "))
     b_at = next(i for i, line in enumerate(lines) if line.startswith("B "))
@@ -295,7 +312,8 @@ def test_trace_round_trip(tmp_path):
                          (0, "# domain 0.0,0.0 0.0,1.0", "domain"),
                          (t_at, "T 1 0.0 0.58 0.58 init", "T"),
                          (b_at, "B 1 4 4/9 5/9,5/9", "B"),
-                         (0, lines[t_at], "T")):
+                         (0, lines[t_at], "T"),
+                         (t_at, lines[0], "domain")):
         path.write_text("\n".join(lines[:at] + [bad] + lines[at + 1:]) + "\n")
         with pytest.raises(ValueError, match=f"run.trace:{at + 1}: malformed {tag} line"):
             read_trace(path)
@@ -482,6 +500,20 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith(f"error: manifest {path}: {fault}"), (argv, err)
             assert "difficulty:dim:count" not in err, (argv, err)
+    # so does a descriptor's knob, while a descriptor of the wrong shape
+    # names --class without Python's own text
+    for argv, fault in ((["hard:2:3", "--seed", "-1"], "seed must be "),
+                        (["hard:0:3"], "dim must be "),
+                        (["hard:2:0"], "count must be "),
+                        (["easy:2:3"], "unknown difficulty 'easy'")):
+        assert cli.main(["bench", "--class", *argv, "--delta", "1e-2"]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {fault}"), (argv, err)
+        assert "difficulty:dim:count" not in err, (argv, err)
+    for descriptor in ("hard:2:3:4", "hard:x:3", "hard:2"):
+        assert cli.main(["bench", "--class", descriptor, "--delta", "1e-2"]) == 1, descriptor
+        assert capsys.readouterr().err == ("error: --class must be a manifest path or "
+                                           f"difficulty:dim:count, got {descriptor!r}\n")
 
 
 def test_cli_evaluation_failure_exits_two(tmp_path, capsys, monkeypatch):

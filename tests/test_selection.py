@@ -23,7 +23,7 @@ from util import (
 
 
 def dots_from(pairs):
-    return [Dot(i + 1, d, F, s=0) for i, (d, F) in enumerate(pairs)]
+    return [Dot(i + 1, d, F) for i, (d, F) in enumerate(pairs)]
 
 
 def test_three_dot_example():
@@ -51,7 +51,7 @@ def test_small_slope_and_large_slope_winners_are_kept():
 
 
 def test_ties_on_a_hull_dot_are_all_selected():
-    dots = [Dot(1, 1.0, 0.0, 0), Dot(2, 0.5, -1.0, 1), Dot(3, 0.5, -1.0, 1)]
+    dots = [Dot(1, 1.0, 0.0), Dot(2, 0.5, -1.0), Dot(3, 0.5, -1.0)]
     hull = nondominated(dots)
     assert set(hull.selected) == {1, 2, 3}
     assert hull.slopes[0] == hull.slopes[1]
@@ -74,7 +74,7 @@ def test_nondominated_validates_input():
     with pytest.raises(ValueError):
         nondominated([])
     with pytest.raises(ValueError):
-        nondominated([Dot(1, 0.0, 1.0, 0)])
+        nondominated([Dot(1, 0.0, 1.0)])
 
 
 def test_hull_matches_pairwise_oracle():
@@ -95,7 +95,7 @@ def test_hull_and_filter_match_the_reference_on_ties_and_mixed_dots():
         f_values = rng.integers(-4, 4, size=n) / rng.choice([7.0, 16.0])
         dots = []
         for box_id, d, F in zip(rng.permutation(n) + 1, d_values, f_values):
-            raw = (int(box_id), float(d), float(F), int(rng.integers(0, 4)))
+            raw = (int(box_id), float(d), float(F))
             dots.append(Dot._make(raw) if rng.random() < 0.5 else raw)
         hull = nondominated(dots)
         selected, ref_dots, slopes = reference_nondominated(dots)
@@ -129,7 +129,7 @@ def test_selection_is_scale_invariant():
         f_min = min(t.F for t in dots)
         kept = improvement_filter(hull, f_min, xi_value(f_min, 1e-4))
         scale = 4.0  # power of two: scaling is exact
-        scaled = [Dot(t.box_id, t.d, scale * t.F, t.s) for t in dots]
+        scaled = [Dot(t.box_id, t.d, scale * t.F) for t in dots]
         hull2 = nondominated(scaled)
         kept2 = improvement_filter(hull2, scale * f_min, xi_value(scale * f_min, 1e-4))
         assert hull.selected == hull2.selected
@@ -173,13 +173,13 @@ def test_group_representatives_reports_min_F_ties():
     raw = group_representatives(part, part.q_inf, part.q_0)
     assert all(type(t) is tuple for t in raw)  # views are made on demand only
     dots = list(map(Dot._make, raw))
-    seen_groups = {t.s for t in dots}
-    assert seen_groups == {box.s for box in live_boxes(part)}
+    group = {t.box_id: part.boxes[t.box_id][2] for t in dots}  # each dot's group s
+    assert set(group.values()) == {box.s for box in live_boxes(part)}
     for t in dots:
-        assert t.F == min(box.F for box in live_boxes(part) if box.s == t.s)
+        assert t.F == min(box.F for box in live_boxes(part) if box.s == group[t.box_id])
     # restricting the range drops the other groups entirely
     only_top = list(map(Dot._make, group_representatives(part, part.q_inf, part.q_inf)))
-    assert {t.s for t in only_top} == {part.q_inf}
+    assert {part.boxes[t.box_id][2] for t in only_top} == {part.q_inf}
     with pytest.raises(ValueError):
         group_representatives(part, 2, 1)
 

@@ -64,7 +64,6 @@ class Dot(NamedTuple):
     box_id: int
     d: float
     F: float
-    s: int
 
 
 def center_iteration(state: _CenterState) -> None:
@@ -507,7 +506,7 @@ def random_dot_set(rng: np.random.Generator, max_dots: int = 15) -> list[Dot]:
     d_values = rng.choice(np.arange(1, 2000), size=n, replace=False) / 16.0
     f_values = rng.integers(-1000, 1000, size=n) / 16.0
     return [
-        Dot(i + 1, float(d), float(F), s=0)
+        Dot(i + 1, float(d), float(F))
         for i, (d, F) in enumerate(zip(d_values, f_values))
     ]
 
