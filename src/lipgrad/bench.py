@@ -9,6 +9,7 @@ many workers executed the runs.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -297,8 +298,10 @@ def write_trace(report: RunReport, problem: problems.Problem, path) -> None:
 def read_trace(path) -> dict:
     """Parse a trace file into domain bounds, trial points and boxes; a
     malformed domain, T or B line is a ValueError naming the path and line.
-    The one domain header comes first, with lower < upper on every axis, and
-    every T point and B corner has one coordinate per axis."""
+    The one domain header comes first, with finite bounds lower < upper and a
+    finite upper - lower on every axis, as a ``Problem`` has; every T point
+    and B corner has one coordinate per axis, and a T line's point, value and
+    f_min are finite, as every run writes them."""
     lower = upper = ()
     trials = []
     boxes = []
@@ -309,7 +312,8 @@ def read_trace(path) -> dict:
                                    lambda lo, hi: not lower and _is_domain(lo, hi))
         elif line.startswith("T "):
             trials.append(_fields(path, n, line, (int, _point, float, float, str),
-                                  lambda _, x, *__: len(x) == len(lower)))
+                                  lambda _, x, f, f_min, __: len(x) == len(lower)
+                                  and all(map(math.isfinite, x + (f, f_min)))))
         elif line.startswith("B "):
             boxes.append(_fields(path, n, line, (int, int, _grid_point, _grid_point),
                                  lambda _, __, a, b: len(a) == len(b) == len(lower)))
@@ -334,7 +338,9 @@ def _fields(path, n: int, line: str, readers, valid) -> tuple:
 
 
 def _is_domain(lower, upper) -> bool:
-    return len(lower) == len(upper) and all(lo < hi for lo, hi in zip(lower, upper))
+    # lo < hi with a finite difference also rules out an infinite or nan bound
+    return len(lower) == len(upper) and all(lo < hi and math.isfinite(hi - lo)
+                                            for lo, hi in zip(lower, upper))
 
 
 def _point(text: str) -> tuple[float, ...]:

@@ -132,7 +132,8 @@ class BoxTable:
     """Every method's live boxes by dense id and their groups by index s.
 
     Grid coordinate u on axis j is the real ``lower[j] + u * edge[j]`` of the
-    domain of ``problem``. A box is a plain tuple ``(key, id, s, ...)`` in group s.
+    domain of ``problem``. A box is a plain tuple ``(key, id, s, ...)`` in group s,
+    and is its own heap entry: ids are unique, so comparisons stop at ``(key, id)``.
     ``boxes[i]`` is the live box with id i, for i in 1..m; slot 0 is unused.
     No group is ever deleted; ``q_inf`` is the lowest with a live box. A
     subclass gives ``corners(box)``, the grid points of corners a and b.
@@ -212,8 +213,6 @@ class Partition(BoxTable):
         self.depths: list[tuple[int, ...]] = [(0,) * dim]
         self._splits: list[tuple[int, int, int, float, float]] = []
 
-        if start_vertex not in ("a", "b"):
-            raise ValueError("start_vertex must be 'a' or 'b'")
         va, vb, orient = (0, 0) * dim, (1, 0) * dim, 0  # the corners 0 and 1
         if start_vertex == "b":
             va, vb, orient = vb, va, (1 << dim) - 1

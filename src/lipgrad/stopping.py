@@ -33,7 +33,7 @@ class StopTarget:
             raise ValueError(f"delta must be a number in (0, 1], got {self.delta!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptConfig:
     """Run parameters shared by the gradient method and the baselines.
 

@@ -298,8 +298,9 @@ def test_trace_round_trip(tmp_path):
     # [0, 1] (no fraction, a numerator outside 0..3^k or a denominator that
     # is no power of 3), a header whose bounds differ in length or leave an
     # axis empty, a T point or B corner with the wrong number of
-    # coordinates, a T line before the header or a second header names its
-    # line; an empty file has no header
+    # coordinates, a T line before the header or a second header, and an
+    # infinite bound, a width beyond float range or a non-finite T point or
+    # value names its line; an empty file has no header
     lines = path.read_text().splitlines()
     t_at = next(i for i, line in enumerate(lines) if line.startswith("T "))
     b_at = next(i for i, line in enumerate(lines) if line.startswith("B "))
@@ -313,7 +314,11 @@ def test_trace_round_trip(tmp_path):
                          (t_at, "T 1 0.0 0.58 0.58 init", "T"),
                          (b_at, "B 1 4 4/9 5/9,5/9", "B"),
                          (0, lines[t_at], "T"),
-                         (t_at, lines[0], "domain")):
+                         (t_at, lines[0], "domain"),
+                         (0, "# domain -inf,0.0 inf,1.0", "domain"),
+                         (0, "# domain -1e308,0.0 1e308,1.0", "domain"),
+                         (t_at, "T 1 nan,0.5 0.58 0.58 init", "T"),
+                         (t_at, "T 1 0.5,0.5 0.58 inf init", "T")):
         path.write_text("\n".join(lines[:at] + [bad] + lines[at + 1:]) + "\n")
         with pytest.raises(ValueError, match=f"run.trace:{at + 1}: malformed {tag} line"):
             read_trace(path)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from types import SimpleNamespace
@@ -341,6 +342,10 @@ def test_config_validation():
             OptConfig(**{field: value})
     config = OptConfig(epsilon=np.float64(1e-3), p_max=np.int64(10), diagonal=1)
     assert (config.epsilon, config.p_max, config.diagonal) == (1e-3, 10, 1)
+    # a checked config cannot change afterwards, so a run reads what was checked
+    for field in dataclasses.fields(OptConfig):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, field.name, "x")
 
 
 @pytest.mark.parametrize("method", [run, baselines.direct_run, baselines.directl_run],
