@@ -32,7 +32,6 @@ from .stopping import (
     check_stop,
     close_report,
     iterate,
-    log_history,
     record_trial,
 )
 
@@ -73,18 +72,15 @@ class _CenterBoxes(BoxTable):
 
 class _CenterState(RunState):
     def __init__(self, problem, config: OptConfig, locally_biased: bool):
-        super().__init__(config, "center", _CenterBoxes(problem))
         self.locally_biased = locally_biased
         self.level_d: list[float] = []  # DIRECT-l's d by level s // dim: 0.5 / 9**level
 
         # Step 0: the root's center is always sampled, as p_max >= 1
-        zeros = (0,) * problem.dim
-        x = self.partition.center(zeros, zeros)
+        partition, zeros = _CenterBoxes(problem), (0,) * problem.dim
+        x = partition.center(zeros, zeros)
         f0 = problem.value(x)
-        record_trial(self, x, f0)
-        self.partition.add_boxes(0, _diag_d(0, problem.dim), ((f0, 1, 0, zeros, zeros, x),))
-        log_history(self)
-        check_stop(self)
+        partition.add_boxes(0, _diag_d(0, problem.dim), ((f0, 1, 0, zeros, zeros, x),))
+        super().__init__(config, "center", partition, x, f0)
 
     def _sample(self, x: tuple[float, ...]) -> float:
         """Evaluate f at a box center; returns nan if a stop rule fired first."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import baselines, optimizer, problems
@@ -99,7 +99,9 @@ def _ratio(comp: float, comp_unsolved: bool, new: float, new_unsolved: bool) -> 
 
 @dataclass
 class ClassReport:
-    """Per-problem results and the C1-C4 summary for one class run."""
+    """Per-problem results of one class run, and the C1-C4 summary that
+    making the report computes from its ``rows``: a GenerationError when
+    every problem of the class is invalid."""
 
     class_info: dict
     methods: list[str]
@@ -107,10 +109,46 @@ class ClassReport:
     p_max: int
     epsilon: float
     rows: list[dict]
-    summaries: dict[str, dict]
-    c4: dict[str, tuple[int, int]]
-    ratios: dict[str, dict[str, str]]
-    invalid: list[tuple[int, str]]
+    summaries: dict[str, dict] = field(init=False)
+    c4: dict[str, tuple[int, int]] = field(init=False)
+    ratios: dict[str, dict[str, str]] = field(init=False)
+    invalid: list[tuple[int, str]] = field(init=False)
+
+    def __post_init__(self):
+        self.invalid = [(row["index"], row["error"]) for row in self.rows if not row["valid"]]
+        valid_rows = [row for row in self.rows if row["valid"]]
+        if not valid_rows:
+            raise problems.GenerationError(
+                f"every problem of the class is invalid; {self.invalid[0][1]}")
+        trials, self.summaries = {}, {}  # each method's trial column, read once
+        for m in self.methods:
+            results = [row["results"][m] for row in valid_rows]
+            trials[m] = [r["trials"] for r in results]
+            solved = [r["solved"] for r in results]
+            worst, pos, unsolved = criterion_C1(trials[m], solved)
+            c3, lower = criterion_C3(trials[m], solved, self.p_max)
+            self.summaries[m] = {  # C1's s names the worst problem, whose boxes are C2
+                "c1": [worst, valid_rows[pos - 1]["index"], unsolved],
+                "c2": results[pos - 1]["boxes"],
+                "c3": c3,
+                "c3_lower_bound": lower,
+                "fifty": fifty_percent(trials[m]),
+                "unsolved": unsolved,
+            }
+        self.c4, self.ratios = {}, {}
+        if "new" in self.methods:
+            new = self.summaries["new"]
+            for m in self.methods:
+                if m == "new":
+                    continue
+                self.c4[m] = criterion_C4(trials["new"], trials[m])
+                other = self.summaries[m]
+                self.ratios[m] = {
+                    "c1": _ratio(other["c1"][0], other["unsolved"] > 0,
+                                 new["c1"][0], new["unsolved"] > 0),
+                    "c3": _ratio(other["c3"], other["unsolved"] > 0,
+                                 new["c3"], new["unsolved"] > 0),
+                }
 
     def to_text(self) -> str:
         info = self.class_info
@@ -190,7 +228,7 @@ def run_class(
     epsilon: float = 1e-4,
     out_dir=None,
 ) -> ClassReport:
-    """Run every method on every problem of the class and aggregate C1-C4.
+    """Run every method on every problem of the class; the report computes C1-C4.
 
     The methods, workers and run parameters are checked, and ``out_dir``
     made, before any problem is generated: a ValueError, or an OSError.
@@ -214,45 +252,6 @@ def run_class(
     else:
         rows = [_run_one(job) for job in jobs]
 
-    invalid = [(row["index"], row["error"]) for row in rows if not row["valid"]]
-    valid_rows = [row for row in rows if row["valid"]]
-    if not valid_rows:
-        raise problems.GenerationError(f"every problem of the class is invalid; {invalid[0][1]}")
-
-    summaries = {}
-    for m in methods:
-        trials = [row["results"][m]["trials"] for row in valid_rows]
-        boxes = [row["results"][m]["boxes"] for row in valid_rows]
-        solved = [row["results"][m]["solved"] for row in valid_rows]
-        worst, pos, unsolved = criterion_C1(trials, solved)
-        c3, lower = criterion_C3(trials, solved, p_max)
-        summaries[m] = {  # C1's s names the worst problem, whose boxes are C2
-            "c1": [worst, valid_rows[pos - 1]["index"], unsolved],
-            "c2": boxes[pos - 1],
-            "c3": c3,
-            "c3_lower_bound": lower,
-            "fifty": fifty_percent(trials),
-            "unsolved": unsolved,
-        }
-
-    c4 = {}
-    ratios = {}
-    if "new" in methods:
-        new_trials = [row["results"]["new"]["trials"] for row in valid_rows]
-        new_unsolved = summaries["new"]["unsolved"] > 0
-        for m in methods:
-            if m == "new":
-                continue
-            other_trials = [row["results"][m]["trials"] for row in valid_rows]
-            c4[m] = criterion_C4(new_trials, other_trials)
-            other_unsolved = summaries[m]["unsolved"] > 0
-            ratios[m] = {
-                "c1": _ratio(summaries[m]["c1"][0], other_unsolved,
-                             summaries["new"]["c1"][0], new_unsolved),
-                "c3": _ratio(summaries[m]["c3"], other_unsolved,
-                             summaries["new"]["c3"], new_unsolved),
-            }
-
     report = ClassReport(
         class_info=dict(
             seed=cls.seed, dim=cls.dim, count=cls.count, difficulty=cls.difficulty,
@@ -263,10 +262,6 @@ def run_class(
         p_max=p_max,
         epsilon=epsilon,
         rows=rows,
-        summaries=summaries,
-        c4=c4,
-        ratios=ratios,
-        invalid=invalid,
     )
     if out_dir is not None:
         (out_dir / "report.txt").write_text(report.to_text())
@@ -300,8 +295,8 @@ def read_trace(path) -> dict:
     malformed domain, T or B line is a ValueError naming the path and line.
     The one domain header comes first, with finite bounds lower < upper and a
     finite upper - lower on every axis, as a ``Problem`` has; every T point
-    and B corner has one coordinate per axis, and a T line's point, value and
-    f_min are finite, as every run writes them."""
+    and B corner has one coordinate per axis, and a T line's point lies in
+    the domain and its value and f_min are finite, as every run writes them."""
     lower = upper = ()
     trials = []
     boxes = []
@@ -313,7 +308,8 @@ def read_trace(path) -> dict:
         elif line.startswith("T "):
             trials.append(_fields(path, n, line, (int, _point, float, float, str),
                                   lambda _, x, f, f_min, __: len(x) == len(lower)
-                                  and all(map(math.isfinite, x + (f, f_min)))))
+                                  and all(map(_in_domain, x, lower, upper))
+                                  and math.isfinite(f) and math.isfinite(f_min)))
         elif line.startswith("B "):
             boxes.append(_fields(path, n, line, (int, int, _grid_point, _grid_point),
                                  lambda _, __, a, b: len(a) == len(b) == len(lower)))
@@ -341,6 +337,12 @@ def _is_domain(lower, upper) -> bool:
     # lo < hi with a finite difference also rules out an infinite or nan bound
     return len(lower) == len(upper) and all(lo < hi and math.isfinite(hi - lo)
                                             for lo, hi in zip(lower, upper))
+
+
+def _in_domain(x: float, lower: float, upper: float) -> bool:
+    # up to lower + (upper - lower) where that rounds above upper: a run sampled
+    # there before geometry._edge shortened such an edge, and its trace reads
+    return lower <= x <= max(upper, lower + (upper - lower))
 
 
 def _point(text: str) -> tuple[float, ...]:

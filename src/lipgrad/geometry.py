@@ -128,6 +128,15 @@ def heap_min_entries(group: Group, boxes: list) -> list:
     return out
 
 
+def _edge(lower: float, upper: float) -> float:
+    """The largest float e <= upper - lower with lower + e <= upper: every
+    grid point ``lower + u * e``, u in [0, 1], then lies in [lower, upper]."""
+    e = upper - lower
+    while lower + e > upper:
+        e = math.nextafter(e, 0.0)
+    return e
+
+
 class BoxTable:
     """Every method's live boxes by dense id and their groups by index s.
 
@@ -142,7 +151,7 @@ class BoxTable:
     def __init__(self, problem):
         self.problem = problem
         self.lower = problem.lower
-        self.edge = tuple(u - l for l, u in zip(self.lower, problem.upper))
+        self.edge = tuple(map(_edge, self.lower, problem.upper))
         self.boxes: list = [None]
         self.groups: list[Group] = []
         self.q_inf = 0

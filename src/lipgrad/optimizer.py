@@ -33,17 +33,15 @@ class OptState(RunState):
     """
 
     def __init__(self, problem, config: OptConfig):
-        super().__init__(config, "init", Partition(problem, config.start_vertex))
+        partition = Partition(problem, config.start_vertex)
         # the ids of the boxes whose record's point is x_min, and the record
         # box, the tuple of one of them; the paper's p is record_box[2]. It
         # stays live: only a split replaces a box, and a split of the record
         # box changes the boxes at x_min, so _subdivide resolves it again.
         self.record_ids: set[int] = {1}
-        self.record_box: BoxTuple = self.partition.boxes[1]
+        self.record_box: BoxTuple = partition.boxes[1]
         rec = self.record_box[3]
-        record_trial(self, rec[3], rec[0])
-        log_history(self)
-        check_stop(self)
+        super().__init__(config, "init", partition, rec[3], rec[0])
 
 
 def exploration_iteration(state: OptState, g_hi: int) -> None:

@@ -102,9 +102,12 @@ class RunState:
 
     A history row is ``(trials, f_min, largest squared diagonal)``; the first
     one holds the initial diagonal, which the diagonal rule compares against.
+    Making it is every method's Step 0: the partition holds the root box,
+    whose trial at ``x`` with f(x) = ``value`` is booked, the first history
+    row logged and the stop rules applied.
     """
 
-    def __init__(self, config: OptConfig, phase: str, partition):
+    def __init__(self, config: OptConfig, phase: str, partition, x, value: float):
         self.problem = problem = partition.problem
         self.partition = partition
         self.config = config
@@ -116,6 +119,9 @@ class RunState:
         self.stop_reason: Optional[str] = None
         self.history: list[tuple[int, float, float]] = []
         self.trace: Optional[list] = [] if config.keep_trace else None
+        record_trial(self, x, value)
+        log_history(self)
+        check_stop(self)
 
 
 def record_trial(state, x, value: float) -> bool:

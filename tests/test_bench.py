@@ -299,8 +299,9 @@ def test_trace_round_trip(tmp_path):
     # is no power of 3), a header whose bounds differ in length or leave an
     # axis empty, a T point or B corner with the wrong number of
     # coordinates, a T line before the header or a second header, and an
-    # infinite bound, a width beyond float range or a non-finite T point or
-    # value names its line; an empty file has no header
+    # infinite bound, a width beyond float range, a non-finite T point or
+    # value or a T point off the domain names its line; an empty file has no
+    # header
     lines = path.read_text().splitlines()
     t_at = next(i for i, line in enumerate(lines) if line.startswith("T "))
     b_at = next(i for i, line in enumerate(lines) if line.startswith("B "))
@@ -318,13 +319,20 @@ def test_trace_round_trip(tmp_path):
                          (0, "# domain -inf,0.0 inf,1.0", "domain"),
                          (0, "# domain -1e308,0.0 1e308,1.0", "domain"),
                          (t_at, "T 1 nan,0.5 0.58 0.58 init", "T"),
-                         (t_at, "T 1 0.5,0.5 0.58 inf init", "T")):
+                         (t_at, "T 1 0.5,0.5 0.58 inf init", "T"),
+                         (t_at, "T 1 5.0,-3.0 0.58 0.58 init", "T")):
         path.write_text("\n".join(lines[:at] + [bad] + lines[at + 1:]) + "\n")
         with pytest.raises(ValueError, match=f"run.trace:{at + 1}: malformed {tag} line"):
             read_trace(path)
     path.write_text("")
     with pytest.raises(ValueError, match="run.trace: missing domain header"):
         read_trace(path)
+    # lower + (upper - lower) rounds above upper here, where a run could sample
+    # before the grid's edge was shortened: such a trace still reads
+    path.write_text("# domain -0.3,-0.3 0.1,0.1\n"
+                    "T 1 0.10000000000000003,0.10000000000000003 0.5 0.5 init\n")
+    assert read_trace(path)["trials"] == [
+        (1, (0.10000000000000003, 0.10000000000000003), 0.5, 0.5, "init")]
 
 
 def test_partition_diagram(tmp_path):
@@ -456,6 +464,12 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
     not_json = tmp_path / "not-json.json"
     not_json.write_text("{")
     bad_manifests = (*bad_knobs, not_json)
+    # a trace that is missing, malformed or not two-dimensional
+    malformed = tmp_path / "malformed.trace"
+    malformed.write_text("# domain 0.0,0.0\n")
+    cube = tmp_path / "cube.trace"
+    cube.write_text("# domain 0.0,0.0,0.0 1.0,1.0,1.0\n")
+    traces = (tmp_path / "no.trace", malformed, cube)
     for argv in (
         *(["solve", "--problem", str(path)] for path in bad_manifests),
         *(["bench", "--class", str(path), "--delta", "1e-2"] for path in bad_manifests),
@@ -490,10 +504,15 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
         ["solve", "--problem", "quad2d", "--pmax", "5", "--trace", str(tmp_path)],
         ["bench", "--class", "hard:2:2", "--delta", "1e-2", "--pmax", "200",
          "--out", str(manifest)],
+        *(["diagram", "--trace", str(path), "--out", str(tmp_path / "d.svg")]
+          for path in traces),
     ):
         assert cli.main(argv) == 1, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
+    assert cli.main(["diagram", "--trace", str(cube), "--out", str(tmp_path / "d.svg")]) == 1
+    assert capsys.readouterr().err == (
+        "error: partition2d diagrams require a two-dimensional domain\n")
     # a manifest that is not JSON or has a bad knob names the file and the
     # fault, whichever command reads it, and is not mistaken for a malformed
     # descriptor

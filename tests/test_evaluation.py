@@ -7,6 +7,7 @@ problem and carries the first bad point.
 """
 
 import hashlib
+import json
 import math
 import re
 from fractions import Fraction
@@ -274,6 +275,39 @@ def test_an_invalid_row_names_its_stage_and_c1_names_a_problem(monkeypatch):
         assert summary["c2"] == worst["results"][m]["boxes"], m
     assert report.summaries["new"]["c1"][1] == 3  # the second valid row
     assert "(s=3)" in report.to_text()
+
+
+def test_a_class_report_is_computed_from_its_rows(monkeypatch, tmp_path):
+    # with problem 1 invalid, C1's s of every method names a problem one past
+    # its position among the valid rows; the report made again from what
+    # report.json says was run writes the same three files
+    cls = problem_class(2, "hard", seed=0, count=3)
+    generate = problems.generate
+
+    def generate_with_failure(c, index):
+        if index == 1:
+            raise problems.GenerationError("injected")
+        return generate(c, index)
+
+    monkeypatch.setattr(problems, "generate", generate_with_failure)
+    bench.run_class(["new", "direct", "directl"], cls, delta=1e-2, p_max=500, out_dir=tmp_path)
+    data = json.loads((tmp_path / "report.json").read_text())
+    ran = dict(class_info=data["class"], methods=data["methods"], delta=data["delta"],
+               p_max=data["p_max"], epsilon=data["epsilon"])
+    report = bench.ClassReport(**ran, rows=data["rows"])
+    error = "generation failed on problem 1: GenerationError('injected')"
+    assert report.invalid == [(1, error)]
+    valid = data["rows"][1:]
+    for m, summary in report.summaries.items():
+        trials = [row["results"][m]["trials"] for row in valid]
+        assert summary["c1"][1] == valid[trials.index(max(trials))]["index"], m
+    assert report.to_json() == (tmp_path / "report.json").read_text()
+    assert report.to_text() == (tmp_path / "report.txt").read_text()
+    assert report.to_csv() == (tmp_path / "report.csv").read_text()
+    # rows that are all invalid make no report
+    reason = f"every problem of the class is invalid; {error}"
+    with pytest.raises(problems.GenerationError, match=re.escape(reason)):
+        bench.ClassReport(**ran, rows=data["rows"][:1])
 
 
 def test_a_class_without_a_valid_problem_names_the_first_failure(capsys):

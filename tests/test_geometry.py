@@ -347,6 +347,28 @@ def test_a_domain_too_wide_for_d_is_named(lower, upper, config, size):
         assert method(prob, config).trials == config.p_max
 
 
+@pytest.mark.parametrize("start", ["a", "b"])
+@pytest.mark.parametrize("method", [run, direct_run, directl_run], ids=lambda m: m.__name__)
+def test_every_method_evaluates_f_only_inside_the_domain(method, start):
+    # lower + (upper - lower) rounds above upper on both axes of this domain,
+    # so the grid's upper face, and a center rounded onto it, would lie
+    # outside; an objective that raises there ends the run
+    lower, upper = (-0.3, -1.0), (0.1, 0.3)
+    assert [lo + (hi - lo) for lo, hi in zip(lower, upper)] == [0.10000000000000003,
+                                                                0.30000000000000004]
+
+    def inside(x):
+        if not all(lo <= v <= hi for v, lo, hi in zip(x.tolist(), lower, upper)):
+            raise ValueError("outside the domain")
+        return x
+
+    prob = Problem("boxed", 2, lower, upper, lambda x: float(inside(x) @ x),
+                   lambda x: 2.0 * inside(x))
+    report = method(prob, OptConfig(p_max=3000, start_vertex=start, keep_trace=True))
+    assert report.trials == len(report.trace) == 3000
+    assert all(lo <= v <= hi for _, x, *_ in report.trace for v, lo, hi in zip(x, lower, upper))
+
+
 def test_get_or_eval_is_idempotent():
     prob, audit = with_audit(wavy_problem(2))
     part = Partition(prob)
