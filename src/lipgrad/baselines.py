@@ -73,7 +73,6 @@ class _CenterBoxes(BoxTable):
 class _CenterState(RunState):
     def __init__(self, problem, config: OptConfig, locally_biased: bool):
         self.locally_biased = locally_biased
-        self.level_d: list[float] = []  # DIRECT-l's d by level s // dim: 0.5 / 9**level
 
         # Step 0: the root's center is always sampled, as p_max >= 1
         partition, zeros = _CenterBoxes(problem), (0,) * problem.dim
@@ -97,16 +96,14 @@ class _CenterState(RunState):
         if not self.locally_biased:  # every tied minimum of every group
             return [(box[1], groups[s].d, box[0]) for s in range(q_inf, len(groups))
                     for box in heap_min_entries(groups[s], boxes)]
-        dim, level_d = self.problem.dim, self.level_d
-        while len(level_d) * dim < len(groups):  # once per level
-            level_d.append(0.5 / pow3(2 * len(level_d)))
+        dim = self.problem.dim
         levels = {}  # the least (f_center, id) per longest-side level
         for s in range(q_inf, len(groups)):
             box, level = heap_min(groups[s], boxes), s // dim
             if box is not None and (level not in levels or box < levels[level]):
                 levels[level] = box
-        # d: half squared longest side
-        return [(box[1], level_d[level], box[0]) for level, box in levels.items()]
+        # d: half squared longest side, 0.5 / 9**level
+        return [(box[1], 0.5 / pow3(2 * level), box[0]) for level, box in levels.items()]
 
     def subdivide(self, box_id: int) -> None:
         """Trisect along every longest side, best-sampled axis first."""

@@ -100,8 +100,8 @@ def _ratio(comp: float, comp_unsolved: bool, new: float, new_unsolved: bool) -> 
 @dataclass
 class ClassReport:
     """Per-problem results of one class run, and the C1-C4 summary that
-    making the report computes from its ``rows``: a GenerationError when
-    every problem of the class is invalid."""
+    making the report computes from its ``rows``: a ValueError when there
+    are none, a GenerationError when every problem of the class is invalid."""
 
     class_info: dict
     methods: list[str]
@@ -115,6 +115,8 @@ class ClassReport:
     invalid: list[tuple[int, str]] = field(init=False)
 
     def __post_init__(self):
+        if not self.rows:
+            raise ValueError("a class report needs at least one row")
         self.invalid = [(row["index"], row["error"]) for row in self.rows if not row["valid"]]
         valid_rows = [row for row in self.rows if row["valid"]]
         if not valid_rows:

@@ -194,35 +194,17 @@ def quadratic(
     return Problem(name, n, lo, hi, f, grad, known_opt=opt, known_K=K)
 
 
-def _trig_axis_minimum() -> tuple[float, float]:
-    """Global minimum of t^2 + sin(5*pi*t)/10 on [0, 1].
-
-    Dense scan locates the winning basin; bisection on the derivative
-    2t + (pi/2) cos(5*pi*t) then pins the minimizer.
-    """
-    t = np.linspace(0.0, 1.0, 20001)
-    g = t * t + np.sin(5.0 * math.pi * t) / 10.0
-    i = int(np.argmin(g))
-    lo = max(0.0, t[i] - 1e-3)
-    hi = min(1.0, t[i] + 1e-3)
-
-    def dg(u):
-        return 2.0 * u + 0.5 * math.pi * math.cos(5.0 * math.pi * u)
-
-    # the scan cell brackets the root: dg(lo) = -0.025 < 0 < dg(hi) = 0.025
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if dg(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    ts = 0.5 * (lo + hi)
-    return float(ts), float(ts * ts + math.sin(5.0 * math.pi * ts) / 10.0)
+# Global minimizer of t^2 + sin(5*pi*t)/10 on [0, 1]: the float where
+# 2t + (pi/2) cos(5*pi*t) turns from negative to non-negative, as a dense
+# scan plus bisection on that derivative finds it. tests/test_problems.py's
+# test_trig_minimum_matches_axis_enumeration re-derives it and pins its bits.
+_TRIG_AXIS_MIN = 0.27704931270902977
 
 
 def trig_separable(dim: int) -> Problem:
     """f(x) = sum x_j^2 + sin(5*pi*x_j)/10 on [0, 1]^dim (multiextremal)."""
-    ts, fs = _trig_axis_minimum()
+    ts = _TRIG_AXIS_MIN
+    fs = ts * ts + math.sin(5.0 * math.pi * ts) / 10.0
 
     def f(x):
         x = np.asarray(x, dtype=float)

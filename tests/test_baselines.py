@@ -195,11 +195,10 @@ def test_each_group_d_is_its_depth_sum_diagonal_computed_once(monkeypatch, metho
     next(p for p in analytic_suite() if p.name == "quad3d-aniso"),
     generate(problem_class(4, "simple", seed=5, count=1), 1),
 ], ids=lambda prob: prob.name)
-def test_each_level_d_is_its_longest_side_measure_made_once(monkeypatch, prob):
-    # DIRECT-l reads a level's d from a per-run table: one entry per level
-    # of the groups made, each 0.5 / 9**level; every dot of the run holds
-    # its level's entry itself, so no entry was ever made twice
-    seen, states = [], []  # each dot's d and its box's depth sum s when selected
+def test_each_level_d_is_its_longest_side_measure(monkeypatch, prob):
+    # DIRECT-l gives every level dot its level's longest-side measure,
+    # 0.5 / 9**level with level = s // dim, bit for bit
+    seen = []  # each dot's d and its box's depth sum s when selected
     select = _CenterState.select
 
     def recording_select(state):
@@ -207,20 +206,11 @@ def test_each_level_d_is_its_longest_side_measure_made_once(monkeypatch, prob):
         seen.extend((d, state.partition.boxes[box_id][2]) for box_id, d, _ in dots)
         return dots
 
-    def keep(state, name):
-        states.append(state)
-        return close_report(state, name)
-
     monkeypatch.setattr(_CenterState, "select", recording_select)
-    monkeypatch.setattr(baselines, "close_report", keep)
     assert directl_run(prob, OptConfig(p_max=2000)).trials == 2000
-    state = states[0]
-    table, n_groups = state.level_d, len(state.partition.groups)
-    assert len(table) == -(-n_groups // prob.dim) > 3
-    assert [d.hex() for d in table] == [(0.5 / 3 ** (2 * level)).hex()
-                                        for level in range(len(table))]
     assert len(seen) > 100
-    assert all(d is table[s // prob.dim] for d, s in seen)
+    assert len({s // prob.dim for _, s in seen}) > 3
+    assert all(d.hex() == (0.5 / 3 ** (2 * (s // prob.dim))).hex() for d, s in seen)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

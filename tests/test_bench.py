@@ -235,17 +235,6 @@ def test_run_class_rejects_a_repeated_method():
             run_class(methods, cls, delta=1e-4, p_max=10)
 
 
-def test_parallel_report_is_byte_identical(tmp_path):
-    cls = problem_class(2, "simple", seed=3, count=6)
-    seq = run_class(["new", "direct", "directl"], cls, delta=1e-4, p_max=5000,
-                    workers=1, out_dir=tmp_path / "w1")
-    par = run_class(["new", "direct", "directl"], cls, delta=1e-4, p_max=5000,
-                    workers=4, out_dir=tmp_path / "w4")
-    for name in ("report.txt", "report.csv", "report.json"):
-        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w4" / name).read_bytes()
-    assert seq.to_json() == par.to_json()
-
-
 def test_run_class_pool_has_no_more_workers_than_problems(monkeypatch):
     # a fork pool starts every worker at its first submit, so asking for 64
     # workers on 3 problems must not start 64 processes; the fake pool maps
@@ -538,6 +527,17 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
         assert cli.main(["bench", "--class", descriptor, "--delta", "1e-2"]) == 1, descriptor
         assert capsys.readouterr().err == ("error: --class must be a manifest path or "
                                            f"difficulty:dim:count, got {descriptor!r}\n")
+
+
+def test_cli_delta_needs_a_known_minimizer(monkeypatch, capsys):
+    # an indefinite quadratic has no minimizer, so no target to measure delta from
+    saddle = quadratic([0.0, 0.0], [[1.0, 0.0], [0.0, -1.0]], name="saddle")
+    assert saddle.known_opt is None
+    monkeypatch.setattr(cli.problems, "analytic_suite", lambda: [saddle])
+    assert cli.main(["solve", "--problem", "saddle", "--delta", "1e-4"]) == 1
+    assert "problem saddle has no known minimizer" in capsys.readouterr().err
+    assert cli.main(["solve", "--problem", "saddle", "--pmax", "5"]) == 0
+    assert "trials: 5\n" in capsys.readouterr().out
 
 
 def test_cli_evaluation_failure_exits_two(tmp_path, capsys, monkeypatch):

@@ -321,6 +321,12 @@ def test_a_class_without_a_valid_problem_names_the_first_failure(capsys):
     assert capsys.readouterr().err.startswith(f"evaluation failure: {reason}")
 
 
+def test_a_class_report_without_rows_says_so():
+    with pytest.raises(ValueError, match="a class report needs at least one row"):
+        bench.ClassReport(class_info={}, methods=["new"], delta=1e-4, p_max=10,
+                          epsilon=1e-4, rows=[])
+
+
 def test_cli_nan_objective_exits_two(monkeypatch, capsys):
     nan_quad = probe(f_bad=lambda x: math.nan)[0]
     monkeypatch.setattr(cli.problems, "analytic_suite", lambda: [

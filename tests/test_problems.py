@@ -74,6 +74,14 @@ def test_trig_minimum_matches_axis_enumeration():
     assert abs(p.f(np.asarray(x_star)) - f_star) < 1e-12
     # stationarity of the pinned minimizer
     assert np.max(np.abs(p.grad(np.asarray(x_star)))) < 1e-9
+    # the constant is the float where the axis derivative turns non-negative,
+    # so one ulp off either way fails
+    ts = x_star[0]
+
+    def dg(t):
+        return 2.0 * t + 0.5 * math.pi * math.cos(5.0 * math.pi * t)
+
+    assert dg(math.nextafter(ts, 0.0)) < 0.0 <= dg(ts)
 
 
 def test_generated_problem_is_deterministic():
