@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import baselines, optimizer, problems
@@ -199,11 +199,35 @@ class ClassReport:
         return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
+_MISS = object()  # a memo miss; f may return any value, None too
+
+
+def _memo(f):
+    """``f`` that evaluates each distinct point once and returns its first
+    result again on a repeat. The key is the bytes of the read-only float64
+    array that ``Problem`` hands to ``f``; the value is ``f``'s raw return."""
+    values = {}
+
+    def f_memo(x):
+        key = x.tobytes()
+        value = values.get(key, _MISS)
+        if value is _MISS:
+            value = values[key] = f(x)
+        return value
+
+    return f_memo
+
+
 def _run_one(args) -> dict:
+    """One row: every method on problem ``index`` of the class. The methods
+    share one memo of the objective, so the row evaluates each distinct
+    point once across them; each method still counts every trial it asks
+    for, and the memo is dropped when the row returns."""
     cls, index, methods, delta, p_max, epsilon = args
     results, stage = {}, "generation"
     try:
         problem = problems.generate(cls, index)
+        problem = replace(problem, f=_memo(problem.f))
         config = OptConfig(epsilon=epsilon, p_max=p_max,
                            target=StopTarget(problem.known_opt[0], delta))
         for m in methods:
@@ -231,6 +255,11 @@ def run_class(
     out_dir=None,
 ) -> ClassReport:
     """Run every method on every problem of the class; the report computes C1-C4.
+
+    One row evaluates each distinct point of its problem once across its
+    methods (DIRECT-l samples many of DIRECT's box centers); each method
+    still counts every trial it asks for, so trials and reports are those of
+    the methods run alone.
 
     The methods, workers and run parameters are checked, and ``out_dir``
     made, before any problem is generated: a ValueError, or an OSError.

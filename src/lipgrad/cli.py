@@ -47,8 +47,9 @@ def _build_parser() -> _Parser:
     benchp.add_argument("--eps", type=float, default=1e-4)
     benchp.add_argument("--out", default=None)
     benchp.add_argument("--workers", type=int, default=1)
-    benchp.add_argument("--seed", type=int, default=0,
-                        help="class seed (descriptor classes only)")
+    benchp.add_argument("--seed", type=int, default=None,
+                        help="class seed of a descriptor (default 0); a manifest "
+                             "fixes its own")
 
     diagram = sub.add_parser("diagram", help="render a 2-D run trace as SVG")
     diagram.add_argument("--trace", required=True)
@@ -107,6 +108,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bench(args) -> int:
     if Path(args.cls).is_file():
+        if args.seed is not None:
+            raise UsageError(f"--seed {args.seed}: the manifest {args.cls} fixes the seed")
         try:
             cls = problems.load_manifest(args.cls)
         except ValueError as exc:
@@ -118,8 +121,9 @@ def _cmd_bench(args) -> int:
         except ValueError:
             raise UsageError(f"--class must be a manifest path or difficulty:dim:count, "
                              f"got {args.cls!r}") from None
+        seed = 0 if args.seed is None else args.seed
         try:
-            cls = problems.problem_class(dim, difficulty, seed=args.seed, count=count)
+            cls = problems.problem_class(dim, difficulty, seed=seed, count=count)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     try:

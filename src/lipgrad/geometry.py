@@ -21,7 +21,6 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from . import bounding
@@ -298,9 +297,15 @@ class Partition(BoxTable):
         exact side lengths.
         """
         splits, depths, edge = self._splits, self.depths, self.edge
+        # edge[j] is nums[j] / den exactly: den is the largest of the edges'
+        # power-of-two denominators, a multiple of each
+        ratios = [e.as_integer_ratio() for e in edge]
+        den = max(d for _, d in ratios)
+        nums = [n * (den // d) for n, d in ratios]
         while len(splits) <= s:
             k = depths[-1]
-            i = max(range(len(k)), key=lambda j: Fraction(edge[j]) / pow3(k[j]))
+            top = max(k)  # side j is nums[j] * 3**(top - k[j]) / (den * 3**top)
+            i = max(range(len(k)), key=lambda j: nums[j] * pow3(top - k[j]))
             splits.append((i, k[i] + 1, pow3(k[i] + 1), self.lower[i], edge[i]))
             depths.append(k[:i] + (k[i] + 1,) + k[i + 1:])
         return splits[s][0]

@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import dataclasses
 import json
@@ -262,6 +263,44 @@ def test_run_class_pool_has_no_more_workers_than_problems(monkeypatch):
     assert report.to_json() == run_class(["new"], cls, delta=1e-2, p_max=200).to_json()
 
 
+def test_a_row_evaluates_each_point_once_across_its_methods(monkeypatch):
+    # DIRECT-l samples many of DIRECT's box centers; the row hands each
+    # distinct point to f once, while every method counts each trial it asks for
+    calls = []  # per generated problem, f's calls per point
+    generate = bench.problems.generate
+
+    def counted(cls, index):
+        problem, seen = generate(cls, index), collections.Counter()
+        calls.append(seen)
+
+        def f(x):
+            seen[x.tobytes()] += 1
+            return problem.f(x)
+
+        return dataclasses.replace(problem, f=f)
+
+    monkeypatch.setattr(bench.problems, "generate", counted)
+    cls = problem_class(2, "hard", seed=0, count=3)
+    report = run_class(("new", "direct", "directl"), cls, delta=1e-4, p_max=100_000)
+    assert len(calls) == 3 and all(row["valid"] for row in report.rows)
+    assert all(max(seen.values()) == 1 for seen in calls)
+    trials = sum(r["trials"] for row in report.rows for r in row["results"].values())
+    assert trials > sum(sum(seen.values()) for seen in calls)
+
+
+def test_a_rows_results_do_not_depend_on_method_order():
+    # a method reading points an earlier method evaluated finds what it would
+    # have computed itself
+    cls = problem_class(2, "hard", seed=0, count=3)
+    forward = run_class(("new", "direct", "directl"), cls, delta=1e-4, p_max=100_000)
+    backward = run_class(("directl", "direct", "new"), cls, delta=1e-4, p_max=100_000)
+    assert len(forward.rows) == len(backward.rows) == 3
+    for a, b in zip(forward.rows, backward.rows):
+        assert a["index"] == b["index"] and a["valid"] and b["valid"]
+        for m in forward.methods:
+            assert a["results"][m] == b["results"][m]
+
+
 def test_harness_counts_match_method_evaluations():
     prob, audit = with_audit(wavy_problem(2))
     cfg = OptConfig(p_max=123)
@@ -406,6 +445,15 @@ def test_cli_bench_descriptor_and_manifest(tmp_path, capsys):
         "--delta", "1e-4", "--pmax", "5000",
     ])
     assert code == 0
+    assert "seed=5" in capsys.readouterr().out
+    # the manifest fixes the seed: another one is a usage error, not ignored
+    code = cli.main([
+        "bench", "--class", str(manifest), "--seed", "7", "--methods", "new",
+        "--delta", "1e-4", "--pmax", "5000",
+    ])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "manifest" in err and "fixes the seed" in err
 
 
 def test_methods_are_named_in_one_place(tmp_path, capsys):

@@ -125,6 +125,9 @@ def test_longest_side_respects_real_edges():
     assert [part.split_axis(s) for s in range(5)] == [1, 0, 1, 0, 1]
     part = Partition(domain_problem((3.0, 1.0)))
     assert [part.split_axis(s) for s in range(4)] == [0, 0, 1, 0]
+    part = Partition(domain_problem((1.0, 3.0000000000000004)))
+    # axis 1 is one ulp longer than 3: sides (1, 3+) -> (1, 1+) -> (1, 1/3+) ...
+    assert [part.split_axis(s) for s in range(5)] == [1, 1, 0, 1, 0]
 
 
 def test_split_axis_matches_longest_side_of_random_trisections():
