@@ -22,8 +22,6 @@ coordinates.
 
 from __future__ import annotations
 
-import math
-
 from .geometry import BoxTable, grid_fraction, heap_min, heap_min_entries, pow3
 from .stopping import (
     OptConfig,
@@ -81,14 +79,13 @@ class _CenterState(RunState):
         partition.add_boxes(0, _diag_d(0, problem.dim), ((f0, 1, 0, zeros, zeros, x),))
         super().__init__(config, "center", partition, x, f0)
 
-    def _sample(self, x: tuple[float, ...]) -> float:
-        """Evaluate f at a box center; returns nan if a stop rule fired first."""
+    def _sample(self, x: tuple[float, ...]) -> float | None:
+        """Evaluate f at a box center; returns nothing if a stop rule fired first."""
         check_stop(self)
-        if self.stop_reason:
-            return math.nan
-        value = self.problem.value(x)
-        record_trial(self, x, value)
-        return value
+        if not self.stop_reason:
+            value = self.problem.value(x)
+            record_trial(self, x, value)
+            return value
 
     def select(self) -> list[tuple]:
         """The diagram's ``(id, d, F)`` dots: group minima, or level minima."""
@@ -121,11 +118,9 @@ class _CenterState(RunState):
             head, tail = center[:j], center[j + 1:]
             x_lo = head + (lo + (lo_num + 0.5) / side * ed,) + tail
             f_lo = self._sample(x_lo)
-            if self.stop_reason:
-                return
             x_hi = head + (lo + (lo_num + 2 + 0.5) / side * ed,) + tail
             f_hi = self._sample(x_hi)
-            if self.stop_reason:
+            if self.stop_reason:  # fired at x_lo or x_hi: _sample takes no trial after it
                 return
             samples.append((min(f_lo, f_hi), j, f_lo, f_hi, x_lo, x_hi))
         samples.sort()

@@ -25,7 +25,9 @@ def run_method(name: str, problem: problems.Problem, config: OptConfig) -> RunRe
     try:
         method = METHODS[name]
     except KeyError:
-        raise ValueError(f"unknown method {name!r} (expected new, direct or directl)") from None
+        *others, last = METHODS
+        expected = f"{', '.join(others)} or {last}"
+        raise ValueError(f"unknown method {name!r} (expected {expected})") from None
     return method(problem, config)
 
 
@@ -101,7 +103,8 @@ def _ratio(comp: float, comp_unsolved: bool, new: float, new_unsolved: bool) -> 
 class ClassReport:
     """Per-problem results of one class run, and the C1-C4 summary that
     making the report computes from its ``rows``: a ValueError when there
-    are none, a GenerationError when every problem of the class is invalid."""
+    are none or a valid row lacks a method's result, a GenerationError when
+    every problem of the class is invalid."""
 
     class_info: dict
     methods: list[str]
@@ -124,6 +127,9 @@ class ClassReport:
                 f"every problem of the class is invalid; {self.invalid[0][1]}")
         trials, self.summaries = {}, {}  # each method's trial column, read once
         for m in self.methods:
+            for row in valid_rows:
+                if m not in row["results"]:
+                    raise ValueError(f"row {row['index']} has no result for method {m!r}")
             results = [row["results"][m] for row in valid_rows]
             trials[m] = [r["trials"] for r in results]
             solved = [r["solved"] for r in results]

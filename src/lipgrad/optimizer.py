@@ -83,7 +83,7 @@ def record_phase(state: OptState) -> None:
         _subdivide(state, t)
         check_stop(state)
         if state.stop_reason:
-            return
+            break
     log_history(state)
 
 

@@ -25,14 +25,14 @@ DotTuple = tuple[int, float, float]
 class HullResult(NamedTuple):
     """Nondominated dots ordered by increasing d.
 
-    ``slopes[i]`` is the (k_lo, k_hi) interval of Lipschitz estimates for
-    which ``dots[i]`` attains the minimal bound; the largest-d dot has
-    k_hi = inf and the smallest-d dot k_lo = 0. Dots tied at the same
-    (d, F) share one interval.
+    ``slopes[i]`` is k_hi, the upper end of the interval of Lipschitz
+    estimates for which ``dots[i]`` attains the minimal bound; the
+    largest-d dot has k_hi = inf. The lower end is the previous distinct
+    dot's k_hi, 0 for the first. Dots tied at the same (d, F) share k_hi.
     """
 
     dots: tuple[DotTuple, ...]
-    slopes: tuple[tuple[float, float], ...]
+    slopes: tuple[float, ...]
 
     @property
     def selected(self) -> tuple[int, ...]:
@@ -45,8 +45,6 @@ def group_representatives(partition, s_lo: int, s_hi: int) -> list[DotTuple]:
 
     Ties on F within a group are all included; empty groups are skipped.
     """
-    if s_lo > s_hi:
-        raise ValueError("s_lo must not exceed s_hi")
     groups, boxes = partition.groups, partition.boxes
     return [(box[1], box[6], box[0])  # (id, d, F)
             for s in range(s_lo, s_hi + 1) for box in heap_min_entries(groups[s], boxes)]
@@ -92,8 +90,7 @@ def nondominated(dots) -> HullResult:
             start, f_min = i, F
 
     sel_dots: list[DotTuple] = []
-    slopes: list[tuple[float, float]] = []
-    k_lo = 0.0
+    slopes: list[float] = []
     last = len(hull) - 1
     for i in range(start, last + 1):
         d1, F1, ties = hull[i]
@@ -104,32 +101,25 @@ def nondominated(dots) -> HullResult:
             k_hi = math.inf
         for dot in ties:
             sel_dots.append(dot)
-            slopes.append((k_lo, k_hi))
-        k_lo = k_hi
+            slopes.append(k_hi)
     return HullResult(tuple(sel_dots), tuple(slopes))
-
-
-def xi_value(f_min: float, epsilon: float) -> float:
-    """Improvement margin xi = epsilon * |f_min| (the DIRECT convention)."""
-    if not 0.0 <= epsilon < math.inf:
-        raise ValueError("epsilon must be finite and nonnegative")
-    return epsilon * abs(f_min)
 
 
 def improvement_filter(hull: HullResult, f_min: float, xi: float) -> list[int]:
     """Hull dots whose best attainable bound undercuts f_min - xi.
 
-    Each dot is tested at the top of its slope interval, where its bound is
-    smallest; the largest-d dot has an unbounded interval and always passes.
+    Each dot is tested at k_hi, the top of its slope interval, where its
+    bound is smallest; the largest-d dot has k_hi = inf and always passes.
     """
     keep = []
-    for (box_id, d, F), (_, k_hi) in zip(hull.dots, hull.slopes):
+    for (box_id, d, F), k_hi in zip(hull.dots, hull.slopes):
         if math.isinf(k_hi) or F - k_hi * d <= f_min - xi:
             keep.append(box_id)
     return keep
 
 
 def choose(dots, f_min: float, epsilon: float) -> list[int]:
-    """Boxes to subdivide: the nondominated dots that pass the margin filter."""
-    return improvement_filter(nondominated(dots), f_min, xi_value(f_min, epsilon))
+    """Boxes to subdivide: the nondominated dots that pass the margin
+    xi = epsilon * |f_min|; ``OptConfig`` checked epsilon when it was made."""
+    return improvement_filter(nondominated(dots), f_min, epsilon * abs(f_min))
 

@@ -177,10 +177,8 @@ def iterate(state, dots, subdivide) -> None:
 
 
 def close_report(state, method: str) -> RunReport:
-    """Close the history with the final trial count and build the report;
-    it holds the partition's snapshot when the config keeps a trace."""
-    if state.history[-1][0] != state.trials:
-        log_history(state)
+    """The run's report; the step that ended the run logged its last history
+    row. It holds the partition's snapshot when the config keeps a trace."""
     return RunReport(
         method=method,
         trials=state.trials,

@@ -308,6 +308,10 @@ def test_a_class_report_is_computed_from_its_rows(monkeypatch, tmp_path):
     reason = f"every problem of the class is invalid; {error}"
     with pytest.raises(problems.GenerationError, match=re.escape(reason)):
         bench.ClassReport(**ran, rows=data["rows"][:1])
+    # nor does a valid row without a result for one of the methods
+    del data["rows"][2]["results"]["direct"]
+    with pytest.raises(ValueError, match=r"^row 3 has no result for method 'direct'$"):
+        bench.ClassReport(**ran, rows=data["rows"])
 
 
 def test_a_class_without_a_valid_problem_names_the_first_failure(capsys):

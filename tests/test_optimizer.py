@@ -17,7 +17,7 @@ from lipgrad.optimizer import (
     _resolve_record_box,
 )
 from lipgrad.geometry import vertex_real
-from lipgrad.problems import Problem, generate, problem_class, quadratic
+from lipgrad.problems import Problem, analytic_suite, generate, problem_class, quadratic
 from lipgrad.stopping import OptConfig, StopTarget, record_trial, target_window
 from util import Box, flat_problem, make_vertex, wavy_problem, with_audit
 
@@ -279,6 +279,27 @@ def test_run_history_is_monotone():
     f_mins = [h[1] for h in report.history]
     assert all(a <= b for a, b in zip(trials, trials[1:]))
     assert all(a >= b for a, b in zip(f_mins, f_mins[1:]))
+
+
+def test_every_run_closes_its_history_before_the_report(monkeypatch):
+    # the step that ends a run logs its last history row, wherever the stop
+    # rule fires: in Step 0, a sweep, a split or the record phase; the report
+    # only reads the history. Budgets 1-59 end runs in every phase.
+    runs = []
+    for module in (optimizer, baselines):
+        def closed(state, method, close=module.close_report):
+            runs.append((method, state.problem.name, state.config.p_max,
+                         state.history[-1][0] == state.trials))
+            return close(state, method)
+
+        monkeypatch.setattr(module, "close_report", closed)
+    suite = [*analytic_suite(), generate(problem_class(2, "hard", seed=0, count=1), 1)]
+    for prob in suite:
+        for p_max in range(1, 60):
+            for method in (run, baselines.direct_run, baselines.directl_run):
+                assert method(prob, OptConfig(p_max=p_max)).trials <= p_max
+    assert len(runs) == 3 * 59 * len(suite)
+    assert [r for r in runs if not r[3]] == []
 
 
 def test_run_diagonal_stop_rule():

@@ -446,7 +446,8 @@ def nondominated_oracle(dots: list[Dot]) -> set[int]:
 
 
 def reference_nondominated(dots):
-    """The sorting hull on named dots: ``(selected, dots, slopes)``.
+    """The sorting hull on named dots: ``(selected, dots, slopes)``, each
+    slope the upper end k_hi of its dot's interval.
 
     The reference for ``selection.nondominated``; dots may be ``Dot`` views
     or plain tuples, and come back as given.
@@ -475,7 +476,6 @@ def reference_nondominated(dots):
     hull = hull[start:]
 
     selected, sel_dots, slopes = [], [], []
-    k_lo = 0.0
     last = len(hull) - 1
     for i, (d1, F1, ties) in enumerate(hull):
         if i < last:
@@ -486,15 +486,14 @@ def reference_nondominated(dots):
         for raw in ties:
             selected.append(raw[0])
             sel_dots.append(raw)
-            slopes.append((k_lo, k_hi))
-        k_lo = k_hi
+            slopes.append(k_hi)
     return tuple(selected), tuple(sel_dots), tuple(slopes)
 
 
 def reference_improvement_filter(selected, dots, slopes, f_min: float, xi: float) -> list[int]:
     """The margin filter on named dots, the reference for ``improvement_filter``."""
     keep = []
-    for box_id, dot, (_, k_hi) in zip(selected, map(Dot._make, dots), slopes):
+    for box_id, dot, k_hi in zip(selected, map(Dot._make, dots), slopes):
         if math.isinf(k_hi) or dot.F - k_hi * dot.d <= f_min - xi:
             keep.append(box_id)
     return keep
