@@ -37,10 +37,10 @@ from .stopping import (
 # A center box is the plain tuple (f_center, id, s, corner_nums, depths,
 # center): ``corner_nums[j] / 3**depths[j]`` is the normalized lower corner on
 # axis j, the box side there is 3**-depths[j], s is the depth sum, and
-# ``center`` is ``_CenterBoxes.center(corner_nums, depths)``, the real point
-# f_center was sampled at. Every item is an int, a float or a tuple of them,
-# so a collection untracks each box. The middle child of a split keeps its
-# parent's id and center, so that sample is never re-evaluated.
+# ``center`` is the cell's center ``_CenterBoxes.center(corner_nums, depths)``,
+# where f_center was sampled up to depth 32 and up to an ulp away deeper. Each
+# item is an int, a float or a tuple of them, so a collection untracks each
+# box. A split's middle child keeps its parent's id and f_center, not re-evaluated.
 CenterTuple = tuple[float, int, int, tuple[int, ...], tuple[int, ...], tuple[float, ...]]
 
 
@@ -127,29 +127,25 @@ class _CenterState(RunState):
 
         next_id = part.m + 1  # ids stay dense: the middle child keeps box_id
         groups = part.groups
-        # s: the children's depth sum. Every box keeps center(corner_nums,
-        # depths): a child's is its sampled point with each axis split before
-        # its own moved to the middle third's center, mid. Up to depth 32 the
-        # numerators and 3**depth are exact floats, so that is the parent's
-        # coordinate; deeper, a cell is narrower than a float step.
-        mid = center
+        # s: the children's depth sum. Every box stores center(corner_nums, depths): up to
+        # depth 32, where the numerators and 3**depth are exact floats, a child's sampled
+        # point or its parent's center. Deeper, a cell is narrower than a float step.
+        floor = dmin >= 32  # so center() computes every point stored
         for s, (_, j, f_lo, f_hi, x_lo, x_hi) in enumerate(samples, s + 1):
-            if mid is not center:
-                x_lo = mid[:j] + x_lo[j:j + 1] + mid[j + 1:]
-                x_hi = mid[:j] + x_hi[j:j + 1] + mid[j + 1:]
             deps = deps[:j] + (dmin + 1,) + deps[j + 1:]
             d = groups[s].d if s < len(groups) else _diag_d(s, dim)  # _diag_d made every group's d
             lo_num = 3 * nums[j]
             head, tail = nums[:j], nums[j + 1:]
+            if floor:
+                x_lo = part.center(head + (lo_num,) + tail, deps)
+                x_hi = part.center(head + (lo_num + 2,) + tail, deps)
             part.add_boxes(s, d, ((f_lo, next_id, s, head + (lo_num,) + tail, deps, x_lo),
                                   (f_hi, next_id + 1, s, head + (lo_num + 2,) + tail, deps, x_hi)))
             next_id += 2
             nums = head + (lo_num + 1,) + tail
-            if dmin >= 32:
-                x_j = part.lower[j] + (lo_num + 1 + 0.5) / side * part.edge[j]
-                if x_j != mid[j]:
-                    mid = mid[:j] + (x_j,) + mid[j + 1:]
-        part.add_boxes(s, d, ((f_center, box_id, s, nums, deps, mid),))  # retires the split box
+        if floor:
+            center = part.center(nums, deps)
+        part.add_boxes(s, d, ((f_center, box_id, s, nums, deps, center),))  # retires the split box
 
 
 def _run(problem, config: OptConfig, locally_biased: bool, method: str) -> RunReport:

@@ -66,6 +66,10 @@ def _resolve_problem(name: str) -> problems.Problem:
     if Path(path).is_file():
         try:
             index = int(index_s) if index_s else 1
+        except ValueError:
+            raise UsageError(f"--problem {name}: the part after '#' must be an integer "
+                             f"index, got {index_s!r}") from None
+        try:
             return problems.generate(problems.load_manifest(path), index)
         except (ValueError, problems.GenerationError) as exc:
             raise UsageError(str(exc)) from exc

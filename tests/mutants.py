@@ -109,8 +109,11 @@ MUTANTS = [
            "box <= levels[level]",
            "equivalent", "box tuples carry unique ids, so two never compare equal"),
     Mutant("floor-gate-33", "baselines.py",
-           "if dmin >= 32:",
-           "if dmin >= 33:"),
+           "floor = dmin >= 32",
+           "floor = dmin >= 33"),
+    Mutant("floor-center-skipped", "baselines.py",
+           "            if floor:\n                x_lo = part.center(",
+           "            if False:\n                x_lo = part.center("),
     # the shared loop: each deleted check hid nothing
     Mutant("record-phase-skips-its-last-row", "optimizer.py",
            "            break\n    log_history(state)",

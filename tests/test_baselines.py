@@ -216,14 +216,16 @@ def test_each_level_d_is_its_longest_side_measure(monkeypatch, prob):
 @pytest.mark.parametrize("dim", [2, 3, 4])
 @pytest.mark.parametrize("runner", [direct_run, directl_run], ids=["direct", "directl"])
 def test_each_box_stores_the_center_of_its_cell(monkeypatch, runner, dim):
-    # a split reads its parent's stored center: center is called once per
-    # run, for the root at Step 0, and every live box's point is the center
-    # of its grid cell bit for bit. f_center is the trial made at that
-    # point while 3**depth and the doubled numerator are exact floats
+    # a split reads its parent's stored center: center is called for the
+    # root at Step 0 and, past that, only for the boxes of splits at the
+    # float floor (some depth >= 33), and every live box's point is the
+    # center of its grid cell bit for bit. f_center is the trial made at
+    # that point while 3**depth and the doubled numerator are exact floats
     # (every depth <= 32): (num + 0.5) / 3**depth and the parent's
     # (3 * num + 1.5) / 3**(depth + 1) then round alike. In 3-D DIRECT-l
-    # reaches depth 34, where a cell is narrower than a float step and its
-    # sample, taken at the parent's coordinates, may be off by an ulp.
+    # reaches depth 34, where a cell is narrower than a float step: its
+    # center is up to an ulp from its sample, taken at the parent's
+    # coordinates.
     calls, states = [], []
     center = baselines._CenterBoxes.center
 
@@ -240,8 +242,14 @@ def test_each_box_stores_the_center_of_its_cell(monkeypatch, runner, dim):
     report = runner(generate(problem_class(dim, "hard", seed=0, count=1), 1),
                     OptConfig(p_max=2000, keep_trace=True))
     assert report.trials == 2000
-    assert calls == [((0,) * dim, (0,) * dim)]
+    assert calls[0] == ((0,) * dim, (0,) * dim)
+    assert all(max(depths) >= 33 for _, depths in calls[1:])
     part = states[0].partition
+    floor = {(box.corner_nums, box.depths) for box in map(CenterBox._make, part.boxes[1:])
+             if max(box.depths) >= 33}
+    assert floor <= set(calls)
+    if not floor:  # a run that never reaches the floor places only the root
+        assert len(calls) == 1
     sampled = {x: value for _, x, value, _, _ in report.trace}
     exact = 0
     for box in map(CenterBox._make, part.boxes[1:]):

@@ -547,6 +547,12 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
         assert cli.main(argv) == 1, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
+    # an index suffix that is no integer names the option and what it must be
+    for suffix in ("abc", "1#2"):
+        assert cli.main(["solve", "--problem", f"{manifest}#{suffix}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --problem {manifest}#{suffix}: ") and \
+            "after '#' must be an integer index" in err, err
     assert cli.main(["diagram", "--trace", str(cube), "--out", str(tmp_path / "d.svg")]) == 1
     assert capsys.readouterr().err == (
         "error: partition2d diagrams require a two-dimensional domain\n")

@@ -48,7 +48,8 @@ class Box(NamedTuple):
 
 class CenterBox(NamedTuple):
     """A center box of the DIRECT and DIRECT-l state; s is its depth sum and
-    center the real point f_center was sampled at."""
+    center its cell's center, where f_center was sampled up to depth 32 and
+    up to an ulp away from it deeper."""
 
     f_center: float
     id: int
