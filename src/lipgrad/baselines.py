@@ -38,9 +38,9 @@ from .stopping import (
 # center): ``corner_nums[j] / 3**depths[j]`` is the normalized lower corner on
 # axis j, the box side there is 3**-depths[j], s is the depth sum, and
 # ``center`` is the cell's center ``_CenterBoxes.center(corner_nums, depths)``,
-# where f_center was sampled up to depth 32 and up to an ulp away deeper. Each
-# item is an int, a float or a tuple of them, so a collection untracks each
-# box. A split's middle child keeps its parent's id and f_center, not re-evaluated.
+# where f_center was sampled, at every depth. Each item is an int, a float or a
+# tuple of them, so a collection untracks each box. A split's middle child
+# keeps its parent's id and f_center, not re-evaluated.
 CenterTuple = tuple[float, int, int, tuple[int, ...], tuple[int, ...], tuple[float, ...]]
 
 
@@ -55,8 +55,9 @@ def _diag_d(s: int, dim: int) -> float:
 
 class _CenterBoxes(BoxTable):
     def center(self, corner_nums, depths) -> tuple[float, ...]:
+        # (2 num + 1) / (2 * 3**dep) is one int/int division, correctly rounded at any depth
         return tuple(
-            lo + (num + 0.5) / pow3(dep) * ed
+            lo + (2 * num + 1) / (2 * pow3(dep)) * ed
             for num, dep, lo, ed in zip(corner_nums, depths, self.lower, self.edge)
         )
 
@@ -107,7 +108,7 @@ class _CenterState(RunState):
         part, dim = self.partition, self.problem.dim
         f_center, _, s, nums, deps, center = part.boxes[box_id]
         dmin = s // dim
-        side = pow3(dmin + 1)
+        side = 2 * pow3(dmin + 1)
         samples = []
         for j, dep in enumerate(deps):
             if dep != dmin:
@@ -116,9 +117,9 @@ class _CenterState(RunState):
             # computed as center computes it
             lo, ed, lo_num = part.lower[j], part.edge[j], 3 * nums[j]
             head, tail = center[:j], center[j + 1:]
-            x_lo = head + (lo + (lo_num + 0.5) / side * ed,) + tail
+            x_lo = head + (lo + (2 * lo_num + 1) / side * ed,) + tail
             f_lo = self._sample(x_lo)
-            x_hi = head + (lo + (lo_num + 2 + 0.5) / side * ed,) + tail
+            x_hi = head + (lo + (2 * lo_num + 5) / side * ed,) + tail
             f_hi = self._sample(x_hi)
             if self.stop_reason:  # fired at x_lo or x_hi: _sample takes no trial after it
                 return
@@ -127,24 +128,17 @@ class _CenterState(RunState):
 
         next_id = part.m + 1  # ids stay dense: the middle child keeps box_id
         groups = part.groups
-        # s: the children's depth sum. Every box stores center(corner_nums, depths): up to
-        # depth 32, where the numerators and 3**depth are exact floats, a child's sampled
-        # point or its parent's center. Deeper, a cell is narrower than a float step.
-        floor = dmin >= 32  # so center() computes every point stored
+        # s: the children's depth sum. Each child stores its sampled point and the middle
+        # child its parent's, the same exact center: each is center(corner_nums, depths)
         for s, (_, j, f_lo, f_hi, x_lo, x_hi) in enumerate(samples, s + 1):
             deps = deps[:j] + (dmin + 1,) + deps[j + 1:]
             d = groups[s].d if s < len(groups) else _diag_d(s, dim)  # _diag_d made every group's d
             lo_num = 3 * nums[j]
             head, tail = nums[:j], nums[j + 1:]
-            if floor:
-                x_lo = part.center(head + (lo_num,) + tail, deps)
-                x_hi = part.center(head + (lo_num + 2,) + tail, deps)
             part.add_boxes(s, d, ((f_lo, next_id, s, head + (lo_num,) + tail, deps, x_lo),
                                   (f_hi, next_id + 1, s, head + (lo_num + 2,) + tail, deps, x_hi)))
             next_id += 2
             nums = head + (lo_num + 1,) + tail
-        if floor:
-            center = part.center(nums, deps)
         part.add_boxes(s, d, ((f_center, box_id, s, nums, deps, center),))  # retires the split box
 
 

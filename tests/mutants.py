@@ -108,12 +108,12 @@ MUTANTS = [
            "box < levels[level]",
            "box <= levels[level]",
            "equivalent", "box tuples carry unique ids, so two never compare equal"),
-    Mutant("floor-gate-33", "baselines.py",
-           "floor = dmin >= 32",
-           "floor = dmin >= 33"),
-    Mutant("floor-center-skipped", "baselines.py",
-           "            if floor:\n                x_lo = part.center(",
-           "            if False:\n                x_lo = part.center("),
+    Mutant("center-by-float-half", "baselines.py",
+           "lo + (2 * num + 1) / (2 * pow3(dep)) * ed",
+           "lo + (num + 0.5) / pow3(dep) * ed"),
+    Mutant("sample-by-float-half", "baselines.py",
+           "x_lo = head + (lo + (2 * lo_num + 1) / side * ed,) + tail",
+           "x_lo = head + (lo + (lo_num + 0.5) / pow3(dmin + 1) * ed,) + tail"),
     # the shared loop: each deleted check hid nothing
     Mutant("record-phase-skips-its-last-row", "optimizer.py",
            "            break\n    log_history(state)",

@@ -213,19 +213,16 @@ def test_each_level_d_is_its_longest_side_measure(monkeypatch, prob):
     assert all(d.hex() == (0.5 / 3 ** (2 * (s // prob.dim))).hex() for d, s in seen)
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("case", [2, 3, 4, "quad1d"])
 @pytest.mark.parametrize("runner", [direct_run, directl_run], ids=["direct", "directl"])
-def test_each_box_stores_the_center_of_its_cell(monkeypatch, runner, dim):
-    # a split reads its parent's stored center: center is called for the
-    # root at Step 0 and, past that, only for the boxes of splits at the
-    # float floor (some depth >= 33), and every live box's point is the
-    # center of its grid cell bit for bit. f_center is the trial made at
-    # that point while 3**depth and the doubled numerator are exact floats
-    # (every depth <= 32): (num + 0.5) / 3**depth and the parent's
-    # (3 * num + 1.5) / 3**(depth + 1) then round alike. In 3-D DIRECT-l
-    # reaches depth 34, where a cell is narrower than a float step: its
-    # center is up to an ulp from its sample, taken at the parent's
-    # coordinates.
+def test_each_box_stores_the_center_of_its_cell(monkeypatch, runner, case):
+    # a split reads its parent's stored center, so center is called once, for
+    # the root at Step 0, and every live box's point is the center of its grid
+    # cell bit for bit, with f_center the trial made at that point at every
+    # depth. Past depth 32 a cell is narrower than a float step: 3-D DIRECT-l
+    # reaches depth 34 and quad1d depth 38 (DIRECT-l) or 41 (DIRECT), where
+    # (num + 0.5) / 3**depth and the parent's (3 * num + 1.5) / 3**(depth + 1)
+    # round apart, but both exact centers are one rational.
     calls, states = [], []
     center = baselines._CenterBoxes.center
 
@@ -239,29 +236,24 @@ def test_each_box_stores_the_center_of_its_cell(monkeypatch, runner, dim):
 
     monkeypatch.setattr(baselines._CenterBoxes, "center", counted)
     monkeypatch.setattr(baselines, "close_report", keep)
-    report = runner(generate(problem_class(dim, "hard", seed=0, count=1), 1),
-                    OptConfig(p_max=2000, keep_trace=True))
-    assert report.trials == 2000
-    assert calls[0] == ((0,) * dim, (0,) * dim)
-    assert all(max(depths) >= 33 for _, depths in calls[1:])
+    if case == "quad1d":
+        prob, p_max = next(p for p in analytic_suite() if p.name == "quad1d"), 3000
+    else:
+        prob, p_max = generate(problem_class(case, "hard", seed=0, count=1), 1), 2000
+    report = runner(prob, OptConfig(p_max=p_max, keep_trace=True))
+    assert report.trials == p_max
+    assert calls == [((0,) * prob.dim, (0,) * prob.dim)]
     part = states[0].partition
-    floor = {(box.corner_nums, box.depths) for box in map(CenterBox._make, part.boxes[1:])
-             if max(box.depths) >= 33}
-    assert floor <= set(calls)
-    if not floor:  # a run that never reaches the floor places only the root
-        assert len(calls) == 1
     sampled = {x: value for _, x, value, _, _ in report.trace}
-    exact = 0
+    deep = 0
     for box in map(CenterBox._make, part.boxes[1:]):
         assert type(box.center) is tuple and all(type(v) is float for v in box.center)
         expected = center(part, box.corner_nums, box.depths)
         assert [v.hex() for v in box.center] == [v.hex() for v in expected]
-        if max(box.depths) <= 32:
-            assert sampled[box.center] == box.f_center
-            exact += 1
-    assert exact > 1000
-    if (runner, dim) == (directl_run, 3):  # boxes below the float step were checked too
-        assert exact < part.m
+        assert sampled[box.center] == box.f_center
+        deep += max(box.depths) >= 33
+    if (runner, case) in {(directl_run, 3), (direct_run, "quad1d"), (directl_run, "quad1d")}:
+        assert deep > 0  # boxes below the float step were checked too
 
 
 def test_determinism_and_history_monotone():

@@ -82,9 +82,9 @@ SIMPLE_4D_BASELINES = {
 # sha256 of report.json from run_class(new, direct, directl) on hard:2:20,
 # seed 0, delta 1e-4, p_max 100_000: all 60 runs of the class comparison
 HARD_2D_CLASS_REPORT = "927c67d9f89426b3816878994ad42f9e670ca1e1c984ae186d1ca43c052a9aae"
-# the same for simple:3:20, whose DIRECT-l runs meet the rounding past depth
-# 32 that the center boxes' floor rebuild corrects
-SIMPLE_3D_CLASS_REPORT = "d526faf619eb02bc35d1509d80ed33c7307b84a6ca2d63587aabe35a0cab70f4"
+# the same for simple:3:20, whose DIRECT and DIRECT-l runs split past depth
+# 32, where only the exact center division keeps a sample on its cell's center
+SIMPLE_3D_CLASS_REPORT = "9a0873544ea88ee032e74769eab4f882f2e45282f368e613bbe0964950ec0999"
 
 
 def sha256_repr(value) -> str:

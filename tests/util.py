@@ -48,8 +48,7 @@ class Box(NamedTuple):
 
 class CenterBox(NamedTuple):
     """A center box of the DIRECT and DIRECT-l state; s is its depth sum and
-    center its cell's center, where f_center was sampled up to depth 32 and
-    up to an ulp away from it deeper."""
+    center its cell's center, where f_center was sampled, at every depth."""
 
     f_center: float
     id: int
