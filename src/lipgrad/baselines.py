@@ -45,12 +45,11 @@ CenterTuple = tuple[float, int, int, tuple[int, ...], tuple[int, ...], tuple[flo
 
 
 def _diag_d(s: int, dim: int) -> float:
-    """Half squared diagonal of the boxes with depth sum s, normalized."""
+    """Half squared diagonal of the boxes with depth sum s, normalized: with
+    k, r = divmod(s, dim) they have dim - r sides of 3**-k and r of 3**-(k + 1),
+    so it is one int/int division, correctly rounded."""
     k, r = divmod(s, dim)
-    total = 0.0
-    for d in (k,) * (dim - r) + (k + 1,) * r:  # the sorted depth vector, left to right:
-        total += 1.0 / pow3(2 * d)  # sum() compensates from Python 3.12 on
-    return 0.5 * total
+    return (9 * (dim - r) + r) / (2 * pow3(2 * k + 2))
 
 
 class _CenterBoxes(BoxTable):
@@ -100,8 +99,8 @@ class _CenterState(RunState):
             box, level = heap_min(groups[s], boxes), s // dim
             if box is not None and (level not in levels or box < levels[level]):
                 levels[level] = box
-        # d: half squared longest side, 0.5 / 9**level
-        return [(box[1], 0.5 / pow3(2 * level), box[0]) for level, box in levels.items()]
+        # d: half squared longest side, 1 / (2 * 9**level) by one int/int division
+        return [(box[1], 1 / (2 * pow3(2 * level)), box[0]) for level, box in levels.items()]
 
     def subdivide(self, box_id: int) -> None:
         """Trisect along every longest side, best-sampled axis first."""

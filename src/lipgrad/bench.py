@@ -102,9 +102,9 @@ def _ratio(comp: float, comp_unsolved: bool, new: float, new_unsolved: bool) -> 
 @dataclass
 class ClassReport:
     """Per-problem results of one class run, and the C1-C4 summary that
-    making the report computes from its ``rows``: a ValueError when there
-    are none or a valid row lacks a method's result, a GenerationError when
-    every problem of the class is invalid."""
+    making the report computes from its ``rows``: a ValueError for methods
+    ``check_methods`` refuses, no rows or a valid row without a method's
+    result, a GenerationError when every problem of the class is invalid."""
 
     class_info: dict
     methods: list[str]
@@ -118,6 +118,7 @@ class ClassReport:
     invalid: list[tuple[int, str]] = field(init=False)
 
     def __post_init__(self):
+        self.methods = check_methods(self.methods)
         if not self.rows:
             raise ValueError("a class report needs at least one row")
         self.invalid = [(row["index"], row["error"]) for row in self.rows if not row["valid"]]

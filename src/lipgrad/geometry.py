@@ -105,16 +105,13 @@ def heap_min(group: Group, boxes: list) -> Optional[tuple]:
 def heap_min_entries(group: Group, boxes: list) -> list:
     """Every minimum-key live box of ``group``: ``[]`` when it has none, else
     the least first, then the other ties in heap order. Dead roots are popped
-    as in ``heap_min``. By heap order the ties form a subtree at the root: it
+    by ``heap_min``. By heap order the ties form a subtree at the root: it
     is walked in place, only when a child of the root ties it, and no live
     entry is popped or pushed back."""
-    heap = group.heap
-    while heap and boxes[heap[0][1]] is not heap[0]:
-        heapq.heappop(heap)
-    if not heap:
+    root = heap_min(group, boxes)
+    if root is None:
         return []
-    root, n = heap[0], len(heap)
-    key = root[0]
+    heap, key, n = group.heap, root[0], len(group.heap)
     if not (n > 1 and heap[1][0] == key or n > 2 and heap[2][0] == key):
         return [root]
     out, todo = [root], [1, 2]

@@ -114,6 +114,12 @@ MUTANTS = [
     Mutant("sample-by-float-half", "baselines.py",
            "x_lo = head + (lo + (2 * lo_num + 1) / side * ed,) + tail",
            "x_lo = head + (lo + (lo_num + 0.5) / pow3(dmin + 1) * ed,) + tail"),
+    Mutant("diag-d-float-sum", "baselines.py",
+           "return (9 * (dim - r) + r) / (2 * pow3(2 * k + 2))",
+           "return 0.5 * ((dim - r) / pow3(2 * k) + r / pow3(2 * k + 2))"),
+    Mutant("level-d-float-divisor", "baselines.py",
+           "1 / (2 * pow3(2 * level))",
+           "0.5 / pow3(2 * level)"),
     # the shared loop: each deleted check hid nothing
     Mutant("record-phase-skips-its-last-row", "optimizer.py",
            "            break\n    log_history(state)",
@@ -133,6 +139,28 @@ MUTANTS = [
     Mutant("slopes-unbounded", "selection.py",
            "slopes.append(k_hi)",
            "slopes.append(math.inf)"),
+    # off the pinned paths: the report's boundary, the row memo, the grid's
+    # edge and the trace reader
+    Mutant("class-report-methods-unchecked", "bench.py",
+           "self.methods = check_methods(self.methods)",
+           "self.methods = list(self.methods)"),
+    Mutant("memo-miss-is-none", "bench.py",
+           "_MISS = object()  # a memo miss; f may return any value, None too",
+           "_MISS = None  # a memo miss; f may return any value, None too"),
+    Mutant("edge-never-shortened", "geometry.py",
+           "while lower + e > upper:",
+           "while False:"),
+    Mutant("edge-shortened-once", "geometry.py",
+           "while lower + e > upper:",
+           "if lower + e > upper:",
+           "equivalent", "upper - lower rounds up by at most half the float step below "
+           "e, so one step down puts lower + e at or below upper"),
+    Mutant("trace-reads-points-off-the-domain", "bench.py",
+           "and all(map(_in_domain, x, lower, upper))",
+           "and True"),
+    Mutant("trace-domain-ends-at-upper", "bench.py",
+           "return lower <= x <= max(upper, lower + (upper - lower))",
+           "return lower <= x <= upper"),
 ]
 
 

@@ -12,7 +12,6 @@ from lipgrad.stopping import OptConfig, StopTarget, close_report
 from util import (
     CenterBox,
     Dot,
-    add_left_to_right,
     center_iteration,
     check_dense_live_layout,
     sorted_diag_d,
@@ -156,8 +155,8 @@ def test_center_box_fields():
 
 
 def test_depth_sum_diagonal_matches_the_sorted_depth_vector():
-    # _diag_d(s, dim) adds the terms of the sorted depth vector that s fixes,
-    # in its order, so it equals the old per-vector measure bit for bit
+    # _diag_d(s, dim) is the exact half squared diagonal of the depth vector
+    # that s fixes, rounded once, whatever the order of its sides
     for dim in range(1, 7):
         for s in range(40 * dim):
             k, r = divmod(s, dim)
@@ -197,7 +196,7 @@ def test_each_group_d_is_its_depth_sum_diagonal_computed_once(monkeypatch, metho
 ], ids=lambda prob: prob.name)
 def test_each_level_d_is_its_longest_side_measure(monkeypatch, prob):
     # DIRECT-l gives every level dot its level's longest-side measure,
-    # 0.5 / 9**level with level = s // dim, bit for bit
+    # 1 / (2 * 9**level) with level = s // dim, rounded once
     seen = []  # each dot's d and its box's depth sum s when selected
     select = _CenterState.select
 
@@ -210,7 +209,7 @@ def test_each_level_d_is_its_longest_side_measure(monkeypatch, prob):
     assert directl_run(prob, OptConfig(p_max=2000)).trials == 2000
     assert len(seen) > 100
     assert len({s // prob.dim for _, s in seen}) > 3
-    assert all(d.hex() == (0.5 / 3 ** (2 * (s // prob.dim))).hex() for d, s in seen)
+    assert all(d.hex() == float(Fraction(1, 2 * 9 ** (s // prob.dim))).hex() for d, s in seen)
 
 
 @pytest.mark.parametrize("case", [2, 3, 4, "quad1d"])
@@ -297,8 +296,9 @@ def test_a_split_that_hits_the_target_is_dropped(runner):
 def rescanned_select(state: _CenterState) -> list[Dot]:
     """select()'s dots from the live boxes alone, without groups or heaps.
 
-    DIRECT: every tied minimum per sorted depth vector, at its half squared
-    diagonal. DIRECT-l: the least (f, id) per minimum depth L, at 0.5 / 9^L.
+    DIRECT: every tied minimum per sorted depth vector, at its exact half
+    squared diagonal rounded once. DIRECT-l: the least (f, id) per minimum
+    depth L, at 1 / (2 * 9^L) rounded once.
     """
     by_key = {}
     boxes = views(state)
@@ -309,9 +309,9 @@ def rescanned_select(state: _CenterState) -> list[Dot]:
     for key, entries in by_key.items():
         entries.sort()
         if state.locally_biased:
-            d, tied = 0.5 / 3 ** (2 * key), entries[:1]
+            d, tied = float(Fraction(1, 2 * 9**key)), entries[:1]
         else:
-            d = 0.5 * add_left_to_right(1.0 / 3 ** (2 * dep) for dep in key)
+            d = sorted_diag_d(key)
             tied = [e for e in entries if e[0] == entries[0][0]]
         for F, box_id in tied:
             dots.append(Dot(box_id, d, F))
@@ -319,8 +319,7 @@ def rescanned_select(state: _CenterState) -> list[Dot]:
 
 
 def largest_diagonal_sq(state: _CenterState) -> float:  # scans every box
-    return max(add_left_to_right(1.0 / 3 ** (2 * dep) for dep in sorted(box.depths))
-               for box in views(state).values())
+    return max(2.0 * sorted_diag_d(box.depths) for box in views(state).values())
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

@@ -288,6 +288,21 @@ def test_a_row_evaluates_each_point_once_across_its_methods(monkeypatch):
     assert trials > sum(sum(seen.values()) for seen in calls)
 
 
+def test_the_row_memo_returns_the_first_result_of_each_point_whatever_it_is():
+    # f's raw return is memoized, None and 0.0 too: a repeated point reads it
+    # back, the same object, without calling f again
+    calls, results = collections.Counter(), {-1.0: None, 0.0: 0.0, 1.0: [1.0]}
+
+    def f(x):
+        calls[float(x[0])] += 1
+        return results[float(x[0])]
+
+    memo = bench._memo(f)
+    for v in (-1.0, 0.0, 1.0) * 3:
+        assert memo(np.array([v])) is results[v]
+    assert calls == {-1.0: 1, 0.0: 1, 1.0: 1}
+
+
 def test_a_rows_results_do_not_depend_on_method_order():
     # a method reading points an earlier method evaluated finds what it would
     # have computed itself

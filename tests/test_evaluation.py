@@ -308,7 +308,13 @@ def test_a_class_report_is_computed_from_its_rows(monkeypatch, tmp_path):
     reason = f"every problem of the class is invalid; {error}"
     with pytest.raises(problems.GenerationError, match=re.escape(reason)):
         bench.ClassReport(**ran, rows=data["rows"][:1])
-    # nor does a valid row without a result for one of the methods
+    # the report checks its methods as run_class does: a repeated one would
+    # write every row twice, and a string would be read letter by letter
+    for methods, message in [(["new", "direct", "new"], "method 'new' given twice"),
+                             ("new", "methods must be a collection of names, got the string 'new'")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bench.ClassReport(**dict(ran, methods=methods), rows=data["rows"])
+    # and a valid row without a result for one of the methods makes none
     del data["rows"][2]["results"]["direct"]
     with pytest.raises(ValueError, match=r"^row 3 has no result for method 'direct'$"):
         bench.ClassReport(**ran, rows=data["rows"])

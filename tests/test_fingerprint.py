@@ -70,11 +70,11 @@ SIMPLE_4D_RUN_TRACED = {
 # split covers several axes, so each split makes children on up to four axes
 SIMPLE_4D_BASELINES = {
     direct_run: ((2000, 1999, "7.629165126280283e-14", "budget",
-                  "987ee4907e4ba2316162407091e784cd2d66abf88b1405b1b74b998e4c8792de"),
+                  "cc9316bc35c7efe89549177407d78c5d45efdf9f0aff91adfa635a89f1c15c2e"),
                  "18ff608d16c3e0fbc3f55ee1c3ad1d59c1696dad4b937887de214bc3a65029cb",
                  "b9ee4d419424279746168dde94665e3157c19b234ecbe7d1e0cd0ce4e0c89a6f"),
     directl_run: ((2000, 1997, "9.586841691876295e-27", "budget",
-                   "ad5b20cd1fc079b00d0563ddef98f817721496fa9c9866d45f1717f58d072235"),
+                   "67c296972a74a771a3991ed4b7e6be7d4d8a4b7e8d68a61d813a186663e0ac3d"),
                   "99c1fee763dec7af0049b57f11e858717a70030fdc98a3f9d25d593c91b570b7",
                   "434711f9655f920fe34a958a1617e7913154301e1d4e347578b5f8a523f9b003"),
 }

@@ -280,13 +280,10 @@ def with_audit(problem: Problem) -> tuple[Problem, EvalAudit]:
 
 
 def sorted_diag_d(key: tuple[int, ...]) -> float:
-    """Half squared diagonal of a center box with sorted depth vector
-    ``key``, normalized, added in key order: the oracle for
-    ``baselines._diag_d``."""
-    total = 0.0
-    for d in key:
-        total += 1.0 / pow3(2 * d)
-    return 0.5 * total
+    """Half squared diagonal of a center box with depth vector ``key``,
+    normalized: the exact sum of its sides' squares, rounded once. The
+    oracle for ``baselines._diag_d``."""
+    return float(sum(Fraction(1, 9**d) for d in key) / 2)
 
 
 def add_left_to_right(terms) -> float:
