@@ -103,8 +103,9 @@ def _ratio(comp: float, comp_unsolved: bool, new: float, new_unsolved: bool) -> 
 class ClassReport:
     """Per-problem results of one class run, and the C1-C4 summary that
     making the report computes from its ``rows``: a ValueError for methods
-    ``check_methods`` refuses, no rows or a valid row without a method's
-    result, a GenerationError when every problem of the class is invalid."""
+    ``check_methods`` refuses, no rows, a row index given twice or a valid
+    row without a method's result, a GenerationError when every problem of
+    the class is invalid."""
 
     class_info: dict
     methods: list[str]
@@ -121,6 +122,11 @@ class ClassReport:
         self.methods = check_methods(self.methods)
         if not self.rows:
             raise ValueError("a class report needs at least one row")
+        seen = set()
+        for row in self.rows:
+            if row["index"] in seen:
+                raise ValueError(f"row {row['index']} given twice")
+            seen.add(row["index"])
         self.invalid = [(row["index"], row["error"]) for row in self.rows if not row["valid"]]
         valid_rows = [row for row in self.rows if row["valid"]]
         if not valid_rows:
@@ -331,10 +337,11 @@ def write_trace(report: RunReport, problem: problems.Problem, path) -> None:
 def read_trace(path) -> dict:
     """Parse a trace file into domain bounds, trial points and boxes; a
     malformed domain, T or B line is a ValueError naming the path and line.
-    The one domain header comes first, with finite bounds lower < upper and a
-    finite upper - lower on every axis, as a ``Problem`` has; every T point
-    and B corner has one coordinate per axis, and a T line's point lies in
-    the domain and its value and f_min are finite, as every run writes them."""
+    The one domain header comes first, each axis one a ``Problem`` takes;
+    every T point and B corner has one coordinate per axis, and a T point
+    lies in [lower, upper], as ``geometry._edge`` keeps every run's points,
+    with a finite value and f_min. A trace written before ``_edge`` (859a06d)
+    with a point above ``upper`` no longer reads."""
     lower = upper = ()
     trials = []
     boxes = []
@@ -342,11 +349,12 @@ def read_trace(path) -> dict:
         line = raw.strip()
         if line.startswith("# domain"):
             lower, upper = _fields(path, n, line[2:], (_point, _point),
-                                   lambda lo, hi: not lower and _is_domain(lo, hi))
+                                   lambda lo, hi: not lower and len(lo) == len(hi)
+                                   and all(map(problems._axis, lo, hi)))
         elif line.startswith("T "):
             trials.append(_fields(path, n, line, (int, _point, float, float, str),
                                   lambda _, x, f, f_min, __: len(x) == len(lower)
-                                  and all(map(_in_domain, x, lower, upper))
+                                  and all(lo <= v <= hi for v, lo, hi in zip(x, lower, upper))
                                   and math.isfinite(f) and math.isfinite(f_min)))
         elif line.startswith("B "):
             boxes.append(_fields(path, n, line, (int, int, _grid_point, _grid_point),
@@ -369,18 +377,6 @@ def _fields(path, n: int, line: str, readers, valid) -> tuple:
     except ValueError:
         pass
     raise ValueError(f"{path}:{n}: malformed {parts[0]} line: {line.strip()!r}")
-
-
-def _is_domain(lower, upper) -> bool:
-    # lo < hi with a finite difference also rules out an infinite or nan bound
-    return len(lower) == len(upper) and all(lo < hi and math.isfinite(hi - lo)
-                                            for lo, hi in zip(lower, upper))
-
-
-def _in_domain(x: float, lower: float, upper: float) -> bool:
-    # up to lower + (upper - lower) where that rounds above upper: a run sampled
-    # there before geometry._edge shortened such an edge, and its trace reads
-    return lower <= x <= max(upper, lower + (upper - lower))
 
 
 def _point(text: str) -> tuple[float, ...]:

@@ -50,6 +50,12 @@ def _number(v, kind=numbers.Real) -> bool:
         return False
 
 
+def _axis(lo, hi) -> bool:
+    """Whether [lo, hi] is an axis a ``Problem`` takes: real numbers lo < hi
+    whose float width hi - lo, the one the methods use, is finite."""
+    return _number(lo) and _number(hi) and lo < hi and math.isfinite(float(hi) - float(lo))
+
+
 _FLOAT64 = np.dtype(float)  # every native float64 array holds this dtype object
 
 
@@ -98,8 +104,7 @@ class Problem:
             raise ValueError(f"{self.name}: bounds {self.lower!r} and {self.upper!r} need "
                              f"one entry per axis, dim is {self.dim}")
         for j, (lo, hi) in enumerate(zip(self.lower, self.upper)):
-            if not (_number(lo) and _number(hi) and lo < hi
-                    and math.isfinite(float(hi) - float(lo))):  # the width the methods use
+            if not _axis(lo, hi):
                 raise ValueError(f"{self.name}: axis {j} needs finite real numbers "
                                  f"lower < upper and a finite upper - lower, got [{lo!r}, {hi!r}]")
         # a trace writes the bounds with repr, which reads back only from floats
@@ -169,11 +174,18 @@ def quadratic(
 
     The gradient 2A(x-c) has Lipschitz constant 2*rho(A) (spectral radius),
     recorded in ``known_K``. ``known_opt`` is set when A is positive
-    semidefinite and the center lies inside the bounds.
+    semidefinite and the center lies inside the bounds. A ``center`` that is
+    not a non-empty 1-D run of finite real numbers, or a ``matrix`` that is
+    not n x n of them, is a ValueError.
     """
-    c = np.asarray(center, dtype=float)
+    c = _floats(center, None)
+    if c is None or c.ndim != 1 or not c.size or not np.isfinite(c).all():
+        raise ValueError(f"{name}: center must be a non-empty 1-D run of finite real "
+                         f"numbers, got {center!r}")
     n = c.size
-    A = np.eye(n) if matrix is None else np.asarray(matrix, dtype=float)
+    A = np.eye(n) if matrix is None else _floats(matrix, None)
+    if A is None or A.shape != (n, n) or not np.isfinite(A).all():
+        raise ValueError(f"{name}: matrix must be {n} x {n} finite real numbers, got {matrix!r}")
     A = 0.5 * (A + A.T)
     eigs = np.linalg.eigvalsh(A)
     K = 2.0 * float(np.max(np.abs(eigs)))

@@ -140,7 +140,8 @@ MUTANTS = [
            "slopes.append(k_hi)",
            "slopes.append(math.inf)"),
     # off the pinned paths: the report's boundary, the row memo, the grid's
-    # edge and the trace reader
+    # edge, the trace reader, the axis rule, the quadratic's arguments, the
+    # 50% mark, the manifest reader, the float reader and the class's knobs
     Mutant("class-report-methods-unchecked", "bench.py",
            "self.methods = check_methods(self.methods)",
            "self.methods = list(self.methods)"),
@@ -156,11 +157,29 @@ MUTANTS = [
            "equivalent", "upper - lower rounds up by at most half the float step below "
            "e, so one step down puts lower + e at or below upper"),
     Mutant("trace-reads-points-off-the-domain", "bench.py",
-           "and all(map(_in_domain, x, lower, upper))",
+           "and all(lo <= v <= hi for v, lo, hi in zip(x, lower, upper))",
            "and True"),
-    Mutant("trace-domain-ends-at-upper", "bench.py",
-           "return lower <= x <= max(upper, lower + (upper - lower))",
-           "return lower <= x <= upper"),
+    Mutant("axis-allows-equal-bounds", "problems.py",
+           "and lo < hi and math.isfinite(float(hi) - float(lo))",
+           "and lo <= hi and math.isfinite(float(hi) - float(lo))"),
+    Mutant("class-report-forgets-row-indices", "bench.py",
+           'seen.add(row["index"])',
+           "pass"),
+    Mutant("quadratic-matrix-any-2d-shape", "problems.py",
+           "if A is None or A.shape != (n, n)",
+           "if A is None or A.ndim != 2"),
+    Mutant("fifty-percent-rounds-down", "bench.py",
+           "k = (len(trials) + 1) // 2",
+           "k = len(trials) // 2"),
+    Mutant("manifest-keeps-radius-range-a-list", "problems.py",
+           'if isinstance(knobs["radius_range"], list):',
+           "if False:"),
+    Mutant("floats-reads-any-object-array", "problems.py",
+           'reals = kind == "O" and all(isinstance(e, numbers.Real) for e in a.flat)',
+           'reals = kind == "O"'),
+    Mutant("problem-class-takes-seed-minus-one", "problems.py",
+           'v, least = getattr(self, name), 0 if name == "seed" else 1',
+           'v, least = getattr(self, name), -1 if name == "seed" else 1'),
 ]
 
 

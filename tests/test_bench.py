@@ -371,11 +371,11 @@ def test_trace_round_trip(tmp_path):
     with pytest.raises(ValueError, match="run.trace: missing domain header"):
         read_trace(path)
     # lower + (upper - lower) rounds above upper here, where a run could sample
-    # before the grid's edge was shortened: such a trace still reads
+    # before the grid's edge was shortened: such a point is off the domain
     path.write_text("# domain -0.3,-0.3 0.1,0.1\n"
                     "T 1 0.10000000000000003,0.10000000000000003 0.5 0.5 init\n")
-    assert read_trace(path)["trials"] == [
-        (1, (0.10000000000000003, 0.10000000000000003), 0.5, 0.5, "init")]
+    with pytest.raises(ValueError, match="run.trace:2: malformed T line"):
+        read_trace(path)
 
 
 def test_partition_diagram(tmp_path):

@@ -314,6 +314,9 @@ def test_a_class_report_is_computed_from_its_rows(monkeypatch, tmp_path):
                              ("new", "methods must be a collection of names, got the string 'new'")]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             bench.ClassReport(**dict(ran, methods=methods), rows=data["rows"])
+    # nor do rows that name one problem twice, whose runs C1-C4 would count twice
+    with pytest.raises(ValueError, match=r"^row 1 given twice$"):
+        bench.ClassReport(**ran, rows=data["rows"] + data["rows"])
     # and a valid row without a result for one of the methods makes none
     del data["rows"][2]["results"]["direct"]
     with pytest.raises(ValueError, match=r"^row 3 has no result for method 'direct'$"):

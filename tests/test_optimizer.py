@@ -425,3 +425,28 @@ def test_config_rejects_a_foreign_target_and_numbers_beyond_float_range():
         warnings.simplefilter("error")  # no overflow casting a float32
         config = OptConfig(epsilon=np.float32(0.5), p_max=10**300, diagonal=np.float32(0.5))
     assert (config.epsilon, config.p_max, config.diagonal) == (0.5, 10**300, 0.5)
+
+
+# Once a box side falls to a few ulps of its coordinates, new trial points
+# round onto old ones and selection meets a dot with d <= 0 (ROADMAP item
+# 12a). Each reproducer makes `run` raise; DIRECT and DIRECT-l run past it.
+FLOAT_FLOOR = {
+    "1d": (lambda: quadratic([0.2], lower=[-1.0], upper=[1.0]), 987),  # dot 1874
+    "offset": (lambda: quadratic([1e15 + 0.5], lower=[1e15], upper=[1e15 + 1]), 2_000),  # dot 4
+    "2d": (lambda: quadratic([0.2, -0.3], lower=[-1.0] * 2, upper=[1.0] * 2), 20_000),  # dot 42639
+}
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="ROADMAP item 12a: the gradient method splits below float resolution")
+@pytest.mark.parametrize("name", FLOAT_FLOOR)
+def test_the_gradient_method_runs_past_the_float_floor(name):
+    make, p_max = FLOAT_FLOOR[name]
+    run(make(), OptConfig(p_max=p_max))
+
+
+@pytest.mark.parametrize("method", [baselines.direct_run, baselines.directl_run],
+                         ids=["direct", "directl"])
+def test_the_baselines_run_the_offset_reproducer_to_their_budget(method):
+    make, p_max = FLOAT_FLOOR["offset"]
+    assert method(make(), OptConfig(p_max=p_max)).stop_reason == "budget"

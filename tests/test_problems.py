@@ -40,6 +40,24 @@ def test_quadratic_spectral_radius_sets_K():
     assert p.known_opt is None  # indefinite
 
 
+@pytest.mark.parametrize("center, matrix, what", [
+    ([0.1, 0.2], [[1.0, 2.0, 3.0]], "matrix"),  # numpy would broadcast it to 3 x 3
+    ([0.1, 0.2], [[1.0]], "matrix"),
+    ([0.1, 0.2], [[1.0, 0.0], [0.0, math.inf]], "matrix"),
+    ([0.1, 0.2], "ab", "matrix"),
+    ([math.nan], None, "center"),
+    ([[0.1]], None, "center"),
+    ([], None, "center"),
+    (0.1, None, "center"),
+    (["a"], None, "center"),
+])
+def test_quadratic_names_a_center_or_matrix_of_the_wrong_shape(center, matrix, what):
+    # a wrong shape is a ValueError when the problem is made, not a K
+    # computed from a broadcast matrix or a failure at the first trial
+    with pytest.raises(ValueError, match=f"^bad: {what} must be "):
+        quadratic(center, matrix, name="bad")
+
+
 def test_analytic_suite_passes_fd_check():
     for p in analytic_suite():
         assert fd_check(p, samples=40) < 1e-5
